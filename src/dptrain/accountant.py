@@ -331,13 +331,19 @@ class PrivacyLedger:
     """Mutable running ledger for one training run.
 
     The step loop is the single writer (``advance``); monitors may read
-    ``spent`` at any time. The per-step curve is computed once up front.
+    ``spent`` at any time. The per-step curve, and the conversion penalties
+    at the ledger's delta, are computed once up front, so a query is a few
+    array operations; they are the same operations as ``to_eps_delta`` on
+    the composed curve, so the answers are identical.
     """
 
     def __init__(self, spec: MechanismSpec, delta: float = DEFAULT_DELTA):
         self.spec = spec
         self.delta = delta
         self._base = mechanism_curve(spec)
+        self._per_step = np.array(self._base.per_step)
+        self._spends_nothing = max(self._base.per_step) == 0.0
+        self._penalties = self._penalties_at(delta)
         self.step_count = 0
 
     def advance(self, steps: int = 1) -> None:
@@ -349,12 +355,34 @@ class PrivacyLedger:
         return compose(self._base, self.step_count)
 
     def spent(self, delta: float | None = None) -> PrivacySpent:
-        return to_eps_delta(self.curve(), self.delta if delta is None else delta)
+        epsilon, best = self._epsilon_at(self.step_count, delta)
+        return PrivacySpent(
+            epsilon=epsilon,
+            delta=self.delta if delta is None else delta,
+            optimal_alpha=self._base.alphas[best],
+        )
 
     def epsilon_if(self, step_count: int, delta: float | None = None) -> float:
         """Epsilon the ledger would report after ``step_count`` total steps."""
-        hypothetical = compose(self._base, step_count)
-        return to_eps_delta(hypothetical, self.delta if delta is None else delta).epsilon
+        if step_count < 0:
+            raise ValueError(f"cannot compose a negative number of steps: {step_count}")
+        return self._epsilon_at(int(step_count), delta)[0]
+
+    def _penalties_at(self, delta: float) -> np.ndarray:
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        return math.log(1.0 / delta) / (np.array(self._base.alphas) - 1.0)
+
+    def _epsilon_at(self, steps: int, delta: float | None) -> tuple[float, int]:
+        # The arithmetic of to_eps_delta(compose(self._base, steps), delta),
+        # without rebuilding and revalidating the curve.
+        penalties = self._penalties if delta is None else self._penalties_at(delta)
+        totals = self._per_step * steps
+        candidates = totals + penalties
+        best = int(candidates.argmin())
+        if steps == 0 or self._spends_nothing:
+            return 0.0, best
+        return float(candidates[best]), best
 
 
 def accountant_query(sigma: float, q: float, steps: int, delta: float) -> dict:

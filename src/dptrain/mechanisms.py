@@ -20,6 +20,7 @@ The two placements coincide exactly for batches of size one.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
     "NoiseSpec",
     "NOISE_PLACEMENTS",
     "clip_gradient",
+    "clip_rows",
     "gaussian_noise",
     "aggregate_noisy",
 ]
@@ -47,7 +49,7 @@ class ClipSpec:
     max_norm: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.max_norm) and self.max_norm > 0):
+        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
             raise ValueError(f"clip norm must be positive and finite, got {self.max_norm}")
 
 
@@ -73,10 +75,30 @@ def clip_gradient(grad: GradientSet, spec: ClipSpec) -> GradientSet:
     already within the bound pass through unchanged (division by exactly 1).
     """
     norm = grad.global_norm()
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise ValueError("cannot clip a non-finite gradient")
     factor = max(1.0, norm / spec.max_norm)
-    return GradientSet([a / factor for a in grad.arrays])
+    return GradientSet.of([a / factor for a in grad.arrays])
+
+
+def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec) -> np.ndarray:
+    """Clip each row of a per-sample gradient matrix in place; return the pre-clip norms.
+
+    ``spans`` are the column ranges of the parameter blocks a row's norm
+    covers, in slot order. Each block contributes one dot product per row
+    and the blocks are added in order from 0.0, as ``GradientSet.global_norm``
+    adds its arrays, so every norm and clipped row equals ``clip_gradient``
+    on that sample's gradient set bit for bit.
+    """
+    total = np.zeros(rows.shape[0])
+    for lo, hi in spans:
+        v = rows[:, lo:hi]
+        total += (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    norms = np.sqrt(total)
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot clip a non-finite gradient")
+    rows /= np.maximum(1.0, norms / spec.max_norm)[:, None]
+    return norms
 
 
 def gaussian_noise(

@@ -16,10 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
+    BCE_PROB_FLOOR,
+    GROUP_NORM_VAR_FLOOR,
     GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
+    _ensure_finite,
     add,
     backward,
     binary_cross_entropy,
@@ -43,6 +46,8 @@ __all__ = [
     "ModelValidationError",
     "build_mlp",
     "per_sample_gradient",
+    "PerSampleBatch",
+    "per_sample_gradients",
     "batch_gradient",
     "predict_proba",
     "accuracy",
@@ -136,6 +141,17 @@ class Model:
 
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters))
+
+    def parameter_offsets(self) -> tuple[int, ...]:
+        """Start of each parameter in the flat parameter vector, then its length.
+
+        The flat vector concatenates the raveled parameters in slot order;
+        each row of a per-sample gradient matrix is laid out the same way.
+        """
+        offsets = [0]
+        for p in self.parameters:
+            offsets.append(offsets[-1] + p.size)
+        return tuple(offsets)
 
     def set_freeze_prefix(self, k: int) -> None:
         """Freeze the first ``k`` dense blocks (dense + attached norm).
@@ -286,6 +302,162 @@ def per_sample_gradient(model: Model, x, y) -> tuple[float, GradientSet]:
         loss = _loss_graph(model, xa, np.array([yv]), tape)
         grad = backward(tape, loss)
     return loss.item(), grad
+
+
+def _layer_slots(layer) -> tuple[int, ...]:
+    if isinstance(layer, DenseLayer):
+        return (layer.weight_slot, layer.bias_slot)
+    if isinstance(layer, GroupNormLayer):
+        return (layer.gamma_slot, layer.beta_slot)
+    return ()
+
+
+class PerSampleBatch:
+    """One batched forward pass, kept for per-sample backward passes over row blocks.
+
+    Losses and gradients equal ``per_sample_gradient`` on each sample,
+    because every sample runs through the numpy kernels the tape runs:
+    stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
+    computes the same one-row product per sample, weight gradients are
+    exact outer products, and the sigmoid, loss and group-norm expressions
+    are the tape primitives' own. The only difference is the sign of some
+    zero entries (the tape's one-row matmul adds its product to +0.0); the
+    private step's norms and Adam update absorb it, so its parameters,
+    moments and outcomes are bit-identical. The tape remains the oracle.
+
+    Frozen parameters (``model.trainable``) get no gradient work, and the
+    backward pass stops at the first layer that has a trainable parameter.
+    Non-finite forward values raise ``FloatingPointError`` as the tape does.
+    """
+
+    def __init__(self, model: Model, xs, ys):
+        xa = np.asarray(xs, dtype=np.float64)
+        ya = np.asarray(ys, dtype=np.float64).reshape(-1)
+        if xa.ndim != 2 or xa.shape[1] != model.input_dim:
+            raise ShapeMismatchError(
+                f"input of shape {xa.shape} does not match input layer width {model.input_dim}"
+            )
+        if xa.shape[0] != ya.shape[0]:
+            raise ShapeMismatchError(f"{xa.shape[0]} samples but {ya.shape[0]} labels")
+        bad = (ya != 0.0) & (ya != 1.0)
+        if bad.any():
+            raise ValueError(f"label must be 0 or 1, got {ya[bad][0]!r}")
+
+        self.model = model
+        self.size = xa.shape[0]
+        self._first = next(
+            (
+                i
+                for i, layer in enumerate(model.layers)
+                if any(model.trainable[s] for s in _layer_slots(layer))
+            ),
+            len(model.layers),
+        )
+        params = model.parameters
+        # What each layer's pullback needs, for all rows; sliced per block.
+        self._saved: list = []
+        h = xa[:, None, :]
+        for layer in model.layers:
+            if isinstance(layer, DenseLayer):
+                self._saved.append(h)
+                h = h @ params[layer.weight_slot] + params[layer.bias_slot]
+                _ensure_finite(h, "dense")
+            elif isinstance(layer, ActivationLayer):
+                mask = h > 0.0
+                self._saved.append(mask)
+                h = np.maximum(h, 0.0)
+            elif isinstance(layer, GroupNormLayer):
+                m = layer.channels // layer.num_groups
+                grouped = h.reshape(-1, layer.num_groups, m)
+                mean = grouped.mean(axis=2, keepdims=True)
+                centered = grouped - mean
+                var = np.mean(centered * centered, axis=2, keepdims=True)
+                inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
+                y = centered * inv_std
+                normed = y.reshape(h.shape)
+                self._saved.append((normed, y, inv_std, var <= GROUP_NORM_VAR_FLOOR))
+                h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
+                _ensure_finite(h, "group_norm")
+            elif isinstance(layer, BatchCoupledNormLayer):
+                raise ModelValidationError(
+                    "batch-coupled normalization cannot be traced for per-sample gradients"
+                )
+            else:
+                raise TypeError(f"unknown layer {layer!r}")
+
+        z = h.reshape(self.size)
+        probs = np.empty_like(z)
+        pos = z >= 0
+        probs[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        probs[~pos] = ez / (1.0 + ez)
+        pc = np.clip(probs, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
+        self.losses = -(ya * np.log(pc) + (1.0 - ya) * np.log1p(-pc))
+        self._probs, self._clamped_probs, self._labels = probs, pc, ya
+        self._unclamped = (probs > BCE_PROB_FLOOR) & (probs < 1.0 - BCE_PROB_FLOOR)
+
+    def backward(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write the gradients of samples ``lo..hi-1`` into the first rows of ``out``.
+
+        ``out`` is a float64 ``[>= hi - lo, P]`` matrix laid out by
+        ``Model.parameter_offsets``; columns of frozen parameters are left
+        as they are.
+        """
+        model = self.model
+        offsets = model.parameter_offsets()
+        trainable = model.trainable
+        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != offsets[-1:]:
+            raise ShapeMismatchError(f"need a C-contiguous float64 [rows, {offsets[-1]}] matrix")
+        rows = out[: hi - lo]
+        r = rows.shape[0]
+
+        def block(slot):
+            return rows[:, offsets[slot]:offsets[slot + 1]]
+
+        p, pc, yv = self._probs[lo:hi], self._clamped_probs[lo:hi], self._labels[lo:hi]
+        # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
+        dp = np.where(self._unclamped[lo:hi], (pc - yv) / (pc * (1.0 - pc)), 0.0)
+        g = (dp * p * (1.0 - p)).reshape(r, 1, 1)
+        for i in range(len(model.layers) - 1, self._first - 1, -1):
+            layer, saved = model.layers[i], self._saved[i]
+            needs_input_grad = i > self._first
+            if isinstance(layer, DenseLayer):
+                if trainable[layer.weight_slot]:
+                    h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
+                    np.multiply(
+                        h_in, g, out=block(layer.weight_slot).reshape(r, layer.in_dim, layer.out_dim)
+                    )
+                if trainable[layer.bias_slot]:
+                    block(layer.bias_slot)[...] = g[:, 0, :]
+                if needs_input_grad:
+                    g = g @ model.parameters[layer.weight_slot].T
+            elif isinstance(layer, ActivationLayer):
+                g = g * saved[lo:hi]
+            else:
+                normed, y, inv_std, floored = (a[lo:hi] for a in saved)
+                if trainable[layer.gamma_slot]:
+                    np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
+                if trainable[layer.beta_slot]:
+                    block(layer.beta_slot)[...] = g[:, 0, :]
+                if needs_input_grad:
+                    gg = (g * model.parameters[layer.gamma_slot]).reshape(y.shape)
+                    g_mean = gg.mean(axis=2, keepdims=True)
+                    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
+                    g = (inv_std * (gg - g_mean - y * proj)).reshape(r, 1, layer.channels)
+
+
+def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses ``[B]`` and gradients ``[B, P]`` of a batch in one pass.
+
+    Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
+    slot order (see ``PerSampleBatch``), with zero columns for frozen
+    parameters. Builds the whole matrix; the private step works through
+    ``PerSampleBatch`` in row blocks instead.
+    """
+    batch = PerSampleBatch(model, xs, ys)
+    grads = np.zeros((batch.size, model.num_parameters()))
+    batch.backward(0, batch.size, grads)
+    return batch.losses, grads
 
 
 def batch_gradient(model: Model, xs, ys) -> tuple[float, GradientSet]:

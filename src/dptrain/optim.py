@@ -1,10 +1,19 @@
 """Noisy Adam: Poisson subsampling, clipped per-sample gradients, moment updates.
 
 ``dp_adam_step`` performs one private optimization step end to end: draw a
-Poisson batch, compute each member's gradient in isolation, clip, aggregate
-with Gaussian noise, update the Adam moments and the parameters, and charge
+Poisson batch, compute every member's gradient, clip, aggregate with
+Gaussian noise, update the Adam moments and the parameters, and charge
 exactly one step to the privacy ledger (also when the batch came up empty,
 which is always safe to charge).
+
+All per-sample gradients come from one batched pass
+(:class:`~dptrain.model.PerSampleBatch`) as rows of a ``[B, P]`` matrix over
+the flat parameter vector (B samples, P parameters); clipping, summing and
+noise work on those rows. Each sample runs through the same numpy kernels
+as the one-sample tape, so parameters, Adam moments and the step's outcome
+are bit-identical to clipping and summing ``per_sample_gradient`` results
+one by one; the tape remains the gradient oracle. Rows are built ``ROW_BLOCK_BYTES`` at a time, which bounds
+the step's memory whatever the batch size.
 
 Two update rules are available:
 
@@ -27,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacyLedger
-from .mechanisms import ClipSpec, NoiseSpec, aggregate_noisy
-from .model import Model, ModelValidationError, per_sample_gradient, validate_model
+from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows, gaussian_noise
+from .model import Model, ModelValidationError, PerSampleBatch, validate_model
 from .tensor import GradientSet, ShapeMismatchError
 
 __all__ = [
@@ -41,6 +50,10 @@ __all__ = [
 ]
 
 ADAM_VARIANTS = ("adam", "raw-moment")
+
+# Per-sample gradient rows are built and clipped in blocks of about this many
+# bytes: the whole batch for small models, a few rows for ~70k parameters.
+ROW_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -202,23 +215,51 @@ def dp_adam_step(
             mean_loss=math.nan,
         )
 
-    grads: list[GradientSet] = []
-    losses: list[float] = []
-    for i in indices:
-        loss, g = per_sample_gradient(model, xs[i], ys[i])
-        grads.append(_masked(g, model.trainable))
-        losses.append(loss)
-    norms = np.array([g.global_norm() for g in grads])
-
-    vbar = aggregate_noisy(grads, clip, noise, noise_rng, placement=noise_placement)
-    vbar = _masked(vbar, model.trainable)
+    batch = PerSampleBatch(model, xs[indices], ys[indices])
+    if noise_placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"unknown noise placement {noise_placement!r}")
+    offsets = model.parameter_offsets()
+    spans = [(offsets[s], offsets[s + 1]) for s, keep in enumerate(model.trainable) if keep]
+    clipped_sum, norms = _clipped_sum(batch, spans, clip)
+    draw = gaussian_noise([clipped_sum.shape], noise.sigma * clip.max_norm, noise_rng)[0]
+    if noise_placement == "after-mean":
+        flat = clipped_sum / batch.size + draw
+    else:
+        flat = (clipped_sum + draw) / batch.size
+    for s, keep in enumerate(model.trainable):
+        if not keep:
+            flat[offsets[s]:offsets[s + 1]] = 0.0
+    vbar = GradientSet.of(
+        [flat[offsets[s]:offsets[s + 1]].reshape(p.shape) for s, p in enumerate(model.parameters)]
+    )
     _apply_update(model, state, vbar)
     return StepOutcome(
         applied=True,
-        batch_size=int(indices.size),
+        batch_size=batch.size,
         preclip_norm_min=float(norms.min()),
         preclip_norm_mean=float(norms.mean()),
         preclip_norm_max=float(norms.max()),
         noisy_grad_norm=vbar.global_norm(),
-        mean_loss=float(np.mean(losses)),
+        mean_loss=float(np.mean(batch.losses)),
     )
+
+
+def _clipped_sum(batch: PerSampleBatch, spans, clip: ClipSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of the clipped per-sample gradient rows in sample order, and the pre-clip norms."""
+    size = batch.model.num_parameters()
+    per_block = max(1, ROW_BLOCK_BYTES // (8 * size))
+    rows = np.zeros((min(per_block, batch.size), size))
+    norms = np.empty(batch.size)
+    total = None
+    for lo in range(0, batch.size, per_block):
+        hi = min(lo + per_block, batch.size)
+        block = rows[: hi - lo]
+        batch.backward(lo, hi, block)
+        norms[lo:hi] = clip_rows(block, spans, clip)
+        if total is None:
+            total = block[0].copy()
+            block = block[1:]
+        # Row by row: a reduction over the rows may sum pairwise instead.
+        for row in block:
+            total += row
+    return total, norms

@@ -12,6 +12,7 @@ belongs above this layer, e.g. one tape per sample.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections.abc import Callable, Sequence
 
@@ -119,7 +120,14 @@ class GradientSet:
     __slots__ = ("arrays",)
 
     def __init__(self, arrays: Sequence[np.ndarray]):
-        self.arrays = tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+        self.arrays = tuple([np.asarray(a, dtype=np.float64) for a in arrays])
+
+    @classmethod
+    def of(cls, arrays: Sequence[np.ndarray]) -> "GradientSet":
+        """Wrap arrays that are already float64 ndarrays, without converting them."""
+        gs = cls.__new__(cls)
+        gs.arrays = tuple(arrays)
+        return gs
 
     @classmethod
     def zeros(cls, shapes: Sequence[tuple[int, ...]]) -> "GradientSet":
@@ -130,11 +138,12 @@ class GradientSet:
         return tuple(a.shape for a in self.arrays)
 
     def global_norm(self) -> float:
+        # One BLAS dot per array, summed in array order from 0.0.
         total = 0.0
         for a in self.arrays:
-            flat = a.reshape(-1)
-            total += float(np.dot(flat, flat))
-        return float(np.sqrt(total))
+            flat = a if a.ndim == 1 else a.reshape(-1)
+            total += np.dot(flat, flat)
+        return math.sqrt(total)
 
     def scaled(self, c: float) -> "GradientSet":
         return GradientSet([a * c for a in self.arrays])

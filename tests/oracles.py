@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: Renyi
 divergences of Gaussian mixtures come from adaptive Simpson quadrature, the
-epsilon conversion from a brute-force grid search, and the linear-classifier
-baseline from plain logistic regression on raw numpy.
+epsilon conversion from a brute-force grid search, the linear-classifier
+baseline from plain logistic regression on raw numpy, and the private step
+from one autodiff tape and one ``clip_gradient`` call per sample.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from dptrain.mechanisms import aggregate_noisy
+from dptrain.model import ModelValidationError, per_sample_gradient, validate_model
+from dptrain.optim import StepOutcome, _apply_update, _masked, poisson_subsample
 
 SIMPSON_TOL = 1e-12
 
@@ -176,3 +181,46 @@ def logistic_regression_accuracy(
         b -= lr * float(err.mean())
     preds = (test_x @ w + b) > 0.0
     return float(np.mean(preds == (test_y > 0.5)))
+
+
+def tape_dp_adam_step(
+    model, xs, ys, state, clip, noise, p, ledger, poisson_rng, noise_rng,
+    noise_placement="after-mean",
+):
+    """The private step as a loop over samples: one tape per Poisson-batch member.
+
+    Same contract as ``dptrain.optim.dp_adam_step``, which must reproduce it
+    bit for bit; only the Adam update is shared with it.
+    """
+    report = validate_model(model)
+    if not report.ok:
+        raise ModelValidationError(
+            "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
+        )
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    indices = poisson_subsample(xs.shape[0], p, poisson_rng)
+    ledger.advance(1)
+    if indices.size == 0:
+        nan = math.nan
+        return StepOutcome(False, 0, nan, nan, nan, nan, nan)
+
+    grads, losses = [], []
+    for i in indices:
+        loss, g = per_sample_gradient(model, xs[i], ys[i])
+        grads.append(_masked(g, model.trainable))
+        losses.append(loss)
+    norms = np.array([g.global_norm() for g in grads])
+
+    vbar = aggregate_noisy(grads, clip, noise, noise_rng, placement=noise_placement)
+    vbar = _masked(vbar, model.trainable)
+    _apply_update(model, state, vbar)
+    return StepOutcome(
+        applied=True,
+        batch_size=int(indices.size),
+        preclip_norm_min=float(norms.min()),
+        preclip_norm_mean=float(norms.mean()),
+        preclip_norm_max=float(norms.max()),
+        noisy_grad_norm=vbar.global_norm(),
+        mean_loss=float(np.mean(losses)),
+    )

@@ -281,3 +281,29 @@ class TestLedgerAndQuery:
         assert alphas == sorted(alphas)
         # accumulated rdp at alpha=2 for one step of sigma=1: 1.0
         assert dict((a, r) for a, r in doc["curve"])[2.0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "sigma,q", [(1.0, 0.1), (0.8, 32 / 1400), (2.0, 1.0), (1e4, 0.5), (1e200, 1.0)]
+    )
+    def test_ledger_queries_equal_composed_curve(self, sigma, q):
+        # The ledger answers from cached arrays; the answers must be the
+        # composed curve's, bit for bit, at every step count and delta.
+        spec = MechanismSpec(sigma, q)
+        ledger = PrivacyLedger(spec, delta=1e-5)
+        base = mechanism_curve(spec)
+        for steps in (0, 1, 2, 7, 100, 1234, 10**6):
+            for delta in (None, 1e-5, 1e-3, 0.3):
+                expected = to_eps_delta(compose(base, steps), 1e-5 if delta is None else delta)
+                assert ledger.epsilon_if(steps, delta) == expected.epsilon
+                ledger.step_count = steps
+                assert ledger.spent(delta) == expected
+                assert type(ledger.spent(delta).optimal_alpha) is float
+
+    def test_ledger_rejects_bad_queries(self):
+        ledger = PrivacyLedger(MechanismSpec(1.0, 0.1))
+        with pytest.raises(ValueError):
+            ledger.epsilon_if(-1)
+        with pytest.raises(ValueError):
+            ledger.spent(delta=1.0)
+        with pytest.raises(ValueError):
+            PrivacyLedger(MechanismSpec(1.0, 0.1), delta=0.0)

@@ -7,6 +7,7 @@ from dptrain.mechanisms import (
     NoiseSpec,
     aggregate_noisy,
     clip_gradient,
+    clip_rows,
     gaussian_noise,
 )
 from dptrain.tensor import GradientSet
@@ -188,3 +189,59 @@ def test_aggregate_rejects_unknown_placement():
     with pytest.raises(ValueError):
         aggregate_noisy([gs([1.0])], ClipSpec(1.0), NoiseSpec(0.0),
                         np.random.default_rng(0), "sideways")
+
+
+def reference_norm(g):
+    # The plain formula: one dot per flattened array, summed from 0.0.
+    total = 0.0
+    for a in g.arrays:
+        flat = np.asarray(a).reshape(-1)
+        total += float(np.dot(flat, flat))
+    return float(np.sqrt(total))
+
+
+def test_norm_and_clip_match_plain_formula_bitwise():
+    rng = np.random.default_rng(17)
+    wide = rng.normal(size=(40, 30))
+    for trial in range(200):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        g = GradientSet([
+            rng.normal(size=int(rng.integers(1, 50))) * scale,
+            rng.normal(size=(3, 4)) * scale,
+            np.asfortranarray(rng.normal(size=(5, 6))) * scale,
+            wide[:, trial % 30] * scale,  # strided column
+            np.array(rng.normal() * scale),
+        ])
+        norm = reference_norm(g)
+        assert g.global_norm() == norm
+        bound = float(rng.uniform(0.1, 10.0))
+        factor = max(1.0, norm / bound)
+        for got, a in zip(clip_gradient(g, ClipSpec(bound)).arrays, g.arrays):
+            np.testing.assert_array_equal(got, a / factor)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_clip_rows_matches_clip_gradient_bitwise(frozen):
+    rng = np.random.default_rng(23)
+    shapes = [(4, 3), (3,), (3, 1), (1,)]
+    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    keep = [not frozen, not frozen, True, True]
+    spans = [(offsets[i], offsets[i + 1]) for i in range(len(shapes)) if keep[i]]
+    rows = rng.normal(size=(9, offsets[-1])) * 10.0 ** rng.uniform(-2, 2, size=(9, 1))
+    rows[:, : offsets[2]] *= 0.0 if frozen else 1.0
+    rows[3] = 0.0
+    expected = []
+    for row in rows:
+        g = GradientSet([row[offsets[i]:offsets[i + 1]].reshape(s) for i, s in enumerate(shapes)])
+        expected.append((g.global_norm(), clip_gradient(g, ClipSpec(0.7))))
+    norms = clip_rows(rows, spans, ClipSpec(0.7))
+    for row, norm, (ref_norm, ref) in zip(rows, norms, expected):
+        assert norm == ref_norm
+        np.testing.assert_array_equal(row, np.concatenate([a.reshape(-1) for a in ref.arrays]))
+
+
+def test_clip_rows_rejects_non_finite():
+    rows = np.ones((3, 4))
+    rows[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        clip_rows(rows, [(0, 4)], ClipSpec(1.0))

@@ -7,11 +7,13 @@ from dptrain.model import (
     DenseLayer,
     Model,
     ModelValidationError,
+    PerSampleBatch,
     accuracy,
     batch_gradient,
     build_mlp,
     load_checkpoint,
     per_sample_gradient,
+    per_sample_gradients,
     save_checkpoint,
     validate_model,
 )
@@ -225,3 +227,91 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def tape_rows(model, xs, ys):
+    """Tape losses and flattened per-sample gradients, frozen columns zeroed."""
+    losses, rows = [], []
+    for x, y in zip(xs, ys):
+        loss, g = per_sample_gradient(model, x, y)
+        losses.append(loss)
+        rows.append(np.concatenate([
+            a.reshape(-1) if keep else np.zeros(a.size)
+            for a, keep in zip(g.arrays, model.trainable)
+        ]))
+    return np.array(losses), np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "widths,norm,freeze,batch",
+    [
+        ([5, 8, 8, 1], "none", 0, 9),
+        ([5, 8, 8, 1], "group:4", 0, 9),
+        ([5, 6, 6, 6, 1], "group:2", 1, 7),
+        ([5, 6, 6, 6, 1], "group:3", 2, 7),
+        ([4, 3, 1], "none", 0, 1),
+        ([3, 1], "none", 0, 5),
+    ],
+)
+def test_batched_gradients_equal_tape(widths, norm, freeze, batch):
+    model = build_mlp(widths, norm=norm, seed=31)
+    if freeze:
+        model.set_freeze_prefix(freeze)
+    rng = np.random.default_rng(batch + len(widths))
+    xs = rng.normal(scale=2.0, size=(batch, widths[0]))
+    ys = rng.integers(0, 2, size=batch).astype(float)
+    losses, grads = per_sample_gradients(model, xs, ys)
+    ref_losses, ref_rows = tape_rows(model, xs, ys)
+    np.testing.assert_array_equal(losses, ref_losses)
+    np.testing.assert_array_equal(grads, ref_rows)
+    assert grads.shape == (batch, model.num_parameters())
+
+
+def test_batched_gradients_equal_tape_at_saturation_and_degenerate_groups():
+    # Saturated sigmoids hit the loss clamp (zero gradient) and constant
+    # inputs hit the group-norm variance floor; both branches must match.
+    model = build_mlp([3, 4, 1], norm="group:2", seed=2)
+    model.set_parameters([p * 40.0 for p in model.parameters])
+    xs = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 1.0], [2.0, 2.0, 2.0]])
+    ys = np.array([1.0, 0.0, 0.0, 1.0])
+    losses, grads = per_sample_gradients(model, xs, ys)
+    ref_losses, ref_rows = tape_rows(model, xs, ys)
+    np.testing.assert_array_equal(losses, ref_losses)
+    np.testing.assert_array_equal(grads, ref_rows)
+
+
+def test_row_blocks_assemble_the_full_matrix():
+    model = build_mlp([20, 256, 256, 1], norm="group:8", seed=4)
+    model.set_freeze_prefix(1)
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(10, 20))
+    ys = rng.integers(0, 2, size=10).astype(float)
+    batch = PerSampleBatch(model, xs, ys)
+    block = np.zeros((3, model.num_parameters()))
+    rows = []
+    for lo in range(0, 10, 3):
+        hi = min(lo + 3, 10)
+        batch.backward(lo, hi, block)
+        rows.append(block[: hi - lo].copy())
+    ref_losses, ref_rows = tape_rows(model, xs, ys)
+    np.testing.assert_array_equal(batch.losses, ref_losses)
+    np.testing.assert_array_equal(np.concatenate(rows), ref_rows)
+
+
+def test_batched_gradients_reject_bad_input():
+    model = build_mlp([4, 8, 1], seed=0)
+    with pytest.raises(ShapeMismatchError):
+        per_sample_gradients(model, np.zeros((2, 5)), [0.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        per_sample_gradients(model, np.zeros((2, 4)), [0.0])
+    with pytest.raises(ValueError):
+        per_sample_gradients(model, np.zeros((2, 4)), [0.0, 0.5])
+    with pytest.raises(FloatingPointError):
+        per_sample_gradients(model, np.array([[0.0, 1.0, np.nan, 0.0]]), [1.0])
+    with pytest.raises(ModelValidationError):
+        per_sample_gradients(batch_coupled_mlp(), np.ones((2, 4)), [0.0, 1.0])
+    batch = PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        batch.backward(0, 2, np.zeros((2, model.num_parameters()), order="F"))
+    with pytest.raises(ShapeMismatchError):
+        batch.backward(0, 2, np.zeros((2, model.num_parameters() + 1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -7,8 +8,10 @@ import pytest
 from dptrain.accountant import MechanismSpec, PrivacyLedger
 from dptrain.mechanisms import ClipSpec, NoiseSpec
 from dptrain.model import build_mlp, per_sample_gradient
+from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
 from dptrain.tensor import GradientSet, mean_gradient_sets
+from oracles import tape_dp_adam_step
 from test_model import batch_coupled_mlp
 
 
@@ -93,8 +96,9 @@ class TestReferenceAdam:
 
 
 def run_dp(model, xs, ys, steps, *, sigma=0.0, clip=1e9, p=1.0, seed=0,
-           placement="after-mean", lr=0.05, ledger=None, **state_kwargs):
-    state = DpAdamState.for_model(model, lr=lr, **state_kwargs)
+           placement="after-mean", lr=0.05, ledger=None, step=dp_adam_step,
+           state=None, **state_kwargs):
+    state = state or DpAdamState.for_model(model, lr=lr, **state_kwargs)
     ledger_q = p if 0 < p <= 1 else 1.0
     ledger = ledger or PrivacyLedger(MechanismSpec(max(sigma, 1e-9), ledger_q))
     poisson_rng = np.random.default_rng(seed)
@@ -102,7 +106,7 @@ def run_dp(model, xs, ys, steps, *, sigma=0.0, clip=1e9, p=1.0, seed=0,
     outcomes = []
     for _ in range(steps):
         outcomes.append(
-            dp_adam_step(
+            step(
                 model, xs, ys, state, ClipSpec(clip), NoiseSpec(sigma), p,
                 ledger, poisson_rng, noise_rng, noise_placement=placement,
             )
@@ -215,3 +219,138 @@ class TestDpAdamStep:
         assert o.batch_size == 16
         assert o.preclip_norm_min <= o.preclip_norm_mean <= o.preclip_norm_max
         assert math.isfinite(o.mean_loss) and o.mean_loss > 0
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBatchedStepEqualsTapeLoop:
+    """dp_adam_step must reproduce the one-tape-per-sample step bit for bit."""
+
+    def run_both(self, widths, norm="none", freeze=0, n=24, steps=6, **kwargs):
+        rng = np.random.default_rng(len(widths) * 100 + n)
+        xs = rng.normal(size=(n, widths[0]))
+        ys = rng.integers(0, 2, size=n).astype(float)
+        results = []
+        for step in (dp_adam_step, tape_dp_adam_step):
+            model = build_mlp(widths, norm=norm, seed=21)
+            if freeze:
+                model.set_freeze_prefix(freeze)
+            state = DpAdamState.for_model(model, lr=0.05)
+            outcomes, ledger = run_dp(model, xs, ys, steps, step=step, state=state, **kwargs)
+            results.append((model, state, outcomes, ledger))
+        (model, state, outcomes, ledger), (ref_model, ref_state, ref_outcomes, ref_ledger) = results
+        for a, b in zip(model.parameters, ref_model.parameters):
+            assert_same_bits(a, b)
+        for a, b in zip(state.m.arrays + state.u.arrays, ref_state.m.arrays + ref_state.u.arrays):
+            assert_same_bits(a, b)
+        assert state.t == ref_state.t
+        assert ledger.step_count == ref_ledger.step_count == steps
+        for o, r in zip(outcomes, ref_outcomes):
+            np.testing.assert_equal(dataclasses.asdict(o), dataclasses.asdict(r))
+        return outcomes
+
+    @pytest.mark.parametrize("placement", ["after-mean", "on-sum"])
+    @pytest.mark.parametrize("p", [1.0, 0.3])
+    def test_plain_mlp(self, placement, p):
+        self.run_both([6, 8, 8, 1], sigma=1.1, clip=0.5, p=p, placement=placement, seed=4)
+
+    @pytest.mark.parametrize("placement", ["after-mean", "on-sum"])
+    def test_group_norm_with_frozen_prefix(self, placement):
+        self.run_both([6, 8, 8, 8, 1], norm="group:4", freeze=2, sigma=0.9, clip=1.0,
+                      p=0.5, placement=placement, seed=5)
+
+    def test_degenerate_settings(self):
+        self.run_both([6, 8, 1], norm="group:2", sigma=0.0, clip=1e9, p=1.0)
+
+    def test_empty_draws_and_single_member_batches(self):
+        outcomes = self.run_both([4, 5, 1], n=6, steps=12, sigma=1.0, clip=1.0, p=0.15, seed=3)
+        sizes = {o.batch_size for o in outcomes}
+        assert 0 in sizes and 1 in sizes
+
+    def test_wide_model_crosses_row_blocks(self):
+        # ~72k parameters: the step builds about 7 gradient rows at a time.
+        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
+        per_block = optim.ROW_BLOCK_BYTES // (8 * model.num_parameters())
+        outcomes = self.run_both([20, 256, 256, 1], norm="group:8", freeze=1, n=40, steps=3,
+                                 sigma=1.0, clip=1.0, p=0.5, seed=2)
+        assert 1 < per_block < max(o.batch_size for o in outcomes)
+
+    def test_small_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 1)
+        self.run_both([6, 8, 8, 1], norm="group:2", sigma=0.7, clip=0.3, p=0.6,
+                      placement="on-sum", seed=8)
+
+
+class TestPrivateStepFailures:
+    """Errors keep their type and charge the ledger exactly as the tape loop did."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.xs = rng.normal(size=(12, 3))
+        self.ys = rng.integers(0, 2, size=12).astype(float)
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_non_finite_input_raises_after_one_charge(self, step):
+        xs = self.xs.copy()
+        xs[5, 1] = np.nan
+        model = build_mlp([3, 4, 1], seed=1)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with pytest.raises(FloatingPointError):
+            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+        assert ledger.step_count == 1
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_non_finite_gradient_raises_after_one_charge(self, step):
+        # Tiny first-layer weights keep the forward pass finite on huge
+        # inputs, but the first layer's gradient norm overflows.
+        model = build_mlp([3, 4, 1], seed=1)
+        params = list(model.parameters)
+        params[0] = params[0] * 1e-200
+        model.set_parameters(params)
+        xs = np.sign(self.xs) * 1e200
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="cannot clip a non-finite gradient"
+        ):
+            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+        assert ledger.step_count == 1
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_empty_draw_skips_update_but_charges(self, step):
+        model = build_mlp([3, 4, 1], seed=1)
+        before = [a.copy() for a in model.parameters]
+        state = DpAdamState.for_model(model, lr=0.05)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 0.5))
+        outcome = step(model, self.xs, self.ys, state, ClipSpec(1.0), NoiseSpec(1.0), 0.0,
+                       ledger, np.random.default_rng(0), np.random.default_rng(1))
+        assert not outcome.applied and outcome.batch_size == 0
+        assert math.isnan(outcome.mean_loss) and math.isnan(outcome.noisy_grad_norm)
+        assert ledger.step_count == 1 and state.t == 0
+        for a, b in zip(model.parameters, before):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_batch_coupled_model_refused_before_charge(self, step):
+        from dptrain.model import ModelValidationError
+
+        model = batch_coupled_mlp()
+        xs = np.random.default_rng(0).normal(size=(12, 4))
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with pytest.raises(ModelValidationError):
+            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+        assert ledger.step_count == 0
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_unknown_placement_raises_after_one_charge(self, step):
+        model = build_mlp([3, 4, 1], seed=1)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with pytest.raises(ValueError, match="placement"):
+            step(model, self.xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
+                 noise_placement="on-mean")
+        assert ledger.step_count == 1
