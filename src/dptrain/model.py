@@ -117,7 +117,8 @@ class Model:
     :class:`~dptrain.tensor.GradientSet` produced for this model aligns with
     it index-for-index. ``trainable`` masks parameters frozen by
     ``set_freeze_prefix``. Parameters are replaced, never mutated in place,
-    so tensors handed out during a forward pass stay valid.
+    so tensors handed out during a forward pass stay valid; replacements keep
+    the shapes, so the flat layout is computed once.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -128,6 +129,10 @@ class Model:
         self.trainable: list[bool] = [True] * len(self.parameters)
         self.seed = seed
         self.freeze_prefix = 0
+        offsets = [0]
+        for p in self.parameters:
+            offsets.append(offsets[-1] + p.size)
+        self._offsets = tuple(offsets)
 
     @property
     def input_dim(self) -> int:
@@ -140,7 +145,7 @@ class Model:
         return tuple(p.shape for p in self.parameters)
 
     def num_parameters(self) -> int:
-        return int(sum(p.size for p in self.parameters))
+        return self._offsets[-1]
 
     def parameter_offsets(self) -> tuple[int, ...]:
         """Start of each parameter in the flat parameter vector, then its length.
@@ -148,10 +153,7 @@ class Model:
         The flat vector concatenates the raveled parameters in slot order;
         each row of a per-sample gradient matrix is laid out the same way.
         """
-        offsets = [0]
-        for p in self.parameters:
-            offsets.append(offsets[-1] + p.size)
-        return tuple(offsets)
+        return self._offsets
 
     def set_freeze_prefix(self, k: int) -> None:
         """Freeze the first ``k`` dense blocks (dense + attached norm).

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: Renyi
 divergences of Gaussian mixtures come from adaptive Simpson quadrature, the
 epsilon conversion from a brute-force grid search, the linear-classifier
-baseline from plain logistic regression on raw numpy, and the private step
-from one autodiff tape and one ``clip_gradient`` call per sample.
+baseline from plain logistic regression on raw numpy, the private step
+from one autodiff tape and one ``clip_gradient`` call per sample, and the
+accountant's all-orders RDP table from one numpy pipeline per order.
 """
 
 from __future__ import annotations
@@ -149,6 +150,50 @@ def oracle_epsilon(sigma: float, q: float, steps: int, delta: float, alphas=None
         rdp = mixture_renyi_rdp(alpha, sigma, q)
         best = min(best, steps * rdp + log_inv_delta / (alpha - 1.0))
     return best
+
+
+_LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(65))
+
+
+def per_order_rdp(sigma: float, q: float, alpha) -> float:
+    """Per-step RDP at one order, one small numpy pipeline per order.
+
+    The accountant's former implementation, kept as the bit-identity oracle
+    for its all-orders table: integer orders 2..64 by the binomial expansion
+    at q < 1, alpha / (2 sigma^2) at q = 1 (where fractional orders are
+    allowed too). Unlike the accountant, an overflowing sum turns into 0.0
+    here, so compare only where sigma >= 1e-4.
+    """
+    af = float(alpha)
+    if q >= 1.0:
+        return alpha / (2.0 * sigma * sigma)
+    a = int(af)
+    k = np.arange(a + 1)
+    log_comb = np.array(
+        [_LOG_FACTORIAL[a] - _LOG_FACTORIAL[i] - _LOG_FACTORIAL[a - i] for i in k]
+    )
+    log_terms = (
+        log_comb
+        + k * math.log(q)
+        + (a - k) * math.log1p(-q)
+        + (k * k - k) / (2.0 * sigma * sigma)
+    )
+    m = float(log_terms.max())
+    return max(0.0, (m + math.log(float(np.exp(log_terms - m).sum()))) / (a - 1))
+
+
+def per_order_epsilon(sigma: float, q: float, steps: int, delta: float) -> float:
+    """Epsilon from ``per_order_rdp`` on the accountant's default grid, with
+    the accountant's former conversion arithmetic (per-order Python products,
+    then one array sum and argmin)."""
+    alphas = [1.25, 1.5] if q >= 1.0 else []
+    alphas += [float(a) for a in range(2, 65)]
+    totals = np.array([per_order_rdp(sigma, q, a) * steps for a in alphas])
+    penalties = math.log(1.0 / delta) / (np.array(alphas) - 1.0)
+    candidates = totals + penalties
+    if steps == 0 or float(totals.max()) == 0.0:
+        return 0.0
+    return float(candidates[int(np.argmin(candidates))])
 
 
 def grid_search_epsilon_gaussian(sigma: float, delta: float, steps: int = 1) -> tuple[float, int]:

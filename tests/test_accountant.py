@@ -22,7 +22,13 @@ from dptrain.accountant import (
     renyi_divergence,
     to_eps_delta,
 )
-from oracles import grid_search_epsilon_gaussian, mixture_renyi_rdp
+from dptrain import accountant
+from oracles import (
+    grid_search_epsilon_gaussian,
+    mixture_renyi_rdp,
+    per_order_epsilon,
+    per_order_rdp,
+)
 
 
 def random_distribution(rng, n, floor=1e-3):
@@ -307,3 +313,142 @@ class TestLedgerAndQuery:
             ledger.spent(delta=1.0)
         with pytest.raises(ValueError):
             PrivacyLedger(MechanismSpec(1.0, 0.1), delta=0.0)
+
+
+# sigma >= 1e-4 (the calibration floor) keeps every value of the former
+# per-order code; the q values reach both ends of (0, 1).
+TABLE_SIGMAS = (1e-4, 0.3, 1.0, 1.1, 10.0, 1e4, 1e200)
+TABLE_QS = (1e-6, 32 / 1440, 0.01, 0.5, 1 - 1e-9)
+# dp-small, dp-wide, the README's CLI example and the criterion-10 cells.
+CALIBRATION_CASES = (
+    (10.0, 1e-5, 32 / 1440, 180),
+    (10.0, 1e-5, 32 / 1440, 45),
+    (10.0, 1e-5, 0.01, 3000),
+    (1.0, 1e-5, 32 / 1440, 1350),
+    (10.0, 1e-5, 32 / 1440, 1350),
+)
+
+
+def _calibrate_or_error(*args):
+    try:
+        return calibrate_sigma(*args)
+    except CalibrationError:
+        return "CalibrationError"
+
+
+class TestTableMatchesPerOrderOracle:
+    """The all-orders table against the former one-pipeline-per-order code, bit for bit."""
+
+    @pytest.mark.parametrize("q", TABLE_QS + (1.0,))
+    def test_every_order(self, q):
+        for sigma in TABLE_SIGMAS:
+            spec = MechanismSpec(sigma, q)
+            curve = mechanism_curve(spec)
+            assert curve.per_step == tuple(per_order_rdp(sigma, q, a) for a in curve.alphas)
+            for a in range(2, 65):
+                assert rdp_subsampled_gaussian(spec, a) == per_order_rdp(sigma, q, a)
+
+    def test_epsilon_for(self):
+        for sigma in TABLE_SIGMAS:
+            for q in TABLE_QS + (1.0,):
+                for steps in (0, 1, 45, 1350, 10**6):
+                    for delta in (1e-5, 0.3):
+                        got = epsilon_for(sigma, q, steps, delta)
+                        assert got == per_order_epsilon(sigma, q, steps, delta)
+                        spec = MechanismSpec(sigma, q)
+                        composed = to_eps_delta(compose(mechanism_curve(spec), steps), delta)
+                        assert got == composed.epsilon
+
+    @pytest.mark.parametrize("case", CALIBRATION_CASES)
+    def test_calibration_picks_the_oracle_sigma(self, case, monkeypatch):
+        sigma = calibrate_sigma(*case)
+        monkeypatch.setattr(accountant, "epsilon_for", per_order_epsilon)
+        assert sigma == calibrate_sigma(*case)
+
+    def test_calibration_error_for_the_same_inputs(self, monkeypatch):
+        cases = [
+            (0.01, 1e-5, 1.0, 1),
+            (0.18, 1e-5, 1.0, 1),
+            (0.19, 1e-5, 1.0, 1),
+            (0.1, 1e-5, 0.5, 10**6),
+            (1.0, 1e-9, 0.5, 10**5),
+            (1000.0, 1e-5, 1e-6, 1),
+        ]
+        got = [_calibrate_or_error(*c) for c in cases]
+        monkeypatch.setattr(accountant, "epsilon_for", per_order_epsilon)
+        assert got == [_calibrate_or_error(*c) for c in cases]
+        assert got.count("CalibrationError") >= 2
+
+
+class TestCustomOrders:
+    def test_integer_subset(self):
+        for sigma, q in [(1.1, 32 / 1440), (0.3, 0.5), (1e4, 1e-6)]:
+            curve = mechanism_curve(MechanismSpec(sigma, q), alphas=(2, 5.0, 17, 64))
+            assert curve.alphas == (2.0, 5.0, 17.0, 64.0)
+            assert curve.per_step == tuple(per_order_rdp(sigma, q, a) for a in (2, 5, 17, 64))
+
+    def test_fractional_orders_at_full_batch(self):
+        alphas = (1.1, 1.25, 2, 3.5, 64, 70.5)
+        for sigma in (0.3, 1.0, 1e4):
+            curve = mechanism_curve(MechanismSpec(sigma, 1.0), alphas=alphas)
+            assert curve.per_step == tuple(per_order_rdp(sigma, 1.0, a) for a in alphas)
+
+    @pytest.mark.parametrize(
+        "q,alphas",
+        [
+            (0.1, (1,)),
+            (0.1, (1.0, 2.0)),
+            (0.1, (2.0, 65.0)),
+            (0.1, (2.5,)),
+            (1.0, (1,)),
+            (1.0, (65,)),
+            (1.0, (0.5,)),
+        ],
+    )
+    def test_rejected_orders(self, q, alphas):
+        with pytest.raises(ValueError):
+            mechanism_curve(MechanismSpec(1.0, q), alphas=alphas)
+
+    @pytest.mark.parametrize("alpha", [1, 65, 2.5])
+    def test_rejected_single_order(self, alpha):
+        for q in (0.1, 1.0):
+            with pytest.raises(ValueError):
+                rdp_subsampled_gaussian(MechanismSpec(1.0, q), alpha)
+
+
+class TestTinySigma:
+    """Below sigma ~ 3e-153 the closed forms overflow; the answer is +inf, never 0."""
+
+    @pytest.mark.parametrize("q", [0.1, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_epsilon_for(self, sigma, q):
+        assert mechanism_curve(MechanismSpec(sigma, q)).per_step[-1] == math.inf
+        assert epsilon_for(sigma, q, 1, 1e-5) == math.inf
+        assert epsilon_for(sigma, q, 1000, 1e-5) == math.inf
+        assert epsilon_for(sigma, q, 0, 1e-5) == 0.0
+
+    def test_rdp_gaussian_does_not_divide_by_zero(self):
+        assert rdp_gaussian(2.0, 1e-200) == math.inf
+        assert rdp_subsampled_gaussian(MechanismSpec(1e-200, 1.0), 2) == math.inf
+        assert rdp_subsampled_gaussian(MechanismSpec(1e-200, 0.1), 2) == math.inf
+
+    @pytest.mark.parametrize("q", [0.1, 1.0])
+    def test_ledger(self, q):
+        ledger = PrivacyLedger(MechanismSpec(1e-200, q))
+        assert ledger.spent().epsilon == 0.0
+        assert ledger.epsilon_if(1) == math.inf
+        ledger.advance(3)
+        assert ledger.spent().epsilon == math.inf
+        assert ledger.spent() == to_eps_delta(ledger.curve(), 1e-5)
+
+    @pytest.mark.parametrize("q", [0.1, 1.0])
+    def test_zero_steps_spend_nothing(self, q):
+        doc = accountant_query(1e-200, q, 0, 1e-5)
+        assert doc["epsilon"] == 0.0
+        assert all(total == 0.0 for _, total in doc["curve"])
+
+    def test_calibration_floor_values_unchanged(self):
+        for q in TABLE_QS + (1.0,):
+            for steps in (1, 180, 10**6):
+                got = epsilon_for(1e-4, q, steps, 1e-5)
+                assert math.isfinite(got) and got == per_order_epsilon(1e-4, q, steps, 1e-5)

@@ -55,6 +55,13 @@ class TestAccountantCommand:
         assert main(["accountant", "--sigma", "1", "--target-eps", "2",
                      "--q", "1", "--steps", "1"]) == 1
 
+    @pytest.mark.parametrize("q", ["0.1", "1"])
+    def test_tiny_sigma_reports_infinite_epsilon(self, capsys, q):
+        assert main(["accountant", "--sigma", "1e-200", "--q", q, "--steps", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == math.inf
+        assert main(["accountant", "--sigma", "1e-200", "--q", q, "--steps", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
+
     def test_unreachable_target_is_runtime_error(self, capsys):
         code = main(["accountant", "--target-eps", "0.01", "--q", "1", "--steps", "1"])
         assert code == 2

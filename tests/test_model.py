@@ -62,6 +62,18 @@ def test_parameter_counts():
     assert build_mlp([4, 8, 1], norm="group:2", seed=7).num_parameters() == 65
 
 
+def test_parameter_offsets_survive_set_parameters():
+    model = build_mlp([4, 8, 1], norm="group:2", seed=7)
+    offsets = model.parameter_offsets()
+    assert offsets == (0, 32, 40, 48, 56, 64, 65)
+    model.set_parameters([p + 1.0 for p in model.parameters])
+    assert model.parameter_offsets() == offsets
+    assert model.num_parameters() == offsets[-1] == 65
+    with pytest.raises(ShapeMismatchError):
+        model.set_parameters(model.parameters[:-1])
+    assert model.parameter_offsets() == offsets
+
+
 def test_initialization_bounds():
     model = build_mlp([10, 6, 1], seed=3)
     w = model.parameters[0]

@@ -141,6 +141,17 @@ class TestTrain:
         assert report.achieved_eps == 0.0
         assert report.achieved_eps <= 0.01
 
+    @pytest.mark.parametrize("batch_size", [32, 1000])
+    def test_tiny_sigma_spends_infinite_epsilon(self, batch_size):
+        # batch_size 1000 exceeds the training split, so q = 1.
+        report = train(fast_config(sigma=1e-200, batch_size=batch_size, epochs=1))
+        assert report.steps_run > 0
+        assert report.achieved_eps == math.inf
+        budgeted = train(fast_config(sigma=1e-200, batch_size=batch_size, budget_eps=10.0))
+        assert budgeted.stop_reason == "budget-exceeded"
+        assert budgeted.steps_run == 0
+        assert budgeted.achieved_eps == 0.0
+
     def test_deterministic_reports(self):
         a = train(fast_config(epochs=4))
         b = train(fast_config(epochs=4))
