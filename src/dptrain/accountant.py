@@ -307,7 +307,10 @@ def _epsilon(
     """Epsilon after ``steps`` steps, and the index of the order attaining it."""
     if steps == 0 or spends_nothing:
         return 0.0, int(penalties.argmin())
-    candidates = per_step * steps + penalties
+    # A finite per-step value near the float maximum overflows to +inf
+    # here, which is the right total for that order.
+    with np.errstate(over="ignore"):
+        candidates = per_step * steps + penalties
     best = int(candidates.argmin())
     return float(candidates[best]), best
 

@@ -113,26 +113,29 @@ class BatchCoupledNormLayer:
 class Model:
     """Layer sequence plus its parameter store.
 
-    ``parameters`` is an ordered list of float64 arrays; every
+    The parameters live in one flat float64 vector (``parameter_vector``)
+    that concatenates them raveled in slot order; ``parameters`` is the
+    ordered list of shaped views over it, and every
     :class:`~dptrain.tensor.GradientSet` produced for this model aligns with
-    it index-for-index. ``trainable`` masks parameters frozen by
-    ``set_freeze_prefix``. Parameters are replaced, never mutated in place,
-    so tensors handed out during a forward pass stay valid; replacements keep
-    the shapes, so the flat layout is computed once.
+    that list index-for-index. ``trainable`` masks parameters frozen by
+    ``set_freeze_prefix``. Parameters are replaced, never mutated in place
+    (each replacement is a new vector), so tensors handed out during a
+    forward pass stay valid; replacements keep the shapes, so the flat
+    layout is computed once.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
         self.layers = tuple(layers)
-        self.parameters: list[np.ndarray] = [
-            np.asarray(p, dtype=np.float64) for p in parameters
-        ]
-        self.trainable: list[bool] = [True] * len(self.parameters)
+        arrays = [np.asarray(p, dtype=np.float64) for p in parameters]
+        self._shapes = tuple(a.shape for a in arrays)
+        offsets = [0]
+        for a in arrays:
+            offsets.append(offsets[-1] + a.size)
+        self._offsets = tuple(offsets)
+        self.trainable: list[bool] = [True] * len(arrays)
         self.seed = seed
         self.freeze_prefix = 0
-        offsets = [0]
-        for p in self.parameters:
-            offsets.append(offsets[-1] + p.size)
-        self._offsets = tuple(offsets)
+        self.set_parameters(arrays)
 
     @property
     def input_dim(self) -> int:
@@ -142,7 +145,7 @@ class Model:
         raise ValueError("model has no dense layer")
 
     def parameter_shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.shape for p in self.parameters)
+        return self._shapes
 
     def num_parameters(self) -> int:
         return self._offsets[-1]
@@ -224,11 +227,35 @@ class Model:
                 raise TypeError(f"unknown layer {layer!r}")
         return reshape(h, (data.shape[0],))
 
+    @property
+    def parameter_vector(self) -> np.ndarray:
+        """The flat ``[P]`` parameter vector laid out by ``parameter_offsets``."""
+        return self._vector
+
+    def set_parameter_vector(self, vector: np.ndarray) -> None:
+        """Replace every parameter with the slices of a new flat ``[P]`` vector.
+
+        A float64 ``vector`` is kept as it is, not copied: callers hand over
+        a vector they will not write to again.
+        """
+        vector = np.asarray(vector, dtype=np.float64)
+        if vector.shape != (self._offsets[-1],):
+            raise ShapeMismatchError(
+                f"parameter vector of shape {vector.shape} does not match "
+                f"{self._offsets[-1]} parameters"
+            )
+        self._vector = vector
+        offsets = self._offsets
+        self.parameters: list[np.ndarray] = [
+            vector[offsets[s]:offsets[s + 1]].reshape(shape)
+            for s, shape in enumerate(self._shapes)
+        ]
+
     def set_parameters(self, new_params) -> None:
         new_params = [np.asarray(p, dtype=np.float64) for p in new_params]
         if tuple(p.shape for p in new_params) != self.parameter_shapes():
             raise ShapeMismatchError("replacement parameters are not shape-aligned")
-        self.parameters = new_params
+        self.set_parameter_vector(np.concatenate([p.reshape(-1) for p in new_params]))
 
 
 def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:

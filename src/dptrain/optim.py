@@ -12,8 +12,16 @@ the flat parameter vector (B samples, P parameters); clipping, summing and
 noise work on those rows. Each sample runs through the same numpy kernels
 as the one-sample tape, so parameters, Adam moments and the step's outcome
 are bit-identical to clipping and summing ``per_sample_gradient`` results
-one by one; the tape remains the gradient oracle. Rows are built ``ROW_BLOCK_BYTES`` at a time, which bounds
-the step's memory whatever the batch size.
+one by one; the tape remains the gradient oracle. Rows are built
+``ROW_BLOCK_BYTES`` at a time, which bounds the step's memory whatever the
+batch size.
+
+The Adam moments are flat ``[P]`` vectors laid out like
+``Model.parameter_vector``. One update runs a few whole-vector operations
+over the trainable spans and installs a new parameter vector; frozen
+parameters and their moments are never touched. Every operation is the
+per-slot formula's own elementwise IEEE operation, so trainable
+parameters and their moments are bit-identical to updating slot by slot.
 
 Two update rules are available:
 
@@ -60,14 +68,16 @@ ROW_BLOCK_BYTES = 4 << 20
 class DpAdamState:
     """Adam moments and hyperparameters for one optimizer instance.
 
-    ``m`` and ``u`` are shape-aligned with the model parameters and start at
-    zero; ``u`` accumulates squares so it stays elementwise non-negative.
-    The stabilizer is the small constant added to the denominator (distinct
-    from the privacy budget parameter also commonly called epsilon).
+    ``m`` and ``u`` are flat float64 ``[P]`` vectors laid out like the
+    model's ``parameter_vector``; they start at zero, and the update writes
+    them in place. ``u`` accumulates squares so it
+    stays elementwise non-negative. The stabilizer is the small constant
+    added to the denominator (distinct from the privacy budget parameter
+    also commonly called epsilon).
     """
 
-    m: GradientSet
-    u: GradientSet
+    m: np.ndarray
+    u: np.ndarray
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -85,13 +95,15 @@ class DpAdamState:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if self.adam_stabilizer <= 0:
             raise ValueError("adam stabilizer must be positive")
-        if self.m.shapes != self.u.shapes:
-            raise ShapeMismatchError("moment estimates are not shape-aligned")
+        self.m = np.asarray(self.m, dtype=np.float64)
+        self.u = np.asarray(self.u, dtype=np.float64)
+        if self.m.ndim != 1 or self.m.shape != self.u.shape:
+            raise ShapeMismatchError("moment estimates must be flat vectors of one length")
 
     @classmethod
-    def for_model(cls, model, lr: float, **kwargs) -> "DpAdamState":
-        shapes = tuple(np.asarray(p).shape for p in model.parameters)
-        return cls(m=GradientSet.zeros(shapes), u=GradientSet.zeros(shapes), lr=lr, **kwargs)
+    def for_model(cls, model: Model, lr: float, **kwargs) -> "DpAdamState":
+        size = model.num_parameters()
+        return cls(m=np.zeros(size), u=np.zeros(size), lr=lr, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -123,51 +135,66 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _masked(grad: GradientSet, trainable) -> GradientSet:
-    if all(trainable):
-        return grad
-    return GradientSet(
-        [a if keep else np.zeros_like(a) for a, keep in zip(grad.arrays, trainable)]
-    )
+def _trainable_runs(model: Model) -> list[tuple[int, int]]:
+    """Column ranges of the trainable parameters, adjacent slots merged."""
+    offsets = model.parameter_offsets()
+    runs: list[tuple[int, int]] = []
+    for s, keep in enumerate(model.trainable):
+        if not keep:
+            continue
+        if runs and runs[-1][1] == offsets[s]:
+            runs[-1] = (runs[-1][0], offsets[s + 1])
+        else:
+            runs.append((offsets[s], offsets[s + 1]))
+    return runs
 
 
-def _apply_update(model, state: DpAdamState, vbar: GradientSet) -> None:
-    if vbar.shapes != tuple(np.asarray(p).shape for p in model.parameters):
-        raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
+def _apply_update(model: Model, state: DpAdamState, grad: np.ndarray) -> None:
+    """Adam update of the trainable spans from a flat ``[P]`` gradient.
+
+    Frozen spans keep their parameters and moments, whatever ``grad`` holds
+    there. Each line is the per-slot formula's own IEEE operation, applied
+    to a whole span: ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
+    """
+    params = model.parameter_vector
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ShapeMismatchError("gradient or moments not aligned with the parameter vector")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    new_m = [b1 * m + (1.0 - b1) * g for m, g in zip(state.m.arrays, vbar.arrays)]
-    new_u = [b2 * u + (1.0 - b2) * (g * g) for u, g in zip(state.u.arrays, vbar.arrays)]
-    state.m = GradientSet(new_m)
-    state.u = GradientSet(new_u)
-
-    if state.variant == "adam":
-        if state.bias_correction:
-            c1 = 1.0 - b1 ** state.t
-            c2 = 1.0 - b2 ** state.t
-            direction = [
-                (m / c1) / (np.sqrt(u / c2) + state.adam_stabilizer)
-                for m, u in zip(new_m, new_u)
-            ]
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    new_params = params.copy()
+    for lo, hi in _trainable_runs(model):
+        g, m, u = grad[lo:hi], state.m[lo:hi], state.u[lo:hi]
+        m *= b1
+        m += (1.0 - b1) * g
+        u *= b2
+        u += (1.0 - b2) * (g * g)
+        if state.variant == "raw-moment":
+            w = m / (u + state.adam_stabilizer)
+        elif state.bias_correction:
+            den = np.sqrt(u / c2)
+            den += state.adam_stabilizer
+            w = m / c1
+            w /= den
         else:
-            direction = [
-                m / (np.sqrt(u) + state.adam_stabilizer) for m, u in zip(new_m, new_u)
-            ]
-    else:
-        direction = [m / (u + state.adam_stabilizer) for m, u in zip(new_m, new_u)]
-
-    model.set_parameters(
-        [p - state.lr * w for p, w in zip(model.parameters, direction)]
-    )
+            den = np.sqrt(u)
+            den += state.adam_stabilizer
+            w = m / den
+        w *= state.lr
+        new_params[lo:hi] -= w
+    model.set_parameter_vector(new_params)
 
 
-def adam_step(model, grad: GradientSet, state: DpAdamState) -> None:
+def adam_step(model: Model, grad: GradientSet, state: DpAdamState) -> None:
     """One non-private Adam update from a precomputed full-batch gradient.
 
-    ``model`` needs ``parameters``, ``trainable`` and ``set_parameters``;
+    ``grad`` is flattened once into the ``[P]`` layout of ``model``;
     frozen parameters receive neither moments nor updates.
     """
-    _apply_update(model, state, _masked(grad, model.trainable))
+    if grad.shapes != model.parameter_shapes():
+        raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
+    _apply_update(model, state, np.concatenate([a.reshape(-1) for a in grad.arrays]))
 
 
 def dp_adam_step(
@@ -226,40 +253,42 @@ def dp_adam_step(
         flat = clipped_sum / batch.size + draw
     else:
         flat = (clipped_sum + draw) / batch.size
-    for s, keep in enumerate(model.trainable):
-        if not keep:
-            flat[offsets[s]:offsets[s + 1]] = 0.0
-    vbar = GradientSet.of(
-        [flat[offsets[s]:offsets[s + 1]].reshape(p.shape) for s, p in enumerate(model.parameters)]
-    )
-    _apply_update(model, state, vbar)
+    _apply_update(model, state, flat)
+    # Frozen slots count as zeros, which add exactly nothing to the norm.
+    noisy_sq = 0.0
+    for lo, hi in spans:
+        noisy_sq += np.dot(flat[lo:hi], flat[lo:hi])
     return StepOutcome(
         applied=True,
         batch_size=batch.size,
         preclip_norm_min=float(norms.min()),
         preclip_norm_mean=float(norms.mean()),
         preclip_norm_max=float(norms.max()),
-        noisy_grad_norm=vbar.global_norm(),
+        noisy_grad_norm=math.sqrt(noisy_sq),
         mean_loss=float(np.mean(batch.losses)),
     )
 
 
 def _clipped_sum(batch: PerSampleBatch, spans, clip: ClipSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the clipped per-sample gradient rows in sample order, and the pre-clip norms."""
+    """Sum of the clipped per-sample gradient rows in sample order, and the pre-clip norms.
+
+    ``np.add.reduce`` over axis 0 of a C-contiguous matrix with two or more
+    columns (every model has a weight and a bias) adds the rows one after
+    another, so each block's sum continues the running total, which sits in
+    row 0 of every block after the first.
+    """
     size = batch.model.num_parameters()
     per_block = max(1, ROW_BLOCK_BYTES // (8 * size))
-    rows = np.zeros((min(per_block, batch.size), size))
+    rows = np.zeros((min(per_block, batch.size) + (batch.size > per_block), size))
     norms = np.empty(batch.size)
     total = None
     for lo in range(0, batch.size, per_block):
         hi = min(lo + per_block, batch.size)
-        block = rows[: hi - lo]
+        first = 0 if total is None else 1
+        block = rows[first:first + hi - lo]
         batch.backward(lo, hi, block)
         norms[lo:hi] = clip_rows(block, spans, clip)
-        if total is None:
-            total = block[0].copy()
-            block = block[1:]
-        # Row by row: a reduction over the rows may sum pairwise instead.
-        for row in block:
-            total += row
+        if total is not None:
+            rows[0] = total
+        total = np.add.reduce(rows[:first + hi - lo], axis=0)
     return total, norms

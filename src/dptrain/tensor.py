@@ -129,10 +129,6 @@ class GradientSet:
         gs.arrays = tuple(arrays)
         return gs
 
-    @classmethod
-    def zeros(cls, shapes: Sequence[tuple[int, ...]]) -> "GradientSet":
-        return cls([np.zeros(s, dtype=np.float64) for s in shapes])
-
     @property
     def shapes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(a.shape for a in self.arrays)
@@ -144,17 +140,6 @@ class GradientSet:
             flat = a if a.ndim == 1 else a.reshape(-1)
             total += np.dot(flat, flat)
         return math.sqrt(total)
-
-    def scaled(self, c: float) -> "GradientSet":
-        return GradientSet([a * c for a in self.arrays])
-
-    def added(self, other: "GradientSet") -> "GradientSet":
-        self._check_aligned(other)
-        return GradientSet([a + b for a, b in zip(self.arrays, other.arrays)])
-
-    def hadamard(self, other: "GradientSet") -> "GradientSet":
-        self._check_aligned(other)
-        return GradientSet([a * b for a, b in zip(self.arrays, other.arrays)])
 
     def _check_aligned(self, other: "GradientSet") -> None:
         if self.shapes != other.shapes:

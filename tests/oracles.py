@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: Renyi
 divergences of Gaussian mixtures come from adaptive Simpson quadrature, the
 epsilon conversion from a brute-force grid search, the linear-classifier
 baseline from plain logistic regression on raw numpy, the private step
-from one autodiff tape and one ``clip_gradient`` call per sample, and the
-accountant's all-orders RDP table from one numpy pipeline per order.
+from one autodiff tape and one ``clip_gradient`` call per sample, the Adam
+update from one numpy expression per parameter slot, and the accountant's
+all-orders RDP table from one numpy pipeline per order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from dptrain.mechanisms import aggregate_noisy
 from dptrain.model import ModelValidationError, per_sample_gradient, validate_model
-from dptrain.optim import StepOutcome, _apply_update, _masked, poisson_subsample
+from dptrain.optim import StepOutcome, poisson_subsample
+from dptrain.tensor import GradientSet, ShapeMismatchError
 
 SIMPSON_TOL = 1e-12
 
@@ -228,6 +230,63 @@ def logistic_regression_accuracy(
     return float(np.mean(preds == (test_y > 0.5)))
 
 
+def masked(grad: GradientSet, trainable) -> GradientSet:
+    """``grad`` with the arrays of frozen slots replaced by zeros."""
+    if all(trainable):
+        return grad
+    return GradientSet(
+        [a if keep else np.zeros_like(a) for a, keep in zip(grad.arrays, trainable)]
+    )
+
+
+def per_slot_adam_update(model, state, vbar: GradientSet) -> None:
+    """The Adam update as one numpy expression per parameter slot.
+
+    The optimizer's former implementation, kept as the bit-identity oracle
+    for its flat-vector update. Every slot is updated, frozen ones too, so
+    their moments decay under a masked (zero) gradient: both agree only
+    while a frozen slot's moments are zero, as they are when the model is
+    frozen before its first step.
+    """
+    if vbar.shapes != model.parameter_shapes():
+        raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
+    offsets = model.parameter_offsets()
+
+    def per_slot(vector):
+        return [vector[offsets[s]:offsets[s + 1]].reshape(a.shape) for s, a in enumerate(vbar)]
+
+    state.t += 1
+    b1, b2 = state.beta1, state.beta2
+    new_m = [b1 * m + (1.0 - b1) * g for m, g in zip(per_slot(state.m), vbar.arrays)]
+    new_u = [b2 * u + (1.0 - b2) * (g * g) for u, g in zip(per_slot(state.u), vbar.arrays)]
+    state.m = np.concatenate([a.reshape(-1) for a in new_m])
+    state.u = np.concatenate([a.reshape(-1) for a in new_u])
+
+    if state.variant == "adam":
+        if state.bias_correction:
+            c1 = 1.0 - b1 ** state.t
+            c2 = 1.0 - b2 ** state.t
+            direction = [
+                (m / c1) / (np.sqrt(u / c2) + state.adam_stabilizer)
+                for m, u in zip(new_m, new_u)
+            ]
+        else:
+            direction = [
+                m / (np.sqrt(u) + state.adam_stabilizer) for m, u in zip(new_m, new_u)
+            ]
+    else:
+        direction = [m / (u + state.adam_stabilizer) for m, u in zip(new_m, new_u)]
+
+    model.set_parameters(
+        [p - state.lr * w for p, w in zip(model.parameters, direction)]
+    )
+
+
+def per_slot_adam_step(model, grad: GradientSet, state) -> None:
+    """``dptrain.optim.adam_step`` on the per-slot update oracle."""
+    per_slot_adam_update(model, state, masked(grad, model.trainable))
+
+
 def tape_dp_adam_step(
     model, xs, ys, state, clip, noise, p, ledger, poisson_rng, noise_rng,
     noise_placement="after-mean",
@@ -235,7 +294,7 @@ def tape_dp_adam_step(
     """The private step as a loop over samples: one tape per Poisson-batch member.
 
     Same contract as ``dptrain.optim.dp_adam_step``, which must reproduce it
-    bit for bit; only the Adam update is shared with it.
+    bit for bit; the Adam update is the per-slot oracle.
     """
     report = validate_model(model)
     if not report.ok:
@@ -253,13 +312,13 @@ def tape_dp_adam_step(
     grads, losses = [], []
     for i in indices:
         loss, g = per_sample_gradient(model, xs[i], ys[i])
-        grads.append(_masked(g, model.trainable))
+        grads.append(masked(g, model.trainable))
         losses.append(loss)
     norms = np.array([g.global_norm() for g in grads])
 
     vbar = aggregate_noisy(grads, clip, noise, noise_rng, placement=noise_placement)
-    vbar = _masked(vbar, model.trainable)
-    _apply_update(model, state, vbar)
+    vbar = masked(vbar, model.trainable)
+    per_slot_adam_update(model, state, vbar)
     return StepOutcome(
         applied=True,
         batch_size=int(indices.size),

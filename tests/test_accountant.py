@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,20 @@ class TestTinySigma:
         ledger.advance(3)
         assert ledger.spent().epsilon == math.inf
         assert ledger.spent() == to_eps_delta(ledger.curve(), 1e-5)
+
+    @pytest.mark.parametrize("q", [0.1, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-154, 5e-154])
+    def test_huge_finite_per_step_values_warn_nothing(self, sigma, q):
+        # Some orders are finite but near the float maximum here, so their
+        # totals overflow to inf in the conversion.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ledger = PrivacyLedger(MechanismSpec(sigma, q))
+            assert ledger.epsilon_if(1000) == math.inf
+            ledger.advance(1000)
+            assert ledger.spent().epsilon == math.inf
+            assert to_eps_delta(ledger.curve(), 1e-5).epsilon == math.inf
+            assert epsilon_for(sigma, q, 1000, 1e-5) == math.inf
 
     @pytest.mark.parametrize("q", [0.1, 1.0])
     def test_zero_steps_spend_nothing(self, q):

@@ -74,6 +74,22 @@ def test_parameter_offsets_survive_set_parameters():
     assert model.parameter_offsets() == offsets
 
 
+def test_parameters_are_views_over_one_replaced_vector():
+    model = build_mlp([4, 8, 1], norm="group:2", seed=7)
+    vector = model.parameter_vector
+    offsets = model.parameter_offsets()
+    assert vector.shape == (offsets[-1],)
+    for s, p in enumerate(model.parameters):
+        assert np.shares_memory(p, vector)
+        np.testing.assert_array_equal(p.reshape(-1), vector[offsets[s]:offsets[s + 1]])
+    held, kept = model.parameters[0], vector.copy()
+    model.set_parameter_vector(vector + 1.0)
+    np.testing.assert_array_equal(vector, kept)
+    np.testing.assert_array_equal(model.parameters[0], held + 1.0)
+    with pytest.raises(ShapeMismatchError):
+        model.set_parameter_vector(np.zeros(offsets[-1] + 1))
+
+
 def test_initialization_bounds():
     model = build_mlp([10, 6, 1], seed=3)
     w = model.parameters[0]

@@ -1,30 +1,28 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dptrain.accountant import MechanismSpec, PrivacyLedger
-from dptrain.mechanisms import ClipSpec, NoiseSpec
-from dptrain.model import build_mlp, per_sample_gradient
+from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
+from dptrain.model import (
+    Model,
+    PerSampleBatch,
+    batch_gradient,
+    build_mlp,
+    per_sample_gradient,
+    per_sample_gradients,
+)
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
 from dptrain.tensor import GradientSet, mean_gradient_sets
-from oracles import tape_dp_adam_step
+from oracles import per_slot_adam_step, tape_dp_adam_step
 from test_model import batch_coupled_mlp
 
 
 def toy_param_holder(values):
-    holder = SimpleNamespace()
-    holder.parameters = [np.asarray(v, dtype=float) for v in values]
-    holder.trainable = [True] * len(holder.parameters)
-
-    def set_parameters(new):
-        holder.parameters = [np.asarray(p, dtype=float) for p in new]
-
-    holder.set_parameters = set_parameters
-    return holder
+    return Model((), values)
 
 
 class TestPoissonSubsample:
@@ -79,6 +77,16 @@ class TestReferenceAdam:
         expected = 2.0 - 0.1 * m / (u + 1e-8)
         assert holder.parameters[0][0] == pytest.approx(expected, rel=1e-12)
 
+    def test_update_installs_a_new_parameter_vector(self):
+        holder = toy_param_holder([np.array([1.0, -0.7]), np.array([0.5])])
+        state = DpAdamState.for_model(holder, lr=0.1)
+        before = holder.parameter_vector
+        kept = before.copy()
+        adam_step(holder, GradientSet([np.array([1.0, 1.0]), np.array([1.0])]), state)
+        assert holder.parameter_vector is not before
+        np.testing.assert_array_equal(before, kept)
+        assert not np.array_equal(holder.parameter_vector, kept)
+
     def test_shape_mismatch_rejected(self):
         holder = toy_param_holder([np.zeros(2)])
         state = DpAdamState.for_model(holder, lr=0.1)
@@ -88,8 +96,8 @@ class TestReferenceAdam:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             DpAdamState(
-                m=GradientSet([np.zeros(1)]),
-                u=GradientSet([np.zeros(1)]),
+                m=np.zeros(1),
+                u=np.zeros(1),
                 lr=0.1,
                 variant="adamw",
             )
@@ -225,10 +233,113 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+UPDATE_RULES = [
+    {},
+    {"bias_correction": False},
+    {"variant": "raw-moment", "lr": 0.01},
+]
+UPDATE_RULE_IDS = ["adam", "no-bias-correction", "raw-moment"]
+
+
+class TestFlatAdamEqualsPerSlotOracle:
+    """adam_step on flat vectors reproduces the per-slot update bit for bit."""
+
+    @pytest.mark.parametrize("freeze", [0, 1, 2])
+    @pytest.mark.parametrize("state_kwargs", UPDATE_RULES, ids=UPDATE_RULE_IDS)
+    def test_adam_step(self, state_kwargs, freeze):
+        rng = np.random.default_rng(17)
+        xs = rng.normal(size=(40, 6))
+        ys = rng.integers(0, 2, size=40).astype(float)
+        kwargs = {"lr": 0.05, **state_kwargs}
+        results = []
+        for step in (adam_step, per_slot_adam_step):
+            model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=23)
+            if freeze:
+                model.set_freeze_prefix(freeze)
+            state = DpAdamState.for_model(model, **kwargs)
+            for lo in range(0, 40, 5):
+                _, grad = batch_gradient(model, xs[lo:lo + 5], ys[lo:lo + 5])
+                step(model, grad, state)
+            results.append((model, state))
+        (model, state), (ref_model, ref_state) = results
+        assert_same_bits(model.parameter_vector, ref_model.parameter_vector)
+        for a, b in zip(model.parameters, ref_model.parameters):
+            assert_same_bits(a, b)
+        assert_same_bits(state.m, ref_state.m)
+        assert_same_bits(state.u, ref_state.u)
+        assert state.t == ref_state.t == 8
+
+
+class TestFreezeAfterSteps:
+    """Freezing a model with non-zero moments stops its frozen slots dead."""
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_frozen_slots_are_untouched(self, private):
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(16, 5))
+        ys = rng.integers(0, 2, size=16).astype(float)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
+        state = DpAdamState.for_model(model, lr=0.05)
+
+        def steps(count):
+            if private:
+                run_dp(model, xs, ys, count, sigma=1.0, clip=1.0, p=0.8, seed=3, state=state)
+            else:
+                for _ in range(count):
+                    adam_step(model, batch_gradient(model, xs, ys)[1], state)
+
+        steps(3)
+        model.set_freeze_prefix(1)
+        offsets = model.parameter_offsets()
+        frozen = [
+            (offsets[s], offsets[s + 1]) for s, keep in enumerate(model.trainable) if not keep
+        ]
+        before = [
+            (model.parameter_vector[lo:hi].copy(), state.m[lo:hi].copy(), state.u[lo:hi].copy())
+            for lo, hi in frozen
+        ]
+        assert frozen and all(np.any(m != 0.0) for _, m, _ in before)
+        trainable_before = model.parameters[-1].copy()
+        steps(3)
+        for (lo, hi), (p, m, u) in zip(frozen, before):
+            assert_same_bits(model.parameter_vector[lo:hi], p)
+            assert_same_bits(state.m[lo:hi], m)
+            assert_same_bits(state.u[lo:hi], u)
+        assert not np.array_equal(model.parameters[-1], trainable_before)
+
+
+class TestClippedSum:
+    """The block reduction adds the clipped rows in sample order, like a row loop."""
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None])
+    @pytest.mark.parametrize("widths", [[6, 8, 8, 1], [1, 1]], ids=["mlp", "two-parameters"])
+    def test_equals_row_loop(self, widths, rows_per_block, monkeypatch):
+        model = build_mlp(widths, seed=4)
+        size = model.num_parameters()
+        if rows_per_block is not None:
+            monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * size * rows_per_block)
+        rng = np.random.default_rng(9)
+        xs = rng.normal(size=(37, widths[0]))
+        ys = rng.integers(0, 2, size=37).astype(float)
+        offsets = model.parameter_offsets()
+        spans = list(zip(offsets[:-1], offsets[1:]))
+        clip = ClipSpec(0.3)
+
+        _, rows = per_sample_gradients(model, xs, ys)
+        ref_norms = clip_rows(rows, spans, clip)
+        ref = rows[0].copy()
+        for row in rows[1:]:
+            ref += row
+        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), spans, clip)
+        assert_same_bits(total, ref)
+        assert_same_bits(norms, ref_norms)
+        assert np.count_nonzero(ref_norms > clip.max_norm) > 0
+
+
 class TestBatchedStepEqualsTapeLoop:
     """dp_adam_step must reproduce the one-tape-per-sample step bit for bit."""
 
-    def run_both(self, widths, norm="none", freeze=0, n=24, steps=6, **kwargs):
+    def run_both(self, widths, norm="none", freeze=0, n=24, steps=6, state_kwargs=(), **kwargs):
         rng = np.random.default_rng(len(widths) * 100 + n)
         xs = rng.normal(size=(n, widths[0]))
         ys = rng.integers(0, 2, size=n).astype(float)
@@ -237,14 +348,14 @@ class TestBatchedStepEqualsTapeLoop:
             model = build_mlp(widths, norm=norm, seed=21)
             if freeze:
                 model.set_freeze_prefix(freeze)
-            state = DpAdamState.for_model(model, lr=0.05)
+            state = DpAdamState.for_model(model, **{"lr": 0.05, **dict(state_kwargs)})
             outcomes, ledger = run_dp(model, xs, ys, steps, step=step, state=state, **kwargs)
             results.append((model, state, outcomes, ledger))
         (model, state, outcomes, ledger), (ref_model, ref_state, ref_outcomes, ref_ledger) = results
         for a, b in zip(model.parameters, ref_model.parameters):
             assert_same_bits(a, b)
-        for a, b in zip(state.m.arrays + state.u.arrays, ref_state.m.arrays + ref_state.u.arrays):
-            assert_same_bits(a, b)
+        assert_same_bits(state.m, ref_state.m)
+        assert_same_bits(state.u, ref_state.u)
         assert state.t == ref_state.t
         assert ledger.step_count == ref_ledger.step_count == steps
         for o, r in zip(outcomes, ref_outcomes):
@@ -263,6 +374,12 @@ class TestBatchedStepEqualsTapeLoop:
 
     def test_degenerate_settings(self):
         self.run_both([6, 8, 1], norm="group:2", sigma=0.0, clip=1e9, p=1.0)
+
+    @pytest.mark.parametrize("freeze", [0, 1])
+    @pytest.mark.parametrize("state_kwargs", UPDATE_RULES, ids=UPDATE_RULE_IDS)
+    def test_update_rules(self, state_kwargs, freeze):
+        self.run_both([6, 8, 8, 1], norm="group:2", freeze=freeze, steps=8,
+                      state_kwargs=state_kwargs, sigma=0.8, clip=0.5, p=0.5, seed=6)
 
     def test_empty_draws_and_single_member_batches(self):
         outcomes = self.run_both([4, 5, 1], n=6, steps=12, sigma=1.0, clip=1.0, p=0.15, seed=3)
