@@ -25,7 +25,7 @@ from .accountant import (
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset
-from .mechanisms import ClipSpec, NoiseSpec, aggregate_noisy, clip_gradient, gaussian_noise
+from .mechanisms import ClipSpec, NoiseSpec, clip_gradient, gaussian_noise
 from .model import (
     Model,
     ModelValidationError,
@@ -45,7 +45,6 @@ from .tensor import (
     Tensor,
     backward,
     fd_gradient,
-    forward_primitive,
     tensor,
 )
 from .train import TrainReport, sweep, train

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 usage/configuration error, 2 runtime failure.
 Reports land in ``--out`` as CSV plus a JSON summary; the accountant prints
-its JSON document to stdout.
+its JSON document to stdout. JSON output is strict: non-finite floats are
+written as the strings ``"inf"``, ``"-inf"`` and ``"nan"``, as in the CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +58,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(doc) -> str:
+    """Strict JSON for ``doc``, non-finite floats spelled as in the report CSVs."""
+
+    def strict(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [strict(v) for v in value]
+        return value
+
+    return json.dumps(strict(doc), indent=2, allow_nan=False)
+
+
 def _cmd_train(args) -> int:
     mapping = parse_config_file(args.config)
     config = run_config_from_mapping(mapping)
@@ -64,7 +81,7 @@ def _cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_report_csv([report_row(report, "train", config.seed_model)], out / "report.csv")
     write_epochs_csv(report, out / "epochs.csv")
-    (out / "summary.json").write_text(json.dumps(report.summary(), indent=2), encoding="utf-8")
+    (out / "summary.json").write_text(_json_text(report.summary()), encoding="utf-8")
     final = report.epochs[-1] if report.epochs else None
     eps_text = f"{report.achieved_eps:.4f}" if report.achieved_eps is not None else "off"
     acc_text = f"{final.valid_acc:.4f}" if final else "n/a"
@@ -99,7 +116,7 @@ def _cmd_sweep(args) -> int:
         "rows": len(rows),
         "seeds_per_cell": grid.seeds_per_cell,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    (out / "summary.json").write_text(_json_text(summary), encoding="utf-8")
     print(f"wrote {len(rows)} rows for {len(medians)} cells to {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -112,7 +129,7 @@ def _cmd_accountant(args) -> int:
     else:
         sigma = args.sigma
     doc = accountant_query(sigma, args.q, args.steps, args.delta)
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
     return EXIT_OK
 
 

