@@ -1,9 +1,9 @@
 """Differentially private training toolkit.
 
-Per-sample gradient computation on a small autodiff core, L2 clipping,
-calibrated Gaussian noise, Renyi-DP accounting with (epsilon, delta)
-conversion, a noisy Adam optimizer, and an experiment harness for
-privacy/utility sweeps.
+Per-sample gradients from numpy layer kernels (checked against a small
+autodiff core), L2 clipping, calibrated Gaussian noise, Renyi-DP accounting
+with (epsilon, delta) conversion, a noisy Adam optimizer, and an experiment
+harness for privacy/utility sweeps.
 """
 
 from .accountant import (

@@ -5,12 +5,16 @@ other samples in a batch: dense layers, activations and group normalization
 all operate strictly within a sample. A deliberately batch-coupled
 normalization layer is included as a negative example; ``validate_model``
 flags it and the DP optimizer refuses to step such a model.
+
+Every training and evaluation path runs the layer kernels: one forward
+pass, and one backward pass that reduces per sample or per batch. The
+autodiff tape is only the gradient oracle they are tested against.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +195,9 @@ class Model:
     def forward(self, x, tape: Tape | None = None) -> Tensor:
         """Run a batch through the network, returning logits of shape [B].
 
-        When ``tape`` is given it must already be entered (active); parameter
-        tensors are watched on it in index order.
+        Untraced, the layer kernels compute them. With ``tape`` (already
+        entered) the tape primitives build the graph, watching the parameter
+        tensors in index order.
         """
         data = np.asarray(x, dtype=np.float64)
         if data.ndim == 1:
@@ -202,10 +207,11 @@ class Model:
                 f"input of shape {np.asarray(x).shape} does not match "
                 f"input layer width {self.input_dim}"
             )
+        if tape is None:
+            return Tensor(_kernel_forward(self, data, []))  # nothing to differentiate
         params = [Tensor(p) for p in self.parameters]
-        if tape is not None:
-            for p in params:
-                tape.watch(p)
+        for p in params:
+            tape.watch(p)
         h = Tensor(data)
         for layer in self.layers:
             if isinstance(layer, DenseLayer):
@@ -216,17 +222,7 @@ class Model:
                 normed = group_norm(h, layer.num_groups)
                 h = add(mul(normed, params[layer.gamma_slot]), params[layer.beta_slot])
             elif isinstance(layer, BatchCoupledNormLayer):
-                if tape is not None:
-                    raise ModelValidationError(
-                        "batch-coupled normalization cannot be traced for "
-                        "per-sample gradients"
-                    )
-                mean = h.data.mean(axis=0)
-                var = h.data.var(axis=0)
-                normed_np = (h.data - mean) / np.sqrt(var + layer.eps)
-                gamma = self.parameters[layer.gamma_slot]
-                beta = self.parameters[layer.beta_slot]
-                h = Tensor(normed_np * gamma + beta)
+                raise ModelValidationError("batch-coupled normalization cannot be traced")
             else:
                 raise TypeError(f"unknown layer {layer!r}")
         return reshape(h, (data.shape[0],))
@@ -321,18 +317,12 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
     return model
 
 
-def _loss_graph(model: Model, x: np.ndarray, y: np.ndarray, tape: Tape) -> Tensor:
-    logits = model.forward(x, tape=tape)
-    probs = sigmoid(logits)
-    losses = binary_cross_entropy(probs, Tensor(y))
-    return reduce_mean(losses)
-
-
 def per_sample_gradient(model: Model, x, y) -> tuple[float, GradientSet]:
     """Loss and exact gradient of one sample's BCE loss w.r.t. all parameters.
 
     ``x`` is a single sample (1-D of input_dim, or shape [1, input_dim]);
     ``y`` must be 0 or 1. Pure: repeated calls return identical values.
+    Runs one autodiff tape, the gradient oracle of the layer kernels.
     """
     xa = np.asarray(x, dtype=np.float64)
     if xa.ndim == 1:
@@ -343,7 +333,8 @@ def per_sample_gradient(model: Model, x, y) -> tuple[float, GradientSet]:
     if yv not in (0.0, 1.0):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
     with Tape() as tape:
-        loss = _loss_graph(model, xa, np.array([yv]), tape)
+        probs = sigmoid(model.forward(xa, tape=tape))
+        loss = reduce_mean(binary_cross_entropy(probs, Tensor(np.array([yv]))))
         grad = backward(tape, loss)
     return loss.item(), grad
 
@@ -356,24 +347,47 @@ def _layer_slots(layer) -> tuple[int, ...]:
     return ()
 
 
-class PerSampleBatch:
-    """One batched forward pass, kept for per-sample backward passes over row blocks.
+def _kernel_forward(model: Model, h: np.ndarray, saved: list) -> np.ndarray:
+    """Logits ``[B]`` of rows ``[B, 1, in]`` or ``[B, in]`` through the layer kernels.
 
-    Losses and gradients equal ``per_sample_gradient`` on each sample,
-    because every sample runs through the numpy kernels the tape runs:
-    stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
-    computes the same one-row product per sample, weight gradients are
-    exact outer products, and the sigmoid, loss and group-norm kernels are
-    the tape primitives' own helpers from :mod:`dptrain.tensor`. The only
-    difference is the sign of some zero entries (the tape's one-row matmul
-    adds its product to +0.0); the private step's norms and Adam update
-    absorb it, so its parameters, moments and outcomes are bit-identical.
-    The tape remains the oracle.
-
-    Frozen parameters (``model.trainable``) get no gradient work, and the
-    backward pass stops at the first layer that has a trainable parameter.
-    Non-finite forward values raise ``FloatingPointError`` as the tape does.
+    Each layer runs the numpy operations of the tape primitives it stands
+    for and appends to ``saved`` what its pullback needs.
     """
+    params = model.parameters
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            saved.append(h)
+            h = h @ params[layer.weight_slot] + params[layer.bias_slot]
+            _ensure_finite(h, "dense")
+        elif isinstance(layer, ActivationLayer):
+            saved.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+        elif isinstance(layer, GroupNormLayer):
+            norm_saved = _group_norm(h, layer.num_groups)
+            normed = norm_saved[0].reshape(h.shape)
+            saved.append((normed, *norm_saved))
+            h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
+            _ensure_finite(h, "group_norm")
+        elif isinstance(layer, BatchCoupledNormLayer):
+            normed = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + layer.eps)
+            h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
+        else:
+            raise TypeError(f"unknown layer {layer!r}")
+    return h.reshape(h.shape[0])
+
+
+class _LayerPass:
+    """One forward pass through the layer kernels, kept for backward passes.
+
+    Rows are ``[B, in]`` here, and the backward pass writes the gradient of
+    the mean loss, reduced as a batch tape reduces it (``h.T @ g``, sums over
+    the batch axis); ``PerSampleBatch`` writes one row per sample instead.
+    Frozen parameters get no gradient work, and the backward pass stops at
+    the first layer that has a trainable parameter. Non-finite forward
+    values raise ``FloatingPointError`` as the tape does.
+    """
+
+    _rowwise = False
 
     def __init__(self, model: Model, xs, ys):
         xa = np.asarray(xs, dtype=np.float64)
@@ -387,6 +401,8 @@ class PerSampleBatch:
         bad = (ya != 0.0) & (ya != 1.0)
         if bad.any():
             raise ValueError(f"label must be 0 or 1, got {ya[bad][0]!r}")
+        if any(layer.mixes_samples for layer in model.layers):
+            raise ModelValidationError("batch-coupled normalization cannot be traced")
 
         self.model = model
         self.size = xa.shape[0]
@@ -398,34 +414,73 @@ class PerSampleBatch:
             ),
             len(model.layers),
         )
-        params = model.parameters
-        # What each layer's pullback needs, for all rows; sliced per block.
-        self._saved: list = []
-        h = xa[:, None, :]
-        for layer in model.layers:
-            if isinstance(layer, DenseLayer):
-                self._saved.append(h)
-                h = h @ params[layer.weight_slot] + params[layer.bias_slot]
-                _ensure_finite(h, "dense")
-            elif isinstance(layer, ActivationLayer):
-                mask = h > 0.0
-                self._saved.append(mask)
-                h = np.maximum(h, 0.0)
-            elif isinstance(layer, GroupNormLayer):
-                saved = _group_norm(h, layer.num_groups)
-                normed = saved[0].reshape(h.shape)
-                self._saved.append((normed, *saved))
-                h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
-                _ensure_finite(h, "group_norm")
-            elif isinstance(layer, BatchCoupledNormLayer):
-                raise ModelValidationError(
-                    "batch-coupled normalization cannot be traced for per-sample gradients"
-                )
-            else:
-                raise TypeError(f"unknown layer {layer!r}")
-
-        self._probs = _sigmoid(h.reshape(self.size))
+        self._saved: list = []  # what each layer's pullback needs, for all rows
+        rows = xa[:, None, :] if self._rowwise else xa
+        self._probs = _sigmoid(_kernel_forward(model, rows, self._saved))
         self.losses, self._bce_saved = _bce(self._probs, ya)
+
+    def _backward(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write the gradients of rows ``lo..hi-1`` into ``out``, ``[hi - lo, P]`` or ``[P]``."""
+        model = self.model
+        offsets = model.parameter_offsets()
+        trainable = model.trainable
+        rowwise = self._rowwise
+        r = hi - lo
+
+        def block(slot):
+            return out[..., offsets[slot]:offsets[slot + 1]]
+
+        # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
+        dp = _bce_pullback(*(a[lo:hi] for a in self._bce_saved))
+        if not rowwise:
+            dp = (1.0 / self.size) * dp  # reduce_mean's pullback comes first
+        g = _sigmoid_pullback(dp, self._probs[lo:hi]).reshape((r, 1, 1) if rowwise else (r, 1))
+        for i in range(len(model.layers) - 1, self._first - 1, -1):
+            layer, saved = model.layers[i], self._saved[i]
+            if isinstance(layer, DenseLayer):
+                if trainable[layer.weight_slot]:
+                    w_block = block(layer.weight_slot)
+                    if rowwise:
+                        h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
+                        np.multiply(h_in, g, out=w_block.reshape(r, layer.in_dim, layer.out_dim))
+                    else:
+                        np.matmul(saved.T, g, out=w_block.reshape(layer.in_dim, layer.out_dim))
+                if trainable[layer.bias_slot]:
+                    block(layer.bias_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                if i > self._first:
+                    g = g @ model.parameters[layer.weight_slot].T
+            elif isinstance(layer, ActivationLayer):
+                g = g * saved[lo:hi]
+            else:
+                normed, *norm_saved = (a[lo:hi] for a in saved)
+                if trainable[layer.gamma_slot]:
+                    if rowwise:
+                        np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
+                    else:
+                        block(layer.gamma_slot)[...] = (g * normed).sum(axis=0)
+                if trainable[layer.beta_slot]:
+                    block(layer.beta_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                if i > self._first:
+                    gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
+                    g = _group_norm_pullback(gg, norm_saved).reshape(g.shape)
+
+
+class PerSampleBatch(_LayerPass):
+    """One batched forward pass, kept for per-sample backward passes over row blocks.
+
+    Losses and gradients equal ``per_sample_gradient`` on each sample,
+    because every sample runs through the numpy kernels the tape runs:
+    stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
+    computes the same one-row product per sample, weight gradients are
+    exact outer products, and the sigmoid, loss and group-norm kernels are
+    the tape primitives' own helpers from :mod:`dptrain.tensor`. The only
+    difference is the sign of some zero entries (the tape's one-row matmul
+    adds its product to +0.0); the private step's norms and Adam update
+    absorb it, so its parameters, moments and outcomes are bit-identical.
+    The tape remains the oracle.
+    """
+
+    _rowwise = True
 
     def backward(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write the gradients of samples ``lo..hi-1`` into the first rows of ``out``.
@@ -434,44 +489,10 @@ class PerSampleBatch:
         ``Model.parameter_offsets``; columns of frozen parameters are left
         as they are.
         """
-        model = self.model
-        offsets = model.parameter_offsets()
-        trainable = model.trainable
-        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != offsets[-1:]:
-            raise ShapeMismatchError(f"need a C-contiguous float64 [rows, {offsets[-1]}] matrix")
-        rows = out[: hi - lo]
-        r = rows.shape[0]
-
-        def block(slot):
-            return rows[:, offsets[slot]:offsets[slot + 1]]
-
-        # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
-        dp = _bce_pullback(*(a[lo:hi] for a in self._bce_saved))
-        g = _sigmoid_pullback(dp, self._probs[lo:hi]).reshape(r, 1, 1)
-        for i in range(len(model.layers) - 1, self._first - 1, -1):
-            layer, saved = model.layers[i], self._saved[i]
-            needs_input_grad = i > self._first
-            if isinstance(layer, DenseLayer):
-                if trainable[layer.weight_slot]:
-                    h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
-                    np.multiply(
-                        h_in, g, out=block(layer.weight_slot).reshape(r, layer.in_dim, layer.out_dim)
-                    )
-                if trainable[layer.bias_slot]:
-                    block(layer.bias_slot)[...] = g[:, 0, :]
-                if needs_input_grad:
-                    g = g @ model.parameters[layer.weight_slot].T
-            elif isinstance(layer, ActivationLayer):
-                g = g * saved[lo:hi]
-            else:
-                normed, *norm_saved = (a[lo:hi] for a in saved)
-                if trainable[layer.gamma_slot]:
-                    np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
-                if trainable[layer.beta_slot]:
-                    block(layer.beta_slot)[...] = g[:, 0, :]
-                if needs_input_grad:
-                    gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
-                    g = _group_norm_pullback(gg, norm_saved).reshape(r, 1, layer.channels)
+        size = self.model.num_parameters()
+        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (size,):
+            raise ShapeMismatchError(f"need a C-contiguous float64 [rows, {size}] matrix")
+        self._backward(lo, hi, out[: hi - lo])
 
 
 def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -489,18 +510,24 @@ def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_gradient(model: Model, xs, ys) -> tuple[float, GradientSet]:
-    """Mean loss over a batch and its gradient (the full-batch gradient)."""
-    xa = np.asarray(xs, dtype=np.float64)
-    ya = np.asarray(ys, dtype=np.float64).reshape(-1)
-    with Tape() as tape:
-        loss = _loss_graph(model, xa, ya, tape)
-        grad = backward(tape, loss)
-    return loss.item(), grad
+    """Mean loss over a non-empty batch and its gradient (the full-batch gradient).
+
+    Loss and trainable gradients equal a tape over the batch graph bit for
+    bit. Frozen parameters get zeros. Labels must be 0 or 1, one per sample.
+    """
+    kernels = _LayerPass(model, xs, ys)
+    if kernels.size == 0:
+        raise ValueError("batch_gradient needs at least one sample")
+    flat = np.zeros(model.num_parameters())
+    kernels._backward(0, kernels.size, flat)
+    offsets = model.parameter_offsets()
+    views = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    loss = float(kernels.losses.mean())
+    return loss, GradientSet.of([v.reshape(s) for v, s in zip(views, model.parameter_shapes())])
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:
-    logits = model.forward(xs)
-    return sigmoid(logits).data
+    return _sigmoid(model.forward(xs).data)
 
 
 def accuracy(model: Model, xs, ys) -> float:
@@ -552,51 +579,20 @@ _CHECKPOINT_FORMAT = "dptrain-model"
 _CHECKPOINT_VERSION = 1
 
 
-def _layer_to_doc(layer) -> dict:
-    if isinstance(layer, DenseLayer):
-        return {
-            "kind": "dense",
-            "in_dim": layer.in_dim,
-            "out_dim": layer.out_dim,
-            "weight_slot": layer.weight_slot,
-            "bias_slot": layer.bias_slot,
-        }
-    if isinstance(layer, ActivationLayer):
-        return {"kind": "activation", "activation": layer.activation}
-    if isinstance(layer, GroupNormLayer):
-        return {
-            "kind": "group_norm",
-            "channels": layer.channels,
-            "num_groups": layer.num_groups,
-            "gamma_slot": layer.gamma_slot,
-            "beta_slot": layer.beta_slot,
-        }
-    if isinstance(layer, BatchCoupledNormLayer):
-        return {
-            "kind": "batch_norm",
-            "channels": layer.channels,
-            "gamma_slot": layer.gamma_slot,
-            "beta_slot": layer.beta_slot,
-            "eps": layer.eps,
-        }
-    raise TypeError(f"cannot serialize layer {layer!r}")
+_LAYER_CLASSES = {
+    cls.kind: cls for cls in (DenseLayer, ActivationLayer, GroupNormLayer, BatchCoupledNormLayer)
+}
 
 
 def _layer_from_doc(doc: dict):
-    kind = doc["kind"]
-    if kind == "dense":
-        return DenseLayer(doc["in_dim"], doc["out_dim"], doc["weight_slot"], doc["bias_slot"])
-    if kind == "activation":
-        return ActivationLayer(doc["activation"])
-    if kind == "group_norm":
-        return GroupNormLayer(
-            doc["channels"], doc["num_groups"], doc["gamma_slot"], doc["beta_slot"]
-        )
-    if kind == "batch_norm":
-        return BatchCoupledNormLayer(
-            doc["channels"], doc["gamma_slot"], doc["beta_slot"], doc["eps"]
-        )
-    raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
+    values = dict(doc)
+    cls = _LAYER_CLASSES.get(values.pop("kind", None))
+    if cls is None:
+        raise ValueError(f"unknown layer kind {doc.get('kind')!r} in checkpoint")
+    names = {f.name for f in fields(cls)}
+    if values.keys() != names:
+        raise ValueError(f"{cls.kind} layer fields {sorted(values)} are not {sorted(names)}")
+    return cls(**values)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -610,7 +606,7 @@ def save_checkpoint(model: Model, path) -> None:
         "version": _CHECKPOINT_VERSION,
         "seed": model.seed,
         "freeze_prefix": model.freeze_prefix,
-        "layers": [_layer_to_doc(l) for l in model.layers],
+        "layers": [{"kind": l.kind, **asdict(l)} for l in model.layers],
         "param_shapes": [list(p.shape) for p in model.parameters],
         "params": [p.reshape(-1).tolist() for p in model.parameters],
     }

@@ -6,15 +6,15 @@ Gaussian noise, update the Adam moments and the parameters, and charge
 exactly one step to the privacy ledger (also when the batch came up empty,
 which is always safe to charge).
 
-All per-sample gradients come from one batched pass
+All per-sample gradients come from one batched pass of the layer kernels
 (:class:`~dptrain.model.PerSampleBatch`) as rows of a ``[B, P]`` matrix over
-the flat parameter vector (B samples, P parameters); clipping, summing and
-noise work on those rows. Each sample runs through the same numpy kernels
-as the one-sample tape, so parameters, Adam moments and the step's outcome
-are bit-identical to clipping and summing ``per_sample_gradient`` results
-one by one; the tape remains the gradient oracle. Rows are built
-``ROW_BLOCK_BYTES`` at a time, which bounds the step's memory whatever the
-batch size.
+the flat parameter vector (B samples, P parameters); clipping and summing
+work on those rows, and the noise is drawn into the released vector. Each
+sample runs through the same numpy kernels as the one-sample tape, so
+parameters, Adam moments and the step's outcome are bit-identical to
+clipping and summing ``per_sample_gradient`` results one by one; the tape
+is only the gradient oracle. Rows are built ``ROW_BLOCK_BYTES`` at a time,
+which bounds the step's memory whatever the batch size.
 
 The Adam moments are flat ``[P]`` vectors laid out like
 ``Model.parameter_vector``. One update runs a few whole-vector operations
@@ -32,7 +32,7 @@ Two update rules are available:
   scales poorly at high curvature; it exists for comparison runs.
 
 ``adam_step`` is the non-private reference: the same moment machinery driven
-by an externally computed full-batch gradient, used for equivalence testing
+by ``model.batch_gradient``'s full-batch gradient, used for equivalence testing
 (sigma = 0, p = 1, non-binding clip reproduces it exactly).
 """
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import PrivacyLedger
-from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows, gaussian_noise
+from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows
 from .model import Model, ModelValidationError, PerSampleBatch, validate_model
 from .tensor import GradientSet, ShapeMismatchError
 
@@ -248,11 +248,13 @@ def dp_adam_step(
     offsets = model.parameter_offsets()
     spans = [(offsets[s], offsets[s + 1]) for s, keep in enumerate(model.trainable) if keep]
     clipped_sum, norms = _clipped_sum(batch, spans, clip)
-    draw = gaussian_noise([clipped_sum.shape], noise.sigma * clip.max_norm, noise_rng)[0]
+    flat = noise_rng.standard_normal(out=np.empty_like(clipped_sum))
+    flat *= noise.sigma * clip.max_norm
     if noise_placement == "after-mean":
-        flat = clipped_sum / batch.size + draw
+        flat += clipped_sum / batch.size
     else:
-        flat = (clipped_sum + draw) / batch.size
+        flat += clipped_sum
+        flat /= batch.size
     _apply_update(model, state, flat)
     # Frozen slots count as zeros, which add exactly nothing to the norm.
     noisy_sq = 0.0

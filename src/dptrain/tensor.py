@@ -10,9 +10,9 @@ thread that created it (the active-tape stack is thread-local). Parallelism
 belongs above this layer, e.g. one tape per sample.
 
 The sigmoid, binary cross-entropy and group-norm primitives keep their
-forward and pullback numpy kernels in private helpers that
-:class:`~dptrain.model.PerSampleBatch` calls too, so the batched pass
-matches the tape bit for bit by construction; the tape stays the oracle.
+forward and pullback numpy kernels in private helpers that the model's layer
+kernels call too, so those match the tape bit for bit by construction. No
+training or evaluation path runs the tape: it is the gradient oracle.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ all-orders RDP table from one numpy pipeline per order.
 gradient sets (clip each, sum in list order, add noise at either
 placement). The private step does the same on the rows of a ``[B, P]``
 matrix; ``tape_dp_adam_step`` uses this list form as its reference.
+``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
+batch graph, the reference for the layer kernels' batch layout.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ import numpy as np
 from dptrain.mechanisms import NOISE_PLACEMENTS, clip_gradient, gaussian_noise
 from dptrain.model import ModelValidationError, per_sample_gradient, validate_model
 from dptrain.optim import StepOutcome, poisson_subsample
-from dptrain.tensor import GradientSet, ShapeMismatchError
+from dptrain.tensor import (
+    GradientSet,
+    ShapeMismatchError,
+    Tape,
+    Tensor,
+    backward,
+    binary_cross_entropy,
+    reduce_mean,
+    sigmoid,
+)
 
 SIMPSON_TOL = 1e-12
 
@@ -261,6 +272,22 @@ def aggregate_noisy(per_sample, clip, noise, rng, placement="after-mean") -> Gra
     if placement == "after-mean":
         return GradientSet([s / batch + n for s, n in zip(acc, draw.arrays)])
     return GradientSet([(s + n) / batch for s, n in zip(acc, draw.arrays)])
+
+
+def tape_batch_gradient(model, xs, ys) -> tuple[float, GradientSet]:
+    """Mean BCE loss of a batch and its gradient, from one tape over the batch graph.
+
+    ``dptrain.model.batch_gradient``'s former implementation, kept as the
+    bit-identity oracle for the layer kernels' batch layout. Every watched
+    parameter gets its gradient, frozen ones too.
+    """
+    xa = np.asarray(xs, dtype=np.float64)
+    ya = np.asarray(ys, dtype=np.float64).reshape(-1)
+    with Tape() as tape:
+        logits = model.forward(xa, tape=tape)
+        loss = reduce_mean(binary_cross_entropy(sigmoid(logits), Tensor(ya)))
+        grad = backward(tape, loss)
+    return loss.item(), grad
 
 
 def masked(grad: GradientSet, trainable) -> GradientSet:

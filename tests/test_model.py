@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,22 @@ from dptrain.model import (
     load_checkpoint,
     per_sample_gradient,
     per_sample_gradients,
+    predict_proba,
     save_checkpoint,
     validate_model,
 )
 from dptrain.tensor import (
     ShapeMismatchError,
     Tape,
+    Tensor,
     fd_gradient,
     mean_gradient_sets,
     mul,
     reduce_mean,
+    sigmoid,
     tensor,
 )
+from oracles import tape_batch_gradient
 
 
 def batch_coupled_mlp(seed=0):
@@ -275,6 +281,56 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         load_checkpoint(path)
 
 
+# One layer of each kind, as the per-kind serializer of format version 1 wrote it.
+VERSION_1_CHECKPOINT = (
+    '{"format": "dptrain-model", "version": 1, "seed": 9, "freeze_prefix": 1, "layers": ['
+    '{"kind": "dense", "in_dim": 2, "out_dim": 2, "weight_slot": 0, "bias_slot": 1}, '
+    '{"kind": "group_norm", "channels": 2, "num_groups": 1, "gamma_slot": 2, "beta_slot": 3}, '
+    '{"kind": "activation", "activation": "relu"}, '
+    '{"kind": "batch_norm", "channels": 2, "gamma_slot": 4, "beta_slot": 5, "eps": 0.001}, '
+    '{"kind": "dense", "in_dim": 2, "out_dim": 1, "weight_slot": 6, "bias_slot": 7}], '
+    '"param_shapes": [[2, 2], [2], [2], [2], [2], [2], [2, 1], [1]], '
+    '"params": [[0.1, -0.25, 1e-300, 0.30000000000000004], [0.0, -0.0], [1.0, 2.5], '
+    '[0.5, -1.5], [1.0, 1.0], [0.0, 0.0], [3.0, -2.0], [0.125]]}'
+)
+
+
+def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(VERSION_1_CHECKPOINT, encoding="utf-8")
+    model = load_checkpoint(old)
+    assert [l.kind for l in model.layers] == [
+        "dense", "group_norm", "activation", "batch_norm", "dense"
+    ]
+    assert model.layers[3] == BatchCoupledNormLayer(2, 4, 5, 0.001)
+    assert model.trainable == [False] * 4 + [True] * 4
+    save_checkpoint(model, new)
+    assert new.read_bytes() == VERSION_1_CHECKPOINT.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "layer,edit",
+    [
+        (0, {"bias_slot": None}),  # None deletes the field
+        (3, {"eps": None}),  # a field with a default is still required
+        (1, {"momentum": 0.9}),
+        (2, {"kind": "layer_norm"}),
+    ],
+    ids=["missing-field", "missing-defaulted-field", "extra-field", "unknown-kind"],
+)
+def test_checkpoint_rejects_malformed_layers(tmp_path, layer, edit):
+    doc = json.loads(VERSION_1_CHECKPOINT)
+    for key, value in edit.items():
+        if value is None:
+            del doc["layers"][layer][key]
+        else:
+            doc["layers"][layer][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
 def tape_rows(model, xs, ys):
     """Tape losses and flattened per-sample gradients, frozen columns zeroed."""
     losses, rows = [], []
@@ -361,3 +417,86 @@ def test_batched_gradients_reject_bad_input():
         batch.backward(0, 2, np.zeros((2, model.num_parameters()), order="F"))
     with pytest.raises(ShapeMismatchError):
         batch.backward(0, 2, np.zeros((2, model.num_parameters() + 1)))
+
+
+def assert_batch_gradient_equals_tape(model, xs, ys):
+    """Loss and trainable slots bit-equal to the batch tape; frozen slots zero."""
+    loss, grad = batch_gradient(model, xs, ys)
+    ref_loss, ref = tape_batch_gradient(model, xs, ys)
+    assert loss == ref_loss
+    assert grad.shapes == ref.shapes == model.parameter_shapes()
+    for got, want, keep in zip(grad, ref, model.trainable):
+        np.testing.assert_array_equal(got, want if keep else np.zeros_like(want))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 32])
+@pytest.mark.parametrize("freeze", [0, 1, 2])
+@pytest.mark.parametrize("norm", ["none", "group:4"])
+def test_batch_gradient_equals_tape(norm, freeze, batch):
+    model = build_mlp([5, 8, 8, 1], norm=norm, seed=3 * batch + freeze)
+    model.set_freeze_prefix(freeze)
+    rng = np.random.default_rng(batch + 10 * freeze)
+    xs = rng.normal(scale=2.0, size=(batch, 5))
+    ys = rng.integers(0, 2, size=batch).astype(float)
+    assert_batch_gradient_equals_tape(model, xs, ys)
+
+
+def test_batch_gradient_equals_tape_at_saturation_and_degenerate_groups():
+    # The inputs of the per-sample test of the loss clamp and the variance floor.
+    model = build_mlp([3, 4, 1], norm="group:2", seed=2)
+    model.set_parameters([p * 40.0 for p in model.parameters])
+    xs = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 1.0], [2.0, 2.0, 2.0]])
+    ys = np.array([1.0, 0.0, 0.0, 1.0])
+    assert_batch_gradient_equals_tape(model, xs, ys)
+    for i in range(4):
+        assert_batch_gradient_equals_tape(model, xs[i:i + 1], ys[i:i + 1])
+
+
+def test_batch_gradient_rejects_bad_input():
+    model = build_mlp([4, 8, 1], seed=0)
+    with pytest.raises(ValueError):
+        batch_gradient(model, np.zeros((2, 4)), [0.0, 0.5])
+    with pytest.raises(ValueError):
+        batch_gradient(model, np.zeros((2, 4)), [2.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        batch_gradient(model, np.zeros((2, 4)), [0.0])
+    with pytest.raises(ShapeMismatchError):
+        batch_gradient(model, np.zeros((2, 5)), [0.0, 1.0])
+    with pytest.raises(ValueError):
+        batch_gradient(model, np.zeros((0, 4)), [])
+    with pytest.raises(FloatingPointError):
+        batch_gradient(model, np.array([[0.0, 1.0, np.nan, 0.0]]), [1.0])
+    with pytest.raises(ModelValidationError):
+        batch_gradient(batch_coupled_mlp(), np.ones((2, 4)), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("norm", ["none", "group:4"])
+def test_predictions_equal_traced_forward(norm):
+    model = build_mlp([5, 8, 8, 1], norm=norm, seed=6)
+    rng = np.random.default_rng(6)
+    xs = rng.normal(scale=2.0, size=(50, 5))
+    ys = rng.integers(0, 2, size=50).astype(float)
+    with Tape() as tape:
+        logits = model.forward(xs, tape=tape)
+        probs = sigmoid(logits).data
+    untraced = model.forward(xs)
+    assert isinstance(untraced, Tensor)
+    np.testing.assert_array_equal(untraced.data, logits.data)
+    np.testing.assert_array_equal(predict_proba(model, xs), probs)
+    assert accuracy(model, xs, ys) == float(np.mean((probs > 0.5) == ys))
+    with pytest.raises(FloatingPointError):
+        model.forward(np.array([0.0, np.nan, 0.0, 0.0, 0.0]))
+
+
+def test_batch_coupled_model_evaluates_untraced():
+    model = batch_coupled_mlp()
+    rng = np.random.default_rng(2)
+    xs = rng.normal(size=(5, 4))
+    ys = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    w0, b0, gamma, beta, w1, b1 = model.parameters
+    h = xs @ w0 + b0
+    h = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + 1e-5) * gamma + beta
+    logits = (np.maximum(h, 0.0) @ w1 + b1).reshape(5)
+    np.testing.assert_array_equal(model.forward(xs).data, logits)
+    probs = predict_proba(model, xs)
+    assert accuracy(model, xs, ys) == float(np.mean((probs > 0.5) == ys))

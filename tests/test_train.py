@@ -122,18 +122,21 @@ class TestTrain:
         assert report.sigma > 0
 
     def test_budget_stop(self):
-        config = fast_config(budget_eps=1.0, epochs=30)
+        # Budget 5 binds in the middle of training (after 15 steps).
+        config = fast_config(budget_eps=5.0, epochs=30)
         report = train(config)
+        split = split_dataset(config)
+        planned = config.epochs * math.ceil(len(split.train) / config.batch_size)
         assert report.stop_reason == "budget-exceeded"
-        assert report.achieved_eps <= 1.0
+        assert 0 < report.steps_run < planned
+        assert report.achieved_eps <= 5.0
         eps = [e.epsilon for e in report.epochs]
         assert all(b >= a for a, b in zip(eps, eps[1:]))
-        # one more step would have crossed the budget
+        # the steps run fit the budget, and one more step would have crossed it
         from dptrain.accountant import MechanismSpec, PrivacyLedger
 
-        split = split_dataset(config)
         ledger = PrivacyLedger(MechanismSpec(1.0, 32 / len(split.train)), delta=config.delta)
-        assert ledger.epsilon_if(report.steps_run + 1) > 1.0
+        assert ledger.epsilon_if(report.steps_run) <= 5.0 < ledger.epsilon_if(report.steps_run + 1)
 
     def test_budget_binding_immediately(self):
         report = train(fast_config(budget_eps=0.01, epochs=2))
@@ -217,6 +220,36 @@ class TestLoopHooks:
             "adam_step": report.steps_run,
             "accuracy": len(report.epochs) + 1,
         }
+
+
+class TestNoTapeOnTrainingPaths:
+    """Training and evaluation run the layer kernels; the tape is only the gradient oracle."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(privacy="off", sigma=None),
+            dict(privacy="fixed-sigma"),
+            dict(privacy="target-epsilon", target_eps=5.0, sigma=None),
+        ],
+        ids=["off", "fixed-sigma", "target-epsilon"],
+    )
+    def test_train_runs_no_tape_primitive(self, monkeypatch, overrides):
+        # The package attribute ``dptrain.tensor`` is the ``tensor()`` function; fetch the module.
+        tensor_module = importlib.import_module("dptrain.tensor")
+
+        def refuse(op, *args):
+            raise AssertionError(f"tape primitive {op!r} ran on a training path")
+
+        monkeypatch.setattr(tensor_module, "_emit", refuse)
+        with pytest.raises(AssertionError, match="relu"):
+            tensor_module.relu(tensor_module.Tensor(np.ones(2)))
+        config = fast_config(
+            widths=(8, 8, 1), norm="group:4", freeze_prefix=1, epochs=2, **overrides
+        )
+        report = train(config)
+        assert report.steps_run > 0
+        assert 0.0 <= report.test_acc <= 1.0
 
 
 class TestSweep:
