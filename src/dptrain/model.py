@@ -8,7 +8,9 @@ flags it and the DP optimizer refuses to step such a model.
 
 Every training and evaluation path runs the layer kernels: one forward
 pass, and one backward pass that reduces per sample or per batch. The
-autodiff tape is only the gradient oracle they are tested against.
+autodiff tape is only the gradient oracle they are tested against. A
+``Model`` owns its parameter layout, and freezing is one boundary in it:
+the trainable parameters are always one tail of the flat vector.
 """
 
 from __future__ import annotations
@@ -125,22 +127,33 @@ class Model:
     that concatenates them raveled in slot order; ``parameters`` is the
     ordered list of shaped views over it, and every
     :class:`~dptrain.tensor.GradientSet` produced for this model aligns with
-    that list index-for-index. ``trainable`` masks parameters frozen by
-    ``set_freeze_prefix``. Parameters are replaced, never mutated in place
-    (each replacement is a new vector), so tensors handed out during a
-    forward pass stay valid; replacements keep the shapes, so the flat
-    layout is computed once.
+    that list index-for-index. The constructor checks that the layers name
+    slots ``0, 1, 2, ...`` in layer order with the shapes they imply; later
+    slots belong to no layer. Freezing is one boundary: the first
+    ``frozen_slots`` slots are frozen. Parameters are replaced, never
+    mutated in place (each replacement is a new vector), so tensors handed
+    out during a forward pass stay valid; replacements keep the shapes, so
+    the flat layout is computed once.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
         self.layers = tuple(layers)
         arrays = [np.asarray(p, dtype=np.float64) for p in parameters]
+        named = [pair for layer in self.layers for pair in _layer_slots(layer)]
+        slots = [s for s, _ in named]
+        if slots != list(range(len(slots))) or len(slots) > len(arrays):
+            raise ValueError(
+                f"layer slots {slots} must run 0, 1, 2, ... within {len(arrays)} parameters"
+            )
+        for s, shape in named:
+            if arrays[s].shape != shape:
+                raise ShapeMismatchError(f"slot {s} has shape {arrays[s].shape}, not {shape}")
         self._shapes = tuple(a.shape for a in arrays)
         offsets = [0]
         for a in arrays:
             offsets.append(offsets[-1] + a.size)
         self._offsets = tuple(offsets)
-        self.trainable: list[bool] = [True] * len(arrays)
+        self._frozen = 0
         self.seed = seed
         self.freeze_prefix = 0
         self.set_parameters(arrays)
@@ -167,30 +180,37 @@ class Model:
         return self._offsets
 
     def set_freeze_prefix(self, k: int) -> None:
-        """Freeze the first ``k`` dense blocks (dense + attached norm).
+        """Freeze every slot of the layers before the ``(k + 1)``-th dense layer.
 
-        Mirrors fine-tuning depth experiments: ``k = 0`` trains everything,
-        larger ``k`` leaves only the later blocks trainable. The output layer
-        can never be frozen.
+        Mirrors fine-tuning depth experiments: ``k = 0`` freezes nothing,
+        larger ``k`` leaves only the later layers trainable. The output layer
+        can never be frozen. A norm layer freezes with the dense layer before
+        it, whatever its kind: a ``batch_norm`` after a frozen dense layer is
+        frozen, as a ``group_norm`` is. A norm layer before the first dense
+        layer is frozen whenever ``k >= 1``.
         """
-        n_dense = sum(1 for l in self.layers if isinstance(l, DenseLayer))
-        if not 0 <= k <= n_dense - 1:
-            raise ValueError(f"freeze prefix {k} out of range for {n_dense} dense layers")
+        dense = [l for l in self.layers if isinstance(l, DenseLayer)]
+        if not 0 <= k <= len(dense) - 1:
+            raise ValueError(f"freeze prefix {k} out of range for {len(dense)} dense layers")
         self.freeze_prefix = k
-        frozen_slots: set[int] = set()
-        seen_dense = 0
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                seen_dense += 1
-                if seen_dense <= k:
-                    frozen_slots.update((layer.weight_slot, layer.bias_slot))
-                    # Norm directly after the dense layer belongs to the block.
-                    for later in self.layers[i + 1:]:
-                        if isinstance(later, GroupNormLayer):
-                            frozen_slots.update((later.gamma_slot, later.beta_slot))
-                        if isinstance(later, DenseLayer):
-                            break
-        self.trainable = [s not in frozen_slots for s in range(len(self.parameters))]
+        # Slots run 0, 1, 2, ... in layer order: the layers before a dense
+        # layer name exactly the slots below its weight slot.
+        self._frozen = dense[k].weight_slot if k else 0
+
+    @property
+    def frozen_slots(self) -> int:
+        """How many leading slots are frozen; every later slot trains."""
+        return self._frozen
+
+    @property
+    def trainable(self) -> list[bool]:
+        """Per slot, whether it trains (a new list on each read)."""
+        return [s >= self._frozen for s in range(len(self._shapes))]
+
+    def trainable_spans(self) -> list[tuple[int, int]]:
+        """Column ranges of the trainable slots in the flat vector, one per slot, in slot order."""
+        offsets = self._offsets
+        return list(zip(offsets[self._frozen:-1], offsets[self._frozen + 1:]))
 
     def forward(self, x, tape: Tape | None = None) -> Tensor:
         """Run a batch through the network, returning logits of shape [B].
@@ -245,11 +265,12 @@ class Model:
                 f"{self._offsets[-1]} parameters"
             )
         self._vector = vector
-        offsets = self._offsets
-        self.parameters: list[np.ndarray] = [
-            vector[offsets[s]:offsets[s + 1]].reshape(shape)
-            for s, shape in enumerate(self._shapes)
-        ]
+        self.parameters: list[np.ndarray] = self._slot_views(vector)
+
+    def _slot_views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Shaped views of a flat ``[P]`` vector, one per slot."""
+        o = self._offsets
+        return [vector[o[s]:o[s + 1]].reshape(shape) for s, shape in enumerate(self._shapes)]
 
     def set_parameters(self, new_params) -> None:
         new_params = [np.asarray(p, dtype=np.float64) for p in new_params]
@@ -339,11 +360,13 @@ def per_sample_gradient(model: Model, x, y) -> tuple[float, GradientSet]:
     return loss.item(), grad
 
 
-def _layer_slots(layer) -> tuple[int, ...]:
+def _layer_slots(layer) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The ``(slot, shape)`` pairs a layer names, in slot order."""
     if isinstance(layer, DenseLayer):
-        return (layer.weight_slot, layer.bias_slot)
-    if isinstance(layer, GroupNormLayer):
-        return (layer.gamma_slot, layer.beta_slot)
+        w, b = layer.weight_slot, layer.bias_slot
+        return ((w, (layer.in_dim, layer.out_dim)), (b, (layer.out_dim,)))
+    if isinstance(layer, (GroupNormLayer, BatchCoupledNormLayer)):
+        return ((layer.gamma_slot, (layer.channels,)), (layer.beta_slot, (layer.channels,)))
     return ()
 
 
@@ -382,8 +405,8 @@ class _LayerPass:
     Rows are ``[B, in]`` here, and the backward pass writes the gradient of
     the mean loss, reduced as a batch tape reduces it (``h.T @ g``, sums over
     the batch axis); ``PerSampleBatch`` writes one row per sample instead.
-    Frozen parameters get no gradient work, and the backward pass stops at
-    the first layer that has a trainable parameter. Non-finite forward
+    Frozen parameters get no gradient work: the backward pass stops at the
+    layer whose first slot is ``Model.frozen_slots``. Non-finite forward
     values raise ``FloatingPointError`` as the tape does.
     """
 
@@ -406,14 +429,6 @@ class _LayerPass:
 
         self.model = model
         self.size = xa.shape[0]
-        self._first = next(
-            (
-                i
-                for i, layer in enumerate(model.layers)
-                if any(model.trainable[s] for s in _layer_slots(layer))
-            ),
-            len(model.layers),
-        )
         self._saved: list = []  # what each layer's pullback needs, for all rows
         rows = xa[:, None, :] if self._rowwise else xa
         self._probs = _sigmoid(_kernel_forward(model, rows, self._saved))
@@ -423,7 +438,7 @@ class _LayerPass:
         """Write the gradients of rows ``lo..hi-1`` into ``out``, ``[hi - lo, P]`` or ``[P]``."""
         model = self.model
         offsets = model.parameter_offsets()
-        trainable = model.trainable
+        frozen = model.frozen_slots
         rowwise = self._rowwise
         r = hi - lo
 
@@ -435,34 +450,31 @@ class _LayerPass:
         if not rowwise:
             dp = (1.0 / self.size) * dp  # reduce_mean's pullback comes first
         g = _sigmoid_pullback(dp, self._probs[lo:hi]).reshape((r, 1, 1) if rowwise else (r, 1))
-        for i in range(len(model.layers) - 1, self._first - 1, -1):
-            layer, saved = model.layers[i], self._saved[i]
+        for layer, saved in zip(reversed(model.layers), reversed(self._saved)):
             if isinstance(layer, DenseLayer):
-                if trainable[layer.weight_slot]:
-                    w_block = block(layer.weight_slot)
-                    if rowwise:
-                        h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
-                        np.multiply(h_in, g, out=w_block.reshape(r, layer.in_dim, layer.out_dim))
-                    else:
-                        np.matmul(saved.T, g, out=w_block.reshape(layer.in_dim, layer.out_dim))
-                if trainable[layer.bias_slot]:
-                    block(layer.bias_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
-                if i > self._first:
-                    g = g @ model.parameters[layer.weight_slot].T
+                w_block = block(layer.weight_slot)
+                if rowwise:
+                    h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
+                    np.multiply(h_in, g, out=w_block.reshape(r, layer.in_dim, layer.out_dim))
+                else:
+                    np.matmul(saved.T, g, out=w_block.reshape(layer.in_dim, layer.out_dim))
+                block(layer.bias_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                if layer.weight_slot == frozen:
+                    return
+                g = g @ model.parameters[layer.weight_slot].T
             elif isinstance(layer, ActivationLayer):
                 g = g * saved[lo:hi]
             else:
                 normed, *norm_saved = (a[lo:hi] for a in saved)
-                if trainable[layer.gamma_slot]:
-                    if rowwise:
-                        np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
-                    else:
-                        block(layer.gamma_slot)[...] = (g * normed).sum(axis=0)
-                if trainable[layer.beta_slot]:
-                    block(layer.beta_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
-                if i > self._first:
-                    gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
-                    g = _group_norm_pullback(gg, norm_saved).reshape(g.shape)
+                if rowwise:
+                    np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
+                else:
+                    block(layer.gamma_slot)[...] = (g * normed).sum(axis=0)
+                block(layer.beta_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                if layer.gamma_slot == frozen:
+                    return
+                gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
+                g = _group_norm_pullback(gg, norm_saved).reshape(g.shape)
 
 
 class PerSampleBatch(_LayerPass):
@@ -520,10 +532,7 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, GradientSet]:
         raise ValueError("batch_gradient needs at least one sample")
     flat = np.zeros(model.num_parameters())
     kernels._backward(0, kernels.size, flat)
-    offsets = model.parameter_offsets()
-    views = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-    loss = float(kernels.losses.mean())
-    return loss, GradientSet.of([v.reshape(s) for v, s in zip(views, model.parameter_shapes())])
+    return float(kernels.losses.mean()), GradientSet.of(model._slot_views(flat))
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:
@@ -622,7 +631,7 @@ def load_checkpoint(path) -> Model:
     layers = [_layer_from_doc(d) for d in doc["layers"]]
     params = [
         np.array(flat, dtype=np.float64).reshape(shape)
-        for flat, shape in zip(doc["params"], doc["param_shapes"])
+        for flat, shape in zip(doc["params"], doc["param_shapes"], strict=True)
     ]
     model = Model(layers, params, seed=doc.get("seed"))
     if doc.get("freeze_prefix"):

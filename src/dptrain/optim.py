@@ -17,11 +17,13 @@ is only the gradient oracle. Rows are built ``ROW_BLOCK_BYTES`` at a time,
 which bounds the step's memory whatever the batch size.
 
 The Adam moments are flat ``[P]`` vectors laid out like
-``Model.parameter_vector``. One update runs a few whole-vector operations
-over the trainable spans and installs a new parameter vector; frozen
+``Model.parameter_vector``. Frozen slots lead that vector
+(``Model.frozen_slots``), so one update runs a few whole-vector operations
+over the trainable tail and installs a new parameter vector; frozen
 parameters and their moments are never touched. Every operation is the
 per-slot formula's own elementwise IEEE operation, so trainable
 parameters and their moments are bit-identical to updating slot by slot.
+Clipping and the noisy gradient's norm read ``Model.trainable_spans``.
 
 Two update rules are available:
 
@@ -135,26 +137,14 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _trainable_runs(model: Model) -> list[tuple[int, int]]:
-    """Column ranges of the trainable parameters, adjacent slots merged."""
-    offsets = model.parameter_offsets()
-    runs: list[tuple[int, int]] = []
-    for s, keep in enumerate(model.trainable):
-        if not keep:
-            continue
-        if runs and runs[-1][1] == offsets[s]:
-            runs[-1] = (runs[-1][0], offsets[s + 1])
-        else:
-            runs.append((offsets[s], offsets[s + 1]))
-    return runs
-
-
 def _apply_update(model: Model, state: DpAdamState, grad: np.ndarray) -> None:
-    """Adam update of the trainable spans from a flat ``[P]`` gradient.
+    """Adam update of the trainable tail from a flat ``[P]`` gradient.
 
-    Frozen spans keep their parameters and moments, whatever ``grad`` holds
-    there. Each line is the per-slot formula's own IEEE operation, applied
-    to a whole span: ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
+    The frozen slots lead the vector, so the tail ``[lo:]`` holds every
+    trainable parameter; frozen parameters and their moments are never
+    touched, whatever ``grad`` holds there. Each line is the per-slot
+    formula's own IEEE operation, applied to the whole tail:
+    ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
     """
     params = model.parameter_vector
     if grad.shape != params.shape or state.m.shape != params.shape:
@@ -163,26 +153,26 @@ def _apply_update(model: Model, state: DpAdamState, grad: np.ndarray) -> None:
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
+    lo = model.parameter_offsets()[model.frozen_slots]
+    g, m, u = grad[lo:], state.m[lo:], state.u[lo:]
+    m *= b1
+    m += (1.0 - b1) * g
+    u *= b2
+    u += (1.0 - b2) * (g * g)
+    if state.variant == "raw-moment":
+        w = m / (u + state.adam_stabilizer)
+    elif state.bias_correction:
+        den = np.sqrt(u / c2)
+        den += state.adam_stabilizer
+        w = m / c1
+        w /= den
+    else:
+        den = np.sqrt(u)
+        den += state.adam_stabilizer
+        w = m / den
+    w *= state.lr
     new_params = params.copy()
-    for lo, hi in _trainable_runs(model):
-        g, m, u = grad[lo:hi], state.m[lo:hi], state.u[lo:hi]
-        m *= b1
-        m += (1.0 - b1) * g
-        u *= b2
-        u += (1.0 - b2) * (g * g)
-        if state.variant == "raw-moment":
-            w = m / (u + state.adam_stabilizer)
-        elif state.bias_correction:
-            den = np.sqrt(u / c2)
-            den += state.adam_stabilizer
-            w = m / c1
-            w /= den
-        else:
-            den = np.sqrt(u)
-            den += state.adam_stabilizer
-            w = m / den
-        w *= state.lr
-        new_params[lo:hi] -= w
+    new_params[lo:] -= w
     model.set_parameter_vector(new_params)
 
 
@@ -245,8 +235,7 @@ def dp_adam_step(
     batch = PerSampleBatch(model, xs[indices], ys[indices])
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
-    offsets = model.parameter_offsets()
-    spans = [(offsets[s], offsets[s + 1]) for s, keep in enumerate(model.trainable) if keep]
+    spans = model.trainable_spans()
     clipped_sum, norms = _clipped_sum(batch, spans, clip)
     flat = noise_rng.standard_normal(out=np.empty_like(clipped_sum))
     flat *= noise.sigma * clip.max_norm

@@ -145,7 +145,8 @@ def split_dataset(config: RunConfig) -> Split:
 
     When no separate test set is supplied, ``test_fraction`` of the rows is
     held out first; the remainder is split ``train_fraction`` to train and
-    the rest to validation.
+    the rest to validation. A split that leaves any part empty raises
+    ``ValueError``.
     """
     data, explicit_test = _load_dataset(config)
     rng = np.random.Generator(np.random.PCG64(config.seed_data + 1))
@@ -161,9 +162,9 @@ def split_dataset(config: RunConfig) -> Split:
         remainder = data.subset(np.arange(n_test, len(data)))
 
     n_train = int(len(remainder) * config.train_fraction)
-    if n_train < 1 or n_train >= len(remainder):
+    if not (len(test) and 0 < n_train < len(remainder)):
         raise ValueError(
-            f"split leaves no data: {len(remainder)} rows at fraction {config.train_fraction}"
+            f"split leaves no data: {len(test)} test rows, {n_train} of {len(remainder)} to train"
         )
     train_part = remainder.subset(np.arange(n_train))
     valid_part = remainder.subset(np.arange(n_train, len(remainder)))

@@ -14,6 +14,7 @@ placement). The private step does the same on the rows of a ``[B, P]``
 matrix; ``tape_dp_adam_step`` uses this list form as its reference.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
+``block_freeze_mask`` is the frozen-slot rule walked layer by layer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ import math
 import numpy as np
 
 from dptrain.mechanisms import NOISE_PLACEMENTS, clip_gradient, gaussian_noise
-from dptrain.model import ModelValidationError, per_sample_gradient, validate_model
+from dptrain.model import (
+    DenseLayer,
+    GroupNormLayer,
+    ModelValidationError,
+    per_sample_gradient,
+    validate_model,
+)
 from dptrain.optim import StepOutcome, poisson_subsample
 from dptrain.tensor import (
     GradientSet,
@@ -288,6 +295,29 @@ def tape_batch_gradient(model, xs, ys) -> tuple[float, GradientSet]:
         loss = reduce_mean(binary_cross_entropy(sigmoid(logits), Tensor(ya)))
         grad = backward(tape, loss)
     return loss.item(), grad
+
+
+def block_freeze_mask(model, k: int) -> list[bool]:
+    """Per slot, whether it trains after freezing the first ``k`` dense blocks.
+
+    A block is a dense layer plus every ``group_norm`` after it up to the
+    next dense layer, collected slot by slot. ``Model.set_freeze_prefix``
+    states its rule as one slot boundary instead; on every ``build_mlp``
+    model the two agree.
+    """
+    frozen: set[int] = set()
+    seen_dense = 0
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, DenseLayer):
+            seen_dense += 1
+            if seen_dense <= k:
+                frozen.update((layer.weight_slot, layer.bias_slot))
+                for later in model.layers[i + 1:]:
+                    if isinstance(later, GroupNormLayer):
+                        frozen.update((later.gamma_slot, later.beta_slot))
+                    if isinstance(later, DenseLayer):
+                        break
+    return [s not in frozen for s in range(len(model.parameters))]
 
 
 def masked(grad: GradientSet, trainable) -> GradientSet:

@@ -130,6 +130,14 @@ class TestTrainCommand:
         assert not out.exists()
 
 
+    def test_empty_test_split_exits_two(self, tmp_path, capsys):
+        conf = write_config(tmp_path, TRAIN_CONF + "test_fraction = 0\n")
+        out = tmp_path / "out"
+        assert main(["train", str(conf), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "0 test rows" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_degenerate_sweep(self, tmp_path, capsys):
         conf = write_config(

@@ -7,6 +7,7 @@ from dptrain.model import (
     ActivationLayer,
     BatchCoupledNormLayer,
     DenseLayer,
+    GroupNormLayer,
     Model,
     ModelValidationError,
     PerSampleBatch,
@@ -20,7 +21,9 @@ from dptrain.model import (
     save_checkpoint,
     validate_model,
 )
+from dptrain.optim import DpAdamState, adam_step
 from dptrain.tensor import (
+    GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
@@ -31,7 +34,7 @@ from dptrain.tensor import (
     sigmoid,
     tensor,
 )
-from oracles import tape_batch_gradient
+from oracles import block_freeze_mask, tape_batch_gradient
 
 
 def batch_coupled_mlp(seed=0):
@@ -251,6 +254,88 @@ def test_freeze_prefix_masks_block_params():
         model.set_freeze_prefix(3)
 
 
+@pytest.mark.parametrize("norm", ["none", "group:2"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_freeze_prefix_matches_the_block_rule(norm, depth):
+    model = build_mlp([4] + [8] * (depth - 1) + [1], norm=norm, seed=0)
+    offsets = model.parameter_offsets()
+    for k in range(depth):
+        model.set_freeze_prefix(k)
+        mask = block_freeze_mask(model, k)
+        assert model.trainable == mask
+        assert model.frozen_slots == mask.count(False)
+        assert model.trainable_spans() == [
+            (offsets[s], offsets[s + 1]) for s, keep in enumerate(mask) if keep
+        ]
+
+
+def test_freeze_prefix_on_hand_built_models():
+    # A batch_norm after a frozen dense layer freezes with it (the block rule kept it trainable).
+    model = batch_coupled_mlp()
+    model.set_freeze_prefix(1)
+    assert model.trainable == [False] * 4 + [True] * 2
+    assert block_freeze_mask(model, 1) == [False] * 2 + [True] * 4
+    # A norm layer before the first dense layer freezes whenever k >= 1.
+    layers = [
+        GroupNormLayer(4, 2, 0, 1),
+        DenseLayer(4, 8, 2, 3),
+        ActivationLayer("relu"),
+        DenseLayer(8, 1, 4, 5),
+    ]
+    params = [np.ones(4), np.zeros(4), np.ones((4, 8)), np.zeros(8), np.ones((8, 1)), np.zeros(1)]
+    model = Model(layers, params)
+    model.set_freeze_prefix(1)
+    assert model.trainable == [False] * 4 + [True] * 2
+    model.set_freeze_prefix(0)
+    assert model.trainable == [True] * 6
+    assert model.trainable_spans() == [(0, 4), (4, 8), (8, 40), (40, 48), (48, 56), (56, 57)]
+
+
+def test_trainable_is_read_only():
+    model = build_mlp([4, 8, 1], seed=0)
+    with pytest.raises(AttributeError):
+        model.trainable = [False, False, True, True]
+    model.trainable[0] = False  # a fresh list on each read
+    assert model.trainable == [True] * 4
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [DenseLayer(4, 8, 1, 0), DenseLayer(8, 1, 2, 3)],  # swapped within a layer
+        [DenseLayer(8, 1, 2, 3), DenseLayer(4, 8, 0, 1)],  # layers out of slot order
+        [DenseLayer(4, 8, 0, 2), DenseLayer(8, 1, 3, 4)],  # a gap
+        [DenseLayer(4, 8, 0, 1), DenseLayer(8, 1, 2, 3), DenseLayer(1, 1, 4, 5)],  # past the end
+    ],
+    ids=["swapped", "out-of-order", "gap", "missing-parameters"],
+)
+def test_model_rejects_slots_out_of_layer_order(layers):
+    params = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1), np.zeros((1, 1))]
+    with pytest.raises(ValueError, match="must run 0, 1, 2"):
+        Model(layers, params)
+
+
+def test_model_rejects_slot_shapes_its_layers_do_not_imply():
+    layers = [DenseLayer(4, 8, 0, 1), GroupNormLayer(8, 2, 2, 3), DenseLayer(8, 1, 4, 5)]
+    good = [np.zeros((4, 8)), np.zeros(8), np.ones(8), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
+    Model(layers, good)
+    for slot, shape in [(0, (8, 4)), (1, (1,)), (2, (4,)), (4, (8,))]:
+        bad = list(good)
+        bad[slot] = np.zeros(shape)
+        with pytest.raises(ShapeMismatchError, match=f"slot {slot}"):
+            Model(layers, bad)
+
+
+def test_layerless_parameter_holder_builds_and_updates():
+    holder = Model((), [np.array([1.0, -2.0]), np.ones((2, 3))])
+    assert holder.trainable == [True, True]
+    assert holder.trainable_spans() == [(0, 2), (2, 8)]
+    before = holder.parameter_vector.copy()
+    state = DpAdamState.for_model(holder, lr=0.1)
+    adam_step(holder, GradientSet([np.ones(2), np.ones((2, 3))]), state)
+    assert (holder.parameter_vector < before).all()
+
+
 def test_accuracy_on_separable_points():
     model = build_mlp([2, 4, 1], seed=0)
     xs = np.array([[5.0, 0.0], [-5.0, 0.0]])
@@ -303,7 +388,7 @@ def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
         "dense", "group_norm", "activation", "batch_norm", "dense"
     ]
     assert model.layers[3] == BatchCoupledNormLayer(2, 4, 5, 0.001)
-    assert model.trainable == [False] * 4 + [True] * 4
+    assert model.trainable == [False] * 6 + [True] * 2  # the batch_norm follows the frozen dense
     save_checkpoint(model, new)
     assert new.read_bytes() == VERSION_1_CHECKPOINT.encode("utf-8")
 
@@ -325,6 +410,33 @@ def test_checkpoint_rejects_malformed_layers(tmp_path, layer, edit):
             del doc["layers"][layer][key]
         else:
             doc["layers"][layer][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_a_misshapen_slot_fails_at_load(tmp_path):
+    doc = json.loads(VERSION_1_CHECKPOINT)
+    doc["param_shapes"][1], doc["params"][1] = [1], [0.0]  # the first dense bias is [2]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ShapeMismatchError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["params"].pop(),
+        lambda doc: doc["param_shapes"].pop(),
+        lambda doc: doc["params"].append([1.0]),  # one value more than the shapes name
+    ],
+    ids=["truncated-params", "truncated-shapes", "extra-params"],
+)
+def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
+    doc = json.loads(VERSION_1_CHECKPOINT)
+    edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError):

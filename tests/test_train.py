@@ -79,6 +79,20 @@ class TestSplit:
             split_dataset(config)
 
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(n=200, test_fraction=0.0), dict(n=9, test_fraction=0.1)],
+        ids=["zero-fraction", "rounds-to-zero"],
+    )
+    def test_empty_test_split_is_rejected(self, overrides):
+        config = fast_config(dim=4, widths=(4, 1), epochs=1, privacy="off", sigma=None,
+                             **overrides)
+        with pytest.raises(ValueError, match="0 test rows"):
+            split_dataset(config)
+        with pytest.raises(ValueError, match="0 test rows"):
+            train(config)
+
+
 class TestTrain:
     def test_nonprivate_separable_task_reaches_bar(self):
         config = fast_config(
