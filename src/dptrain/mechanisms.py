@@ -85,18 +85,23 @@ def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec
 
     ``spans`` are the column ranges of the parameter blocks a row's norm
     covers, in slot order. Each block contributes one dot product per row
-    and the blocks are added in order from 0.0, as ``GradientSet.global_norm``
-    adds its arrays, so every norm and clipped row equals ``clip_gradient``
-    on that sample's gradient set bit for bit.
+    (``np.vecdot``, the BLAS dot ``np.dot`` runs) and the blocks are added
+    in order from 0.0, as ``GradientSet.global_norm`` adds its arrays.
+    Only rows with norm above R are divided; a row within R is left
+    untouched, which is what dividing it by exactly 1.0 would give. So
+    every norm and clipped row equals ``clip_gradient`` on that sample's
+    gradient set bit for bit.
     """
     total = np.zeros(rows.shape[0])
     for lo, hi in spans:
         v = rows[:, lo:hi]
-        total += (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        total += np.vecdot(v, v)
     norms = np.sqrt(total)
     if not np.isfinite(norms).all():
         raise ValueError("cannot clip a non-finite gradient")
-    rows /= np.maximum(1.0, norms / spec.max_norm)[:, None]
+    factors = norms / spec.max_norm
+    for i in np.flatnonzero(factors > 1.0):
+        rows[i] /= factors[i]
     return norms
 
 

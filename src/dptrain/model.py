@@ -454,8 +454,8 @@ class _LayerPass:
             if isinstance(layer, DenseLayer):
                 w_block = block(layer.weight_slot)
                 if rowwise:
-                    h_in = saved[lo:hi].reshape(r, layer.in_dim, 1)
-                    np.multiply(h_in, g, out=w_block.reshape(r, layer.in_dim, layer.out_dim))
+                    w_rows = w_block.reshape(r, layer.in_dim, layer.out_dim)
+                    np.einsum("bi,bj->bij", saved[lo:hi, 0], g[:, 0], out=w_rows)
                 else:
                     np.matmul(saved.T, g, out=w_block.reshape(layer.in_dim, layer.out_dim))
                 block(layer.bias_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
@@ -483,13 +483,16 @@ class PerSampleBatch(_LayerPass):
     Losses and gradients equal ``per_sample_gradient`` on each sample,
     because every sample runs through the numpy kernels the tape runs:
     stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
-    computes the same one-row product per sample, weight gradients are
-    exact outer products, and the sigmoid, loss and group-norm kernels are
-    the tape primitives' own helpers from :mod:`dptrain.tensor`. The only
-    difference is the sign of some zero entries (the tape's one-row matmul
-    adds its product to +0.0); the private step's norms and Adam update
-    absorb it, so its parameters, moments and outcomes are bit-identical.
-    The tape remains the oracle.
+    computes the same one-row product per sample, and the sigmoid, loss and
+    group-norm kernels are the tape primitives' own helpers from
+    :mod:`dptrain.tensor`. Weight gradients are exact outer products from one
+    ``np.einsum("bi,bj->bij")`` per layer: each entry is one product added to
+    +0.0, as the tape's one-row matmul adds it, so weight rows carry the
+    tape's bits, signed zeros included. The only difference is the sign of
+    some zero entries in the bias, scale and shift rows (copies of the
+    cotangent, where the tape sums over a one-row axis from +0.0); the
+    private step's norms and Adam update absorb it, so its parameters,
+    moments and outcomes are bit-identical. The tape remains the oracle.
     """
 
     _rowwise = True

@@ -14,7 +14,12 @@ sample runs through the same numpy kernels as the one-sample tape, so
 parameters, Adam moments and the step's outcome are bit-identical to
 clipping and summing ``per_sample_gradient`` results one by one; the tape
 is only the gradient oracle. Rows are built ``ROW_BLOCK_BYTES`` at a time,
-which bounds the step's memory whatever the batch size.
+which bounds the step's memory whatever the batch size. The kernels keep
+each element's IEEE operations and spend few numpy calls on them: one
+einsum per weight block, one BLAS dot per row and span for the norms, a
+divide only for the rows that clip, and the outcome statistics straight
+from ufunc reductions (``np.add.reduce(x) / B`` is ``np.mean``'s own sum
+and divide).
 
 The Adam moments are flat ``[P]`` vectors laid out like
 ``Model.parameter_vector``. Frozen slots lead that vector
@@ -221,6 +226,8 @@ def dp_adam_step(
 
     indices = poisson_subsample(xs.shape[0], p, poisson_rng)
     ledger.advance(1)
+    if noise_placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"unknown noise placement {noise_placement!r}")
     if indices.size == 0:
         return StepOutcome(
             applied=False,
@@ -233,8 +240,6 @@ def dp_adam_step(
         )
 
     batch = PerSampleBatch(model, xs[indices], ys[indices])
-    if noise_placement not in NOISE_PLACEMENTS:
-        raise ValueError(f"unknown noise placement {noise_placement!r}")
     spans = model.trainable_spans()
     clipped_sum, norms = _clipped_sum(batch, spans, clip)
     flat = noise_rng.standard_normal(out=np.empty_like(clipped_sum))
@@ -252,11 +257,11 @@ def dp_adam_step(
     return StepOutcome(
         applied=True,
         batch_size=batch.size,
-        preclip_norm_min=float(norms.min()),
-        preclip_norm_mean=float(norms.mean()),
-        preclip_norm_max=float(norms.max()),
+        preclip_norm_min=float(np.minimum.reduce(norms)),
+        preclip_norm_mean=float(np.add.reduce(norms) / batch.size),
+        preclip_norm_max=float(np.maximum.reduce(norms)),
         noisy_grad_norm=math.sqrt(noisy_sq),
-        mean_loss=float(np.mean(batch.losses)),
+        mean_loss=float(np.add.reduce(batch.losses) / batch.size),
     )
 
 

@@ -320,13 +320,11 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp only of non-positive arguments, so neither tail overflows.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp only of non-positive arguments, so neither tail overflows: -|z| is
+    # exactly -z where z >= 0 and z elsewhere.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -410,7 +408,7 @@ def reduce_mean(x: Tensor) -> Tensor:
 
 def _bce(p: np.ndarray, y: np.ndarray):
     """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs."""
-    pc = np.clip(p, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
+    pc = np.minimum(np.maximum(p, BCE_PROB_FLOOR), 1.0 - BCE_PROB_FLOOR)
     loss = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
     unclamped = (p > BCE_PROB_FLOOR) & (p < 1.0 - BCE_PROB_FLOOR)
     return loss, (pc, y, unclamped)

@@ -15,6 +15,11 @@ matrix; ``tape_dp_adam_step`` uses this list form as its reference.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``block_freeze_mask`` is the frozen-slot rule walked layer by layer.
+``masked_sigmoid``, ``clip_clamp``, ``broadcast_outer`` and
+``matmul_clip_rows`` are the former numpy formulas of the private step's
+kernels (masked sigmoid branches, the ``np.clip`` loss clamp, the
+broadcast outer product and the matmul norms with an all-rows divide),
+the references the current kernels must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from dptrain.model import (
 )
 from dptrain.optim import StepOutcome, poisson_subsample
 from dptrain.tensor import (
+    BCE_PROB_FLOOR,
     GradientSet,
     ShapeMismatchError,
     Tape,
@@ -395,6 +401,8 @@ def tape_dp_adam_step(
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     indices = poisson_subsample(xs.shape[0], p, poisson_rng)
     ledger.advance(1)
+    if noise_placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"unknown noise placement {noise_placement!r}")
     if indices.size == 0:
         nan = math.nan
         return StepOutcome(False, 0, nan, nan, nan, nan, nan)
@@ -418,3 +426,36 @@ def tape_dp_adam_step(
         noisy_grad_norm=vbar.global_norm(),
         mean_loss=float(np.mean(losses)),
     )
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function with one masked gather and scatter per sign of ``z``."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def clip_clamp(p: np.ndarray) -> np.ndarray:
+    """Probabilities clamped to ``[BCE_PROB_FLOOR, 1 - BCE_PROB_FLOOR]`` by ``np.clip``."""
+    return np.clip(p, BCE_PROB_FLOOR, 1.0 - BCE_PROB_FLOOR)
+
+
+def broadcast_outer(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-row outer products ``[B, in, out]`` of ``h`` ``[B, in]`` and ``g`` ``[B, out]``."""
+    return np.multiply(h[:, :, None], g[:, None, :])
+
+
+def matmul_clip_rows(rows: np.ndarray, spans, spec) -> np.ndarray:
+    """``clip_rows`` with stacked-matmul span norms and a divide of every row."""
+    total = np.zeros(rows.shape[0])
+    for lo, hi in spans:
+        v = rows[:, lo:hi]
+        total += (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    norms = np.sqrt(total)
+    if not np.isfinite(norms).all():
+        raise ValueError("cannot clip a non-finite gradient")
+    rows /= np.maximum(1.0, norms / spec.max_norm)[:, None]
+    return norms

@@ -10,7 +10,7 @@ from dptrain.mechanisms import (
     gaussian_noise,
 )
 from dptrain.tensor import GradientSet
-from oracles import aggregate_noisy
+from oracles import aggregate_noisy, matmul_clip_rows
 
 
 def gs(*arrays):
@@ -268,3 +268,34 @@ def test_clip_rows_holds_criterion_02_invariants():
         worst_direction = max(worst_direction, float(drift.max()))
     assert worst_norm_excess <= 1.0 + 1e-12
     assert worst_direction < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_clip_rows_equals_matmul_oracle_bitwise(seed):
+    # Spans of random width with skipped columns between them, as frozen
+    # slots leave; rows with norms below, at and above R, and zero.
+    rng = np.random.default_rng(seed)
+    spans, col = [], 0
+    for _ in range(int(rng.integers(1, 6))):
+        col += int(rng.integers(0, 4))
+        width = int(rng.integers(1, 40))
+        spans.append((col, col + width))
+        col += width
+    cols = col + int(rng.integers(0, 3))
+    bound = float(rng.uniform(0.1, 10.0))
+    rows = rng.normal(size=(16, cols)) * 10.0 ** rng.uniform(-3, 3, size=(16, 1))
+    first = spans[0][0]
+    rows[0] = 0.0
+    rows[1] = 0.0
+    rows[1, first] = -bound  # norm exactly R: the oracle divides by 1.0, clip_rows skips it
+    rows[2] *= 0.5 * bound / np.sqrt(sum(np.dot(rows[2, lo:hi], rows[2, lo:hi]) for lo, hi in spans))
+    rows[3] = 3.0 * bound / np.sqrt(cols)
+    rows[4] = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1e-310], size=cols)
+    rows[5] = rng.normal(size=cols) * 1e150
+    got, want = rows.copy(), rows.copy()
+    norms = clip_rows(got, spans, ClipSpec(bound))
+    ref_norms = matmul_clip_rows(want, spans, ClipSpec(bound))
+    assert norms.tobytes() == ref_norms.tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert norms[0] == 0.0 and norms[1] == bound and norms[2] < bound < norms[3]
+    assert (norms > bound).any() and (norms < bound).any()

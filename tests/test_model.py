@@ -34,7 +34,7 @@ from dptrain.tensor import (
     sigmoid,
     tensor,
 )
-from oracles import block_freeze_mask, tape_batch_gradient
+from oracles import block_freeze_mask, broadcast_outer, tape_batch_gradient
 
 
 def batch_coupled_mlp(seed=0):
@@ -492,6 +492,35 @@ def test_batched_gradients_equal_tape_at_saturation_and_degenerate_groups():
     ref_losses, ref_rows = tape_rows(model, xs, ys)
     np.testing.assert_array_equal(losses, ref_losses)
     np.testing.assert_array_equal(grads, ref_rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weight_rows_are_broadcast_outer_products(seed):
+    # Random widths; inputs with signed zeros, subnormals and saturating
+    # magnitudes, whose cotangents include zeros of both signs.
+    rng = np.random.default_rng(seed)
+    in_dim, hidden = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+    model = build_mlp([in_dim, hidden, 1], seed=seed)
+    xs = rng.normal(size=(9, in_dim))
+    picks = rng.choice(xs.size, size=min(xs.size, 8), replace=False)
+    xs.flat[picks] = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e6, -1e6], size=picks.size)
+    ys = rng.integers(0, 2, size=9).astype(float)
+    _, rows = per_sample_gradients(model, xs, ys)
+    _, ref_rows = tape_rows(model, xs, ys)
+    w0, b0 = model.parameters[:2]
+    h1 = np.maximum(xs[:, None, :] @ w0 + b0, 0.0)[:, 0]  # the kernels' forward pass
+    o = model.parameter_offsets()
+    negative_zeros = 0
+    for h, w_slot in ((xs, 0), (h1, 2)):
+        got = rows[:, o[w_slot]:o[w_slot + 1]]
+        g = rows[:, o[w_slot + 1]:o[w_slot + 2]]  # the bias row is the output cotangent
+        want = broadcast_outer(h, g).reshape(got.shape)
+        negative_zeros += np.count_nonzero(np.signbit(want[want == 0.0]))
+        # Each entry is one product, added to +0.0: a -0.0 product reads +0.0,
+        # as in the tape's one-row matmul, whose bits it matches.
+        assert got.tobytes() == (want + 0.0).tobytes()
+        assert got.tobytes() == ref_rows[:, o[w_slot]:o[w_slot + 1]].tobytes()
+    assert negative_zeros > 0
 
 
 def test_row_blocks_assemble_the_full_matrix():

@@ -339,10 +339,13 @@ class TestClippedSum:
 class TestBatchedStepEqualsTapeLoop:
     """dp_adam_step must reproduce the one-tape-per-sample step bit for bit."""
 
-    def run_both(self, widths, norm="none", freeze=0, n=24, steps=6, state_kwargs=(), **kwargs):
+    @staticmethod
+    def data(widths, n):
         rng = np.random.default_rng(len(widths) * 100 + n)
-        xs = rng.normal(size=(n, widths[0]))
-        ys = rng.integers(0, 2, size=n).astype(float)
+        return rng.normal(size=(n, widths[0])), rng.integers(0, 2, size=n).astype(float)
+
+    def run_both(self, widths, norm="none", freeze=0, n=24, steps=6, state_kwargs=(), **kwargs):
+        xs, ys = self.data(widths, n)
         results = []
         for step in (dp_adam_step, tape_dp_adam_step):
             model = build_mlp(widths, norm=norm, seed=21)
@@ -380,6 +383,34 @@ class TestBatchedStepEqualsTapeLoop:
     def test_update_rules(self, state_kwargs, freeze):
         self.run_both([6, 8, 8, 1], norm="group:2", freeze=freeze, steps=8,
                       state_kwargs=state_kwargs, sigma=0.8, clip=0.5, p=0.5, seed=6)
+
+    @pytest.mark.parametrize("regime", ["below", "above", "median"])
+    @pytest.mark.parametrize(
+        "widths,norm,freeze",
+        [([6, 8, 8, 1], "none", 0), ([6, 8, 8, 8, 1], "group:4", 1)],
+        ids=["mlp", "group-norm-frozen"],
+    )
+    def test_clip_regimes(self, widths, norm, freeze, regime):
+        # R below every pre-clip norm divides every row, R above every norm
+        # divides none, and R at the first batch's median divides some.
+        model = build_mlp(widths, norm=norm, seed=21)
+        if freeze:
+            model.set_freeze_prefix(freeze)
+        _, rows = per_sample_gradients(model, *self.data(widths, 24))
+        norms = np.linalg.norm(rows, axis=1)
+        clip = {
+            "below": 0.1 * norms.min(),
+            "above": 10.0 * norms.max(),
+            "median": float(np.median(norms)),
+        }[regime]
+        outcomes = self.run_both(widths, norm=norm, freeze=freeze, sigma=0.8, clip=clip,
+                                 p=1.0, seed=9)
+        if regime == "below":
+            assert all(o.preclip_norm_min > clip for o in outcomes)
+        elif regime == "above":
+            assert all(o.preclip_norm_max < clip for o in outcomes)
+        else:
+            assert outcomes[0].preclip_norm_min < clip < outcomes[0].preclip_norm_max
 
     def test_empty_draws_and_single_member_batches(self):
         outcomes = self.run_both([4, 5, 1], n=6, steps=12, sigma=1.0, clip=1.0, p=0.15, seed=3)
@@ -469,5 +500,15 @@ class TestPrivateStepFailures:
         with pytest.raises(ValueError, match="placement"):
             step(model, self.xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
                  NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
+                 noise_placement="on-mean")
+        assert ledger.step_count == 1
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_unknown_placement_raises_on_empty_draw(self, step):
+        model = build_mlp([3, 4, 1], seed=1)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with pytest.raises(ValueError, match="placement"):
+            step(model, self.xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), 0.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
                  noise_placement="on-mean")
         assert ledger.step_count == 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dptrain.tensor import (
+    BCE_PROB_FLOOR,
     GradientSet,
     IncompleteTapeError,
     NonScalarLossError,
@@ -21,7 +22,10 @@ from dptrain.tensor import (
     reshape,
     sigmoid,
     tensor,
+    _bce,
+    _sigmoid,
 )
+from oracles import clip_clamp, masked_sigmoid
 
 
 def test_matmul_identity():
@@ -281,6 +285,52 @@ def test_bce_at_half():
 def test_bce_clamps_saturated_probabilities():
     loss = binary_cross_entropy(tensor([0.0, 1.0]), tensor([1.0, 0.0]))
     assert np.all(np.isfinite(loss.data))
+
+
+def with_neighbours(values):
+    """``values`` and the floats just below and above each, as one array."""
+    v = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):  # max's upper neighbour is inf
+        return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+def test_sigmoid_kernel_equals_masked_formula_bitwise():
+    tiny = np.finfo(np.float64).tiny
+    big = np.finfo(np.float64).max
+    edges = [0.0, 5e-324, tiny / 3.0, tiny, 0.5, 36.7, 709.7, 745.2, 1e6, big, np.inf]
+    rng = np.random.default_rng(41)
+    magnitudes = 10.0 ** rng.uniform(-320, 308, size=3000)
+    z = np.concatenate([
+        with_neighbours(edges + [-e for e in edges]),
+        rng.normal(scale=30.0, size=3000),
+        magnitudes * rng.choice([-1.0, 1.0], size=3000),
+    ])
+    assert np.signbit(z).any() and (z == 0.0).sum() >= 2
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    grid = z[:3000].reshape(60, 50)
+    assert _sigmoid(grid).tobytes() == masked_sigmoid(grid).tobytes()
+    scalar = np.array(-36.7)
+    assert _sigmoid(scalar).tobytes() == masked_sigmoid(scalar).tobytes()
+
+
+def test_bce_clamp_equals_np_clip_bitwise():
+    f = BCE_PROB_FLOOR
+    rng = np.random.default_rng(43)
+    p = np.concatenate([
+        with_neighbours([0.0, 5e-324, f, 0.5, 1.0 - f, 1.0]),
+        [-0.0],
+        rng.uniform(size=500),
+        10.0 ** rng.uniform(-320, -1, size=500),
+        1.0 - 10.0 ** rng.uniform(-17, -1, size=500),
+    ])
+    p = p[(p >= 0.0) & (p <= 1.0)]
+    y = rng.integers(0, 2, size=p.size).astype(float)
+    loss, (pc, _, unclamped) = _bce(p, y)
+    want = clip_clamp(p)
+    assert pc.tobytes() == want.tobytes()
+    ref_loss = -(y * np.log(want) + (1.0 - y) * np.log1p(-want))
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert unclamped.any() and not unclamped.all()
 
 
 def test_non_finite_inputs_rejected():
