@@ -364,7 +364,7 @@ def calibrate_sigma(
     cannot overshoot. Raises :class:`CalibrationError` when even the ceiling
     cannot reach the target.
     """
-    if target_eps <= 0:
+    if not target_eps > 0:
         raise ValueError(f"target epsilon must be positive, got {target_eps}")
     if steps < 1:
         raise ValueError(f"calibration needs at least one step, got {steps}")

@@ -1,14 +1,18 @@
 """Experiment configuration: flat key=value files mapped onto RunConfig/SweepGrid.
 
 Config files are UTF-8 text, one ``key = value`` pair per line, ``#`` starts
-a comment. Unknown keys are errors so typos cannot silently fall back to
-defaults.
+a comment. The dataclass fields are the schema: each ``RunConfig`` field is a
+file key, parsed by its annotation, and a sweep file's four extra keys set the
+``SweepGrid`` fields. A new key is one annotated field. Unknown keys are errors
+so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .mechanisms import NOISE_PLACEMENTS
 from .optim import ADAM_VARIANTS
@@ -115,6 +119,10 @@ class RunConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.freeze_prefix < 0:
             raise ConfigError(f"freeze_prefix must be >= 0, got {self.freeze_prefix}")
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -175,97 +183,74 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+def _converter(convert, expected: str):
+    """A ``(key, value)`` parser applying ``convert``; a ValueError names the key."""
+
+    def parse(key: str, value: str):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+
+    return parse
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+def _comma_list(kind):
+    return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
 
 
-def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {value!r}") from None
-
-
-def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v.strip()) for v in value.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from None
-
-
-_RUN_KEY_PARSERS = {
-    "dataset": str,
-    "csv_path": str,
-    "test_csv_path": str,
-    "n": _parse_int,
-    "dim": _parse_int,
-    "separation": _parse_float,
-    "label_noise": _parse_float,
-    "test_fraction": _parse_float,
-    "train_fraction": _parse_float,
-    "widths": _parse_int_list,
-    "norm": str,
-    "freeze_prefix": _parse_int,
-    "lr": _parse_float,
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
-    "variant": str,
-    "bias_correction": _parse_bool,
-    "privacy": str,
-    "target_eps": _parse_float,
-    "sigma": _parse_float,
-    "delta": _parse_float,
-    "clip_norm": _parse_float,
-    "budget_eps": _parse_float,
-    "noise_placement": str,
-    "seed_model": _parse_int,
-    "seed_data": _parse_int,
-    "seed_poisson": _parse_int,
-    "seed_noise": _parse_int,
+_PARSERS = {
+    str: lambda key, value: value,
+    str | None: lambda key, value: value,
+    bool: _parse_bool,
+    int: _converter(int, "an integer"),
+    float: _converter(float, "a number"),
+    float | None: _converter(float, "a number"),
+    tuple[int, ...]: _converter(_comma_list(int), "comma-separated integers"),
+    tuple[float, ...]: _converter(_comma_list(float), "comma-separated numbers"),
 }
 
-_SWEEP_KEY_PARSERS = {
-    "sweep_target_eps": _parse_float_list,
-    "sweep_clip_norm": _parse_float_list,
-    "sweep_freeze_prefix": _parse_int_list,
-    "seeds_per_cell": _parse_int,
+
+def _field_parsers(cls) -> dict:
+    """Map each field of dataclass ``cls`` to the parser for its annotation."""
+    hints = get_type_hints(cls)
+    unsupported = {name: hint for name, hint in hints.items() if hint not in _PARSERS}
+    if unsupported:
+        raise TypeError(f"{cls.__name__} fields without a config parser: {unsupported}")
+    return {name: _PARSERS[hint] for name, hint in hints.items()}
+
+
+_RUN_PARSERS = _field_parsers(RunConfig)
+# NaN fails every comparison, so checks such as ``lr <= 0`` let it through;
+# set float fields are checked for finiteness instead.
+_FINITE_FIELDS = tuple(
+    name for name, hint in get_type_hints(RunConfig).items() if hint in (float, float | None)
+)
+_GRID_PARSERS = _field_parsers(SweepGrid)
+# Sweep file keys differ from the SweepGrid field names they set.
+_SWEEP_KEYS = {
+    "sweep_target_eps": "target_eps",
+    "sweep_clip_norm": "clip_norms",
+    "sweep_freeze_prefix": "freeze_prefixes",
+    "seeds_per_cell": "seeds_per_cell",
 }
 
 
 def run_config_from_mapping(mapping: dict[str, str], allow_sweep_keys: bool = False) -> RunConfig:
-    known = set(_RUN_KEY_PARSERS)
-    if allow_sweep_keys:
-        known |= set(_SWEEP_KEY_PARSERS)
+    known = _RUN_PARSERS.keys() | (_SWEEP_KEYS.keys() if allow_sweep_keys else set())
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in mapping.items():
-        if key in _RUN_KEY_PARSERS:
-            parser = _RUN_KEY_PARSERS[key]
-            parsed = parser(key, value) if parser is not str else value
-            kwargs[key] = parsed
-    return RunConfig(**kwargs)
+    return RunConfig(
+        **{key: _RUN_PARSERS[key](key, value) for key, value in mapping.items() if key in _RUN_PARSERS}
+    )
 
 
 def sweep_grid_from_mapping(mapping: dict[str, str]) -> SweepGrid:
-    kwargs = {}
-    for key, target in (
-        ("sweep_target_eps", "target_eps"),
-        ("sweep_clip_norm", "clip_norms"),
-        ("sweep_freeze_prefix", "freeze_prefixes"),
-        ("seeds_per_cell", "seeds_per_cell"),
-    ):
-        if key in mapping:
-            kwargs[target] = _SWEEP_KEY_PARSERS[key](key, mapping[key])
-    return SweepGrid(**kwargs)
+    return SweepGrid(
+        **{
+            name: _GRID_PARSERS[name](key, mapping[key])
+            for key, name in _SWEEP_KEYS.items()
+            if key in mapping
+        }
+    )

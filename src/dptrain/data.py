@@ -131,6 +131,8 @@ def synthetic_dataset(
         raise ValueError(f"need at least one feature, got {dim}")
     if class_separation < 0:
         raise ValueError(f"separation must be >= 0, got {class_separation}")
+    if not np.isfinite(class_separation):
+        raise ValueError(f"separation must be finite, got {class_separation}")
     if not 0 <= label_noise < 0.5:
         raise ValueError(f"label noise must be in [0, 0.5), got {label_noise}")
 

@@ -250,6 +250,10 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_sigma(1.0, 1e-5, 0.1, 0)
 
+    def test_rejects_nan_target(self):
+        with pytest.raises(ValueError, match="target epsilon"):
+            calibrate_sigma(math.nan, 1e-5, 0.01, 100)
+
 
 class TestClassicGaussianSigma:
     def test_spot_value(self):

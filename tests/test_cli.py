@@ -82,6 +82,13 @@ class TestAccountantCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_target_is_runtime_error(self, capsys):
+        code = main(["accountant", "--target-eps", "nan", "--q", "0.01", "--steps", "100"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "target epsilon must be positive" in captured.err
+
 
 class TestTrainCommand:
     def test_writes_reports(self, tmp_path, capsys):
@@ -137,6 +144,22 @@ class TestTrainCommand:
         assert not out.exists()
         assert "0 test rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, conf",
+        [
+            ("target_eps", TRAIN_CONF.replace("privacy = fixed-sigma", "privacy = target-epsilon")
+             .replace("sigma = 1.0", "target_eps = nan")),
+            ("budget_eps", TRAIN_CONF + "budget_eps = nan\n"),
+            ("lr", TRAIN_CONF.replace("lr = 0.08", "lr = inf")),
+        ],
+        ids=["target_eps", "budget_eps", "lr"],
+    )
+    def test_non_finite_setting_exits_one_without_outputs(self, tmp_path, capsys, key, conf):
+        out = tmp_path / "out"
+        assert main(["train", str(write_config(tmp_path, conf)), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{key} must be finite" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_degenerate_sweep(self, tmp_path, capsys):
@@ -182,6 +205,16 @@ class TestGenDataCommand:
     def test_rejects_unknown_keys(self, tmp_path, capsys):
         conf = write_config(tmp_path, "n = 10\ndim = 2\nmystery = 1\nout = x.csv\n")
         assert main(["gen-data", str(conf)]) == 1
+
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_separation_writes_nothing(self, tmp_path, capsys, separation):
+        data_path = tmp_path / "blobs.csv"
+        conf = write_config(
+            tmp_path, f"n = 20\ndim = 2\nseparation = {separation}\nout = {data_path}\n"
+        )
+        assert main(["gen-data", str(conf)]) != 0
+        assert not data_path.exists()
+        assert "separation must be finite" in capsys.readouterr().err
 
 
 class TestUsage:

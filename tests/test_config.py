@@ -1,4 +1,8 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -127,3 +131,84 @@ class TestSweepGrid:
             SweepGrid(target_eps=())
         with pytest.raises(ConfigError):
             SweepGrid(seeds_per_cell=0)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SWEEP_KEYS = {
+    "sweep_target_eps": "target_eps",
+    "sweep_clip_norm": "clip_norms",
+    "sweep_freeze_prefix": "freeze_prefixes",
+    "seeds_per_cell": "seeds_per_cell",
+}
+# A valid, non-default value for every field.
+RUN_VALUES = dict(
+    dataset="csv", csv_path="train.csv", test_csv_path="test.csv", n=500, dim=8,
+    separation=2.5, label_noise=0.1, test_fraction=0.2, train_fraction=0.7,
+    widths=(8, 4, 1), norm="group:2", freeze_prefix=1, lr=0.01, epochs=3,
+    batch_size=16, variant="raw-moment", bias_correction=False, privacy="fixed-sigma",
+    target_eps=5.0, sigma=1.5, delta=1e-6, clip_norm=0.5, budget_eps=2.0,
+    noise_placement="on-sum", seed_model=11, seed_data=12, seed_poisson=13, seed_noise=14,
+)
+GRID_VALUES = dict(
+    target_eps=(1.0, math.inf), clip_norms=(0.5,), freeze_prefixes=(0, 2), seeds_per_cell=2
+)
+
+
+def render(key, value):
+    if isinstance(value, tuple):
+        value = ",".join(str(v) for v in value)
+    elif isinstance(value, bool):
+        value = str(value).lower()
+    return f"{key} = {value}\n"
+
+
+def readme_ini_blocks():
+    return re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def block_keys(block):
+    """Every key a block names, counting commented-out ``# key = value`` lines."""
+    return re.findall(r"^#?\s*(\w+)\s*=", block, re.M)
+
+
+class TestSchema:
+    def test_every_run_field_round_trips(self, tmp_path):
+        assert set(RUN_VALUES) == {f.name for f in fields(RunConfig)}
+        assert all(getattr(RunConfig(), k) != v for k, v in RUN_VALUES.items())
+        text = "".join(render(k, v) for k, v in RUN_VALUES.items())
+        config = run_config_from_mapping(parse_config_file(write(tmp_path, text)))
+        assert config == RunConfig(**RUN_VALUES)
+
+    def test_every_sweep_field_round_trips(self, tmp_path):
+        assert set(SWEEP_KEYS.values()) == {f.name for f in fields(SweepGrid)}
+        assert all(getattr(SweepGrid(), k) != v for k, v in GRID_VALUES.items())
+        text = "".join(render(key, GRID_VALUES[name]) for key, name in SWEEP_KEYS.items())
+        mapping = parse_config_file(write(tmp_path, text))
+        assert sweep_grid_from_mapping(mapping) == SweepGrid(**GRID_VALUES)
+        assert run_config_from_mapping(mapping, allow_sweep_keys=True) == RunConfig()
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(RunConfig) if get_type_hints(RunConfig)[f.name] in
+                 (float, float | None)]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_float_fields_must_be_finite(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{**RUN_VALUES, name: value})
+
+    def test_readme_run_block_names_every_field(self):
+        keys = block_keys(readme_ini_blocks()[0])
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {f.name for f in fields(RunConfig)}
+
+    def test_readme_sweep_block_names_every_sweep_key(self):
+        keys = block_keys(readme_ini_blocks()[1])
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(SWEEP_KEYS)
+
+    def test_readme_blocks_parse(self, tmp_path):
+        run_block, sweep_block = readme_ini_blocks()[:2]
+        assert run_config_from_mapping(parse_config_file(write(tmp_path, run_block)))
+        mapping = parse_config_file(write(tmp_path, run_block + sweep_block))
+        assert run_config_from_mapping(mapping, allow_sweep_keys=True)
+        assert sweep_grid_from_mapping(mapping)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,11 @@ class TestSynthetic:
             synthetic_dataset(10, 2, -1.0, 0.0, seed=0)
         with pytest.raises(ValueError):
             synthetic_dataset(10, 2, 1.0, 0.5, seed=0)
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf])
+    def test_rejects_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite"):
+            synthetic_dataset(10, 2, separation, 0.0, seed=0)
 
     def test_subset(self):
         ds = synthetic_dataset(10, 2, 1.0, 0.0, seed=0)
