@@ -34,6 +34,14 @@ about 16 times, so this keeps it to a few milliseconds.
 When sigma is so small that a closed form overflows (the k^2 / (2 sigma^2)
 term below sigma ~ 3e-153, or 2 sigma^2 underflowing to zero), the per-step
 value is +inf: epsilon is then inf after one step or more and 0 after none.
+
+Every per-step value comes from one builder, ``_per_step``. Training asks
+one epsilon engine, :class:`PrivacyLedger`: noise calibration (through
+:func:`epsilon_for`), the budget stop and the reported spend all run its
+conversion. The curve path (``mechanism_curve``, ``compose``,
+``to_eps_delta``) builds the same values as an explicit ``RdpCurve``; it
+answers :func:`accountant_query` and is the reference the tests and the
+benchmark compare the ledger with.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ __all__ = [
 DEFAULT_DELTA = 1e-5
 SIGMA_SEARCH_CEILING = 1e4
 _SIGMA_SEARCH_FLOOR = 1e-4
+_CALIBRATION_REL_TOL = 1e-3
 
 _MAX_INT_ALPHA = 64
 
@@ -92,8 +101,6 @@ _ORDERS = list(range(2, _MAX_INT_ALPHA + 1))
 _A_MINUS_K = np.array(_ORDERS)[:, None] - _K
 _INTEGER_GRID = tuple(float(a) for a in _ORDERS)
 _FULL_BATCH_GRID = (1.25, 1.5) + _INTEGER_GRID
-_INTEGER_ALPHAS = np.array(_INTEGER_GRID)
-_FULL_BATCH_ALPHAS = np.array(_FULL_BATCH_GRID)
 
 
 @dataclass(frozen=True)
@@ -197,14 +204,25 @@ def _subsampled_rdp(sigma: float, q: float) -> np.ndarray:
     return values
 
 
-def _integer_order(alpha) -> int:
-    af = float(alpha)
-    if not af.is_integer() or af < 2:
-        raise ValueError(f"subsampled RDP needs an integer order >= 2, got {alpha}")
-    a = int(af)
-    if a > _MAX_INT_ALPHA:
-        raise ValueError(f"order {a} above supported maximum {_MAX_INT_ALPHA}")
-    return a
+def _per_step(spec: MechanismSpec, alphas) -> np.ndarray:
+    """Per-step RDP of ``spec`` at each order in ``alphas``.
+
+    Orders are integers 2..64, plus any non-integer above 1 at q = 1, where
+    alpha / (2 sigma^2) holds for every order; it is +inf once 2 sigma^2
+    underflows to zero.
+    """
+    orders = np.array(alphas, dtype=np.float64)
+    valid = np.where(
+        orders == np.floor(orders),
+        (orders >= 2) & (orders <= _MAX_INT_ALPHA),
+        (orders > 1) & (spec.q >= 1.0),
+    )
+    if not valid.all():
+        raise ValueError(f"order {orders[~valid][0]} unsupported at q = {spec.q}")
+    if spec.q >= 1.0:
+        with np.errstate(over="ignore", divide="ignore"):
+            return orders / (2.0 * spec.sigma * spec.sigma)
+    return _subsampled_rdp(spec.sigma, spec.q)[orders.astype(np.intp) - 2]
 
 
 def rdp_subsampled_gaussian(spec: MechanismSpec, alpha) -> float:
@@ -214,10 +232,9 @@ def rdp_subsampled_gaussian(spec: MechanismSpec, alpha) -> float:
     Fractional orders are rejected: the binomial expansion is exact only for
     integers.
     """
-    a = _integer_order(alpha)
-    if spec.q >= 1.0:
-        return rdp_gaussian(float(a), spec.sigma)
-    return float(_subsampled_rdp(spec.sigma, spec.q)[a - 2])
+    if not float(alpha).is_integer():
+        raise ValueError(f"subsampled RDP needs an integer order, got {alpha}")
+    return float(_per_step(spec, (alpha,))[0])
 
 
 class RdpCurve:
@@ -235,11 +252,11 @@ class RdpCurve:
         per_step = tuple(float(r) for r in per_step)
         if len(alphas) != len(per_step) or not alphas:
             raise ValueError("need matching non-empty alpha and rdp sequences")
-        if any(a <= 1 for a in alphas):
+        if not all(a > 1 for a in alphas):
             raise ValueError("all orders must exceed 1")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("orders must be strictly increasing")
-        if any(r < 0 for r in per_step):
+        if not all(r >= 0 for r in per_step):
             raise ValueError("rdp values must be non-negative")
         if step_count < 0:
             raise ValueError("step count cannot be negative")
@@ -260,32 +277,12 @@ class RdpCurve:
         return f"RdpCurve(orders={len(self.alphas)}, steps={self.step_count})"
 
 
-def _default_per_step(spec: MechanismSpec) -> np.ndarray:
-    """Per-step RDP on ``default_alpha_grid(spec.q)``."""
-    if spec.q < 1.0:
-        return _subsampled_rdp(spec.sigma, spec.q)
-    with np.errstate(over="ignore", divide="ignore"):
-        return _FULL_BATCH_ALPHAS / (2.0 * spec.sigma * spec.sigma)
-
-
 def mechanism_curve(spec: MechanismSpec, alphas=None) -> RdpCurve:
-    """Fresh (zero-step) ledger curve for one mechanism specification."""
+    """Fresh (zero-step) curve for one mechanism, on the default grid unless
+    ``alphas`` is given."""
     if alphas is None:
-        return RdpCurve(default_alpha_grid(spec.q), _default_per_step(spec))
-    subsampled = _subsampled_rdp(spec.sigma, spec.q) if spec.q < 1.0 else None
-    per_step = []
-    for a in alphas:
-        if float(a).is_integer():
-            order = _integer_order(a)
-            if subsampled is None:
-                per_step.append(rdp_gaussian(float(order), spec.sigma))
-            else:
-                per_step.append(subsampled[order - 2])
-        elif subsampled is None:
-            per_step.append(rdp_gaussian(a, spec.sigma))
-        else:
-            raise ValueError(f"fractional order {a} is only valid at q = 1")
-    return RdpCurve(alphas, per_step, step_count=0)
+        alphas = default_alpha_grid(spec.q)
+    return RdpCurve(alphas, _per_step(spec, alphas))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -295,10 +292,10 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
     return RdpCurve(curve.alphas, curve.per_step, curve.step_count + int(steps))
 
 
-def _penalties(alphas: np.ndarray, delta: float) -> np.ndarray:
+def _penalties(alphas, delta: float) -> np.ndarray:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.log(1.0 / delta) / (alphas - 1.0)
+    return math.log(1.0 / delta) / np.subtract(alphas, 1.0)
 
 
 def _epsilon(
@@ -324,7 +321,7 @@ def to_eps_delta(curve: RdpCurve, delta: float) -> PrivacySpent:
     rather than the grid penalty the formula alone would report. An
     infinite per-step value at every order gives epsilon = inf.
     """
-    penalties = _penalties(np.array(curve.alphas), delta)
+    penalties = _penalties(curve.alphas, delta)
     epsilon, best = _epsilon(
         np.array(curve.per_step), penalties, curve.step_count, max(curve.per_step) == 0.0
     )
@@ -338,28 +335,18 @@ class CalibrationError(RuntimeError):
 def epsilon_for(sigma: float, q: float, steps: int, delta: float) -> float:
     """Epsilon spent by ``steps`` subsampled-Gaussian steps at multiplier sigma.
 
-    Equals ``to_eps_delta(compose(mechanism_curve(spec), steps), delta)``,
-    computed on arrays without building the curve.
+    A fresh ledger's answer, so calibration and a run's budget stop share
+    one conversion; it equals
+    ``to_eps_delta(compose(mechanism_curve(spec), steps), delta).epsilon``.
     """
-    spec = MechanismSpec(sigma, q)
-    if steps < 0:
-        raise ValueError(f"cannot compose a negative number of steps: {steps}")
-    per_step = _default_per_step(spec)
-    alphas = _FULL_BATCH_ALPHAS if q >= 1.0 else _INTEGER_ALPHAS
-    return _epsilon(per_step, _penalties(alphas, delta), int(steps), per_step.max() == 0.0)[0]
+    return PrivacyLedger(MechanismSpec(sigma, q), delta).epsilon_if(steps)
 
 
-def calibrate_sigma(
-    target_eps: float,
-    delta: float,
-    q: float,
-    steps: int,
-    rel_tol: float = 1e-3,
-) -> float:
+def calibrate_sigma(target_eps: float, delta: float, q: float, steps: int) -> float:
     """Smallest noise multiplier (on a bisection grid) meeting a target epsilon.
 
-    Searches sigma in [1e-4, 1e4] by geometric bisection to relative
-    tolerance ``rel_tol``; the returned sigma always satisfies
+    Searches sigma in [1e-4, 1e4] by geometric bisection to a fixed relative
+    tolerance of 1e-3; the returned sigma always satisfies
     epsilon(sigma) <= target_eps, so re-running the forward accountant on it
     cannot overshoot. Raises :class:`CalibrationError` when even the ceiling
     cannot reach the target.
@@ -385,7 +372,7 @@ def calibrate_sigma(
                 f"{SIGMA_SEARCH_CEILING} (q={q}, steps={steps}, delta={delta})"
             )
     # Invariant: eps(lo) > target >= eps(hi).
-    while hi / lo - 1.0 > rel_tol:
+    while hi / lo - 1.0 > _CALIBRATION_REL_TOL:
         mid = math.sqrt(lo * hi)
         if epsilon_for(mid, q, steps, delta) <= target_eps:
             hi = mid
@@ -415,19 +402,18 @@ class PrivacyLedger:
     """Mutable running ledger for one training run.
 
     The step loop is the single writer (``advance``); monitors may read
-    ``spent`` at any time. The per-step curve, and the conversion penalties
-    at the ledger's delta, are computed once up front, so a query is a few
-    array operations; they are the same operations as ``to_eps_delta`` on
-    the composed curve, so the answers are identical.
+    ``spent`` at any time. The per-step values on the default grid, and the
+    conversion penalties at the ledger's delta, are computed once up front,
+    so a query is a few array operations; they are the same operations as
+    ``to_eps_delta`` on the composed curve, so the answers are identical.
     """
 
     def __init__(self, spec: MechanismSpec, delta: float = DEFAULT_DELTA):
         self.spec = spec
         self.delta = delta
-        self._base = mechanism_curve(spec)
-        self._alphas = np.array(self._base.alphas)
-        self._per_step = np.array(self._base.per_step)
-        self._spends_nothing = max(self._base.per_step) == 0.0
+        self._alphas = default_alpha_grid(spec.q)
+        self._per_step = _per_step(spec, self._alphas)
+        self._spends_nothing = self._per_step.max() == 0.0
         self._penalties = _penalties(self._alphas, delta)
         self.step_count = 0
 
@@ -437,14 +423,14 @@ class PrivacyLedger:
         self.step_count += steps
 
     def curve(self) -> RdpCurve:
-        return compose(self._base, self.step_count)
+        return RdpCurve(self._alphas, self._per_step, self.step_count)
 
     def spent(self, delta: float | None = None) -> PrivacySpent:
         epsilon, best = self._epsilon_at(self.step_count, delta)
         return PrivacySpent(
             epsilon=epsilon,
             delta=self.delta if delta is None else delta,
-            optimal_alpha=self._base.alphas[best],
+            optimal_alpha=self._alphas[best],
         )
 
     def epsilon_if(self, step_count: int, delta: float | None = None) -> float:
@@ -454,8 +440,8 @@ class PrivacyLedger:
         return self._epsilon_at(int(step_count), delta)[0]
 
     def _epsilon_at(self, steps: int, delta: float | None) -> tuple[float, int]:
-        # to_eps_delta(compose(self._base, steps), delta), without rebuilding
-        # and revalidating the curve.
+        # to_eps_delta(self.curve() composed to ``steps``, delta), without
+        # building and validating the curve.
         penalties = self._penalties if delta is None else _penalties(self._alphas, delta)
         return _epsilon(self._per_step, penalties, steps, self._spends_nothing)
 

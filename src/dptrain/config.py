@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError("csv dataset requires csv_path")
         if not self.widths or self.widths[-1] != 1:
             raise ConfigError(f"widths must end in 1, got {self.widths}")
+        if min(self.widths) < 1:
+            raise ConfigError(f"widths must all be >= 1, got {self.widths}")
         if self.privacy not in PRIVACY_MODES:
             raise ConfigError(f"privacy must be one of {PRIVACY_MODES}, got {self.privacy!r}")
         if self.privacy == "target-epsilon":
@@ -143,6 +145,17 @@ class SweepGrid:
             raise ConfigError("sweep grid axes must be non-empty")
         if self.seeds_per_cell < 1:
             raise ConfigError("seeds_per_cell must be >= 1")
+        # Checked here, not per cell, so a bad value stops the sweep before any cell runs.
+        if not all(eps > 0 for eps in self.target_eps):
+            raise ConfigError(
+                f"sweep target epsilons must be > 0 (inf: no privacy), got {self.target_eps}"
+            )
+        if not all(0 < clip < math.inf for clip in self.clip_norms):
+            raise ConfigError(
+                f"sweep clip norms must be finite and positive, got {self.clip_norms}"
+            )
+        if min(self.freeze_prefixes) < 0:
+            raise ConfigError(f"sweep freeze prefixes must be >= 0, got {self.freeze_prefixes}")
 
     def cells(self):
         for eps in self.target_eps:

@@ -371,7 +371,7 @@ def _cell_config(base: RunConfig, eps: float, clip: float, freeze: int, seed_ind
         seed_poisson=base.seed_poisson + seed_index,
         seed_noise=base.seed_noise + seed_index,
     )
-    if math.isinf(eps):
+    if eps == math.inf:
         overrides.update(privacy="off", target_eps=None, budget_eps=None)
     else:
         overrides.update(privacy="target-epsilon", target_eps=eps)

@@ -187,6 +187,15 @@ class TestCurveAndCompose:
         with pytest.raises(ValueError):
             RdpCurve([2.0, 3.0], [-0.1, 0.1])
 
+    @pytest.mark.parametrize(
+        "alphas, per_step",
+        [([2.0, 3.0], [math.nan, 0.1]), ([math.nan, 3.0], [0.1, 0.1]), ([2.0, math.nan], [0.1, 0.1])],
+        ids=["nan-rdp", "nan-first-order", "nan-last-order"],
+    )
+    def test_curve_rejects_nan(self, alphas, per_step):
+        with pytest.raises(ValueError):
+            RdpCurve(alphas, per_step, 10)
+
 
 class TestConversion:
     def test_single_gaussian_step_spot_value(self):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 
@@ -160,6 +161,13 @@ class TestTrainCommand:
         assert not out.exists()
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_zero_width_exits_one_without_outputs(self, tmp_path, capsys):
+        conf = write_config(tmp_path, TRAIN_CONF.replace("widths = 8,1", "widths = 16,0,1"))
+        out = tmp_path / "out"
+        assert main(["train", str(conf), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "widths must all be >= 1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_degenerate_sweep(self, tmp_path, capsys):
@@ -180,6 +188,26 @@ class TestSweepCommand:
         assert math.isinf(float(nonprivate["target_eps"]))
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seeds_per_cell"] == 1
+
+    @pytest.mark.parametrize(
+        "axes",
+        ["sweep_target_eps = -inf\nsweep_clip_norm = 1.0\n",
+         "sweep_target_eps = 5\nsweep_clip_norm = 1.0,-1\n"],
+        ids=["eps", "clip"],
+    )
+    def test_bad_axis_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, axes):
+        cells = []
+        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        conf = write_config(
+            tmp_path,
+            TRAIN_CONF.replace("privacy = fixed-sigma\nsigma = 1.0\n", "")
+            + axes + "seeds_per_cell = 1\n",
+        )
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", str(conf), "--out", str(out)]) == 1
+        assert cells == []
+        assert not (out / "sweep.csv").exists()
+        assert "sweep" in capsys.readouterr().err
 
 
 class TestGenDataCommand:

@@ -132,6 +132,26 @@ class TestSweepGrid:
         with pytest.raises(ConfigError):
             SweepGrid(seeds_per_cell=0)
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(target_eps=(-math.inf,)),
+            dict(target_eps=(10.0, math.nan)),
+            dict(target_eps=(0.0,)),
+            dict(target_eps=(-1.0, math.inf)),
+            dict(clip_norms=(math.nan,)),
+            dict(clip_norms=(1.0, math.inf)),
+            dict(clip_norms=(0.0,)),
+            dict(clip_norms=(-0.5,)),
+            dict(freeze_prefixes=(0, -1)),
+        ],
+        ids=["eps-minus-inf", "eps-nan", "eps-zero", "eps-negative", "clip-nan", "clip-inf",
+             "clip-zero", "clip-negative", "freeze-negative"],
+    )
+    def test_bad_axis_value_rejected(self, axes):
+        with pytest.raises(ConfigError, match="sweep"):
+            SweepGrid(**axes)
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SWEEP_KEYS = {

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dptrain.accountant import accountant_query
 from dptrain.config import RunConfig, SweepGrid
 from dptrain.train import (
     REPORT_COLUMNS,
@@ -174,6 +175,28 @@ class TestTrain:
         a = train(fast_config(epochs=4))
         b = train(fast_config(epochs=4))
         assert a.numerics() == b.numerics()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(privacy="target-epsilon", target_eps=5.0, sigma=None, epochs=2),
+            dict(epochs=2),
+            dict(budget_eps=5.0, epochs=30),
+            dict(batch_size=1000, epochs=4),
+        ],
+        ids=["target-epsilon", "fixed-sigma", "budget-stopped", "full-batch"],
+    )
+    def test_ledger_spend_equals_accountant_query(self, overrides):
+        config = fast_config(**overrides)
+        report = train(config)
+        q = min(config.batch_size / len(split_dataset(config).train), 1.0)
+        query = accountant_query(report.sigma, q, report.steps_run, config.delta)
+        assert report.achieved_eps == query["epsilon"]
+        assert report.optimal_alpha == query["optimal_alpha"]
+        if "budget_eps" in overrides:
+            assert report.stop_reason == "budget-exceeded" and q < 1.0
+        if config.batch_size == 1000:
+            assert q == 1.0
 
     def test_calibration_failure_propagates(self):
         from dptrain.accountant import CalibrationError
