@@ -22,14 +22,16 @@ Per-step values come from two closed forms:
 evaluated in log space so large alpha / small sigma do not overflow.
 Fractional orders are used only where the unsubsampled closed form is valid.
 
-All 63 integer orders are computed in one array pass over a [63, 65] table
-whose row alpha - 2 holds log C(alpha, k) for k <= alpha, padded with -inf;
-the other terms, the row maxima and the exponentials are whole-table
-operations. Each order's sum still runs over its own alpha + 1 terms alone,
-because numpy sums an array pairwise and a reduction over padded rows would
-group the additions differently: the table gives bit for bit the values of
-evaluating each order on its own. Noise calibration evaluates the curve
-about 16 times, so this keeps it to a few milliseconds.
+All 63 integer orders are computed in one array pass over a [63, 72] table
+whose row alpha - 2 holds log C(alpha, k) for k <= alpha, padded with -inf
+to 9 blocks of 8 columns. Its sigma-free part is cached per q; the row
+maxima and the exponentials are whole-table operations, and exp is skipped
+where it is exactly 0. Each order's sum is its own alpha + 1 terms, added
+in the order numpy's pairwise summation adds a row of that length;
+``_pairwise_sums`` replays that order for every row at once, so the table
+gives bit for bit the values of summing each order on its own with
+``np.add.reduce``. Noise calibration evaluates the curve about 16 times,
+about 2 ms in all.
 
 When sigma is so small that a closed form overflows (the k^2 / (2 sigma^2)
 term below sigma ~ 3e-153, or 2 sigma^2 underflowing to zero), the per-step
@@ -41,12 +43,15 @@ one epsilon engine, :class:`PrivacyLedger`: noise calibration (through
 conversion. The curve path (``mechanism_curve``, ``compose``,
 ``to_eps_delta``) builds the same values as an explicit ``RdpCurve``; it
 answers :func:`accountant_query` and is the reference the tests and the
-benchmark compare the ledger with.
+benchmark compare the ledger with. Step counts are integers (Python or
+numpy); a fractional count raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,26 +84,69 @@ _SIGMA_SEARCH_FLOOR = 1e-4
 _CALIBRATION_REL_TOL = 1e-3
 
 _MAX_INT_ALPHA = 64
+# Table columns: k = 0..64, padded to 72 = 9 blocks of 8 for _pairwise_sums.
+_COLUMNS = 72
 
 
 def _log_binomial_table() -> np.ndarray:
-    """Row ``a - 2`` holds log C(a, k) for k = 0..a, then -inf up to k = 64."""
+    """Row ``a - 2`` holds log C(a, k) for k = 0..a, then -inf up to k = 71."""
     log_factorial = [math.lgamma(k + 1) for k in range(_MAX_INT_ALPHA + 1)]
-    table = np.full((_MAX_INT_ALPHA - 1, _MAX_INT_ALPHA + 1), -math.inf)
+    table = np.full((_MAX_INT_ALPHA - 1, _COLUMNS), -math.inf)
     for a in range(2, _MAX_INT_ALPHA + 1):
         for k in range(a + 1):
             table[a - 2, k] = log_factorial[a] - log_factorial[k] - log_factorial[a - k]
     return table
 
 
+def _pairwise_layout(lengths: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_pairwise_sums` finds the blocks and the tail of each row.
+
+    Row ``i`` has ``lengths[i]`` terms: its whole blocks of 8 are the columns
+    marked True, and its tail is the next (at most 7) terms, given as flat
+    indices into a ``[len(lengths), columns]`` array, one ``[rows]`` line per
+    tail position. Needs lengths <= 128 and columns >= the longest whole-block
+    prefix + 7, a multiple of 8.
+    """
+    prefix = lengths - lengths % 8
+    in_blocks = np.arange(columns) < prefix[:, None]
+    tail_index = np.arange(7)[:, None] + (np.arange(len(lengths)) * columns + prefix)
+    return in_blocks, tail_index
+
+
+def _pairwise_sums(terms: np.ndarray, in_blocks: np.ndarray, tail_index: np.ndarray) -> np.ndarray:
+    """Each row's sum, added in the order numpy's ``np.add.reduce`` adds it.
+
+    For a contiguous row of n <= 128 float64 terms numpy's pairwise summation
+    keeps 8 running sums over the first n - n % 8 terms (term j goes to sum
+    j % 8, block by block), combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the last
+    n % 8 terms one at a time; a row shorter than 8 is all tail, added to
+    0.0. Here every row does so at once. ``terms`` must be 0.0 past each
+    row's length, and the layout comes from :func:`_pairwise_layout`.
+    """
+    blocks = np.where(in_blocks, terms, 0.0).reshape(len(terms), -1, 8)
+    # Over axis 1 numpy adds the blocks in order, 8 columns at a time.
+    r = np.add.reduce(blocks, axis=1)
+    sums = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for tail_term in terms.take(tail_index):
+        sums += tail_term
+    return sums
+
+
 # The subsampled-Gaussian expansion for every integer order 2..64 at once:
-# row a - 2 of each [63, 65] table is order a, column k its k-th term; the
-# factors that depend on k alone are [65] rows.
+# row a - 2 of each [63, 72] table is order a, column k its k-th term, and
+# only columns k <= a are terms; the factors that depend on k alone are [72]
+# rows.
 _LOG_COMB = _log_binomial_table()
-_K = np.arange(_MAX_INT_ALPHA + 1)
+_K = np.arange(_COLUMNS)
 _K_SQ_MINUS_K = _K * _K - _K
-_ORDERS = list(range(2, _MAX_INT_ALPHA + 1))
-_A_MINUS_K = np.array(_ORDERS)[:, None] - _K
+_ORDERS = np.arange(2, _MAX_INT_ALPHA + 1)
+_A_MINUS_K = _ORDERS[:, None] - _K
+_IN_ROW = _K <= _ORDERS[:, None]
+_IN_BLOCKS, _TAIL_INDEX = _pairwise_layout(_ORDERS + 1, _COLUMNS)
+_A_MINUS_ONE = (_ORDERS - 1).astype(np.float64)
+# exp(x) is exactly +0.0 for every x below about -745.13.
+_EXP_UNDERFLOW = -746.0
 _INTEGER_GRID = tuple(float(a) for a in _ORDERS)
 _FULL_BATCH_GRID = (1.25, 1.5) + _INTEGER_GRID
 
@@ -182,26 +230,59 @@ def rdp_gaussian(alpha: float, sigma: float) -> float:
     return alpha / denominator if denominator > 0.0 else math.inf
 
 
+@functools.lru_cache(maxsize=16)
+def _q_table(q: float) -> np.ndarray:
+    """The sigma-free part of every order's log terms at rate q, read-only."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        table = (_LOG_COMB + _K * math.log(q)) + _A_MINUS_K * math.log1p(-q)
+    table.flags.writeable = False
+    return table
+
+
 def _subsampled_rdp(sigma: float, q: float) -> np.ndarray:
     """Per-step subsampled-Gaussian RDP at every integer order 2..64 (q < 1).
 
-    The terms are added in the closed form's order, and each order's sum
-    runs over its own a + 1 terms: summing the padded rows, or
-    ``np.add.reduceat``, groups the additions differently and changes the
-    last bits. Non-finite values are +inf.
+    Bit for bit the values of summing each order's own a + 1 terms with
+    ``np.add.reduce``: the q part of the log terms is cached per q, the
+    exponentials are taken only where they can be non-zero (every term of
+    a row that overflowed stays NaN, so the row is +inf), and
+    :func:`_pairwise_sums` adds every row in numpy's order. Each order's log
+    is ``math.log``, which ``np.log`` does not always match in the last bit.
+    Non-finite values are +inf.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_terms = (
-            (_LOG_COMB + _K * math.log(q)) + _A_MINUS_K * math.log1p(-q)
-        ) + _K_SQ_MINUS_K / (2.0 * sigma * sigma)
+        x = _q_table(q) + _K_SQ_MINUS_K / (2.0 * sigma * sigma)
         # fmax skips the NaN that -inf padding plus an overflowed term makes.
-        peaks = np.fmax.reduce(log_terms, axis=1)
-        scaled = np.exp(log_terms - peaks[:, None])
-    values = np.empty(len(_ORDERS))
-    for row, (a, peak) in enumerate(zip(_ORDERS, peaks.tolist())):
-        value = (peak + math.log(np.add.reduce(scaled[row, : a + 1]))) / (a - 1)
-        values[row] = max(0.0, value) if math.isfinite(value) else math.inf
-    return values
+        peaks = np.fmax.reduce(x, axis=1)
+        x -= peaks[:, None]
+        live = _IN_ROW & ~(x < _EXP_UNDERFLOW)
+        scaled = np.exp(x, out=np.zeros_like(x), where=live)
+        sums = _pairwise_sums(scaled, _IN_BLOCKS, _TAIL_INDEX)
+        logs = np.array(list(map(math.log, sums.tolist())))
+        values = (peaks + logs) / _A_MINUS_ONE
+        return np.where(np.isfinite(values), np.maximum(0.0, values), math.inf)
+
+
+@functools.lru_cache(maxsize=16)
+def _checked_orders(alphas: tuple, full_batch: bool):
+    """Read-only ``(orders, table rows or None, first unsupported order or None)``.
+
+    Orders are integers 2..64, plus any non-integer above 1 at q = 1.
+    """
+    orders = np.array(alphas, dtype=np.float64)
+    valid = np.where(
+        orders == np.floor(orders),
+        (orders >= 2) & (orders <= _MAX_INT_ALPHA),
+        (orders > 1) & full_batch,
+    )
+    if not valid.all():
+        return None, None, orders[~valid][0]
+    orders.flags.writeable = False
+    if full_batch:
+        return orders, None, None
+    rows = orders.astype(np.intp) - 2
+    rows.flags.writeable = False
+    return orders, rows, None
 
 
 def _per_step(spec: MechanismSpec, alphas) -> np.ndarray:
@@ -211,18 +292,13 @@ def _per_step(spec: MechanismSpec, alphas) -> np.ndarray:
     alpha / (2 sigma^2) holds for every order; it is +inf once 2 sigma^2
     underflows to zero.
     """
-    orders = np.array(alphas, dtype=np.float64)
-    valid = np.where(
-        orders == np.floor(orders),
-        (orders >= 2) & (orders <= _MAX_INT_ALPHA),
-        (orders > 1) & (spec.q >= 1.0),
-    )
-    if not valid.all():
-        raise ValueError(f"order {orders[~valid][0]} unsupported at q = {spec.q}")
-    if spec.q >= 1.0:
+    orders, rows, unsupported = _checked_orders(tuple(alphas), spec.q >= 1.0)
+    if unsupported is not None:
+        raise ValueError(f"order {unsupported} unsupported at q = {spec.q}")
+    if rows is None:
         with np.errstate(over="ignore", divide="ignore"):
             return orders / (2.0 * spec.sigma * spec.sigma)
-    return _subsampled_rdp(spec.sigma, spec.q)[orders.astype(np.intp) - 2]
+    return _subsampled_rdp(spec.sigma, spec.q)[rows]
 
 
 def rdp_subsampled_gaussian(spec: MechanismSpec, alpha) -> float:
@@ -258,11 +334,12 @@ class RdpCurve:
             raise ValueError("orders must be strictly increasing")
         if not all(r >= 0 for r in per_step):
             raise ValueError("rdp values must be non-negative")
+        step_count = operator.index(step_count)
         if step_count < 0:
             raise ValueError("step count cannot be negative")
         self.alphas = alphas
         self.per_step = per_step
-        self.step_count = int(step_count)
+        self.step_count = step_count
 
     def totals(self) -> tuple[float, ...]:
         # Zero steps spend nothing, even at an infinite per-step value.
@@ -287,15 +364,20 @@ def mechanism_curve(spec: MechanismSpec, alphas=None) -> RdpCurve:
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
     """Advance the ledger by ``steps`` mechanism invocations."""
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError(f"cannot compose a negative number of steps: {steps}")
-    return RdpCurve(curve.alphas, curve.per_step, curve.step_count + int(steps))
+    return RdpCurve(curve.alphas, curve.per_step, curve.step_count + steps)
 
 
-def _penalties(alphas, delta: float) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _penalties(alphas: tuple, delta: float) -> np.ndarray:
+    """Read-only log(1/delta) / (alpha - 1) for one grid and delta."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return math.log(1.0 / delta) / np.subtract(alphas, 1.0)
+    penalties = math.log(1.0 / delta) / np.subtract(alphas, 1.0)
+    penalties.flags.writeable = False
+    return penalties
 
 
 def _epsilon(
@@ -353,6 +435,7 @@ def calibrate_sigma(target_eps: float, delta: float, q: float, steps: int) -> fl
     """
     if not target_eps > 0:
         raise ValueError(f"target epsilon must be positive, got {target_eps}")
+    steps = operator.index(steps)
     if steps < 1:
         raise ValueError(f"calibration needs at least one step, got {steps}")
     if not 0 < delta < 1:
@@ -418,6 +501,7 @@ class PrivacyLedger:
         self.step_count = 0
 
     def advance(self, steps: int = 1) -> None:
+        steps = operator.index(steps)
         if steps < 0:
             raise ValueError("cannot advance the ledger backwards")
         self.step_count += steps
@@ -435,9 +519,10 @@ class PrivacyLedger:
 
     def epsilon_if(self, step_count: int, delta: float | None = None) -> float:
         """Epsilon the ledger would report after ``step_count`` total steps."""
+        step_count = operator.index(step_count)
         if step_count < 0:
             raise ValueError(f"cannot compose a negative number of steps: {step_count}")
-        return self._epsilon_at(int(step_count), delta)[0]
+        return self._epsilon_at(step_count, delta)[0]
 
     def _epsilon_at(self, steps: int, delta: float | None) -> tuple[float, int]:
         # to_eps_delta(self.curve() composed to ``steps``, delta), without
@@ -448,6 +533,7 @@ class PrivacyLedger:
 
 def accountant_query(sigma: float, q: float, steps: int, delta: float) -> dict:
     """JSON-ready accountant answer for a (sigma, q, steps, delta) query."""
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     curve = compose(mechanism_curve(MechanismSpec(sigma, q)), steps)

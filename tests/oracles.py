@@ -6,7 +6,9 @@ epsilon conversion from a brute-force grid search, the linear-classifier
 baseline from plain logistic regression on raw numpy, the private step
 from one autodiff tape and one ``clip_gradient`` call per sample, the Adam
 update from one numpy expression per parameter slot, and the accountant's
-all-orders RDP table from one numpy pipeline per order.
+all-orders RDP table from one numpy pipeline per order
+(``per_order_rdp``) and from the table with one ``np.add.reduce`` per order
+(``row_loop_subsampled_rdp``).
 
 ``aggregate_noisy`` is the noisy aggregation over a list of per-sample
 gradient sets (clip each, sum in list order, add noise at either
@@ -211,6 +213,41 @@ def per_order_rdp(sigma: float, q: float, alpha) -> float:
     )
     m = float(log_terms.max())
     return max(0.0, (m + math.log(float(np.exp(log_terms - m).sum()))) / (a - 1))
+
+
+# The accountant's former [63, 65] table: row a - 2 is order a, column k its
+# k-th term, log C(a, k) is -inf past k = a.
+_ROW_LOOP_ORDERS = list(range(2, 65))
+_ROW_LOOP_K = np.arange(65)
+_ROW_LOOP_LOG_COMB = np.array(
+    [
+        [_LOG_FACTORIAL[a] - _LOG_FACTORIAL[k] - _LOG_FACTORIAL[a - k] if k <= a else -math.inf
+         for k in range(65)]
+        for a in _ROW_LOOP_ORDERS
+    ]
+)
+_ROW_LOOP_A_MINUS_K = np.array(_ROW_LOOP_ORDERS)[:, None] - _ROW_LOOP_K
+
+
+def row_loop_subsampled_rdp(sigma: float, q: float) -> np.ndarray:
+    """Per-step subsampled-Gaussian RDP at orders 2..64, one row sum per order.
+
+    The accountant's former ``_subsampled_rdp``, kept as the bit-identity
+    oracle of its pairwise-sum replica: the whole [63, 65] table, exp over
+    every entry, then a Python loop that sums each order's own a + 1 terms
+    with ``np.add.reduce`` and takes ``math.log``. Non-finite values are +inf.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_terms = (
+            (_ROW_LOOP_LOG_COMB + _ROW_LOOP_K * math.log(q)) + _ROW_LOOP_A_MINUS_K * math.log1p(-q)
+        ) + (_ROW_LOOP_K * _ROW_LOOP_K - _ROW_LOOP_K) / (2.0 * sigma * sigma)
+        peaks = np.fmax.reduce(log_terms, axis=1)
+        scaled = np.exp(log_terms - peaks[:, None])
+    values = np.empty(len(_ROW_LOOP_ORDERS))
+    for row, (a, peak) in enumerate(zip(_ROW_LOOP_ORDERS, peaks.tolist())):
+        value = (peak + math.log(np.add.reduce(scaled[row, : a + 1]))) / (a - 1)
+        values[row] = max(0.0, value) if math.isfinite(value) else math.inf
+    return values
 
 
 def per_order_epsilon(sigma: float, q: float, steps: int, delta: float) -> float:

@@ -29,6 +29,7 @@ from oracles import (
     mixture_renyi_rdp,
     per_order_epsilon,
     per_order_rdp,
+    row_loop_subsampled_rdp,
 )
 
 
@@ -480,3 +481,188 @@ class TestTinySigma:
             for steps in (1, 180, 10**6):
                 got = epsilon_for(1e-4, q, steps, 1e-5)
                 assert math.isfinite(got) and got == per_order_epsilon(1e-4, q, steps, 1e-5)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _log_uniform(rng, lo, hi, size=None):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+# Around sigma ~ 3e-153 the k^2 / (2 sigma^2) terms start to overflow.
+OVERFLOW_EDGE_SIGMAS = (1e-160, 3e-153, 1e-152)
+EXTREME_QS = (1e-6, 1 - 1e-9)
+
+
+class TestPairwiseTableMatchesRowLoop:
+    """The pairwise-sum table against the former row loop, bit for bit."""
+
+    def test_seeded_grid(self):
+        rng = np.random.default_rng(14)
+        sigmas = _log_uniform(rng, 1e-4, 1e4, 2000)
+        qs = _log_uniform(rng, 1e-6, 1 - 1e-9, 2000)
+        for sigma, q in zip(sigmas.tolist(), qs.tolist()):
+            got = accountant._subsampled_rdp(sigma, q)
+            assert np.array_equal(_bits(got), _bits(row_loop_subsampled_rdp(sigma, q))), (sigma, q)
+
+    @pytest.mark.parametrize("q", EXTREME_QS + (32 / 1440, 0.5))
+    def test_overflow_edges(self, q):
+        infinite = 0
+        for sigma in OVERFLOW_EDGE_SIGMAS + (1e-200, 1e-4, 1e200):
+            got = accountant._subsampled_rdp(sigma, q)
+            assert np.array_equal(_bits(got), _bits(row_loop_subsampled_rdp(sigma, q))), sigma
+            infinite += int(np.isinf(got).sum())
+        # Both sides of the edge are reached: all-inf rows, some-inf rows, none.
+        assert 0 < infinite < 7 * 63
+
+    def test_calibration_matches_row_loop(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        cases = [
+            (
+                float(_log_uniform(rng, 0.05, 50.0)),
+                float(rng.choice([1e-5, 1e-3])),
+                float(_log_uniform(rng, 1e-4, 0.9)),
+                int(_log_uniform(rng, 1, 1e5)),
+            )
+            for _ in range(100)
+        ]
+        got = [_calibrate_or_error(*case) for case in cases]
+        monkeypatch.setattr(accountant, "_subsampled_rdp", row_loop_subsampled_rdp)
+        assert got == [_calibrate_or_error(*case) for case in cases]
+        assert got.count("CalibrationError") < len(cases) // 2
+
+    def test_dp_small_calibration_call_count(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return epsilon_for(*args)
+
+        monkeypatch.setattr(accountant, "epsilon_for", counted)
+        calibrate_sigma(10.0, 1e-5, 32 / 1440, 180)
+        assert len(calls) == 16
+
+
+NUMPY_ORDER = (
+    "numpy's pairwise summation (pairwise_sum, used by np.add.reduce on float64) "
+    "no longer adds a row in the order accountant._pairwise_sums replicates; "
+    "per-step RDP values would lose their bits"
+)
+
+
+class TestNumpyAssumptions:
+    """What the pairwise-sum table relies on numpy for."""
+
+    def test_pairwise_replica_matches_add_reduce(self):
+        lengths = np.arange(1, 66)
+        in_blocks, tail_index = accountant._pairwise_layout(lengths, 72)
+        rng = np.random.default_rng(16)
+        order_sensitive = 0
+        for _ in range(20):
+            rows = _log_uniform(rng, 1e-18, 1.0, (65, 72))
+            rows[rng.random((65, 72)) < 0.15] = 0.0
+            rows[rng.random((65, 72)) < 0.1] = 5e-324 * rng.integers(1, 1000)
+            rows[np.arange(72) >= lengths[:, None]] = 0.0
+            got = accountant._pairwise_sums(rows, in_blocks, tail_index)
+            for n, row, total in zip(lengths, rows, got):
+                expected = np.add.reduce(row[:n])
+                assert _bits(total) == _bits(expected), f"{NUMPY_ORDER} (row length {n})"
+                order_sensitive += sum(row[:n].tolist()) != expected
+        # The rows tell orders apart: a left-to-right sum differs somewhere.
+        assert order_sensitive > 0
+
+    def test_exp_underflows_to_exact_zero(self):
+        below = np.array([-746.0, np.nextafter(-746.0, -np.inf), -800.0, -1e5, -1e300, -np.inf])
+        assert np.array_equal(_bits(np.exp(below)), np.zeros(len(below), dtype=np.int64)), (
+            "np.exp no longer gives +0.0 below -746; accountant._subsampled_rdp skips those terms"
+        )
+        assert np.isnan(np.exp(np.nan))
+
+
+class TestCaches:
+    def test_cached_arrays_are_read_only(self):
+        orders, rows, unsupported = accountant._checked_orders(default_alpha_grid(0.1), False)
+        assert unsupported is None
+        full_orders, full_rows, _ = accountant._checked_orders(default_alpha_grid(1.0), True)
+        assert full_rows is None
+        cached = (
+            accountant._q_table(32 / 1440),
+            orders,
+            rows,
+            full_orders,
+            accountant._penalties(default_alpha_grid(0.1), 1e-5),
+        )
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # What callers get back is theirs to write.
+        ledger = PrivacyLedger(MechanismSpec(1.0, 32 / 1440))
+        ledger._per_step[0] = ledger._per_step[0]
+
+    @pytest.mark.parametrize("name", ["_q_table", "_checked_orders", "_penalties"])
+    def test_caches_are_bounded(self, name):
+        cache = getattr(accountant, name)
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for i in range(maxsize + 10):
+            q = 0.5 / (i + 2)
+            accountant._per_step(MechanismSpec(1.0, q), (2, 3, i % 60 + 4))
+            accountant._penalties((2.0, 3.0), q)
+        assert cache.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("q", [1e-6, 0.1, 1 - 1e-9, 1.0])
+    def test_tiny_sigma_runs_clean(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accountant._q_table.cache_clear()
+            assert all(r == math.inf for r in mechanism_curve(MechanismSpec(1e-200, q)).per_step)
+            assert epsilon_for(1e-200, q, 1, 1e-5) == math.inf
+            assert calibrate_sigma(1e300, 1e-5, q, 1) == 1e-4
+
+
+class TestStepCounts:
+    """Step counts are integers; a fractional count raises instead of truncating."""
+
+    SPEC = MechanismSpec(1.0, 0.02)
+
+    def _entry_points(self):
+        ledger = PrivacyLedger(self.SPEC)
+        curve = mechanism_curve(self.SPEC)
+        return {
+            "advance": lambda n: (ledger.advance(n), ledger.spent().epsilon)[1],
+            "epsilon_if": lambda n: ledger.epsilon_if(n),
+            "epsilon_for": lambda n: epsilon_for(1.0, 0.02, n, 1e-5),
+            "calibrate_sigma": lambda n: calibrate_sigma(10.0, 1e-5, 0.02, n),
+            "compose": lambda n: to_eps_delta(compose(curve, n), 1e-5).epsilon,
+            "accountant_query": lambda n: accountant_query(1.0, 0.02, n, 1e-5)["epsilon"],
+            "RdpCurve": lambda n: to_eps_delta(RdpCurve(curve.alphas, curve.per_step, n), 1e-5).epsilon,
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "compose", "accountant_query", "RdpCurve"],
+    )
+    def test_fractional_count_raises(self, entry):
+        call = self._entry_points()[entry]
+        for count in (2.5, 1.5, 2.0, np.float64(3.0)):
+            with pytest.raises(TypeError):
+                call(count)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "compose", "accountant_query", "RdpCurve"],
+    )
+    def test_numpy_integer_count_matches_int(self, entry):
+        expected = self._entry_points()[entry](3)
+        assert self._entry_points()[entry](np.int64(3)) == expected
+
+    def test_fractional_advance_leaves_the_ledger_alone(self):
+        ledger = PrivacyLedger(self.SPEC)
+        ledger.advance(2)
+        with pytest.raises(TypeError):
+            ledger.advance(1.5)
+        assert ledger.step_count == 2
+        assert type(ledger.step_count) is int
+        assert ledger.spent().epsilon == epsilon_for(1.0, 0.02, 2, 1e-5)

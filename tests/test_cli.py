@@ -65,6 +65,11 @@ class TestAccountantCommand:
         assert main(["accountant", "--sigma", "1", "--target-eps", "2",
                      "--q", "1", "--steps", "1"]) == 1
 
+    @pytest.mark.parametrize("mode", [["--sigma", "1"], ["--target-eps", "10"]])
+    def test_fractional_steps_exit_one(self, capsys, mode):
+        assert main(["accountant", *mode, "--q", "0.02", "--steps", "2.5"]) == 1
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("q", ["0.1", "1"])
     def test_tiny_sigma_reports_infinite_epsilon(self, capsys, q):
         assert main(["accountant", "--sigma", "1e-200", "--q", q, "--steps", "1000"]) == 0
