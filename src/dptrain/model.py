@@ -153,6 +153,7 @@ class Model:
         for a in arrays:
             offsets.append(offsets[-1] + a.size)
         self._offsets = tuple(offsets)
+        self._layer_end = offsets[len(slots)]  # later slots belong to no layer
         self._frozen = 0
         self.seed = seed
         self.freeze_prefix = 0
@@ -206,6 +207,11 @@ class Model:
     def trainable(self) -> list[bool]:
         """Per slot, whether it trains (a new list on each read)."""
         return [s >= self._frozen for s in range(len(self._shapes))]
+
+    @property
+    def trainable_start(self) -> int:
+        """Index of the first trainable parameter: the trainable tail is ``[trainable_start:]``."""
+        return self._offsets[self._frozen]
 
     def trainable_spans(self) -> list[tuple[int, int]]:
         """Column ranges of the trainable slots in the flat vector, one per slot, in slot order."""
@@ -399,31 +405,39 @@ def _kernel_forward(model: Model, h: np.ndarray, saved: list) -> np.ndarray:
     return h.reshape(h.shape[0])
 
 
+def _binary_labels(ys, size: int) -> np.ndarray:
+    """``ys`` as a flat float64 vector of ``size`` labels, each 0 or 1."""
+    ya = np.asarray(ys, dtype=np.float64).reshape(-1)
+    if ya.shape[0] != size:
+        raise ShapeMismatchError(f"{size} samples but {ya.shape[0]} labels")
+    bad = (ya != 0.0) & (ya != 1.0)
+    if bad.any():
+        raise ValueError(f"label must be 0 or 1, got {ya[bad][0]!r}")
+    return ya
+
+
 class _LayerPass:
     """One forward pass through the layer kernels, kept for backward passes.
 
     Rows are ``[B, in]`` here, and the backward pass writes the gradient of
     the mean loss, reduced as a batch tape reduces it (``h.T @ g``, sums over
     the batch axis); ``PerSampleBatch`` writes one row per sample instead.
-    Frozen parameters get no gradient work: the backward pass stops at the
-    layer whose first slot is ``Model.frozen_slots``. Non-finite forward
-    values raise ``FloatingPointError`` as the tape does.
+    Frozen parameters get no gradient work and no columns: the backward pass
+    writes only the trainable tail ``[Model.trainable_start:]`` of the flat
+    layout and stops at the layer whose first slot is
+    ``Model.frozen_slots``. Non-finite forward values raise
+    ``FloatingPointError`` as the tape does.
     """
 
     _rowwise = False
 
     def __init__(self, model: Model, xs, ys):
         xa = np.asarray(xs, dtype=np.float64)
-        ya = np.asarray(ys, dtype=np.float64).reshape(-1)
         if xa.ndim != 2 or xa.shape[1] != model.input_dim:
             raise ShapeMismatchError(
                 f"input of shape {xa.shape} does not match input layer width {model.input_dim}"
             )
-        if xa.shape[0] != ya.shape[0]:
-            raise ShapeMismatchError(f"{xa.shape[0]} samples but {ya.shape[0]} labels")
-        bad = (ya != 0.0) & (ya != 1.0)
-        if bad.any():
-            raise ValueError(f"label must be 0 or 1, got {ya[bad][0]!r}")
+        ya = _binary_labels(ys, xa.shape[0])
         if any(layer.mixes_samples for layer in model.layers):
             raise ModelValidationError("batch-coupled normalization cannot be traced")
 
@@ -435,15 +449,19 @@ class _LayerPass:
         self.losses, self._bce_saved = _bce(self._probs, ya)
 
     def _backward(self, lo: int, hi: int, out: np.ndarray) -> None:
-        """Write the gradients of rows ``lo..hi-1`` into ``out``, ``[hi - lo, P]`` or ``[P]``."""
+        """Write the gradients of rows ``lo..hi-1`` into ``out``, ``[hi - lo, T]`` or ``[T]``.
+
+        The T columns are the trainable tail ``[Model.trainable_start:]``.
+        """
         model = self.model
         offsets = model.parameter_offsets()
         frozen = model.frozen_slots
+        start = offsets[frozen]  # Model.trainable_start
         rowwise = self._rowwise
         r = hi - lo
 
         def block(slot):
-            return out[..., offsets[slot]:offsets[slot + 1]]
+            return out[..., offsets[slot] - start:offsets[slot + 1] - start]
 
         # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
         dp = _bce_pullback(*(a[lo:hi] for a in self._bce_saved))
@@ -493,6 +511,8 @@ class PerSampleBatch(_LayerPass):
     cotangent, where the tape sums over a one-row axis from +0.0); the
     private step's norms and Adam update absorb it, so its parameters,
     moments and outcomes are bit-identical. The tape remains the oracle.
+    Rows cover the trainable tail only (see ``backward``);
+    ``per_sample_gradients`` widens them to ``[B, P]``.
     """
 
     _rowwise = True
@@ -500,14 +520,26 @@ class PerSampleBatch(_LayerPass):
     def backward(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write the gradients of samples ``lo..hi-1`` into the first rows of ``out``.
 
-        ``out`` is a float64 ``[>= hi - lo, P]`` matrix laid out by
-        ``Model.parameter_offsets``; columns of frozen parameters are left
-        as they are.
+        ``out`` is a C-contiguous float64 ``[>= hi - lo, T]`` matrix over the
+        trainable tail: column j holds flat parameter
+        ``Model.trainable_start + j``, and T = P when nothing is frozen.
+        Frozen parameters have no columns. Every entry of the first
+        ``hi - lo`` rows is set, so ``out`` need not be zeroed: slots that
+        no layer names get zeros.
         """
-        size = self.model.num_parameters()
-        if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape[1:] != (size,):
-            raise ShapeMismatchError(f"need a C-contiguous float64 [rows, {size}] matrix")
-        self._backward(lo, hi, out[: hi - lo])
+        model = self.model
+        start = model.trainable_start
+        width = model.num_parameters() - start
+        if (
+            out.dtype != np.float64
+            or not out.flags.c_contiguous
+            or out.shape[1:] != (width,)
+            or out.shape[0] < hi - lo
+        ):
+            raise ShapeMismatchError(f"need a C-contiguous float64 [>= {hi - lo}, {width}] matrix")
+        rows = out[: hi - lo]
+        rows[:, model._layer_end - start:] = 0.0
+        self._backward(lo, hi, rows)
 
 
 def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -516,11 +548,14 @@ def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
     slot order (see ``PerSampleBatch``), with zero columns for frozen
     parameters. Builds the whole matrix; the private step works through
-    ``PerSampleBatch`` in row blocks instead.
+    ``PerSampleBatch`` in row blocks over the trainable columns instead.
     """
     batch = PerSampleBatch(model, xs, ys)
+    start = model.trainable_start
+    tail = np.empty((batch.size, model.num_parameters() - start))
+    batch.backward(0, batch.size, tail)
     grads = np.zeros((batch.size, model.num_parameters()))
-    batch.backward(0, batch.size, grads)
+    grads[:, start:] = tail
     return batch.losses, grads
 
 
@@ -534,7 +569,7 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, GradientSet]:
     if kernels.size == 0:
         raise ValueError("batch_gradient needs at least one sample")
     flat = np.zeros(model.num_parameters())
-    kernels._backward(0, kernels.size, flat)
+    kernels._backward(0, kernels.size, flat[model.trainable_start:])
     return float(kernels.losses.mean()), GradientSet.of(model._slot_views(flat))
 
 
@@ -543,9 +578,11 @@ def predict_proba(model: Model, xs) -> np.ndarray:
 
 
 def accuracy(model: Model, xs, ys) -> float:
+    """Share of samples whose predicted class matches their label (one 0/1 label per sample)."""
     probs = predict_proba(model, xs)
+    labels = _binary_labels(ys, probs.shape[0])
     preds = (probs > 0.5).astype(np.float64)
-    return float(np.mean(preds == np.asarray(ys, dtype=np.float64).reshape(-1)))
+    return float(np.mean(preds == labels))
 
 
 @dataclass(frozen=True)

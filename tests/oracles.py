@@ -12,8 +12,9 @@ all-orders RDP table from one numpy pipeline per order
 
 ``aggregate_noisy`` is the noisy aggregation over a list of per-sample
 gradient sets (clip each, sum in list order, add noise at either
-placement). The private step does the same on the rows of a ``[B, P]``
-matrix; ``tape_dp_adam_step`` uses this list form as its reference.
+placement). The private step does the same on ``[B, T]`` rows over the
+trainable columns, in cache-sized blocks; ``tape_dp_adam_step`` uses this
+list form as its reference.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``block_freeze_mask`` is the frozen-slot rule walked layer by layer.

@@ -343,6 +343,22 @@ def test_accuracy_on_separable_points():
     assert 0.0 <= probs <= 1.0
 
 
+def test_accuracy_rejects_a_label_count_that_differs_from_the_samples():
+    model = build_mlp([2, 4, 1], seed=0)
+    xs = np.random.default_rng(1).normal(size=(10, 2))
+    for labels in ([1.0], np.zeros(9), np.zeros(11)):
+        with pytest.raises(ShapeMismatchError):
+            accuracy(model, xs, labels)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, np.nan])
+def test_accuracy_rejects_labels_outside_zero_and_one(bad):
+    model = build_mlp([2, 4, 1], seed=0)
+    xs = np.random.default_rng(1).normal(size=(4, 2))
+    with pytest.raises(ValueError, match="label must be 0 or 1"):
+        accuracy(model, xs, [0.0, 1.0, bad, 1.0])
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = build_mlp([4, 8, 1], norm="group:2", seed=42)
     model.set_freeze_prefix(1)
@@ -530,7 +546,9 @@ def test_row_blocks_assemble_the_full_matrix():
     xs = rng.normal(size=(10, 20))
     ys = rng.integers(0, 2, size=10).astype(float)
     batch = PerSampleBatch(model, xs, ys)
-    block = np.zeros((3, model.num_parameters()))
+    start = model.trainable_start
+    assert start > 0
+    block = np.full((3, model.num_parameters() - start), np.nan)  # every entry is written
     rows = []
     for lo in range(0, 10, 3):
         hi = min(lo + 3, 10)
@@ -538,7 +556,22 @@ def test_row_blocks_assemble_the_full_matrix():
         rows.append(block[: hi - lo].copy())
     ref_losses, ref_rows = tape_rows(model, xs, ys)
     np.testing.assert_array_equal(batch.losses, ref_losses)
-    np.testing.assert_array_equal(np.concatenate(rows), ref_rows)
+    np.testing.assert_array_equal(np.concatenate(rows), ref_rows[:, start:])
+    assert not ref_rows[:, :start].any()
+
+
+def test_rows_of_slots_no_layer_names_are_zero():
+    # Row buffers are not zeroed beforehand, so backward must write these columns.
+    base = build_mlp([4, 6, 1], seed=1)
+    model = Model(base.layers, list(base.parameters) + [np.full(3, 2.0)])
+    rng = np.random.default_rng(2)
+    xs = rng.normal(size=(5, 4))
+    ys = rng.integers(0, 2, size=5).astype(float)
+    block = np.full((5, model.num_parameters()), np.nan)
+    PerSampleBatch(model, xs, ys).backward(0, 5, block)
+    _, ref_rows = tape_rows(model, xs, ys)
+    assert not ref_rows[:, -3:].any()
+    np.testing.assert_array_equal(block, ref_rows)
 
 
 def test_batched_gradients_reject_bad_input():
@@ -558,6 +591,13 @@ def test_batched_gradients_reject_bad_input():
         batch.backward(0, 2, np.zeros((2, model.num_parameters()), order="F"))
     with pytest.raises(ShapeMismatchError):
         batch.backward(0, 2, np.zeros((2, model.num_parameters() + 1)))
+    with pytest.raises(ShapeMismatchError):
+        batch.backward(0, 2, np.zeros((1, model.num_parameters())))
+    model.set_freeze_prefix(1)  # blocks cover the trainable columns only
+    frozen = PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
+    with pytest.raises(ShapeMismatchError):
+        frozen.backward(0, 2, np.zeros((2, model.num_parameters())))
+    frozen.backward(0, 2, np.zeros((2, model.num_parameters() - model.trainable_start)))
 
 
 def assert_batch_gradient_equals_tape(model, xs, ys):

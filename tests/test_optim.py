@@ -102,6 +102,13 @@ class TestReferenceAdam:
                 variant="adamw",
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["lr", "adam_stabilizer"])
+    def test_rejects_non_finite_rate_and_stabilizer(self, name, value):
+        kwargs = {"m": np.zeros(1), "u": np.zeros(1), "lr": 0.1, name: value}
+        with pytest.raises(ValueError, match="positive and finite"):
+            DpAdamState(**kwargs)
+
 
 def run_dp(model, xs, ys, steps, *, sigma=0.0, clip=1e9, p=1.0, seed=0,
            placement="after-mean", lr=0.05, ledger=None, step=dp_adam_step,
@@ -311,6 +318,22 @@ class TestFreezeAfterSteps:
 class TestClippedSum:
     """The block reduction adds the clipped rows in sample order, like a row loop."""
 
+    @staticmethod
+    def record_backward(monkeypatch):
+        """``(lo, hi, shape, nbytes)`` of every buffer ``PerSampleBatch.backward`` receives.
+
+        ``nbytes`` is that of the whole allocation the buffer views.
+        """
+        received = []
+        backward = PerSampleBatch.backward
+
+        def recording(batch, lo, hi, out):
+            received.append((lo, hi, out.shape, (out if out.base is None else out.base).nbytes))
+            backward(batch, lo, hi, out)
+
+        monkeypatch.setattr(PerSampleBatch, "backward", recording)
+        return received
+
     @pytest.mark.parametrize("rows_per_block", [1, 3, None])
     @pytest.mark.parametrize("widths", [[6, 8, 8, 1], [1, 1]], ids=["mlp", "two-parameters"])
     def test_equals_row_loop(self, widths, rows_per_block, monkeypatch):
@@ -330,10 +353,57 @@ class TestClippedSum:
         ref = rows[0].copy()
         for row in rows[1:]:
             ref += row
-        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), spans, clip)
+        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
         assert_same_bits(total, ref)
         assert_same_bits(norms, ref_norms)
         assert np.count_nonzero(ref_norms > clip.max_norm) > 0
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3, None], ids=["1", "2", "3", "batch"])
+    @pytest.mark.parametrize("freeze", [0, 1, 2])
+    def test_trainable_tail_equals_full_width_row_loop(self, freeze, rows_per_block, monkeypatch):
+        # Blocks cover only the trainable columns; the full-width matrix
+        # (frozen columns zero) is checked against the tape in test_model.
+        model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=4)
+        model.set_freeze_prefix(freeze)
+        start = model.trainable_start
+        width = model.num_parameters() - start
+        assert (start > 0) == (freeze > 0)
+        if rows_per_block is not None:
+            monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+        rng = np.random.default_rng(10 + freeze)
+        xs = rng.normal(size=(23, 6))
+        ys = rng.integers(0, 2, size=23).astype(float)
+        clip = ClipSpec(0.3)
+
+        _, rows = per_sample_gradients(model, xs, ys)
+        ref_norms = clip_rows(rows, model.trainable_spans(), clip)
+        ref = rows[0].copy()
+        for row in rows[1:]:
+            ref += row
+        received = self.record_backward(monkeypatch)
+        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
+        assert_same_bits(total, ref[start:])
+        assert_same_bits(norms, ref_norms)
+        assert not ref[:start].any()
+        assert np.count_nonzero(ref_norms > clip.max_norm) > 0
+        assert len(received) == -(-23 // (rows_per_block or 23))
+        assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
+                   for _, _, shape, nbytes in received)
+
+    def test_wide_blocks_fit_the_block_bytes(self, monkeypatch):
+        # dp-wide's model: every buffer the step hands to backward is a few
+        # trainable-width rows within ROW_BLOCK_BYTES.
+        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
+        model.set_freeze_prefix(1)
+        width = model.num_parameters() - model.trainable_start
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(10, 20))
+        ys = rng.integers(0, 2, size=10).astype(float)
+        received = self.record_backward(monkeypatch)
+        optim._clipped_sum(PerSampleBatch(model, xs, ys), ClipSpec(1.0))
+        assert [(lo, hi) for lo, hi, _, _ in received] == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
+                   for _, _, shape, nbytes in received)
 
 
 class TestBatchedStepEqualsTapeLoop:
@@ -418,9 +488,10 @@ class TestBatchedStepEqualsTapeLoop:
         assert 0 in sizes and 1 in sizes
 
     def test_wide_model_crosses_row_blocks(self):
-        # ~72k parameters: the step builds about 7 gradient rows at a time.
+        # ~72k parameters, ~67k trainable: the step builds 3 gradient rows at a time.
         model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
-        per_block = optim.ROW_BLOCK_BYTES // (8 * model.num_parameters())
+        model.set_freeze_prefix(1)
+        per_block = optim.ROW_BLOCK_BYTES // (8 * (model.num_parameters() - model.trainable_start))
         outcomes = self.run_both([20, 256, 256, 1], norm="group:8", freeze=1, n=40, steps=3,
                                  sigma=1.0, clip=1.0, p=0.5, seed=2)
         assert 1 < per_block < max(o.batch_size for o in outcomes)
