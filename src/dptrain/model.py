@@ -125,9 +125,10 @@ class Model:
 
     The parameters live in one flat float64 vector (``parameter_vector``)
     that concatenates them raveled in slot order; ``parameters`` is the
-    ordered list of shaped views over it, and every
-    :class:`~dptrain.tensor.GradientSet` produced for this model aligns with
-    that list index-for-index. The constructor checks that the layers name
+    ordered list of shaped views over it. A gradient of this model is a flat
+    ``[P]`` vector in the same layout; the tape oracle's
+    :class:`~dptrain.tensor.GradientSet` aligns with ``parameters``
+    index-for-index. The constructor checks that the layers name
     slots ``0, 1, 2, ...`` in layer order with the shapes they imply; later
     slots belong to no layer. Freezing is one boundary: the first
     ``frozen_slots`` slots are frozen. Parameters are replaced, never
@@ -271,12 +272,10 @@ class Model:
                 f"{self._offsets[-1]} parameters"
             )
         self._vector = vector
-        self.parameters: list[np.ndarray] = self._slot_views(vector)
-
-    def _slot_views(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Shaped views of a flat ``[P]`` vector, one per slot."""
         o = self._offsets
-        return [vector[o[s]:o[s + 1]].reshape(shape) for s, shape in enumerate(self._shapes)]
+        self.parameters: list[np.ndarray] = [
+            vector[o[s]:o[s + 1]].reshape(shape) for s, shape in enumerate(self._shapes)
+        ]
 
     def set_parameters(self, new_params) -> None:
         new_params = [np.asarray(p, dtype=np.float64) for p in new_params]
@@ -559,18 +558,19 @@ def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return batch.losses, grads
 
 
-def batch_gradient(model: Model, xs, ys) -> tuple[float, GradientSet]:
-    """Mean loss over a non-empty batch and its gradient (the full-batch gradient).
+def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
+    """Mean loss over a non-empty batch and its gradient, a flat float64 ``[P]`` vector.
 
-    Loss and trainable gradients equal a tape over the batch graph bit for
-    bit. Frozen parameters get zeros. Labels must be 0 or 1, one per sample.
+    The gradient is laid out like ``Model.parameter_vector``. Loss and
+    trainable entries equal a tape over the batch graph bit for bit; frozen
+    parameters get zeros. Labels must be 0 or 1, one per sample.
     """
     kernels = _LayerPass(model, xs, ys)
     if kernels.size == 0:
         raise ValueError("batch_gradient needs at least one sample")
     flat = np.zeros(model.num_parameters())
     kernels._backward(0, kernels.size, flat[model.trainable_start:])
-    return float(kernels.losses.mean()), GradientSet.of(model._slot_views(flat))
+    return float(kernels.losses.mean()), flat
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:
@@ -581,6 +581,8 @@ def accuracy(model: Model, xs, ys) -> float:
     """Share of samples whose predicted class matches their label (one 0/1 label per sample)."""
     probs = predict_proba(model, xs)
     labels = _binary_labels(ys, probs.shape[0])
+    if probs.shape[0] == 0:
+        raise ValueError("accuracy needs at least one sample")
     preds = (probs > 0.5).astype(np.float64)
     return float(np.mean(preds == labels))
 

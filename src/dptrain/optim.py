@@ -41,9 +41,10 @@ Two update rules are available:
   moment without a square root and without bias correction. This variant
   scales poorly at high curvature; it exists for comparison runs.
 
-``adam_step`` is the non-private reference: the same moment machinery driven
-by ``model.batch_gradient``'s full-batch gradient, used for equivalence testing
-(sigma = 0, p = 1, non-binding clip reproduces it exactly).
+``adam_step`` is the one Adam update. The private step hands it the released
+noisy ``[P]`` vector; the non-private step hands it ``model.batch_gradient``'s
+flat full-batch gradient as it is (sigma = 0, p = 1 and a non-binding clip
+reproduce that step exactly).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from .accountant import PrivacyLedger
 from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows
 from .model import Model, ModelValidationError, PerSampleBatch, validate_model
-from .tensor import GradientSet, ShapeMismatchError
+from .tensor import ShapeMismatchError
 
 __all__ = [
     "ADAM_VARIANTS",
@@ -152,16 +153,20 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _apply_update(model: Model, state: DpAdamState, grad: np.ndarray) -> None:
-    """Adam update of the trainable tail from a flat ``[P]`` gradient.
+def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
+    """One Adam update of the trainable tail from a flat float64 ``[P]`` gradient.
 
-    The frozen slots lead the vector, so the tail ``[lo:]`` holds every
-    trainable parameter; frozen parameters and their moments are never
-    touched, whatever ``grad`` holds there. Each line is the per-slot
-    formula's own IEEE operation, applied to the whole tail:
+    ``grad`` is laid out like ``Model.parameter_vector``; anything else
+    raises ``ShapeMismatchError`` before the state changes. The frozen slots
+    lead the vector, so the tail ``[lo:]`` holds every trainable parameter;
+    frozen parameters and their moments are never touched, whatever
+    ``grad`` holds there. Each line is the per-slot formula's own IEEE
+    operation, applied to the whole tail:
     ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
     """
     params = model.parameter_vector
+    if not isinstance(grad, np.ndarray) or grad.dtype != np.float64:
+        raise ShapeMismatchError("the gradient must be a float64 ndarray")
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ShapeMismatchError("gradient or moments not aligned with the parameter vector")
     state.t += 1
@@ -189,17 +194,6 @@ def _apply_update(model: Model, state: DpAdamState, grad: np.ndarray) -> None:
     new_params = params.copy()
     new_params[lo:] -= w
     model.set_parameter_vector(new_params)
-
-
-def adam_step(model: Model, grad: GradientSet, state: DpAdamState) -> None:
-    """One non-private Adam update from a precomputed full-batch gradient.
-
-    ``grad`` is flattened once into the ``[P]`` layout of ``model``;
-    frozen parameters receive neither moments nor updates.
-    """
-    if grad.shapes != model.parameter_shapes():
-        raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
-    _apply_update(model, state, np.concatenate([a.reshape(-1) for a in grad.arrays]))
 
 
 def dp_adam_step(
@@ -261,7 +255,7 @@ def dp_adam_step(
     else:
         released += clipped_sum
         released /= batch.size
-    _apply_update(model, state, flat)
+    adam_step(model, flat, state)
     # Frozen slots count as zeros, which add exactly nothing to the norm.
     noisy_sq = 0.0
     for lo, hi in model.trainable_spans():

@@ -17,6 +17,8 @@ trainable columns, in cache-sized blocks; ``tape_dp_adam_step`` uses this
 list form as its reference.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
+``flat`` and ``slot_views`` convert between a gradient set and the flat
+``[P]`` vector that ``batch_gradient`` returns and ``adam_step`` takes.
 ``block_freeze_mask`` is the frozen-slot rule walked layer by layer.
 ``masked_sigmoid``, ``clip_clamp``, ``broadcast_outer`` and
 ``matmul_clip_rows`` are the former numpy formulas of the private step's
@@ -416,9 +418,23 @@ def per_slot_adam_update(model, state, vbar: GradientSet) -> None:
     )
 
 
-def per_slot_adam_step(model, grad: GradientSet, state) -> None:
-    """``dptrain.optim.adam_step`` on the per-slot update oracle."""
-    per_slot_adam_update(model, state, masked(grad, model.trainable))
+def per_slot_adam_step(model, grad: np.ndarray, state) -> None:
+    """``dptrain.optim.adam_step`` on the per-slot update oracle, from a flat ``[P]`` gradient."""
+    per_slot_adam_update(model, state, masked(slot_views(model, grad), model.trainable))
+
+
+def flat(grad: GradientSet) -> np.ndarray:
+    """A gradient set as one flat ``[P]`` vector, its arrays raveled in slot order."""
+    return np.concatenate([a.reshape(-1) for a in grad.arrays])
+
+
+def slot_views(model, vector: np.ndarray) -> GradientSet:
+    """A flat ``[P]`` vector split into a gradient set of shaped views, one per slot."""
+    offsets = model.parameter_offsets()
+    return GradientSet(
+        [vector[offsets[s]:offsets[s + 1]].reshape(shape)
+         for s, shape in enumerate(model.parameter_shapes())]
+    )
 
 
 def tape_dp_adam_step(

@@ -35,6 +35,7 @@ from dptrain.optim import DpAdamState, adam_step, dp_adam_step
 from dptrain.tensor import GradientSet, Tape, backward, fd_gradient, mean_gradient_sets
 from dptrain.train import sweep, train
 from oracles import (
+    flat,
     grid_search_epsilon_gaussian,
     mixture_renyi_rdp,
     oracle_alpha_grid,
@@ -141,7 +142,7 @@ def test_criterion_03_degenerate_equivalence():
             ledger, poisson_rng, noise_rng,
         )
         per = [per_sample_gradient(ref_model, x, y)[1] for x, y in zip(xs, ys)]
-        adam_step(ref_model, mean_gradient_sets(per), ref_state)
+        adam_step(ref_model, flat(mean_gradient_sets(per)), ref_state)
     worst = max(
         np.max(np.abs(a - b)) for a, b in zip(dp_model.parameters, ref_model.parameters)
     )

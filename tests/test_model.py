@@ -34,7 +34,7 @@ from dptrain.tensor import (
     sigmoid,
     tensor,
 )
-from oracles import block_freeze_mask, broadcast_outer, tape_batch_gradient
+from oracles import block_freeze_mask, broadcast_outer, flat, slot_views, tape_batch_gradient
 
 
 def batch_coupled_mlp(seed=0):
@@ -190,7 +190,7 @@ def test_batch_gradient_is_mean_of_per_sample():
     _, batch_g = batch_gradient(model, xs, ys)
     per = [per_sample_gradient(model, xs[i], ys[i])[1] for i in range(8)]
     mean_g = mean_gradient_sets(per)
-    for a, b in zip(batch_g, mean_g):
+    for a, b in zip(slot_views(model, batch_g), mean_g):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
@@ -332,7 +332,7 @@ def test_layerless_parameter_holder_builds_and_updates():
     assert holder.trainable_spans() == [(0, 2), (2, 8)]
     before = holder.parameter_vector.copy()
     state = DpAdamState.for_model(holder, lr=0.1)
-    adam_step(holder, GradientSet([np.ones(2), np.ones((2, 3))]), state)
+    adam_step(holder, flat(GradientSet([np.ones(2), np.ones((2, 3))])), state)
     assert (holder.parameter_vector < before).all()
 
 
@@ -357,6 +357,12 @@ def test_accuracy_rejects_labels_outside_zero_and_one(bad):
     xs = np.random.default_rng(1).normal(size=(4, 2))
     with pytest.raises(ValueError, match="label must be 0 or 1"):
         accuracy(model, xs, [0.0, 1.0, bad, 1.0])
+
+
+def test_accuracy_rejects_zero_samples():
+    model = build_mlp([2, 4, 1], seed=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        accuracy(model, np.zeros((0, 2)), [])
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -601,10 +607,13 @@ def test_batched_gradients_reject_bad_input():
 
 
 def assert_batch_gradient_equals_tape(model, xs, ys):
-    """Loss and trainable slots bit-equal to the batch tape; frozen slots zero."""
-    loss, grad = batch_gradient(model, xs, ys)
+    """A flat float64 [P] gradient: trainable slots bit-equal to the tape, frozen slots zero."""
+    loss, vector = batch_gradient(model, xs, ys)
     ref_loss, ref = tape_batch_gradient(model, xs, ys)
     assert loss == ref_loss
+    assert isinstance(vector, np.ndarray) and vector.dtype == np.float64
+    assert vector.shape == (model.num_parameters(),)
+    grad = slot_views(model, vector)
     assert grad.shapes == ref.shapes == model.parameter_shapes()
     for got, want, keep in zip(grad, ref, model.trainable):
         np.testing.assert_array_equal(got, want if keep else np.zeros_like(want))

@@ -16,8 +16,8 @@ from dptrain.model import (
 )
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
-from dptrain.tensor import GradientSet, mean_gradient_sets
-from oracles import per_slot_adam_step, tape_dp_adam_step
+from dptrain.tensor import GradientSet, ShapeMismatchError, mean_gradient_sets
+from oracles import flat, per_slot_adam_step, tape_dp_adam_step
 from test_model import batch_coupled_mlp
 
 
@@ -52,7 +52,7 @@ class TestReferenceAdam:
         holder = toy_param_holder([np.array([1.0, -0.7])])
         state = DpAdamState.for_model(holder, lr=0.1)
         for _ in range(500):
-            grad = GradientSet([2.0 * holder.parameters[0]])
+            grad = flat(GradientSet([2.0 * holder.parameters[0]]))
             adam_step(holder, grad, state)
         assert np.linalg.norm(holder.parameters[0]) < 1e-3
 
@@ -60,7 +60,7 @@ class TestReferenceAdam:
         holder = toy_param_holder([np.array([0.3])])
         state = DpAdamState.for_model(holder, lr=0.1, bias_correction=False)
         before = holder.parameters[0].copy()
-        adam_step(holder, GradientSet([np.zeros(1)]), state)
+        adam_step(holder, flat(GradientSet([np.zeros(1)])), state)
         np.testing.assert_array_equal(holder.parameters[0], before)
 
     def test_raw_moment_variant_direction(self):
@@ -71,7 +71,7 @@ class TestReferenceAdam:
         state = DpAdamState.for_model(
             holder, lr=0.1, variant="raw-moment", adam_stabilizer=1e-8
         )
-        adam_step(holder, GradientSet([np.array([g])]), state)
+        adam_step(holder, flat(GradientSet([np.array([g])])), state)
         m = 0.1 * g
         u = 0.001 * g * g
         expected = 2.0 - 0.1 * m / (u + 1e-8)
@@ -82,16 +82,31 @@ class TestReferenceAdam:
         state = DpAdamState.for_model(holder, lr=0.1)
         before = holder.parameter_vector
         kept = before.copy()
-        adam_step(holder, GradientSet([np.array([1.0, 1.0]), np.array([1.0])]), state)
+        adam_step(holder, flat(GradientSet([np.array([1.0, 1.0]), np.array([1.0])])), state)
         assert holder.parameter_vector is not before
         np.testing.assert_array_equal(before, kept)
         assert not np.array_equal(holder.parameter_vector, kept)
 
     def test_shape_mismatch_rejected(self):
-        holder = toy_param_holder([np.zeros(2)])
+        holder = toy_param_holder([np.array([0.5, -0.25])])
         state = DpAdamState.for_model(holder, lr=0.1)
-        with pytest.raises(Exception):
-            adam_step(holder, GradientSet([np.zeros(3)]), state)
+        adam_step(holder, np.array([1.0, -2.0]), state)  # non-zero moments to compare
+        params, m, u = holder.parameter_vector, state.m.copy(), state.u.copy()
+        kept = params.copy()
+        for grad in (
+            np.ones(3),
+            np.ones((1, 2)),
+            np.ones(2, dtype=np.float32),
+            GradientSet([np.ones(2)]),
+            [1.0, 1.0],
+        ):
+            with pytest.raises(ShapeMismatchError):
+                adam_step(holder, grad, state)
+            assert state.t == 1
+            assert_same_bits(state.m, m)
+            assert_same_bits(state.u, u)
+            assert holder.parameter_vector is params
+            assert_same_bits(params, kept)
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
@@ -142,7 +157,7 @@ class TestDpAdamStep:
         run_dp(dp_model, self.xs, self.ys, 100, sigma=0.0, clip=1e9, p=1.0)
         for _ in range(100):
             per = [per_sample_gradient(ref_model, x, y)[1] for x, y in zip(self.xs, self.ys)]
-            adam_step(ref_model, mean_gradient_sets(per), state)
+            adam_step(ref_model, flat(mean_gradient_sets(per)), state)
         worst = max(
             np.max(np.abs(a - b))
             for a, b in zip(dp_model.parameters, ref_model.parameters)

@@ -260,7 +260,7 @@ class TestLoopHooks:
 
 
 class TestNoTapeOnTrainingPaths:
-    """Training and evaluation run the layer kernels; the tape is only the gradient oracle."""
+    """Training and evaluation run the layer kernels; the tape and GradientSet are the oracle."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -278,9 +278,18 @@ class TestNoTapeOnTrainingPaths:
         def refuse(op, *args):
             raise AssertionError(f"tape primitive {op!r} ran on a training path")
 
+        def refuse_gradient_set(*args):
+            raise AssertionError("a GradientSet was built on a training path")
+
+        gradient_set = tensor_module.GradientSet
         monkeypatch.setattr(tensor_module, "_emit", refuse)
+        monkeypatch.setattr(gradient_set, "__init__", refuse_gradient_set)
+        monkeypatch.setattr(gradient_set, "of", classmethod(refuse_gradient_set))
         with pytest.raises(AssertionError, match="relu"):
             tensor_module.relu(tensor_module.Tensor(np.ones(2)))
+        for build in (gradient_set, gradient_set.of):
+            with pytest.raises(AssertionError, match="GradientSet"):
+                build([np.ones(2)])
         config = fast_config(
             widths=(8, 8, 1), norm="group:4", freeze_prefix=1, epochs=2, **overrides
         )
