@@ -7,7 +7,8 @@ normalization layer is included as a negative example; ``validate_model``
 flags it and the DP optimizer refuses to step such a model.
 
 Every training and evaluation path runs the layer kernels: one forward
-pass, and one backward pass that reduces per sample or per batch. The
+pass, and one backward chain over the whole batch whose per-layer input and
+cotangent pairs are written per sample or reduced per batch. The
 autodiff tape is only the gradient oracle they are tested against. A
 ``Model`` owns its parameter layout, and freezing is one boundary in it:
 the trainable parameters are always one tail of the flat vector.
@@ -416,16 +417,22 @@ def _binary_labels(ys, size: int) -> np.ndarray:
 
 
 class _LayerPass:
-    """One forward pass through the layer kernels, kept for backward passes.
+    """One forward pass through the layer kernels and its backward chain, run once.
 
-    Rows are ``[B, in]`` here, and the backward pass writes the gradient of
-    the mean loss, reduced as a batch tape reduces it (``h.T @ g``, sums over
-    the batch axis); ``PerSampleBatch`` writes one row per sample instead.
-    Frozen parameters get no gradient work and no columns: the backward pass
-    writes only the trainable tail ``[Model.trainable_start:]`` of the flat
-    layout and stops at the layer whose first slot is
-    ``Model.frozen_slots``. Non-finite forward values raise
-    ``FloatingPointError`` as the tape does.
+    Rows are ``[B, in]`` here and the chain is that of the mean loss, as a
+    batch tape runs it; ``PerSampleBatch`` keeps a unit row axis instead.
+    The chain walks all rows through the pullbacks once (loss, sigmoid,
+    ``g @ W.T``, the ReLU mask, group norm) and keeps, for each trainable
+    layer from the last, its ``(cols, bias_cols, h, g, shape)``: the
+    tail-relative column slices of its weight (or scale) and its bias (or
+    shift), its saved input ``h`` (the normalized input for a norm layer),
+    its output cotangent ``g`` and its weight shape (``None`` for a norm
+    layer). A backward pass then only writes those pairs into the flat
+    layout. Frozen parameters get no gradient work and no columns: the chain
+    stops at the layer whose first slot is ``Model.frozen_slots``, and
+    gradients cover the trainable tail ``[Model.trainable_start:]``, T
+    columns, of the model as it was frozen when the pass was built.
+    Non-finite forward values raise ``FloatingPointError`` as the tape does.
     """
 
     _rowwise = False
@@ -439,78 +446,68 @@ class _LayerPass:
         ya = _binary_labels(ys, xa.shape[0])
         if any(layer.mixes_samples for layer in model.layers):
             raise ModelValidationError("batch-coupled normalization cannot be traced")
+        if not self._rowwise and xa.shape[0] == 0:
+            raise ValueError("batch_gradient needs at least one sample")  # the mean has none
 
         self.model = model
         self.size = xa.shape[0]
-        self._saved: list = []  # what each layer's pullback needs, for all rows
-        rows = xa[:, None, :] if self._rowwise else xa
-        self._probs = _sigmoid(_kernel_forward(model, rows, self._saved))
-        self.losses, self._bce_saved = _bce(self._probs, ya)
+        saved: list = []  # what each layer's pullback needs, for all rows
+        probs = _sigmoid(_kernel_forward(model, xa[:, None, :] if self._rowwise else xa, saved))
+        self.losses, bce_saved = _bce(probs, ya)
 
-    def _backward(self, lo: int, hi: int, out: np.ndarray) -> None:
-        """Write the gradients of rows ``lo..hi-1`` into ``out``, ``[hi - lo, T]`` or ``[T]``.
-
-        The T columns are the trainable tail ``[Model.trainable_start:]``.
-        """
-        model = self.model
         offsets = model.parameter_offsets()
         frozen = model.frozen_slots
         start = offsets[frozen]  # Model.trainable_start
-        rowwise = self._rowwise
-        r = hi - lo
+        self._width = offsets[-1] - start
+        self._unnamed = model._layer_end - start  # first tail column no layer names
 
-        def block(slot):
-            return out[..., offsets[slot] - start:offsets[slot + 1] - start]
+        def cols(slot):
+            return slice(offsets[slot] - start, offsets[slot + 1] - start)
 
         # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
-        dp = _bce_pullback(*(a[lo:hi] for a in self._bce_saved))
-        if not rowwise:
+        dp = _bce_pullback(*bce_saved)
+        if not self._rowwise:
             dp = (1.0 / self.size) * dp  # reduce_mean's pullback comes first
-        g = _sigmoid_pullback(dp, self._probs[lo:hi]).reshape((r, 1, 1) if rowwise else (r, 1))
-        for layer, saved in zip(reversed(model.layers), reversed(self._saved)):
+        g = _sigmoid_pullback(dp, probs)
+        g = g.reshape((self.size, 1, 1) if self._rowwise else (self.size, 1))
+        self._chain: list = []
+        for layer, kept in zip(reversed(model.layers), reversed(saved)):
             if isinstance(layer, DenseLayer):
-                w_block = block(layer.weight_slot)
-                if rowwise:
-                    w_rows = w_block.reshape(r, layer.in_dim, layer.out_dim)
-                    np.einsum("bi,bj->bij", saved[lo:hi, 0], g[:, 0], out=w_rows)
-                else:
-                    np.matmul(saved.T, g, out=w_block.reshape(layer.in_dim, layer.out_dim))
-                block(layer.bias_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                shape = (layer.in_dim, layer.out_dim)
+                self._chain.append((cols(layer.weight_slot), cols(layer.bias_slot), kept, g, shape))
                 if layer.weight_slot == frozen:
-                    return
+                    break
                 g = g @ model.parameters[layer.weight_slot].T
             elif isinstance(layer, ActivationLayer):
-                g = g * saved[lo:hi]
+                g = g * kept
             else:
-                normed, *norm_saved = (a[lo:hi] for a in saved)
-                if rowwise:
-                    np.multiply(g[:, 0, :], normed[:, 0, :], out=block(layer.gamma_slot))
-                else:
-                    block(layer.gamma_slot)[...] = (g * normed).sum(axis=0)
-                block(layer.beta_slot)[...] = g[:, 0, :] if rowwise else g.sum(axis=0)
+                normed, *norm_saved = kept
+                self._chain.append((cols(layer.gamma_slot), cols(layer.beta_slot), normed, g, None))
                 if layer.gamma_slot == frozen:
-                    return
+                    break
                 gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
                 g = _group_norm_pullback(gg, norm_saved).reshape(g.shape)
 
 
 class PerSampleBatch(_LayerPass):
-    """One batched forward pass, kept for per-sample backward passes over row blocks.
+    """One batched forward pass and backward chain, kept to write per-sample rows in blocks.
 
     Losses and gradients equal ``per_sample_gradient`` on each sample,
     because every sample runs through the numpy kernels the tape runs:
     stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
     computes the same one-row product per sample, and the sigmoid, loss and
     group-norm kernels are the tape primitives' own helpers from
-    :mod:`dptrain.tensor`. Weight gradients are exact outer products from one
-    ``np.einsum("bi,bj->bij")`` per layer: each entry is one product added to
-    +0.0, as the tape's one-row matmul adds it, so weight rows carry the
-    tape's bits, signed zeros included. The only difference is the sign of
-    some zero entries in the bias, scale and shift rows (copies of the
-    cotangent, where the tape sums over a one-row axis from +0.0); the
-    private step's norms and Adam update absorb it, so its parameters,
-    moments and outcomes are bit-identical. The tape remains the oracle.
-    Rows cover the trainable tail only (see ``backward``);
+    :mod:`dptrain.tensor`. The chain runs once for the whole batch, at
+    construction; ``backward`` only writes rows from it, so a block of rows
+    costs its outer products and copies alone. Weight gradients are exact
+    outer products from one ``np.einsum("bi,bj->bij")`` per layer: each
+    entry is one product added to +0.0, as the tape's one-row matmul adds
+    it, so weight rows carry the tape's bits, signed zeros included. The
+    only difference is the sign of some zero entries in the bias, scale and
+    shift rows (copies of the cotangent, where the tape sums over a one-row
+    axis from +0.0); the private step's norms and Adam update absorb it, so
+    its parameters, moments and outcomes are bit-identical. The tape remains
+    the oracle. Rows cover the trainable tail only (see ``backward``);
     ``per_sample_gradients`` widens them to ``[B, P]``.
     """
 
@@ -519,26 +516,33 @@ class PerSampleBatch(_LayerPass):
     def backward(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write the gradients of samples ``lo..hi-1`` into the first rows of ``out``.
 
-        ``out`` is a C-contiguous float64 ``[>= hi - lo, T]`` matrix over the
-        trainable tail: column j holds flat parameter
-        ``Model.trainable_start + j``, and T = P when nothing is frozen.
-        Frozen parameters have no columns. Every entry of the first
-        ``hi - lo`` rows is set, so ``out`` need not be zeroed: slots that
-        no layer names get zeros.
+        Requires ``0 <= lo <= hi <= size``. ``out`` is a C-contiguous
+        float64 ``[>= hi - lo, T]`` matrix over the trainable tail: column j
+        holds flat parameter ``Model.trainable_start + j``, and T = P when
+        nothing is frozen. Frozen parameters have no columns. Every entry of
+        the first ``hi - lo`` rows is set, so ``out`` need not be zeroed:
+        slots that no layer names get zeros. Both checks run before any
+        write.
         """
-        model = self.model
-        start = model.trainable_start
-        width = model.num_parameters() - start
+        if not 0 <= lo <= hi <= self.size:
+            raise ValueError(f"rows {lo}..{hi} are not a range within the {self.size} samples")
+        r = hi - lo
         if (
             out.dtype != np.float64
             or not out.flags.c_contiguous
-            or out.shape[1:] != (width,)
-            or out.shape[0] < hi - lo
+            or out.shape[1:] != (self._width,)
+            or out.shape[0] < r
         ):
-            raise ShapeMismatchError(f"need a C-contiguous float64 [>= {hi - lo}, {width}] matrix")
-        rows = out[: hi - lo]
-        rows[:, model._layer_end - start:] = 0.0
-        self._backward(lo, hi, rows)
+            raise ShapeMismatchError(f"need a C-contiguous float64 [>= {r}, {self._width}] matrix")
+        rows = out[:r]
+        rows[:, self._unnamed:] = 0.0
+        for cols, bias_cols, h, g, shape in self._chain:
+            g = g[lo:hi, 0]
+            if shape is None:
+                np.multiply(g, h[lo:hi, 0], out=rows[:, cols])
+            else:
+                np.einsum("bi,bj->bij", h[lo:hi, 0], g, out=rows[:, cols].reshape(r, *shape))
+            rows[:, bias_cols] = g
 
 
 def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -566,10 +570,15 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
     parameters get zeros. Labels must be 0 or 1, one per sample.
     """
     kernels = _LayerPass(model, xs, ys)
-    if kernels.size == 0:
-        raise ValueError("batch_gradient needs at least one sample")
     flat = np.zeros(model.num_parameters())
-    kernels._backward(0, kernels.size, flat[model.trainable_start:])
+    tail = flat[model.trainable_start:]
+    # Reduced over the batch as its tape reduces: h.T @ g for weights, sums for the rest.
+    for cols, bias_cols, h, g, shape in kernels._chain:
+        if shape is None:
+            tail[cols] = (g * h).sum(axis=0)
+        else:
+            np.matmul(h.T, g, out=tail[cols].reshape(shape))
+        tail[bias_cols] = g.sum(axis=0)
     return float(kernels.losses.mean()), flat
 
 

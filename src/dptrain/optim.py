@@ -14,9 +14,11 @@ summed. Clipping and summing work on those rows, and the noise is drawn
 into the released ``[P]`` vector. Each sample runs through the same numpy
 kernels as the one-sample tape, so parameters, Adam moments and the step's
 outcome are bit-identical to clipping and summing ``per_sample_gradient``
-results one by one; the tape is only the gradient oracle. Rows are built,
-clipped and summed ``ROW_BLOCK_BYTES`` at a time in one reused buffer, so a
-block stays in cache across those passes and the step's memory is bounded
+results one by one; the tape is only the gradient oracle. The backward
+chain (every pullback, down to each trainable layer's input and output
+cotangent) runs once for the whole batch; rows are then written, clipped
+and summed ``ROW_BLOCK_BYTES`` at a time in one reused buffer, so a block
+stays in cache across those passes and the step's memory is bounded
 whatever the batch size. The kernels keep
 each element's IEEE operations and spend few numpy calls on them: one
 einsum per weight block, one BLAS dot per row and span for the norms, a
@@ -70,13 +72,15 @@ __all__ = [
 
 ADAM_VARIANTS = ("adam", "raw-moment")
 
-# Per-sample gradient rows over the trainable columns are built, clipped and
+# Per-sample gradient rows over the trainable columns are written, clipped and
 # summed in blocks of at most this many bytes (one row when a row is larger).
 # That is the 2 MB L2 cache per core of the x86-64 host it was tuned on, so a
-# block stays in L2 from the backward write through the norms, the divide and
+# block stays in L2 from the row writes through the norms, the divide and
 # the reduce: the whole batch for small models, 3 rows of dp-wide's 66,561
-# trainable columns. On dp-wide's clipped sum at B = 32 (one BLAS thread),
-# 3 rows per block beat 1, 2, 4, 5 and 7 rows in 27-39 of 40 interleaved rounds.
+# trainable columns. With the backward chain run once per batch, dp-wide's
+# forward pass and clipped sum at B = 32 (one BLAS thread, one pinned CPU)
+# took about 3.5% longer at 1 row, 0.5-1.3% less at 2 rows and 4-8% longer at
+# 4 rows than at 3; 2 rows beat 3 in only 6 and 7 of 10 interleaved rounds.
 ROW_BLOCK_BYTES = 2 << 20
 
 
@@ -156,8 +160,9 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     """One Adam update of the trainable tail from a flat float64 ``[P]`` gradient.
 
-    ``grad`` is laid out like ``Model.parameter_vector``; anything else
-    raises ``ShapeMismatchError`` before the state changes. The frozen slots
+    ``grad`` is laid out like ``Model.parameter_vector``; anything else, or
+    ``state.m`` or ``state.u`` of another shape, raises
+    ``ShapeMismatchError`` before the state changes. The frozen slots
     lead the vector, so the tail ``[lo:]`` holds every trainable parameter;
     frozen parameters and their moments are never touched, whatever
     ``grad`` holds there. Each line is the per-slot formula's own IEEE
@@ -167,7 +172,7 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     params = model.parameter_vector
     if not isinstance(grad, np.ndarray) or grad.dtype != np.float64:
         raise ShapeMismatchError("the gradient must be a float64 ndarray")
-    if grad.shape != params.shape or state.m.shape != params.shape:
+    if not grad.shape == state.m.shape == state.u.shape == params.shape:
         raise ShapeMismatchError("gradient or moments not aligned with the parameter vector")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -274,9 +279,10 @@ def dp_adam_step(
 def _clipped_sum(batch: PerSampleBatch, clip: ClipSpec) -> tuple[np.ndarray, np.ndarray]:
     """Sum of the clipped per-sample gradient rows in sample order, and the pre-clip norms.
 
-    The sum covers the trainable tail ``[Model.trainable_start:]``. Rows
-    are built ``ROW_BLOCK_BYTES`` at a time into one reused buffer that is
-    never zeroed (``PerSampleBatch.backward`` sets every entry).
+    The sum covers the trainable tail ``[Model.trainable_start:]``. The
+    batch already holds its backward chain; rows are written from it
+    ``ROW_BLOCK_BYTES`` at a time into one reused buffer that is never
+    zeroed (``PerSampleBatch.backward`` sets every entry).
     ``np.add.reduce`` over axis 0 of a C-contiguous matrix with two or more
     columns (every model trains at least a weight and a bias) adds the rows
     one after another, so the first block's reduce and ``total += row`` for

@@ -580,6 +580,21 @@ def test_rows_of_slots_no_layer_names_are_zero():
     np.testing.assert_array_equal(block, ref_rows)
 
 
+@pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 2), (3, 7), (4, 2)])
+def test_backward_rejects_rows_outside_the_batch(lo, hi):
+    # Negative starts would wrap around; the others overrun or reverse the range.
+    model = build_mlp([4, 6, 1], seed=1)
+    rng = np.random.default_rng(2)
+    batch = PerSampleBatch(model, rng.normal(size=(5, 4)), [0.0, 1.0, 1.0, 0.0, 1.0])
+    block = np.full((5, model.num_parameters()), np.nan)
+    with pytest.raises(ValueError, match="not a range within the 5 samples"):
+        batch.backward(lo, hi, block)
+    assert np.isnan(block).all()  # nothing written
+    batch.backward(5, 5, block)  # an empty range at either end is fine
+    batch.backward(0, 0, block)
+    assert np.isnan(block).all()
+
+
 def test_batched_gradients_reject_bad_input():
     model = build_mlp([4, 8, 1], seed=0)
     with pytest.raises(ShapeMismatchError):

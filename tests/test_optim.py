@@ -14,6 +14,7 @@ from dptrain.model import (
     per_sample_gradient,
     per_sample_gradients,
 )
+from dptrain import model as model_module
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
 from dptrain.tensor import GradientSet, ShapeMismatchError, mean_gradient_sets
@@ -102,6 +103,17 @@ class TestReferenceAdam:
         ):
             with pytest.raises(ShapeMismatchError):
                 adam_step(holder, grad, state)
+            assert state.t == 1
+            assert_same_bits(state.m, m)
+            assert_same_bits(state.u, u)
+            assert holder.parameter_vector is params
+            assert_same_bits(params, kept)
+        for name in ("m", "u"):
+            moment = getattr(state, name)
+            setattr(state, name, np.zeros(3))  # mis-sized after construction
+            with pytest.raises(ShapeMismatchError):
+                adam_step(holder, np.array([1.0, -2.0]), state)
+            setattr(state, name, moment)
             assert state.t == 1
             assert_same_bits(state.m, m)
             assert_same_bits(state.u, u)
@@ -405,20 +417,63 @@ class TestClippedSum:
         assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
                    for _, _, shape, nbytes in received)
 
-    def test_wide_blocks_fit_the_block_bytes(self, monkeypatch):
-        # dp-wide's model: every buffer the step hands to backward is a few
-        # trainable-width rows within ROW_BLOCK_BYTES.
+    @staticmethod
+    def wide_batch():
+        """dp-wide's model (freeze 1) and 10 samples."""
         model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
         model.set_freeze_prefix(1)
-        width = model.num_parameters() - model.trainable_start
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(10, 20))
         ys = rng.integers(0, 2, size=10).astype(float)
+        return model, xs, ys
+
+    def test_wide_blocks_fit_the_block_bytes(self, monkeypatch):
+        # dp-wide's model: every buffer the step hands to backward is a few
+        # trainable-width rows within ROW_BLOCK_BYTES (3 rows by default),
+        # and 1-, 2- and 3-row blocks give the full-width row loop's total
+        # and norms bit for bit.
+        model, xs, ys = self.wide_batch()
+        start = model.trainable_start
+        width = model.num_parameters() - start
+        clip = ClipSpec(12.0)  # 5 of the 10 rows clip
+        _, rows = per_sample_gradients(model, xs, ys)
+        ref_norms = clip_rows(rows, model.trainable_spans(), clip)
+        ref = rows[0].copy()
+        for row in rows[1:]:
+            ref += row
+        assert np.count_nonzero(ref_norms > clip.max_norm) == 5
+        received = self.record_backward(monkeypatch)
+        for rows_per_block in (None, 1, 2, 3):
+            if rows_per_block is not None:
+                monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+            received.clear()
+            total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
+            assert_same_bits(total, ref[start:])
+            assert_same_bits(norms, ref_norms)
+            per_block = rows_per_block or 3
+            assert [(lo, hi) for lo, hi, _, _ in received] == [
+                (lo, min(lo + per_block, 10)) for lo in range(0, 10, per_block)
+            ]
+            assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
+                       for _, _, shape, nbytes in received)
+
+    def test_backward_chain_runs_once_per_batch(self, monkeypatch):
+        # Blocks only write rows: the loss and group-norm pullbacks run once
+        # for the batch, not once per block (4 blocks of at most 3 rows here).
+        model, xs, ys = self.wide_batch()
+        calls = {"_bce_pullback": 0, "_group_norm_pullback": 0}
+        for name in calls:
+            pullback = getattr(model_module, name)
+
+            def counting(*args, name=name, pullback=pullback):
+                calls[name] += 1
+                return pullback(*args)
+
+            monkeypatch.setattr(model_module, name, counting)
         received = self.record_backward(monkeypatch)
         optim._clipped_sum(PerSampleBatch(model, xs, ys), ClipSpec(1.0))
-        assert [(lo, hi) for lo, hi, _, _ in received] == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
-                   for _, _, shape, nbytes in received)
+        assert len(received) == 4
+        assert calls == {"_bce_pullback": 1, "_group_norm_pullback": 1}
 
 
 class TestBatchedStepEqualsTapeLoop:
