@@ -25,7 +25,7 @@ from .accountant import (
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset
-from .mechanisms import ClipSpec, NoiseSpec, clip_gradient, gaussian_noise
+from .mechanisms import ClipSpec, NoiseSpec, gaussian_noise
 from .model import (
     Model,
     ModelValidationError,
@@ -40,7 +40,6 @@ from .model import (
 )
 from .optim import DpAdamState, StepOutcome, adam_step, dp_adam_step, poisson_subsample
 from .tensor import (
-    GradientSet,
     Tape,
     Tensor,
     backward,

@@ -150,7 +150,10 @@ def _cmd_gen_data(args) -> int:
     out = mapping.get("out")
     if not out:
         raise ConfigError("gen-data config needs an 'out' path")
-    dataset = synthetic_dataset(n, dim, separation, label_noise, seed)
+    try:
+        dataset = synthetic_dataset(n, dim, separation, label_noise, seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad gen-data value: {exc}") from None
     save_csv_dataset(dataset, out)
     print(f"wrote {len(dataset)} rows x {dataset.dim} features to {out}")
     return EXIT_OK

@@ -26,13 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import GradientSet
-
 __all__ = [
     "ClipSpec",
     "NoiseSpec",
     "NOISE_PLACEMENTS",
-    "clip_gradient",
     "clip_rows",
     "gaussian_noise",
 ]
@@ -67,30 +64,17 @@ class NoiseSpec:
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
-def clip_gradient(grad: GradientSet, spec: ClipSpec) -> GradientSet:
-    """Rescale ``grad`` to global L2 norm at most ``spec.max_norm``.
-
-    Returns grad / max(1, ||grad|| / R). Direction is preserved; gradients
-    already within the bound pass through unchanged (division by exactly 1).
-    """
-    norm = grad.global_norm()
-    if not math.isfinite(norm):
-        raise ValueError("cannot clip a non-finite gradient")
-    factor = max(1.0, norm / spec.max_norm)
-    return GradientSet.of([a / factor for a in grad.arrays])
-
-
 def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec) -> np.ndarray:
     """Clip each row of a per-sample gradient matrix in place; return the pre-clip norms.
 
     ``spans`` are the column ranges of the parameter blocks a row's norm
     covers, in slot order. Each block contributes one dot product per row
     (``np.vecdot``, the BLAS dot ``np.dot`` runs) and the blocks are added
-    in order from 0.0, as ``GradientSet.global_norm`` adds its arrays.
-    Only rows with norm above R are divided; a row within R is left
+    in order from 0.0. A row with norm n above R is divided by n / R, so
+    its norm becomes R and its direction is kept; a row within R is left
     untouched, which is what dividing it by exactly 1.0 would give. So
-    every norm and clipped row equals ``clip_gradient`` on that sample's
-    gradient set bit for bit.
+    every norm and clipped row equals the one-sample reference clip in
+    ``tests/oracles.py`` on that sample's per-parameter arrays bit for bit.
     """
     total = np.zeros(rows.shape[0])
     for lo, hi in spans:
@@ -105,17 +89,14 @@ def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec
     return norms
 
 
-def gaussian_noise(
-    shapes: Sequence[tuple[int, ...]],
-    scale: float,
-    rng: np.random.Generator,
-) -> GradientSet:
-    """Independent N(0, scale^2) noise for each coordinate of each shape.
+def gaussian_noise(size: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """``size`` independent N(0, scale^2) draws from the ``rng`` stream.
 
-    Tensors are drawn in the given order from the single ``rng`` stream, so
-    identical generator states produce identical noise. Callers that need
+    Identical generator states produce identical noise. Callers that need
     parallel noise must split seeds explicitly.
     """
-    if scale < 0:
-        raise ValueError(f"noise scale must be >= 0, got {scale}")
-    return GradientSet([rng.standard_normal(s) * scale for s in shapes])
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"noise scale must be >= 0 and finite, got {scale}")
+    out = rng.standard_normal(size)
+    out *= scale
+    return out

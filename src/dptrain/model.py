@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import (
-    GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
@@ -127,15 +126,14 @@ class Model:
     The parameters live in one flat float64 vector (``parameter_vector``)
     that concatenates them raveled in slot order; ``parameters`` is the
     ordered list of shaped views over it. A gradient of this model is a flat
-    ``[P]`` vector in the same layout; the tape oracle's
-    :class:`~dptrain.tensor.GradientSet` aligns with ``parameters``
-    index-for-index. The constructor checks that the layers name
-    slots ``0, 1, 2, ...`` in layer order with the shapes they imply; later
-    slots belong to no layer. Freezing is one boundary: the first
-    ``frozen_slots`` slots are frozen. Parameters are replaced, never
-    mutated in place (each replacement is a new vector), so tensors handed
-    out during a forward pass stay valid; replacements keep the shapes, so
-    the flat layout is computed once.
+    ``[P]`` vector in the same layout; the tape oracle's tuple of
+    per-parameter arrays aligns with ``parameters`` index-for-index. The
+    constructor checks that the layers name slots ``0, 1, 2, ...`` in layer
+    order with the shapes they imply; later slots belong to no layer.
+    Freezing is one boundary: the first ``frozen_slots`` slots are frozen.
+    Parameters are replaced, never mutated in place (each replacement is a
+    new vector), so tensors handed out during a forward pass stay valid;
+    replacements keep the shapes, so the flat layout is computed once.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -344,7 +342,7 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
     return model
 
 
-def per_sample_gradient(model: Model, x, y) -> tuple[float, GradientSet]:
+def per_sample_gradient(model: Model, x, y) -> tuple[float, tuple[np.ndarray, ...]]:
     """Loss and exact gradient of one sample's BCE loss w.r.t. all parameters.
 
     ``x`` is a single sample (1-D of input_dim, or shape [1, input_dim]);

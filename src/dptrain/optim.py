@@ -10,9 +10,10 @@ All per-sample gradients come from one batched pass of the layer kernels
 (:class:`~dptrain.model.PerSampleBatch`) as rows over the trainable tail of
 the flat parameter vector, ``[B, T]`` for B samples and T trainable of P
 parameters; frozen columns are never allocated, written, divided or
-summed. Clipping and summing work on those rows, and the noise is drawn
-into the released ``[P]`` vector. Each sample runs through the same numpy
-kernels as the one-sample tape, so parameters, Adam moments and the step's
+summed. Clipping (``mechanisms.clip_rows``) and summing work on those
+rows, and ``mechanisms.gaussian_noise`` draws the released ``[P]``
+vector. Each sample runs through the same numpy kernels as the
+one-sample tape, so parameters, Adam moments and the step's
 outcome are bit-identical to clipping and summing ``per_sample_gradient``
 results one by one; the tape is only the gradient oracle. The backward
 chain (every pullback, down to each trainable layer's input and output
@@ -56,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mechanisms
 from .accountant import PrivacyLedger
 from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows
 from .model import Model, ModelValidationError, PerSampleBatch, validate_model
@@ -251,10 +253,11 @@ def dp_adam_step(
     batch = PerSampleBatch(model, xs[indices], ys[indices])
     clipped_sum, norms = _clipped_sum(batch, clip)
     # The whole [P] draw keeps the noise stream; only the trainable tail is
-    # released, and the frozen columns of ``flat`` are never read.
-    flat = noise_rng.standard_normal(model.num_parameters())
+    # released, and the frozen columns of ``flat`` are never read. The draw
+    # is looked up on the module so a wrapper installed there sees it.
+    scale = noise.sigma * clip.max_norm
+    flat = mechanisms.gaussian_noise(model.num_parameters(), scale, noise_rng)
     released = flat[model.trainable_start:]
-    released *= noise.sigma * clip.max_norm
     if noise_placement == "after-mean":
         released += clipped_sum / batch.size
     else:

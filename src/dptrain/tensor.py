@@ -17,7 +17,6 @@ training or evaluation path runs the tape: it is the gradient oracle.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections.abc import Callable, Sequence
 
@@ -26,7 +25,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "GradientSet",
     "ShapeMismatchError",
     "NonScalarLossError",
     "IncompleteTapeError",
@@ -42,7 +40,6 @@ __all__ = [
     "binary_cross_entropy",
     "backward",
     "fd_gradient",
-    "mean_gradient_sets",
     "BCE_PROB_FLOOR",
     "GROUP_NORM_VAR_FLOOR",
 ]
@@ -111,74 +108,6 @@ def tensor(data) -> Tensor:
     t = Tensor(data)
     _ensure_finite(t.data, "tensor")
     return t
-
-
-class GradientSet:
-    """Per-parameter gradients: one float64 array per parameter tensor.
-
-    Shapes align index-for-index with the parameter list the set was built
-    against. The global L2 norm is taken over every element of every array.
-    """
-
-    __slots__ = ("arrays",)
-
-    def __init__(self, arrays: Sequence[np.ndarray]):
-        self.arrays = tuple([np.asarray(a, dtype=np.float64) for a in arrays])
-
-    @classmethod
-    def of(cls, arrays: Sequence[np.ndarray]) -> "GradientSet":
-        """Wrap arrays that are already float64 ndarrays, without converting them."""
-        gs = cls.__new__(cls)
-        gs.arrays = tuple(arrays)
-        return gs
-
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(a.shape for a in self.arrays)
-
-    def global_norm(self) -> float:
-        # One BLAS dot per array, summed in array order from 0.0.
-        total = 0.0
-        for a in self.arrays:
-            flat = a if a.ndim == 1 else a.reshape(-1)
-            total += np.dot(flat, flat)
-        return math.sqrt(total)
-
-    def _check_aligned(self, other: "GradientSet") -> None:
-        if self.shapes != other.shapes:
-            raise ShapeMismatchError(
-                f"gradient sets not shape-aligned: {self.shapes} vs {other.shapes}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.arrays[i]
-
-    def __iter__(self):
-        return iter(self.arrays)
-
-    def __repr__(self) -> str:
-        return f"GradientSet(shapes={self.shapes})"
-
-
-def mean_gradient_sets(sets: Sequence[GradientSet]) -> GradientSet:
-    """Average gradient sets in the given (fixed) order.
-
-    Summation order is deterministic so parallel callers that sort their
-    inputs always reproduce the same floats.
-    """
-    if not sets:
-        raise ValueError("cannot average an empty list of gradient sets")
-    first = sets[0]
-    acc = [a.copy() for a in first.arrays]
-    for gs in sets[1:]:
-        first._check_aligned(gs)
-        for a, b in zip(acc, gs.arrays):
-            a += b
-    n = len(sets)
-    return GradientSet([a / n for a in acc])
 
 
 class _Record:
@@ -435,10 +364,11 @@ def binary_cross_entropy(p: Tensor, y: Tensor) -> Tensor:
     return _emit("binary_cross_entropy", (p, y), out, grad_fn)
 
 
-def backward(tape: Tape, output: Tensor) -> GradientSet:
+def backward(tape: Tape, output: Tensor) -> tuple[np.ndarray, ...]:
     """Reverse-mode gradient of a scalar output w.r.t. the watched parameters.
 
-    Each recorded operation is visited exactly once, in reverse order of
+    Returns one float64 array per watched parameter, in watch order. Each
+    recorded operation is visited exactly once, in reverse order of
     recording, so repeated calls over the same tape are bit-identical.
     Watched parameters unreachable from the output get zero gradients.
     """
@@ -463,14 +393,14 @@ def backward(tape: Tape, output: Tensor) -> GradientSet:
     for p in tape._watched:
         g = grads.get(id(p))
         out.append(np.zeros(p.shape) if g is None else np.asarray(g, dtype=np.float64))
-    return GradientSet(out)
+    return tuple(out)
 
 
 def fd_gradient(
     loss_fn: Callable[[Sequence[np.ndarray]], float],
     params: Sequence[np.ndarray],
     step: float = 1e-5,
-) -> GradientSet:
+) -> tuple[np.ndarray, ...]:
     """Central-difference gradient oracle: (f(x+h e_i) - f(x-h e_i)) / 2h.
 
     ``loss_fn`` must be deterministic and side-effect free; it receives the
@@ -495,4 +425,4 @@ def fd_gradient(
             flat[i] = orig
             gflat[i] = (f_plus - f_minus) / (2.0 * step)
         grads.append(g)
-    return GradientSet(grads)
+    return tuple(grads)

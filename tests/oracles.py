@@ -10,14 +10,22 @@ all-orders RDP table from one numpy pipeline per order
 (``per_order_rdp``) and from the table with one ``np.add.reduce`` per order
 (``row_loop_subsampled_rdp``).
 
+A gradient here is what the tape returns: a tuple of float64 arrays, one
+per parameter slot. ``global_norm``, ``clip_gradient`` and
+``mean_gradient_sets`` are the per-sample references for it: the global L2
+norm as one BLAS dot per array added in slot order, the clip to norm R
+that divides by ``max(1, norm / R)``, and the mean in list order.
+``dptrain.mechanisms.clip_rows`` must equal ``global_norm`` and
+``clip_gradient`` bit for bit on each row.
 ``aggregate_noisy`` is the noisy aggregation over a list of per-sample
-gradient sets (clip each, sum in list order, add noise at either
-placement). The private step does the same on ``[B, T]`` rows over the
-trainable columns, in cache-sized blocks; ``tape_dp_adam_step`` uses this
-list form as its reference.
+gradients (clip each, sum in list order, draw the noise array by array
+from one stream, add it at either placement). The private step does the
+same on ``[B, T]`` rows over the trainable columns, in cache-sized blocks,
+with one ``[P]`` draw; ``tape_dp_adam_step`` uses this list form as its
+reference.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
-``flat`` and ``slot_views`` convert between a gradient set and the flat
+``flat`` and ``slot_views`` convert between a per-slot gradient and the flat
 ``[P]`` vector that ``batch_gradient`` returns and ``adam_step`` takes.
 ``block_freeze_mask`` is the frozen-slot rule walked layer by layer.
 ``masked_sigmoid``, ``clip_clamp``, ``broadcast_outer`` and
@@ -33,7 +41,7 @@ import math
 
 import numpy as np
 
-from dptrain.mechanisms import NOISE_PLACEMENTS, clip_gradient, gaussian_noise
+from dptrain.mechanisms import NOISE_PLACEMENTS
 from dptrain.model import (
     DenseLayer,
     GroupNormLayer,
@@ -44,7 +52,6 @@ from dptrain.model import (
 from dptrain.optim import StepOutcome, poisson_subsample
 from dptrain.tensor import (
     BCE_PROB_FLOOR,
-    GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
@@ -299,35 +306,84 @@ def logistic_regression_accuracy(
     return float(np.mean(preds == (test_y > 0.5)))
 
 
-def aggregate_noisy(per_sample, clip, noise, rng, placement="after-mean") -> GradientSet:
+def shapes(grad) -> tuple[tuple[int, ...], ...]:
+    """The shape of each array of a per-slot gradient."""
+    return tuple(a.shape for a in grad)
+
+
+def global_norm(grad) -> float:
+    """The L2 norm over every element of every array.
+
+    One BLAS dot per array, summed in array order from 0.0.
+    """
+    total = 0.0
+    for a in grad:
+        flat = a if a.ndim == 1 else a.reshape(-1)
+        total += np.dot(flat, flat)
+    return math.sqrt(total)
+
+
+def clip_gradient(grad, spec) -> tuple[np.ndarray, ...]:
+    """``grad`` rescaled to global L2 norm at most ``spec.max_norm``.
+
+    Returns grad / max(1, ||grad|| / R). Direction is preserved; gradients
+    already within the bound pass through unchanged (division by exactly 1).
+    """
+    norm = global_norm(grad)
+    if not math.isfinite(norm):
+        raise ValueError("cannot clip a non-finite gradient")
+    factor = max(1.0, norm / spec.max_norm)
+    return tuple(a / factor for a in grad)
+
+
+def mean_gradient_sets(sets) -> tuple[np.ndarray, ...]:
+    """Average per-slot gradients in the given (fixed) order."""
+    if not sets:
+        raise ValueError("cannot average an empty list of gradients")
+    expected = shapes(sets[0])
+    acc = [a.copy() for a in sets[0]]
+    for gs in sets[1:]:
+        if shapes(gs) != expected:
+            raise ShapeMismatchError(f"gradients not shape-aligned: {expected} vs {shapes(gs)}")
+        for a, b in zip(acc, gs):
+            a += b
+    n = len(sets)
+    return tuple(a / n for a in acc)
+
+
+def aggregate_noisy(
+    per_sample, clip, noise, rng, placement="after-mean"
+) -> tuple[np.ndarray, ...]:
     """Clip every per-sample gradient, average, and add Gaussian noise.
 
     ``placement`` selects where the sigma*R noise enters (see
     ``dptrain.mechanisms``). Per-sample gradients are summed in list order
-    so results are reproducible.
+    and the noise is drawn array by array from the one ``rng`` stream, so
+    results are reproducible.
     """
     if not per_sample:
         raise ValueError("aggregate_noisy needs a non-empty batch")
     if placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {placement!r}")
-    shapes = per_sample[0].shapes
+    expected = shapes(per_sample[0])
     for gs in per_sample[1:]:
-        if gs.shapes != shapes:
+        if shapes(gs) != expected:
             raise ValueError("per-sample gradients are not shape-aligned")
 
     batch = len(per_sample)
-    acc = [np.array(a, copy=True) for a in clip_gradient(per_sample[0], clip).arrays]
+    acc = [np.array(a, copy=True) for a in clip_gradient(per_sample[0], clip)]
     for gs in per_sample[1:]:
-        for a, b in zip(acc, clip_gradient(gs, clip).arrays):
+        for a, b in zip(acc, clip_gradient(gs, clip)):
             a += b
 
-    draw = gaussian_noise(shapes, noise.sigma * clip.max_norm, rng)
+    scale = noise.sigma * clip.max_norm
+    draw = [rng.standard_normal(shape) * scale for shape in expected]
     if placement == "after-mean":
-        return GradientSet([s / batch + n for s, n in zip(acc, draw.arrays)])
-    return GradientSet([(s + n) / batch for s, n in zip(acc, draw.arrays)])
+        return tuple(s / batch + n for s, n in zip(acc, draw))
+    return tuple((s + n) / batch for s, n in zip(acc, draw))
 
 
-def tape_batch_gradient(model, xs, ys) -> tuple[float, GradientSet]:
+def tape_batch_gradient(model, xs, ys) -> tuple[float, tuple[np.ndarray, ...]]:
     """Mean BCE loss of a batch and its gradient, from one tape over the batch graph.
 
     ``dptrain.model.batch_gradient``'s former implementation, kept as the
@@ -366,16 +422,14 @@ def block_freeze_mask(model, k: int) -> list[bool]:
     return [s not in frozen for s in range(len(model.parameters))]
 
 
-def masked(grad: GradientSet, trainable) -> GradientSet:
+def masked(grad, trainable) -> tuple[np.ndarray, ...]:
     """``grad`` with the arrays of frozen slots replaced by zeros."""
     if all(trainable):
         return grad
-    return GradientSet(
-        [a if keep else np.zeros_like(a) for a, keep in zip(grad.arrays, trainable)]
-    )
+    return tuple(a if keep else np.zeros_like(a) for a, keep in zip(grad, trainable))
 
 
-def per_slot_adam_update(model, state, vbar: GradientSet) -> None:
+def per_slot_adam_update(model, state, vbar) -> None:
     """The Adam update as one numpy expression per parameter slot.
 
     The optimizer's former implementation, kept as the bit-identity oracle
@@ -384,7 +438,7 @@ def per_slot_adam_update(model, state, vbar: GradientSet) -> None:
     while a frozen slot's moments are zero, as they are when the model is
     frozen before its first step.
     """
-    if vbar.shapes != model.parameter_shapes():
+    if shapes(vbar) != model.parameter_shapes():
         raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
     offsets = model.parameter_offsets()
 
@@ -393,8 +447,8 @@ def per_slot_adam_update(model, state, vbar: GradientSet) -> None:
 
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    new_m = [b1 * m + (1.0 - b1) * g for m, g in zip(per_slot(state.m), vbar.arrays)]
-    new_u = [b2 * u + (1.0 - b2) * (g * g) for u, g in zip(per_slot(state.u), vbar.arrays)]
+    new_m = [b1 * m + (1.0 - b1) * g for m, g in zip(per_slot(state.m), vbar)]
+    new_u = [b2 * u + (1.0 - b2) * (g * g) for u, g in zip(per_slot(state.u), vbar)]
     state.m = np.concatenate([a.reshape(-1) for a in new_m])
     state.u = np.concatenate([a.reshape(-1) for a in new_u])
 
@@ -423,17 +477,17 @@ def per_slot_adam_step(model, grad: np.ndarray, state) -> None:
     per_slot_adam_update(model, state, masked(slot_views(model, grad), model.trainable))
 
 
-def flat(grad: GradientSet) -> np.ndarray:
-    """A gradient set as one flat ``[P]`` vector, its arrays raveled in slot order."""
-    return np.concatenate([a.reshape(-1) for a in grad.arrays])
+def flat(grad) -> np.ndarray:
+    """A per-slot gradient as one flat ``[P]`` vector, its arrays raveled in slot order."""
+    return np.concatenate([a.reshape(-1) for a in grad])
 
 
-def slot_views(model, vector: np.ndarray) -> GradientSet:
-    """A flat ``[P]`` vector split into a gradient set of shaped views, one per slot."""
+def slot_views(model, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A flat ``[P]`` vector split into shaped views, one per slot."""
     offsets = model.parameter_offsets()
-    return GradientSet(
-        [vector[offsets[s]:offsets[s + 1]].reshape(shape)
-         for s, shape in enumerate(model.parameter_shapes())]
+    return tuple(
+        vector[offsets[s]:offsets[s + 1]].reshape(shape)
+        for s, shape in enumerate(model.parameter_shapes())
     )
 
 
@@ -466,7 +520,7 @@ def tape_dp_adam_step(
         loss, g = per_sample_gradient(model, xs[i], ys[i])
         grads.append(masked(g, model.trainable))
         losses.append(loss)
-    norms = np.array([g.global_norm() for g in grads])
+    norms = np.array([global_norm(g) for g in grads])
 
     vbar = aggregate_noisy(grads, clip, noise, noise_rng, placement=noise_placement)
     vbar = masked(vbar, model.trainable)
@@ -477,7 +531,7 @@ def tape_dp_adam_step(
         preclip_norm_min=float(norms.min()),
         preclip_norm_mean=float(norms.mean()),
         preclip_norm_max=float(norms.max()),
-        noisy_grad_norm=vbar.global_norm(),
+        noisy_grad_norm=global_norm(vbar),
         mean_loss=float(np.mean(losses)),
     )
 

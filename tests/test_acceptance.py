@@ -24,7 +24,8 @@ from dptrain.accountant import (
     to_eps_delta,
 )
 from dptrain.config import RunConfig, SweepGrid
-from dptrain.mechanisms import ClipSpec, NoiseSpec, gaussian_noise, clip_gradient
+from dptrain import mechanisms
+from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
 from dptrain.model import (
     ModelValidationError,
     build_mlp,
@@ -32,11 +33,12 @@ from dptrain.model import (
     validate_model,
 )
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step
-from dptrain.tensor import GradientSet, Tape, backward, fd_gradient, mean_gradient_sets
+from dptrain.tensor import Tape, backward, fd_gradient
 from dptrain.train import sweep, train
 from oracles import (
     flat,
     grid_search_epsilon_gaussian,
+    mean_gradient_sets,
     mixture_renyi_rdp,
     oracle_alpha_grid,
 )
@@ -95,29 +97,27 @@ def test_criterion_01_gradient_correctness():
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
-@criterion(2, "clipping invariant over 1e5 gradient sets")
+@criterion(2, "clipping invariant over 1e5 gradient rows")
 def test_criterion_02_clipping_invariant():
     started = time.perf_counter()
     rng = np.random.default_rng(7)
     bounds = (0.4, 0.6, 0.8, 1.0)
     block = rng.uniform(-3.0, 3.0, size=(100_000, 5))
     scales = 10.0 ** rng.uniform(-2, 2, size=100_000)
+    rows = block * scales[:, None]
     worst_norm_excess = 0.0
     worst_direction = 0.0
-    for i in range(100_000):
-        row = block[i] * scales[i]
-        g = GradientSet([row[:3], row[3:]])
-        bound = bounds[i & 3]
-        clipped = clip_gradient(g, ClipSpec(bound))
-        worst_norm_excess = max(worst_norm_excess, clipped.global_norm() / bound)
-        pre = g.global_norm()
-        post = clipped.global_norm()
-        if pre > 0 and post > 0:
-            drift = max(
-                np.abs(g[0] / pre - clipped[0] / post).max(),
-                np.abs(g[1] / pre - clipped[1] / post).max(),
-            )
-            worst_direction = max(worst_direction, drift)
+    # Row i is clipped to bounds[i % 4] by the step's kernel, with two
+    # parameter blocks of 3 and 2 columns: one clip_rows call per bound.
+    for k, bound in enumerate(bounds):
+        pre = rows[k::4]
+        clipped = pre.copy()
+        pre_norms = clip_rows(clipped, [(0, 3), (3, 5)], ClipSpec(bound))
+        post_norms = np.linalg.norm(clipped, axis=1)
+        worst_norm_excess = max(worst_norm_excess, float((post_norms / bound).max()))
+        live = (pre_norms > 0) & (post_norms > 0)
+        drift = np.abs(pre[live] / pre_norms[live, None] - clipped[live] / post_norms[live, None])
+        worst_direction = max(worst_direction, float(drift.max()))
     elapsed = time.perf_counter() - started
     assert worst_norm_excess <= 1.0 + 1e-12
     assert worst_direction < 1e-12
@@ -200,10 +200,31 @@ def test_criterion_06_renyi_kl_limit():
 
 
 @criterion(7, "noise scale calibration")
-def test_criterion_07_noise_calibration():
-    rng = np.random.default_rng(60_613)
-    draws = gaussian_noise([(1_000_000,)], 2.0, rng)
-    std = float(draws[0].std())
+def test_criterion_07_noise_calibration(monkeypatch):
+    # The private step draws noise for every one of the model's P parameters;
+    # [999, 999, 1] has P = 1e6, and freezing its first layer keeps the step
+    # cheap. sigma * R = 2.
+    model = build_mlp([999, 999, 1], seed=0)
+    model.set_freeze_prefix(1)
+    assert model.num_parameters() == 1_000_000
+    draw = mechanisms.gaussian_noise
+    draws = []
+
+    def record(size, scale, rng):
+        out = draw(size, scale, rng)
+        draws.append(out.copy())
+        return out
+
+    monkeypatch.setattr(mechanisms, "gaussian_noise", record)
+    xs = np.random.default_rng(0).normal(size=(2, 999))
+    dp_adam_step(
+        model, xs, np.array([0.0, 1.0]), DpAdamState.for_model(model, lr=0.01),
+        ClipSpec(1.0), NoiseSpec(2.0), 1.0, PrivacyLedger(MechanismSpec(2.0, 1.0)),
+        np.random.default_rng(0), np.random.default_rng(60_613),
+    )
+    (noise,) = draws
+    assert noise.shape == (1_000_000,)
+    std = float(noise.std())
     assert 1.99 <= std <= 2.01, f"sample std {std:.5f}"
 
 

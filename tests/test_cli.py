@@ -245,9 +245,23 @@ class TestGenDataCommand:
         conf = write_config(
             tmp_path, f"n = 20\ndim = 2\nseparation = {separation}\nout = {data_path}\n"
         )
-        assert main(["gen-data", str(conf)]) != 0
+        assert main(["gen-data", str(conf)]) == 1
         assert not data_path.exists()
         assert "separation must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("label_noise", "0.7", "label noise must be in"), ("n", "1", "at least two samples")],
+    )
+    def test_out_of_range_value_exits_1_and_writes_nothing(
+        self, tmp_path, capsys, key, value, message
+    ):
+        data_path = tmp_path / "blobs.csv"
+        values = {"n": "20", "dim": "2", key: value, "out": str(data_path)}
+        conf = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["gen-data", str(conf)]) == 1
+        assert not data_path.exists()
+        assert message in capsys.readouterr().err
 
 
 class TestUsage:

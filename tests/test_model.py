@@ -23,18 +23,24 @@ from dptrain.model import (
 )
 from dptrain.optim import DpAdamState, adam_step
 from dptrain.tensor import (
-    GradientSet,
     ShapeMismatchError,
     Tape,
     Tensor,
     fd_gradient,
-    mean_gradient_sets,
     mul,
     reduce_mean,
     sigmoid,
     tensor,
 )
-from oracles import block_freeze_mask, broadcast_outer, flat, slot_views, tape_batch_gradient
+from oracles import (
+    block_freeze_mask,
+    broadcast_outer,
+    flat,
+    mean_gradient_sets,
+    shapes,
+    slot_views,
+    tape_batch_gradient,
+)
 
 
 def batch_coupled_mlp(seed=0):
@@ -141,7 +147,7 @@ def test_zero_model_loss_is_ln2():
     model.set_parameters([np.zeros_like(p) for p in model.parameters])
     loss, grad = per_sample_gradient(model, np.ones(4), 1)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-    assert grad.shapes == model.parameter_shapes()
+    assert shapes(grad) == model.parameter_shapes()
 
 
 def test_per_sample_gradient_is_pure():
@@ -332,7 +338,7 @@ def test_layerless_parameter_holder_builds_and_updates():
     assert holder.trainable_spans() == [(0, 2), (2, 8)]
     before = holder.parameter_vector.copy()
     state = DpAdamState.for_model(holder, lr=0.1)
-    adam_step(holder, flat(GradientSet([np.ones(2), np.ones((2, 3))])), state)
+    adam_step(holder, flat((np.ones(2), np.ones((2, 3)))), state)
     assert (holder.parameter_vector < before).all()
 
 
@@ -473,7 +479,7 @@ def tape_rows(model, xs, ys):
         losses.append(loss)
         rows.append(np.concatenate([
             a.reshape(-1) if keep else np.zeros(a.size)
-            for a, keep in zip(g.arrays, model.trainable)
+            for a, keep in zip(g, model.trainable)
         ]))
     return np.array(losses), np.array(rows)
 
@@ -629,7 +635,7 @@ def assert_batch_gradient_equals_tape(model, xs, ys):
     assert isinstance(vector, np.ndarray) and vector.dtype == np.float64
     assert vector.shape == (model.num_parameters(),)
     grad = slot_views(model, vector)
-    assert grad.shapes == ref.shapes == model.parameter_shapes()
+    assert shapes(grad) == shapes(ref) == model.parameter_shapes()
     for got, want, keep in zip(grad, ref, model.trainable):
         np.testing.assert_array_equal(got, want if keep else np.zeros_like(want))
 

@@ -14,11 +14,12 @@ from dptrain.model import (
     per_sample_gradient,
     per_sample_gradients,
 )
+from dptrain import mechanisms
 from dptrain import model as model_module
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
-from dptrain.tensor import GradientSet, ShapeMismatchError, mean_gradient_sets
-from oracles import flat, per_slot_adam_step, tape_dp_adam_step
+from dptrain.tensor import ShapeMismatchError
+from oracles import flat, mean_gradient_sets, per_slot_adam_step, tape_dp_adam_step
 from test_model import batch_coupled_mlp
 
 
@@ -53,7 +54,7 @@ class TestReferenceAdam:
         holder = toy_param_holder([np.array([1.0, -0.7])])
         state = DpAdamState.for_model(holder, lr=0.1)
         for _ in range(500):
-            grad = flat(GradientSet([2.0 * holder.parameters[0]]))
+            grad = flat((2.0 * holder.parameters[0],))
             adam_step(holder, grad, state)
         assert np.linalg.norm(holder.parameters[0]) < 1e-3
 
@@ -61,7 +62,7 @@ class TestReferenceAdam:
         holder = toy_param_holder([np.array([0.3])])
         state = DpAdamState.for_model(holder, lr=0.1, bias_correction=False)
         before = holder.parameters[0].copy()
-        adam_step(holder, flat(GradientSet([np.zeros(1)])), state)
+        adam_step(holder, flat((np.zeros(1),)), state)
         np.testing.assert_array_equal(holder.parameters[0], before)
 
     def test_raw_moment_variant_direction(self):
@@ -72,7 +73,7 @@ class TestReferenceAdam:
         state = DpAdamState.for_model(
             holder, lr=0.1, variant="raw-moment", adam_stabilizer=1e-8
         )
-        adam_step(holder, flat(GradientSet([np.array([g])])), state)
+        adam_step(holder, flat((np.array([g]),)), state)
         m = 0.1 * g
         u = 0.001 * g * g
         expected = 2.0 - 0.1 * m / (u + 1e-8)
@@ -83,7 +84,7 @@ class TestReferenceAdam:
         state = DpAdamState.for_model(holder, lr=0.1)
         before = holder.parameter_vector
         kept = before.copy()
-        adam_step(holder, flat(GradientSet([np.array([1.0, 1.0]), np.array([1.0])])), state)
+        adam_step(holder, flat((np.array([1.0, 1.0]), np.array([1.0]))), state)
         assert holder.parameter_vector is not before
         np.testing.assert_array_equal(before, kept)
         assert not np.array_equal(holder.parameter_vector, kept)
@@ -98,7 +99,7 @@ class TestReferenceAdam:
             np.ones(3),
             np.ones((1, 2)),
             np.ones(2, dtype=np.float32),
-            GradientSet([np.ones(2)]),
+            (np.ones(2),),
             [1.0, 1.0],
         ):
             with pytest.raises(ShapeMismatchError):
@@ -197,6 +198,24 @@ class TestDpAdamStep:
         assert ledger.step_count == 3
         for a, b in zip(model.parameters, before):
             np.testing.assert_array_equal(a, b)
+
+    def test_noise_is_drawn_through_gaussian_noise(self, monkeypatch):
+        # One [P] draw of scale sigma * R per applied step, looked up on the
+        # mechanisms module at call time; an empty Poisson draw draws nothing.
+        draw = mechanisms.gaussian_noise
+        calls = []
+
+        def record(size, scale, rng):
+            calls.append((size, scale))
+            return draw(size, scale, rng)
+
+        monkeypatch.setattr(mechanisms, "gaussian_noise", record)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
+        model.set_freeze_prefix(1)
+        outcomes, _ = run_dp(model, self.xs, self.ys, 12, sigma=1.3, clip=0.7, p=0.1, seed=4)
+        applied = sum(o.applied for o in outcomes)
+        assert 0 < applied < len(outcomes)
+        assert calls == [(model.num_parameters(), 1.3 * 0.7)] * applied
 
     def test_ledger_counts_every_step(self):
         model = build_mlp([5, 4, 1], seed=2)

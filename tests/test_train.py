@@ -260,7 +260,7 @@ class TestLoopHooks:
 
 
 class TestNoTapeOnTrainingPaths:
-    """Training and evaluation run the layer kernels; the tape and GradientSet are the oracle."""
+    """Training and evaluation run the layer kernels; the tape is the oracle."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -278,18 +278,17 @@ class TestNoTapeOnTrainingPaths:
         def refuse(op, *args):
             raise AssertionError(f"tape primitive {op!r} ran on a training path")
 
-        def refuse_gradient_set(*args):
-            raise AssertionError("a GradientSet was built on a training path")
+        def refuse_backward(*args):
+            raise AssertionError("the tape's backward ran on a training path")
 
-        gradient_set = tensor_module.GradientSet
         monkeypatch.setattr(tensor_module, "_emit", refuse)
-        monkeypatch.setattr(gradient_set, "__init__", refuse_gradient_set)
-        monkeypatch.setattr(gradient_set, "of", classmethod(refuse_gradient_set))
         with pytest.raises(AssertionError, match="relu"):
             tensor_module.relu(tensor_module.Tensor(np.ones(2)))
-        for build in (gradient_set, gradient_set.of):
-            with pytest.raises(AssertionError, match="GradientSet"):
-                build([np.ones(2)])
+        # ``dptrain.model`` binds ``backward`` at import; replace it there too.
+        for module in (tensor_module, importlib.import_module("dptrain.model")):
+            monkeypatch.setattr(module, "backward", refuse_backward)
+            with pytest.raises(AssertionError, match="backward"):
+                module.backward(None, None)
         config = fast_config(
             widths=(8, 8, 1), norm="group:4", freeze_prefix=1, epochs=2, **overrides
         )
