@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
+from .data import _check_synthetic
 from .mechanisms import NOISE_PLACEMENTS
+from .model import _check_freeze_prefix, _norm_groups
 from .optim import ADAM_VARIANTS
 
 __all__ = [
@@ -119,12 +121,21 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.freeze_prefix < 0:
-            raise ConfigError(f"freeze_prefix must be >= 0, got {self.freeze_prefix}")
         for name in _FINITE_FIELDS:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in _SEED_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # The checks the data and model builders run, so a run fails here, not mid-way.
+        try:
+            if self.dataset == "synthetic":
+                _check_synthetic(self.n, self.dim, self.separation, self.label_noise)
+            _norm_groups(self.norm, self.widths[:-1])
+            _check_freeze_prefix(self.freeze_prefix, len(self.widths))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
@@ -239,6 +250,8 @@ _RUN_PARSERS = _field_parsers(RunConfig)
 _FINITE_FIELDS = tuple(
     name for name, hint in get_type_hints(RunConfig).items() if hint in (float, float | None)
 )
+# PCG64 takes no negative seed; sweeps offset the seeds upwards only.
+_SEED_FIELDS = tuple(name for name in get_type_hints(RunConfig) if name.startswith("seed_"))
 _GRID_PARSERS = _field_parsers(SweepGrid)
 # Sweep file keys differ from the SweepGrid field names they set.
 _SWEEP_KEYS = {

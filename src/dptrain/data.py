@@ -111,6 +111,20 @@ def save_csv_dataset(dataset: Dataset, path) -> None:
             writer.writerow([int(label)] + [repr(float(v)) for v in feats])
 
 
+def _check_synthetic(n: int, dim: int, separation: float, label_noise: float) -> None:
+    """Raise ``ValueError``, naming the parameter, unless the two-blob task is well defined."""
+    if n < 2:
+        raise ValueError(f"n: need at least two samples, got {n}")
+    if dim < 1:
+        raise ValueError(f"dim: need at least one feature, got {dim}")
+    if separation < 0:
+        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not np.isfinite(separation):
+        raise ValueError(f"separation must be finite, got {separation}")
+    if not 0 <= label_noise < 0.5:
+        raise ValueError(f"label_noise: label noise must be in [0, 0.5), got {label_noise}")
+
+
 def synthetic_dataset(
     n: int,
     dim: int,
@@ -125,17 +139,7 @@ def synthetic_dataset(
     (rounded to a count), chosen without replacement. Fully deterministic
     per seed. The Bayes accuracy of the clean task is Phi(separation / 2).
     """
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
-    if dim < 1:
-        raise ValueError(f"need at least one feature, got {dim}")
-    if class_separation < 0:
-        raise ValueError(f"separation must be >= 0, got {class_separation}")
-    if not np.isfinite(class_separation):
-        raise ValueError(f"separation must be finite, got {class_separation}")
-    if not 0 <= label_noise < 0.5:
-        raise ValueError(f"label noise must be in [0, 0.5), got {label_noise}")
-
+    _check_synthetic(n, dim, class_separation, label_noise)
     rng = np.random.Generator(np.random.PCG64(seed))
     n0 = n // 2
     labels = np.concatenate([np.zeros(n0), np.ones(n - n0)])

@@ -125,15 +125,15 @@ class Model:
 
     The parameters live in one flat float64 vector (``parameter_vector``)
     that concatenates them raveled in slot order; ``parameters`` is the
-    ordered list of shaped views over it. A gradient of this model is a flat
-    ``[P]`` vector in the same layout; the tape oracle's tuple of
-    per-parameter arrays aligns with ``parameters`` index-for-index. The
-    constructor checks that the layers name slots ``0, 1, 2, ...`` in layer
-    order with the shapes they imply; later slots belong to no layer.
-    Freezing is one boundary: the first ``frozen_slots`` slots are frozen.
-    Parameters are replaced, never mutated in place (each replacement is a
-    new vector), so tensors handed out during a forward pass stay valid;
-    replacements keep the shapes, so the flat layout is computed once.
+    tuple of shaped views over it. Both are made once, in the constructor,
+    and last the model's life: updates write new values into the vector, so
+    the views always read the current parameters. A caller that wants a
+    snapshot copies. A gradient of this model is a flat ``[P]`` vector in
+    the same layout; the tape oracle's tuple of per-parameter arrays aligns
+    with ``parameters`` index-for-index. The constructor checks that the
+    layers name slots ``0, 1, 2, ...`` in layer order with the shapes they
+    imply; later slots belong to no layer. Freezing is one boundary: the
+    first ``frozen_slots`` slots are frozen.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -157,7 +157,11 @@ class Model:
         self._frozen = 0
         self.seed = seed
         self.freeze_prefix = 0
-        self.set_parameters(arrays)
+        self._vector = np.concatenate([a.reshape(-1) for a in arrays])
+        self.parameters: tuple[np.ndarray, ...] = tuple(
+            self._vector[offsets[s]:offsets[s + 1]].reshape(shape)
+            for s, shape in enumerate(self._shapes)
+        )
 
     @property
     def input_dim(self) -> int:
@@ -191,8 +195,7 @@ class Model:
         layer is frozen whenever ``k >= 1``.
         """
         dense = [l for l in self.layers if isinstance(l, DenseLayer)]
-        if not 0 <= k <= len(dense) - 1:
-            raise ValueError(f"freeze prefix {k} out of range for {len(dense)} dense layers")
+        _check_freeze_prefix(k, len(dense))
         self.freeze_prefix = k
         # Slots run 0, 1, 2, ... in layer order: the layers before a dense
         # layer name exactly the slots below its weight slot.
@@ -223,7 +226,8 @@ class Model:
 
         Untraced, the layer kernels compute them. With ``tape`` (already
         entered) the tape primitives build the graph, watching the parameter
-        tensors in index order.
+        tensors in index order. Those tensors wrap copies of the parameters,
+        so a recorded tape keeps its values when the model is updated.
         """
         data = np.asarray(x, dtype=np.float64)
         if data.ndim == 1:
@@ -235,7 +239,7 @@ class Model:
             )
         if tape is None:
             return Tensor(_kernel_forward(self, data, []))  # nothing to differentiate
-        params = [Tensor(p) for p in self.parameters]
+        params = [Tensor(p.copy()) for p in self.parameters]
         for p in params:
             tape.watch(p)
         h = Tensor(data)
@@ -258,29 +262,16 @@ class Model:
         """The flat ``[P]`` parameter vector laid out by ``parameter_offsets``."""
         return self._vector
 
-    def set_parameter_vector(self, vector: np.ndarray) -> None:
-        """Replace every parameter with the slices of a new flat ``[P]`` vector.
-
-        A float64 ``vector`` is kept as it is, not copied: callers hand over
-        a vector they will not write to again.
-        """
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self._offsets[-1],):
-            raise ShapeMismatchError(
-                f"parameter vector of shape {vector.shape} does not match "
-                f"{self._offsets[-1]} parameters"
-            )
-        self._vector = vector
-        o = self._offsets
-        self.parameters: list[np.ndarray] = [
-            vector[o[s]:o[s + 1]].reshape(shape) for s, shape in enumerate(self._shapes)
-        ]
-
     def set_parameters(self, new_params) -> None:
+        """Write new values of every parameter into the parameter vector.
+
+        The shapes are checked before anything is written; the vector and
+        the views in ``parameters`` stay the same objects.
+        """
         new_params = [np.asarray(p, dtype=np.float64) for p in new_params]
         if tuple(p.shape for p in new_params) != self.parameter_shapes():
             raise ShapeMismatchError("replacement parameters are not shape-aligned")
-        self.set_parameter_vector(np.concatenate([p.reshape(-1) for p in new_params]))
+        self._vector[:] = np.concatenate([p.reshape(-1) for p in new_params])
 
 
 def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
@@ -303,16 +294,7 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
         raise ValueError(f"invalid widths {widths}: need >= 2 positive entries")
     if widths[-1] != 1:
         raise ValueError(f"invalid widths {widths}: final width must be 1")
-    num_groups = 0
-    if norm != "none":
-        if not norm.startswith("group:"):
-            raise ValueError(f"unknown norm kind {norm!r}")
-        num_groups = int(norm.split(":", 1)[1])
-        if num_groups < 1:
-            raise ValueError("group norm needs at least one group")
-        for w in widths[1:-1]:
-            if w % num_groups != 0:
-                raise ValueError(f"num_groups {num_groups} does not divide width {w}")
+    num_groups = _norm_groups(norm, widths[1:-1])
 
     layers: list = []
     params: list[np.ndarray] = []
@@ -340,6 +322,33 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
             w *= 2.0 * bound
             w -= bound
     return model
+
+
+def _check_freeze_prefix(k: int, dense_layers: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= k`` and the last of ``dense_layers`` stays trainable."""
+    if not 0 <= k <= dense_layers - 1:
+        raise ValueError(f"freeze_prefix {k} out of range for {dense_layers} dense layers")
+
+
+def _norm_groups(norm: str, hidden_widths) -> int:
+    """Groups per norm layer that ``norm`` names (0 for "none"); ``ValueError`` if invalid.
+
+    Every hidden width is normalized, so the group count must divide each one.
+    """
+    if norm == "none":
+        return 0
+    if not norm.startswith("group:"):
+        raise ValueError(f"unknown norm kind {norm!r}")
+    try:
+        num_groups = int(norm.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"norm {norm!r} needs an integer group count") from None
+    if num_groups < 1:
+        raise ValueError(f"norm {norm!r} needs at least one group")
+    for w in hidden_widths:
+        if w % num_groups != 0:
+            raise ValueError(f"norm {norm!r}: {num_groups} groups do not divide width {w}")
+    return num_groups
 
 
 def per_sample_gradient(model: Model, x, y) -> tuple[float, tuple[np.ndarray, ...]]:

@@ -30,11 +30,11 @@ and divide).
 The Adam moments are flat ``[P]`` vectors laid out like
 ``Model.parameter_vector``. Frozen slots lead that vector
 (``Model.frozen_slots``), so one update runs a few whole-vector operations
-over the trainable tail and installs a new parameter vector; frozen
-parameters and their moments are never touched. Every operation is the
-per-slot formula's own elementwise IEEE operation, so trainable
-parameters and their moments are bit-identical to updating slot by slot.
-Clipping and the noisy gradient's norm read ``Model.trainable_spans``.
+over the trainable tail and writes it into the model's parameter vector in
+place; frozen parameters and their moments are never written. Every
+operation is the per-slot formula's own elementwise IEEE operation, so
+trainable parameters and their moments are bit-identical to updating slot
+by slot. Clipping and the noisy gradient's norm read ``Model.trainable_spans``.
 
 Two update rules are available:
 
@@ -164,9 +164,10 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
 
     ``grad`` is laid out like ``Model.parameter_vector``; anything else, or
     ``state.m`` or ``state.u`` of another shape, raises
-    ``ShapeMismatchError`` before the state changes. The frozen slots
-    lead the vector, so the tail ``[lo:]`` holds every trainable parameter;
-    frozen parameters and their moments are never touched, whatever
+    ``ShapeMismatchError`` before the step count, the moments or the
+    parameters change. The frozen slots lead the vector, so the tail
+    ``[lo:]`` holds every trainable parameter, and the update writes it in
+    place; frozen parameters and their moments are never written, whatever
     ``grad`` holds there. Each line is the per-slot formula's own IEEE
     operation, applied to the whole tail:
     ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
@@ -198,9 +199,7 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
         den += state.adam_stabilizer
         w = m / den
     w *= state.lr
-    new_params = params.copy()
-    new_params[lo:] -= w
-    model.set_parameter_vector(new_params)
+    params[lo:] -= w
 
 
 def dp_adam_step(

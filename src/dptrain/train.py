@@ -388,17 +388,23 @@ def _median_str(values: list[str]) -> str:
 def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
     """Run every grid cell with every seed; append a median row per cell.
 
-    A failing cell run becomes a row whose stop_reason is ``error`` (with
-    empty numerics) and the sweep continues, so one bad configuration cannot
-    lose the rest of the grid.
+    Every run's config is built before the first run trains, so a bad
+    value raises ``ConfigError`` and nothing runs. A run that fails while
+    training becomes a row whose stop_reason is ``error`` (with empty
+    numerics) and the sweep continues, so one failing run cannot lose the
+    rest of the grid.
     """
+    seeds = range(grid.seeds_per_cell)
+    cells = [
+        (eps, clip, freeze, [_cell_config(base, eps, clip, freeze, i) for i in seeds])
+        for eps, clip, freeze in grid.cells()
+    ]
     rows: list[SweepRow] = []
-    for eps, clip, freeze in grid.cells():
+    for eps, clip, freeze, configs in cells:
         cell_id = f"eps{_fmt(eps)}-clip{_fmt(clip)}-freeze{freeze}"
         cell_rows: list[SweepRow] = []
-        for seed_index in range(grid.seeds_per_cell):
+        for seed_index, config in enumerate(configs):
             run_id = f"{cell_id}-seed{seed_index}"
-            config = _cell_config(base, eps, clip, freeze, seed_index)
             try:
                 report = train(config)
             except Exception:

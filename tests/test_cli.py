@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import math
+import re
 
 import pytest
 
@@ -173,6 +174,26 @@ class TestTrainCommand:
         assert not out.exists()
         assert "widths must all be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, conf",
+        [
+            ("n", TRAIN_CONF.replace("n = 300", "n = 1")),
+            ("dim", TRAIN_CONF.replace("dim = 5", "dim = 0")),
+            ("separation", TRAIN_CONF.replace("separation = 4.0", "separation = -1")),
+            ("label_noise", TRAIN_CONF + "label_noise = 0.7\n"),
+            ("norm", TRAIN_CONF + "norm = bogus\n"),
+            ("norm", TRAIN_CONF.replace("widths = 8,1\n", "") + "norm = group:3\n"),
+            ("freeze_prefix", TRAIN_CONF + "freeze_prefix = 5\n"),
+            ("seed_model", TRAIN_CONF + "seed_model = -1\n"),
+        ],
+        ids=["n", "dim", "separation", "label_noise", "norm", "norm-groups", "freeze", "seed"],
+    )
+    def test_bad_value_exits_one_without_outputs(self, tmp_path, capsys, key, conf):
+        out = tmp_path / "out"
+        assert main(["train", str(write_config(tmp_path, conf)), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
 
 class TestSweepCommand:
     def test_degenerate_sweep(self, tmp_path, capsys):
@@ -213,6 +234,31 @@ class TestSweepCommand:
         assert cells == []
         assert not (out / "sweep.csv").exists()
         assert "sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, extra",
+        [
+            ("n", "n = 1\n"),
+            ("norm", "norm = bogus\n"),
+            ("freeze_prefix", "sweep_freeze_prefix = 0,5\n"),
+        ],
+        ids=["n", "norm", "freeze"],
+    )
+    def test_bad_cell_value_exits_one_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, key, extra
+    ):
+        cells = []
+        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        conf = write_config(
+            tmp_path,
+            TRAIN_CONF.replace("privacy = fixed-sigma\nsigma = 1.0\n", "").replace("n = 300\n", "")
+            + "sweep_target_eps = 5\nsweep_clip_norm = 1.0\nseeds_per_cell = 1\n" + extra,
+        )
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", str(conf), "--out", str(out)]) == 1
+        assert cells == []
+        assert not out.exists()
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 class TestGenDataCommand:

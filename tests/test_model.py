@@ -26,6 +26,8 @@ from dptrain.tensor import (
     ShapeMismatchError,
     Tape,
     Tensor,
+    backward,
+    binary_cross_entropy,
     fd_gradient,
     mul,
     reduce_mean,
@@ -89,20 +91,51 @@ def test_parameter_offsets_survive_set_parameters():
     assert model.parameter_offsets() == offsets
 
 
-def test_parameters_are_views_over_one_replaced_vector():
+def test_parameters_are_views_over_one_lasting_vector():
     model = build_mlp([4, 8, 1], norm="group:2", seed=7)
-    vector = model.parameter_vector
+    vector, views = model.parameter_vector, model.parameters
     offsets = model.parameter_offsets()
     assert vector.shape == (offsets[-1],)
-    for s, p in enumerate(model.parameters):
+    assert isinstance(views, tuple)
+    for s, p in enumerate(views):
         assert np.shares_memory(p, vector)
         np.testing.assert_array_equal(p.reshape(-1), vector[offsets[s]:offsets[s + 1]])
-    held, kept = model.parameters[0], vector.copy()
-    model.set_parameter_vector(vector + 1.0)
-    np.testing.assert_array_equal(vector, kept)
-    np.testing.assert_array_equal(model.parameters[0], held + 1.0)
-    with pytest.raises(ShapeMismatchError):
-        model.set_parameter_vector(np.zeros(offsets[-1] + 1))
+    kept = vector.copy()
+    model.set_parameters(views)  # the model's own views: nothing changes
+    assert vector.tobytes() == kept.tobytes()
+    held = views[0]
+    model.set_parameters([p + 1.0 for p in views])
+    assert model.parameter_vector is vector and model.parameters is views
+    np.testing.assert_array_equal(vector, kept + 1.0)
+    np.testing.assert_array_equal(held, kept[offsets[0]:offsets[1]].reshape(held.shape) + 1.0)
+    kept = vector.copy()
+    for bad in (
+        views[:-1],
+        [*views[:-1], np.zeros(2)],
+        [np.zeros(offsets[-1])],
+    ):
+        with pytest.raises(ShapeMismatchError):
+            model.set_parameters(bad)
+        assert model.parameter_vector is vector and model.parameters is views
+        assert vector.tobytes() == kept.tobytes()
+
+
+def test_recorded_tape_survives_an_update():
+    # Two hidden layers: every layer's gradient below the output reads a later weight.
+    model = build_mlp([4, 8, 8, 1], norm="group:2", seed=5)
+    x = np.random.default_rng(3).normal(size=(1, 4))
+    _, before = per_sample_gradient(model, x, 1.0)
+    with Tape() as tape:
+        probs = sigmoid(model.forward(x, tape=tape))
+        loss = reduce_mean(binary_cross_entropy(probs, tensor([1.0])))
+    state = DpAdamState.for_model(model, lr=0.1)
+    adam_step(model, flat(before), state)
+    _, moved = per_sample_gradient(model, x, 1.0)
+    assert all(not np.array_equal(a, b) for a, b in zip(moved[:-1], before[:-1]))
+    after = backward(tape, loss)
+    assert len(after) == len(before)
+    for a, b in zip(after, before):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_initialization_bounds():

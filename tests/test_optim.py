@@ -79,15 +79,30 @@ class TestReferenceAdam:
         expected = 2.0 - 0.1 * m / (u + 1e-8)
         assert holder.parameters[0][0] == pytest.approx(expected, rel=1e-12)
 
-    def test_update_installs_a_new_parameter_vector(self):
-        holder = toy_param_holder([np.array([1.0, -0.7]), np.array([0.5])])
-        state = DpAdamState.for_model(holder, lr=0.1)
-        before = holder.parameter_vector
-        kept = before.copy()
-        adam_step(holder, flat((np.array([1.0, 1.0]), np.array([1.0]))), state)
-        assert holder.parameter_vector is not before
-        np.testing.assert_array_equal(before, kept)
-        assert not np.array_equal(holder.parameter_vector, kept)
+    @pytest.mark.parametrize("update", ["adam_step", "dp_adam_step", "set_parameters"])
+    def test_updates_write_the_trainable_tail_in_place(self, update):
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(16, 5))
+        ys = rng.integers(0, 2, size=16).astype(float)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
+        model.set_freeze_prefix(1)
+        state = DpAdamState.for_model(model, lr=0.05)
+        vector, views = model.parameter_vector, model.parameters
+        lo = model.trainable_start
+        head, tail = vector[:lo].copy(), vector[lo:].copy()
+        if update == "adam_step":
+            adam_step(model, batch_gradient(model, xs, ys)[1], state)
+        elif update == "dp_adam_step":
+            run_dp(model, xs, ys, 1, sigma=1.0, clip=1.0, p=1.0, seed=3, state=state)
+        else:
+            model.set_parameters(
+                [p if not keep else p + 1.0 for p, keep in zip(model.parameters, model.trainable)]
+            )
+        assert model.parameter_vector is vector
+        assert model.parameters is views
+        assert all(np.shares_memory(p, vector) for p in views)
+        assert_same_bits(vector[:lo], head)
+        assert not np.array_equal(vector[lo:], tail)
 
     def test_shape_mismatch_rejected(self):
         holder = toy_param_holder([np.array([0.5, -0.25])])
