@@ -11,17 +11,12 @@ from .accountant import (
     MechanismSpec,
     PrivacyLedger,
     PrivacySpent,
-    RdpCurve,
     accountant_query,
     calibrate_sigma,
     classic_gaussian_sigma,
-    compose,
     kl_divergence,
-    mechanism_curve,
     renyi_divergence,
     rdp_gaussian,
-    rdp_subsampled_gaussian,
-    to_eps_delta,
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset

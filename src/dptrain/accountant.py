@@ -37,14 +37,12 @@ When sigma is so small that a closed form overflows (the k^2 / (2 sigma^2)
 term below sigma ~ 3e-153, or 2 sigma^2 underflowing to zero), the per-step
 value is +inf: epsilon is then inf after one step or more and 0 after none.
 
-Every per-step value comes from one builder, ``_per_step``. Training asks
-one epsilon engine, :class:`PrivacyLedger`: noise calibration (through
-:func:`epsilon_for`), the budget stop and the reported spend all run its
-conversion. The curve path (``mechanism_curve``, ``compose``,
-``to_eps_delta``) builds the same values as an explicit ``RdpCurve``; it
-answers :func:`accountant_query` and is the reference the tests and the
-benchmark compare the ledger with. Step counts are integers (Python or
-numpy); a fractional count raises ``TypeError`` rather than being truncated.
+Every per-step value comes from one builder, ``_per_step``, and every
+epsilon from one engine, :class:`PrivacyLedger`: noise calibration (through
+:func:`epsilon_for`), the budget stop, the reported spend and the
+``dptrain accountant`` document (:func:`accountant_query`) all run its
+conversion. Step counts are integers (Python or numpy); a fractional count
+raises ``TypeError`` rather than being truncated.
 """
 
 from __future__ import annotations
@@ -61,16 +59,11 @@ __all__ = [
     "SIGMA_SEARCH_CEILING",
     "MechanismSpec",
     "PrivacySpent",
-    "RdpCurve",
     "CalibrationError",
     "default_alpha_grid",
     "renyi_divergence",
     "kl_divergence",
     "rdp_gaussian",
-    "rdp_subsampled_gaussian",
-    "mechanism_curve",
-    "compose",
-    "to_eps_delta",
     "epsilon_for",
     "calibrate_sigma",
     "classic_gaussian_sigma",
@@ -149,6 +142,8 @@ _A_MINUS_ONE = (_ORDERS - 1).astype(np.float64)
 _EXP_UNDERFLOW = -746.0
 _INTEGER_GRID = tuple(float(a) for a in _ORDERS)
 _FULL_BATCH_GRID = (1.25, 1.5) + _INTEGER_GRID
+_FULL_BATCH_ORDERS = np.array(_FULL_BATCH_GRID)
+_FULL_BATCH_ORDERS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -263,111 +258,16 @@ def _subsampled_rdp(sigma: float, q: float) -> np.ndarray:
         return np.where(np.isfinite(values), np.maximum(0.0, values), math.inf)
 
 
-@functools.lru_cache(maxsize=16)
-def _checked_orders(alphas: tuple, full_batch: bool):
-    """Read-only ``(orders, table rows or None, first unsupported order or None)``.
+def _per_step(spec: MechanismSpec) -> np.ndarray:
+    """Per-step RDP of ``spec`` at every order of ``default_alpha_grid(spec.q)``.
 
-    Orders are integers 2..64, plus any non-integer above 1 at q = 1.
+    At q = 1, alpha / (2 sigma^2) holds for every order, fractional ones
+    too; it is +inf once 2 sigma^2 underflows to zero.
     """
-    orders = np.array(alphas, dtype=np.float64)
-    valid = np.where(
-        orders == np.floor(orders),
-        (orders >= 2) & (orders <= _MAX_INT_ALPHA),
-        (orders > 1) & full_batch,
-    )
-    if not valid.all():
-        return None, None, orders[~valid][0]
-    orders.flags.writeable = False
-    if full_batch:
-        return orders, None, None
-    rows = orders.astype(np.intp) - 2
-    rows.flags.writeable = False
-    return orders, rows, None
-
-
-def _per_step(spec: MechanismSpec, alphas) -> np.ndarray:
-    """Per-step RDP of ``spec`` at each order in ``alphas``.
-
-    Orders are integers 2..64, plus any non-integer above 1 at q = 1, where
-    alpha / (2 sigma^2) holds for every order; it is +inf once 2 sigma^2
-    underflows to zero.
-    """
-    orders, rows, unsupported = _checked_orders(tuple(alphas), spec.q >= 1.0)
-    if unsupported is not None:
-        raise ValueError(f"order {unsupported} unsupported at q = {spec.q}")
-    if rows is None:
+    if spec.q >= 1.0:
         with np.errstate(over="ignore", divide="ignore"):
-            return orders / (2.0 * spec.sigma * spec.sigma)
-    return _subsampled_rdp(spec.sigma, spec.q)[rows]
-
-
-def rdp_subsampled_gaussian(spec: MechanismSpec, alpha) -> float:
-    """Per-step RDP of one Poisson-subsampled Gaussian step at integer order.
-
-    Reduces to :func:`rdp_gaussian` at q = 1 and vanishes as q -> 0.
-    Fractional orders are rejected: the binomial expansion is exact only for
-    integers.
-    """
-    if not float(alpha).is_integer():
-        raise ValueError(f"subsampled RDP needs an integer order, got {alpha}")
-    return float(_per_step(spec, (alpha,))[0])
-
-
-class RdpCurve:
-    """Accumulated RDP per order plus the number of composed steps.
-
-    The per-step values are fixed at construction; the accumulated value at
-    each order is ``per_step * step_count``, which makes composition exactly
-    additive: compose(compose(c, a), b) == compose(c, a + b).
-    """
-
-    __slots__ = ("alphas", "per_step", "step_count")
-
-    def __init__(self, alphas, per_step, step_count: int = 0):
-        alphas = tuple(float(a) for a in alphas)
-        per_step = tuple(float(r) for r in per_step)
-        if len(alphas) != len(per_step) or not alphas:
-            raise ValueError("need matching non-empty alpha and rdp sequences")
-        if not all(a > 1 for a in alphas):
-            raise ValueError("all orders must exceed 1")
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("orders must be strictly increasing")
-        if not all(r >= 0 for r in per_step):
-            raise ValueError("rdp values must be non-negative")
-        step_count = operator.index(step_count)
-        if step_count < 0:
-            raise ValueError("step count cannot be negative")
-        self.alphas = alphas
-        self.per_step = per_step
-        self.step_count = step_count
-
-    def totals(self) -> tuple[float, ...]:
-        # Zero steps spend nothing, even at an infinite per-step value.
-        if self.step_count == 0:
-            return (0.0,) * len(self.per_step)
-        return tuple(r * self.step_count for r in self.per_step)
-
-    def pairs(self) -> list[list[float]]:
-        return [[a, t] for a, t in zip(self.alphas, self.totals())]
-
-    def __repr__(self) -> str:
-        return f"RdpCurve(orders={len(self.alphas)}, steps={self.step_count})"
-
-
-def mechanism_curve(spec: MechanismSpec, alphas=None) -> RdpCurve:
-    """Fresh (zero-step) curve for one mechanism, on the default grid unless
-    ``alphas`` is given."""
-    if alphas is None:
-        alphas = default_alpha_grid(spec.q)
-    return RdpCurve(alphas, _per_step(spec, alphas))
-
-
-def compose(curve: RdpCurve, steps: int) -> RdpCurve:
-    """Advance the ledger by ``steps`` mechanism invocations."""
-    steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError(f"cannot compose a negative number of steps: {steps}")
-    return RdpCurve(curve.alphas, curve.per_step, curve.step_count + steps)
+            return _FULL_BATCH_ORDERS / (2.0 * spec.sigma * spec.sigma)
+    return _subsampled_rdp(spec.sigma, spec.q)
 
 
 @functools.lru_cache(maxsize=16)
@@ -394,22 +294,6 @@ def _epsilon(
     return float(candidates[best]), best
 
 
-def to_eps_delta(curve: RdpCurve, delta: float) -> PrivacySpent:
-    """Convert an accumulated RDP curve into an (epsilon, delta) guarantee.
-
-    epsilon = min over the grid of rdp(alpha) + log(1/delta)/(alpha - 1).
-    A ledger with zero accumulated divergence (no steps, or an effectively
-    infinite sigma) spends exactly nothing, so epsilon is 0 in that case
-    rather than the grid penalty the formula alone would report. An
-    infinite per-step value at every order gives epsilon = inf.
-    """
-    penalties = _penalties(curve.alphas, delta)
-    epsilon, best = _epsilon(
-        np.array(curve.per_step), penalties, curve.step_count, max(curve.per_step) == 0.0
-    )
-    return PrivacySpent(epsilon=epsilon, delta=delta, optimal_alpha=curve.alphas[best])
-
-
 class CalibrationError(RuntimeError):
     """No noise multiplier under the search ceiling reaches the target epsilon."""
 
@@ -417,9 +301,8 @@ class CalibrationError(RuntimeError):
 def epsilon_for(sigma: float, q: float, steps: int, delta: float) -> float:
     """Epsilon spent by ``steps`` subsampled-Gaussian steps at multiplier sigma.
 
-    A fresh ledger's answer, so calibration and a run's budget stop share
-    one conversion; it equals
-    ``to_eps_delta(compose(mechanism_curve(spec), steps), delta).epsilon``.
+    A fresh :class:`PrivacyLedger`'s ``epsilon_if(steps)``, so calibration,
+    a run's budget stop and ``dptrain accountant`` share one conversion.
     """
     return PrivacyLedger(MechanismSpec(sigma, q), delta).epsilon_if(steps)
 
@@ -482,20 +365,23 @@ def classic_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> 
 
 
 class PrivacyLedger:
-    """Mutable running ledger for one training run.
+    """Mutable running ledger for one training run: the one epsilon engine.
 
     The step loop is the single writer (``advance``); monitors may read
     ``spent`` at any time. The per-step values on the default grid, and the
     conversion penalties at the ledger's delta, are computed once up front,
-    so a query is a few array operations; they are the same operations as
-    ``to_eps_delta`` on the composed curve, so the answers are identical.
+    so a query is a few array operations. A ledger with zero accumulated
+    divergence (no steps, or an effectively infinite sigma) spends exactly
+    nothing, so epsilon is 0 in that case rather than the grid penalty the
+    conversion formula alone would report. An infinite per-step value at
+    every order gives epsilon = inf.
     """
 
     def __init__(self, spec: MechanismSpec, delta: float = DEFAULT_DELTA):
         self.spec = spec
         self.delta = delta
         self._alphas = default_alpha_grid(spec.q)
-        self._per_step = _per_step(spec, self._alphas)
+        self._per_step = _per_step(spec)
         self._spends_nothing = self._per_step.max() == 0.0
         self._penalties = _penalties(self._alphas, delta)
         self.step_count = 0
@@ -506,38 +392,43 @@ class PrivacyLedger:
             raise ValueError("cannot advance the ledger backwards")
         self.step_count += steps
 
-    def curve(self) -> RdpCurve:
-        return RdpCurve(self._alphas, self._per_step, self.step_count)
+    def curve(self) -> list[list[float]]:
+        """``[[alpha, accumulated rdp], ...]`` over the grid.
 
-    def spent(self, delta: float | None = None) -> PrivacySpent:
-        epsilon, best = self._epsilon_at(self.step_count, delta)
-        return PrivacySpent(
-            epsilon=epsilon,
-            delta=self.delta if delta is None else delta,
-            optimal_alpha=self._alphas[best],
-        )
+        Every total is 0.0 at zero steps, even where the per-step value is
+        +inf: zero steps spend nothing.
+        """
+        steps = self.step_count
+        per_step = self._per_step.tolist() if steps else [0.0] * len(self._alphas)
+        return [[a, r * steps] for a, r in zip(self._alphas, per_step)]
 
-    def epsilon_if(self, step_count: int, delta: float | None = None) -> float:
+    def spent(self) -> PrivacySpent:
+        epsilon, best = self._epsilon_at(self.step_count)
+        return PrivacySpent(epsilon=epsilon, delta=self.delta, optimal_alpha=self._alphas[best])
+
+    def epsilon_if(self, step_count: int) -> float:
         """Epsilon the ledger would report after ``step_count`` total steps."""
         step_count = operator.index(step_count)
         if step_count < 0:
             raise ValueError(f"cannot compose a negative number of steps: {step_count}")
-        return self._epsilon_at(step_count, delta)[0]
+        return self._epsilon_at(step_count)[0]
 
-    def _epsilon_at(self, steps: int, delta: float | None) -> tuple[float, int]:
-        # to_eps_delta(self.curve() composed to ``steps``, delta), without
-        # building and validating the curve.
-        penalties = self._penalties if delta is None else _penalties(self._alphas, delta)
-        return _epsilon(self._per_step, penalties, steps, self._spends_nothing)
+    def _epsilon_at(self, steps: int) -> tuple[float, int]:
+        return _epsilon(self._per_step, self._penalties, steps, self._spends_nothing)
 
 
 def accountant_query(sigma: float, q: float, steps: int, delta: float) -> dict:
-    """JSON-ready accountant answer for a (sigma, q, steps, delta) query."""
+    """JSON-ready accountant answer for a (sigma, q, steps, delta) query.
+
+    A ledger at ``delta`` advanced by ``steps``: its ``spent()`` and its
+    ``curve()``.
+    """
     steps = operator.index(steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    curve = compose(mechanism_curve(MechanismSpec(sigma, q)), steps)
-    spent = to_eps_delta(curve, delta)
+    ledger = PrivacyLedger(MechanismSpec(sigma, q), delta)
+    ledger.advance(steps)
+    spent = ledger.spent()
     return {
         "sigma": sigma,
         "q": q,
@@ -545,5 +436,5 @@ def accountant_query(sigma: float, q: float, steps: int, delta: float) -> dict:
         "delta": delta,
         "epsilon": spent.epsilon,
         "optimal_alpha": spent.optimal_alpha,
-        "curve": curve.pairs(),
+        "curve": ledger.curve(),
     }

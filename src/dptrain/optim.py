@@ -221,8 +221,10 @@ def dp_adam_step(
     clipping bounds nothing if a layer leaks other samples' data into the
     gradient. The ledger is advanced exactly once per call, including calls
     whose Poisson batch is empty (charging an unused step never understates
-    the privacy spent). Per-sample gradients are processed in ascending
-    index order so results are reproducible.
+    the privacy spent). Arguments it refuses (inputs of the wrong width,
+    a label count that does not match, an unknown noise placement) raise
+    before the Poisson draw and the charge. Per-sample gradients are
+    processed in ascending index order so results are reproducible.
     """
     report = validate_model(model)
     if not report.ok:
@@ -231,13 +233,17 @@ def dp_adam_step(
         )
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
+    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
+        raise ShapeMismatchError(
+            f"input of shape {xs.shape} does not match input layer width {model.input_dim}"
+        )
     if xs.shape[0] != ys.shape[0]:
         raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
+    if noise_placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"unknown noise placement {noise_placement!r}")
 
     indices = poisson_subsample(xs.shape[0], p, poisson_rng)
     ledger.advance(1)
-    if noise_placement not in NOISE_PLACEMENTS:
-        raise ValueError(f"unknown noise placement {noise_placement!r}")
     if indices.size == 0:
         return StepOutcome(
             applied=False,

@@ -507,10 +507,14 @@ def tape_dp_adam_step(
         )
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64).reshape(-1)
-    indices = poisson_subsample(xs.shape[0], p, poisson_rng)
-    ledger.advance(1)
+    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
+        raise ShapeMismatchError(f"input of shape {xs.shape} does not match the input layer")
+    if xs.shape[0] != ys.shape[0]:
+        raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
+    indices = poisson_subsample(xs.shape[0], p, poisson_rng)
+    ledger.advance(1)
     if indices.size == 0:
         nan = math.nan
         return StepOutcome(False, 0, nan, nan, nan, nan, nan)

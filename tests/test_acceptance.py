@@ -18,10 +18,7 @@ from dptrain.accountant import (
     default_alpha_grid,
     epsilon_for,
     kl_divergence,
-    mechanism_curve,
-    compose,
     renyi_divergence,
-    to_eps_delta,
 )
 from dptrain.config import RunConfig, SweepGrid
 from dptrain import mechanisms
@@ -178,8 +175,9 @@ def test_criterion_04_accountant_parity():
 
 @criterion(5, "closed-form spot checks")
 def test_criterion_05_closed_form_spot_checks():
-    curve = compose(mechanism_curve(MechanismSpec(1.0, 1.0)), 1)
-    spent = to_eps_delta(curve, 1e-5)
+    ledger = PrivacyLedger(MechanismSpec(1.0, 1.0), delta=1e-5)
+    ledger.advance(1)
+    spent = ledger.spent()
     oracle_eps, oracle_alpha = grid_search_epsilon_gaussian(1.0, 1e-5)
     assert abs(spent.epsilon - 5.3026) / 5.3026 < 0.005
     assert spent.epsilon == pytest.approx(oracle_eps, rel=1e-12)

@@ -9,19 +9,14 @@ from dptrain.accountant import (
     CalibrationError,
     MechanismSpec,
     PrivacyLedger,
-    RdpCurve,
     accountant_query,
     calibrate_sigma,
     classic_gaussian_sigma,
-    compose,
     default_alpha_grid,
     epsilon_for,
     kl_divergence,
-    mechanism_curve,
     rdp_gaussian,
-    rdp_subsampled_gaussian,
     renyi_divergence,
-    to_eps_delta,
 )
 from dptrain import accountant
 from oracles import (
@@ -31,6 +26,17 @@ from oracles import (
     per_order_rdp,
     row_loop_subsampled_rdp,
 )
+
+
+def one_step_rdp(sigma, q, alpha):
+    """Accumulated RDP at order ``alpha`` after one step, read from the ledger's curve."""
+    ledger = PrivacyLedger(MechanismSpec(sigma, q))
+    ledger.advance(1)
+    return dict(ledger.curve())[float(alpha)]
+
+
+def totals(ledger):
+    return [total for _, total in ledger.curve()]
 
 
 def random_distribution(rng, n, floor=1e-3):
@@ -121,35 +127,24 @@ class TestGaussianRdp:
 
 class TestSubsampledRdp:
     def test_full_sampling_reduces_to_gaussian(self):
-        assert rdp_subsampled_gaussian(MechanismSpec(1.0, 1.0), 2) == 1.0
+        assert one_step_rdp(1.0, 1.0, 2) == 1.0
 
     def test_vanishing_rate(self):
-        values = [
-            rdp_subsampled_gaussian(MechanismSpec(1.0, q), 4)
-            for q in (0.5, 0.1, 0.01, 1e-4)
-        ]
+        values = [one_step_rdp(1.0, q, 4) for q in (0.5, 0.1, 0.01, 1e-4)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-6
 
     def test_matches_quadrature_oracle_within_one_percent(self):
-        spec = MechanismSpec(1.0, 0.01)
-        got = rdp_subsampled_gaussian(spec, 2)
+        got = one_step_rdp(1.0, 0.01, 2)
         oracle = mixture_renyi_rdp(2.0, 1.0, 0.01)
         assert got == pytest.approx(oracle, rel=0.01)
 
-    def test_rejects_fractional_order(self):
-        with pytest.raises(ValueError):
-            rdp_subsampled_gaussian(MechanismSpec(1.0, 0.5), 2.5)
-
     def test_extreme_order_stays_finite(self):
-        v = rdp_subsampled_gaussian(MechanismSpec(0.5, 0.01), 64)
+        v = one_step_rdp(0.5, 0.01, 64)
         assert np.isfinite(v) and v > 0
 
     def test_monotone_in_q(self):
-        values = [
-            rdp_subsampled_gaussian(MechanismSpec(1.0, q), 8)
-            for q in (0.01, 0.1, 0.5, 1.0)
-        ]
+        values = [one_step_rdp(1.0, q, 8) for q in (0.01, 0.1, 0.5, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -162,58 +157,51 @@ class TestCurveAndCompose:
         assert sub == tuple(float(a) for a in range(2, 65))
 
     def test_compose_zero_steps_spends_nothing(self):
-        curve = mechanism_curve(MechanismSpec(1.0, 1.0))
-        assert compose(curve, 0).totals() == tuple(0.0 for _ in curve.alphas)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        ledger.advance(0)
+        assert [a for a, _ in ledger.curve()] == list(default_alpha_grid(1.0))
+        assert totals(ledger) == [0.0] * len(default_alpha_grid(1.0))
 
     def test_compose_two_steps_doubles(self):
-        curve = mechanism_curve(MechanismSpec(1.0, 0.1))
-        one = compose(curve, 1)
-        two = compose(curve, 2)
-        np.testing.assert_allclose(two.totals(), np.array(one.totals()) * 2.0)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 0.1))
+        ledger.advance(1)
+        one = totals(ledger)
+        ledger.advance(1)
+        np.testing.assert_allclose(totals(ledger), np.array(one) * 2.0)
 
     def test_compose_is_associative(self):
-        curve = mechanism_curve(MechanismSpec(2.0, 0.5))
-        a = compose(compose(curve, 3), 4)
-        b = compose(curve, 7)
-        assert a.totals() == b.totals()
+        a = PrivacyLedger(MechanismSpec(2.0, 0.5))
+        a.advance(3)
+        a.advance(4)
+        b = PrivacyLedger(MechanismSpec(2.0, 0.5))
+        b.advance(7)
+        assert a.curve() == b.curve()
+        assert a.spent() == b.spent()
         assert a.step_count == b.step_count == 7
 
     def test_compose_rejects_negative(self):
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
         with pytest.raises(ValueError):
-            compose(mechanism_curve(MechanismSpec(1.0, 1.0)), -1)
-
-    def test_curve_validation(self):
-        with pytest.raises(ValueError):
-            RdpCurve([2.0, 2.0], [0.1, 0.1])
-        with pytest.raises(ValueError):
-            RdpCurve([2.0, 3.0], [-0.1, 0.1])
-
-    @pytest.mark.parametrize(
-        "alphas, per_step",
-        [([2.0, 3.0], [math.nan, 0.1]), ([math.nan, 3.0], [0.1, 0.1]), ([2.0, math.nan], [0.1, 0.1])],
-        ids=["nan-rdp", "nan-first-order", "nan-last-order"],
-    )
-    def test_curve_rejects_nan(self, alphas, per_step):
-        with pytest.raises(ValueError):
-            RdpCurve(alphas, per_step, 10)
+            ledger.advance(-1)
+        assert ledger.step_count == 0
 
 
 class TestConversion:
     def test_single_gaussian_step_spot_value(self):
-        curve = compose(mechanism_curve(MechanismSpec(1.0, 1.0)), 1)
-        spent = to_eps_delta(curve, 1e-5)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0), delta=1e-5)
+        ledger.advance(1)
+        spent = ledger.spent()
         oracle_eps, oracle_alpha = grid_search_epsilon_gaussian(1.0, 1e-5)
         assert spent.epsilon == pytest.approx(oracle_eps, rel=1e-12)
         assert spent.optimal_alpha == oracle_alpha == 6
         assert spent.epsilon == pytest.approx(5.3026, rel=0.005)
 
     def test_zero_step_curve_spends_nothing(self):
-        curve = mechanism_curve(MechanismSpec(1.0, 0.5))
-        assert to_eps_delta(curve, 1e-5).epsilon == 0.0
+        assert PrivacyLedger(MechanismSpec(1.0, 0.5)).spent().epsilon == 0.0
 
     def test_epsilon_monotone_in_steps(self):
-        curve = mechanism_curve(MechanismSpec(1.0, 0.1))
-        eps = [to_eps_delta(compose(curve, t), 1e-5).epsilon for t in (1, 2, 4, 8, 64)]
+        ledger = PrivacyLedger(MechanismSpec(1.0, 0.1))
+        eps = [ledger.epsilon_if(t) for t in (1, 2, 4, 8, 64)]
         assert all(b >= a for a, b in zip(eps, eps[1:]))
 
     def test_epsilon_strictly_decreasing_in_sigma(self):
@@ -225,11 +213,9 @@ class TestConversion:
         assert all(b >= a for a, b in zip(eps, eps[1:]))
 
     def test_rejects_bad_delta(self):
-        curve = mechanism_curve(MechanismSpec(1.0, 1.0))
-        with pytest.raises(ValueError):
-            to_eps_delta(curve, 0.0)
-        with pytest.raises(ValueError):
-            to_eps_delta(curve, 1.0)
+        for delta in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                PrivacyLedger(MechanismSpec(1.0, 1.0), delta=delta)
 
 
 class TestCalibration:
@@ -303,29 +289,53 @@ class TestLedgerAndQuery:
         # accumulated rdp at alpha=2 for one step of sigma=1: 1.0
         assert dict((a, r) for a, r in doc["curve"])[2.0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("q", [1e-6, 32 / 1440, 0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-4, 0.616, 1.0, 1e4])
+    def test_query_document_equals_per_order_oracle(self, sigma, q):
+        # Where 2 sigma^2 underflows to zero every order is +inf (see
+        # TestTinySigma); the per-order oracle divides by that zero.
+        tiny = 2.0 * sigma * sigma == 0.0
+        for steps in (0, 1, 180, 10**6):
+            for delta in (1e-5, 0.3):
+                doc = accountant_query(sigma, q, steps, delta)
+                if tiny:
+                    expected = math.inf if steps else 0.0
+                else:
+                    expected = per_order_epsilon(sigma, q, steps, delta)
+                assert doc["epsilon"] == expected, (steps, delta)
+                assert [a for a, _ in doc["curve"]] == list(default_alpha_grid(q))
+                for alpha, total in doc["curve"]:
+                    if steps == 0:
+                        assert total == 0.0
+                    else:
+                        rdp = math.inf if tiny else per_order_rdp(sigma, q, alpha)
+                        assert total == rdp * steps, (alpha, steps)
+
     @pytest.mark.parametrize(
         "sigma,q", [(1.0, 0.1), (0.8, 32 / 1400), (2.0, 1.0), (1e4, 0.5), (1e200, 1.0)]
     )
     def test_ledger_queries_equal_composed_curve(self, sigma, q):
         # The ledger answers from cached arrays; the answers must be the
-        # composed curve's, bit for bit, at every step count and delta.
-        spec = MechanismSpec(sigma, q)
-        ledger = PrivacyLedger(spec, delta=1e-5)
-        base = mechanism_curve(spec)
-        for steps in (0, 1, 2, 7, 100, 1234, 10**6):
-            for delta in (None, 1e-5, 1e-3, 0.3):
-                expected = to_eps_delta(compose(base, steps), 1e-5 if delta is None else delta)
-                assert ledger.epsilon_if(steps, delta) == expected.epsilon
+        # per-order oracle's composed curve, bit for bit, at every step
+        # count, and the reported order must attain them.
+        for delta in (1e-5, 1e-3, 0.3):
+            ledger = PrivacyLedger(MechanismSpec(sigma, q), delta=delta)
+            for steps in (0, 1, 2, 7, 100, 1234, 10**6):
+                expected = per_order_epsilon(sigma, q, steps, delta)
+                assert ledger.epsilon_if(steps) == expected
                 ledger.step_count = steps
-                assert ledger.spent(delta) == expected
-                assert type(ledger.spent(delta).optimal_alpha) is float
+                spent = ledger.spent()
+                assert spent.epsilon == expected and spent.delta == delta
+                alpha = spent.optimal_alpha
+                assert type(alpha) is float and alpha in default_alpha_grid(q)
+                if expected > 0.0:
+                    penalty = math.log(1.0 / delta) / (alpha - 1.0)
+                    assert per_order_rdp(sigma, q, alpha) * steps + penalty == expected
 
     def test_ledger_rejects_bad_queries(self):
         ledger = PrivacyLedger(MechanismSpec(1.0, 0.1))
         with pytest.raises(ValueError):
             ledger.epsilon_if(-1)
-        with pytest.raises(ValueError):
-            ledger.spent(delta=1.0)
         with pytest.raises(ValueError):
             PrivacyLedger(MechanismSpec(1.0, 0.1), delta=0.0)
 
@@ -357,11 +367,10 @@ class TestTableMatchesPerOrderOracle:
     @pytest.mark.parametrize("q", TABLE_QS + (1.0,))
     def test_every_order(self, q):
         for sigma in TABLE_SIGMAS:
-            spec = MechanismSpec(sigma, q)
-            curve = mechanism_curve(spec)
-            assert curve.per_step == tuple(per_order_rdp(sigma, q, a) for a in curve.alphas)
-            for a in range(2, 65):
-                assert rdp_subsampled_gaussian(spec, a) == per_order_rdp(sigma, q, a)
+            ledger = PrivacyLedger(MechanismSpec(sigma, q))
+            ledger.advance(1)
+            expected = [[a, per_order_rdp(sigma, q, a)] for a in default_alpha_grid(q)]
+            assert ledger.curve() == expected
 
     def test_epsilon_for(self):
         for sigma in TABLE_SIGMAS:
@@ -370,9 +379,6 @@ class TestTableMatchesPerOrderOracle:
                     for delta in (1e-5, 0.3):
                         got = epsilon_for(sigma, q, steps, delta)
                         assert got == per_order_epsilon(sigma, q, steps, delta)
-                        spec = MechanismSpec(sigma, q)
-                        composed = to_eps_delta(compose(mechanism_curve(spec), steps), delta)
-                        assert got == composed.epsilon
 
     @pytest.mark.parametrize("case", CALIBRATION_CASES)
     def test_calibration_picks_the_oracle_sigma(self, case, monkeypatch):
@@ -395,57 +401,21 @@ class TestTableMatchesPerOrderOracle:
         assert got.count("CalibrationError") >= 2
 
 
-class TestCustomOrders:
-    def test_integer_subset(self):
-        for sigma, q in [(1.1, 32 / 1440), (0.3, 0.5), (1e4, 1e-6)]:
-            curve = mechanism_curve(MechanismSpec(sigma, q), alphas=(2, 5.0, 17, 64))
-            assert curve.alphas == (2.0, 5.0, 17.0, 64.0)
-            assert curve.per_step == tuple(per_order_rdp(sigma, q, a) for a in (2, 5, 17, 64))
-
-    def test_fractional_orders_at_full_batch(self):
-        alphas = (1.1, 1.25, 2, 3.5, 64, 70.5)
-        for sigma in (0.3, 1.0, 1e4):
-            curve = mechanism_curve(MechanismSpec(sigma, 1.0), alphas=alphas)
-            assert curve.per_step == tuple(per_order_rdp(sigma, 1.0, a) for a in alphas)
-
-    @pytest.mark.parametrize(
-        "q,alphas",
-        [
-            (0.1, (1,)),
-            (0.1, (1.0, 2.0)),
-            (0.1, (2.0, 65.0)),
-            (0.1, (2.5,)),
-            (1.0, (1,)),
-            (1.0, (65,)),
-            (1.0, (0.5,)),
-        ],
-    )
-    def test_rejected_orders(self, q, alphas):
-        with pytest.raises(ValueError):
-            mechanism_curve(MechanismSpec(1.0, q), alphas=alphas)
-
-    @pytest.mark.parametrize("alpha", [1, 65, 2.5])
-    def test_rejected_single_order(self, alpha):
-        for q in (0.1, 1.0):
-            with pytest.raises(ValueError):
-                rdp_subsampled_gaussian(MechanismSpec(1.0, q), alpha)
-
-
 class TestTinySigma:
     """Below sigma ~ 3e-153 the closed forms overflow; the answer is +inf, never 0."""
 
     @pytest.mark.parametrize("q", [0.1, 1.0])
     @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
     def test_epsilon_for(self, sigma, q):
-        assert mechanism_curve(MechanismSpec(sigma, q)).per_step[-1] == math.inf
+        assert one_step_rdp(sigma, q, 64) == math.inf
         assert epsilon_for(sigma, q, 1, 1e-5) == math.inf
         assert epsilon_for(sigma, q, 1000, 1e-5) == math.inf
         assert epsilon_for(sigma, q, 0, 1e-5) == 0.0
 
     def test_rdp_gaussian_does_not_divide_by_zero(self):
         assert rdp_gaussian(2.0, 1e-200) == math.inf
-        assert rdp_subsampled_gaussian(MechanismSpec(1e-200, 1.0), 2) == math.inf
-        assert rdp_subsampled_gaussian(MechanismSpec(1e-200, 0.1), 2) == math.inf
+        assert one_step_rdp(1e-200, 1.0, 2) == math.inf
+        assert one_step_rdp(1e-200, 0.1, 2) == math.inf
 
     @pytest.mark.parametrize("q", [0.1, 1.0])
     def test_ledger(self, q):
@@ -454,7 +424,7 @@ class TestTinySigma:
         assert ledger.epsilon_if(1) == math.inf
         ledger.advance(3)
         assert ledger.spent().epsilon == math.inf
-        assert ledger.spent() == to_eps_delta(ledger.curve(), 1e-5)
+        assert totals(ledger) == [math.inf] * len(default_alpha_grid(q))
 
     @pytest.mark.parametrize("q", [0.1, 1.0])
     @pytest.mark.parametrize("sigma", [1e-154, 5e-154])
@@ -467,7 +437,7 @@ class TestTinySigma:
             assert ledger.epsilon_if(1000) == math.inf
             ledger.advance(1000)
             assert ledger.spent().epsilon == math.inf
-            assert to_eps_delta(ledger.curve(), 1e-5).epsilon == math.inf
+            assert max(totals(ledger)) == math.inf
             assert epsilon_for(sigma, q, 1000, 1e-5) == math.inf
 
     @pytest.mark.parametrize("q", [0.1, 1.0])
@@ -583,32 +553,27 @@ class TestNumpyAssumptions:
 
 class TestCaches:
     def test_cached_arrays_are_read_only(self):
-        orders, rows, unsupported = accountant._checked_orders(default_alpha_grid(0.1), False)
-        assert unsupported is None
-        full_orders, full_rows, _ = accountant._checked_orders(default_alpha_grid(1.0), True)
-        assert full_rows is None
         cached = (
             accountant._q_table(32 / 1440),
-            orders,
-            rows,
-            full_orders,
+            accountant._FULL_BATCH_ORDERS,
             accountant._penalties(default_alpha_grid(0.1), 1e-5),
         )
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         # What callers get back is theirs to write.
-        ledger = PrivacyLedger(MechanismSpec(1.0, 32 / 1440))
-        ledger._per_step[0] = ledger._per_step[0]
+        for q in (32 / 1440, 1.0):
+            ledger = PrivacyLedger(MechanismSpec(1.0, q))
+            ledger._per_step[0] = ledger._per_step[0]
 
-    @pytest.mark.parametrize("name", ["_q_table", "_checked_orders", "_penalties"])
+    @pytest.mark.parametrize("name", ["_q_table", "_penalties"])
     def test_caches_are_bounded(self, name):
         cache = getattr(accountant, name)
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize <= 64
         for i in range(maxsize + 10):
             q = 0.5 / (i + 2)
-            accountant._per_step(MechanismSpec(1.0, q), (2, 3, i % 60 + 4))
+            accountant._per_step(MechanismSpec(1.0, q))
             accountant._penalties((2.0, 3.0), q)
         assert cache.cache_info().currsize <= maxsize
 
@@ -617,7 +582,7 @@ class TestCaches:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             accountant._q_table.cache_clear()
-            assert all(r == math.inf for r in mechanism_curve(MechanismSpec(1e-200, q)).per_step)
+            assert all(r == math.inf for r in accountant._per_step(MechanismSpec(1e-200, q)))
             assert epsilon_for(1e-200, q, 1, 1e-5) == math.inf
             assert calibrate_sigma(1e300, 1e-5, q, 1) == 1e-4
 
@@ -629,20 +594,17 @@ class TestStepCounts:
 
     def _entry_points(self):
         ledger = PrivacyLedger(self.SPEC)
-        curve = mechanism_curve(self.SPEC)
         return {
             "advance": lambda n: (ledger.advance(n), ledger.spent().epsilon)[1],
             "epsilon_if": lambda n: ledger.epsilon_if(n),
             "epsilon_for": lambda n: epsilon_for(1.0, 0.02, n, 1e-5),
             "calibrate_sigma": lambda n: calibrate_sigma(10.0, 1e-5, 0.02, n),
-            "compose": lambda n: to_eps_delta(compose(curve, n), 1e-5).epsilon,
             "accountant_query": lambda n: accountant_query(1.0, 0.02, n, 1e-5)["epsilon"],
-            "RdpCurve": lambda n: to_eps_delta(RdpCurve(curve.alphas, curve.per_step, n), 1e-5).epsilon,
         }
 
     @pytest.mark.parametrize(
         "entry",
-        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "compose", "accountant_query", "RdpCurve"],
+        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "accountant_query"],
     )
     def test_fractional_count_raises(self, entry):
         call = self._entry_points()[entry]
@@ -652,7 +614,7 @@ class TestStepCounts:
 
     @pytest.mark.parametrize(
         "entry",
-        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "compose", "accountant_query", "RdpCurve"],
+        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "accountant_query"],
     )
     def test_numpy_integer_count_matches_int(self, entry):
         expected = self._entry_points()[entry](3)

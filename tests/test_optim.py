@@ -668,22 +668,41 @@ class TestPrivateStepFailures:
                  NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 0
 
-    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
-    def test_unknown_placement_raises_after_one_charge(self, step):
+    def assert_refused_before_charge(self, step, error, match, xs, p, **kwargs):
+        """The step raises ``error`` with the ledger and the Poisson stream untouched."""
         model = build_mlp([3, 4, 1], seed=1)
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
-        with pytest.raises(ValueError, match="placement"):
-            step(model, self.xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
-                 noise_placement="on-mean")
-        assert ledger.step_count == 1
+        poisson_rng = np.random.default_rng(0)
+        before = poisson_rng.bit_generator.state
+        with pytest.raises(error, match=match):
+            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                 NoiseSpec(1.0), p, ledger, poisson_rng, np.random.default_rng(1), **kwargs)
+        assert ledger.step_count == 0
+        assert poisson_rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_unknown_placement_refused_before_charge(self, step):
+        self.assert_refused_before_charge(
+            step, ValueError, "placement", self.xs, 1.0, noise_placement="on-mean"
+        )
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
     def test_unknown_placement_raises_on_empty_draw(self, step):
-        model = build_mlp([3, 4, 1], seed=1)
-        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
-        with pytest.raises(ValueError, match="placement"):
-            step(model, self.xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), 0.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
-                 noise_placement="on-mean")
-        assert ledger.step_count == 1
+        self.assert_refused_before_charge(
+            step, ValueError, "placement", self.xs, 0.0, noise_placement="on-mean"
+        )
+
+    @pytest.mark.parametrize("p", [1.0, 0.0])
+    @pytest.mark.parametrize(
+        "xs",
+        [np.zeros((12, 4)), np.zeros((12, 2)), np.zeros(12), np.zeros((12, 3, 1))],
+        ids=["wide", "narrow", "1-d", "3-d"],
+    )
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_wrong_input_width_refused_before_charge(self, step, xs, p):
+        # At p = 0 the empty draw used to pass such inputs as a skipped step.
+        self.assert_refused_before_charge(step, ShapeMismatchError, "input", xs, p)
+
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_label_count_refused_before_charge(self, step):
+        self.assert_refused_before_charge(step, ShapeMismatchError, "labels", self.xs[:11], 1.0)
