@@ -1,9 +1,10 @@
 """Differentially private training toolkit.
 
-Per-sample gradients from numpy layer kernels (checked against a small
-autodiff core), L2 clipping, calibrated Gaussian noise, Renyi-DP accounting
-with (epsilon, delta) conversion, a noisy Adam optimizer, and an experiment
-harness for privacy/utility sweeps.
+Per-sample gradients from numpy layer kernels (checked in the test suite
+against an autodiff oracle and finite differences), L2 clipping,
+calibrated Gaussian noise, Renyi-DP accounting with (epsilon, delta)
+conversion, a noisy Adam optimizer, and an experiment harness for
+privacy/utility sweeps.
 """
 
 from .accountant import (
@@ -29,18 +30,10 @@ from .model import (
     batch_gradient,
     build_mlp,
     load_checkpoint,
-    per_sample_gradient,
     save_checkpoint,
     validate_model,
 )
 from .optim import DpAdamState, StepOutcome, adam_step, dp_adam_step, poisson_subsample
-from .tensor import (
-    Tape,
-    Tensor,
-    backward,
-    fd_gradient,
-    tensor,
-)
 from .train import TrainReport, sweep, train
 
 __version__ = "0.1.0"

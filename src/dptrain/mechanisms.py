@@ -39,8 +39,8 @@ NOISE_PLACEMENTS = ("after-mean", "on-sum")
 
 @dataclass(frozen=True)
 class ClipSpec:
-    """Gradient norm bound R: the global L2 norm across all parameter tensors
-    of one sample's gradient is clipped to at most R."""
+    """Gradient norm bound R: the global L2 norm across all parameters of
+    one sample's gradient is clipped to at most R."""
 
     max_norm: float
 

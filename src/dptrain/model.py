@@ -8,10 +8,12 @@ flags it and the DP optimizer refuses to step such a model.
 
 Every training and evaluation path runs the layer kernels: one forward
 pass, and one backward chain over the whole batch whose per-layer input and
-cotangent pairs are written per sample or reduced per batch. The
-autodiff tape is only the gradient oracle they are tested against. A
-``Model`` owns its parameter layout, and freezing is one boundary in it:
-the trainable parameters are always one tail of the flat vector.
+cotangent pairs are written per sample or reduced per batch. The test
+suite checks them against an autodiff oracle and finite differences; the
+numpy kernels they share with that oracle (sigmoid, loss, group norm and
+their pullbacks) live here. A ``Model`` owns its parameter layout, and
+freezing is one boundary in it: the trainable parameters are always one
+tail of the flat vector.
 """
 
 from __future__ import annotations
@@ -22,29 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import (
-    ShapeMismatchError,
-    Tape,
-    Tensor,
-    _bce,
-    _bce_pullback,
-    _ensure_finite,
-    _group_norm,
-    _group_norm_pullback,
-    _sigmoid,
-    _sigmoid_pullback,
-    add,
-    backward,
-    binary_cross_entropy,
-    group_norm,
-    matmul,
-    mul,
-    reduce_mean,
-    relu,
-    reshape,
-    sigmoid,
-)
-
 __all__ = [
     "DenseLayer",
     "ActivationLayer",
@@ -54,10 +33,11 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "ModelValidationError",
+    "ShapeMismatchError",
+    "BCE_PROB_FLOOR",
+    "GROUP_NORM_VAR_FLOOR",
     "build_mlp",
-    "per_sample_gradient",
     "PerSampleBatch",
-    "per_sample_gradients",
     "batch_gradient",
     "predict_proba",
     "accuracy",
@@ -65,6 +45,18 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
+
+# Predicted probabilities are clamped to [floor, 1 - floor] before the logs in
+# the loss so saturated sigmoids cannot produce infinities.
+BCE_PROB_FLOOR = 1e-12
+
+# Group norm divides by sqrt(max(var, floor)): the normalized output has unit
+# variance whenever the group is not degenerate, and stays bounded otherwise.
+GROUP_NORM_VAR_FLOOR = 1e-5
+
+
+class ShapeMismatchError(ValueError):
+    """Operand shapes do not conform to the operation being applied."""
 
 
 class ModelValidationError(RuntimeError):
@@ -129,11 +121,10 @@ class Model:
     and last the model's life: updates write new values into the vector, so
     the views always read the current parameters. A caller that wants a
     snapshot copies. A gradient of this model is a flat ``[P]`` vector in
-    the same layout; the tape oracle's tuple of per-parameter arrays aligns
-    with ``parameters`` index-for-index. The constructor checks that the
-    layers name slots ``0, 1, 2, ...`` in layer order with the shapes they
-    imply; later slots belong to no layer. Freezing is one boundary: the
-    first ``frozen_slots`` slots are frozen.
+    the same layout. The constructor checks that the layers name slots
+    ``0, 1, 2, ...`` in layer order with the shapes they imply; later slots
+    belong to no layer. Freezing is one boundary: the first
+    ``frozen_slots`` slots are frozen.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -221,13 +212,11 @@ class Model:
         offsets = self._offsets
         return list(zip(offsets[self._frozen:-1], offsets[self._frozen + 1:]))
 
-    def forward(self, x, tape: Tape | None = None) -> Tensor:
-        """Run a batch through the network, returning logits of shape [B].
+    def forward(self, x) -> np.ndarray:
+        """Logits of a batch through the layer kernels, a float64 ``[B]`` vector.
 
-        Untraced, the layer kernels compute them. With ``tape`` (already
-        entered) the tape primitives build the graph, watching the parameter
-        tensors in index order. Those tensors wrap copies of the parameters,
-        so a recorded tape keeps its values when the model is updated.
+        ``x`` is one sample (1-D) or a ``[B, input_dim]`` batch. Non-finite
+        values raise ``FloatingPointError``.
         """
         data = np.asarray(x, dtype=np.float64)
         if data.ndim == 1:
@@ -237,25 +226,7 @@ class Model:
                 f"input of shape {np.asarray(x).shape} does not match "
                 f"input layer width {self.input_dim}"
             )
-        if tape is None:
-            return Tensor(_kernel_forward(self, data, []))  # nothing to differentiate
-        params = [Tensor(p.copy()) for p in self.parameters]
-        for p in params:
-            tape.watch(p)
-        h = Tensor(data)
-        for layer in self.layers:
-            if isinstance(layer, DenseLayer):
-                h = add(matmul(h, params[layer.weight_slot]), params[layer.bias_slot])
-            elif isinstance(layer, ActivationLayer):
-                h = relu(h)
-            elif isinstance(layer, GroupNormLayer):
-                normed = group_norm(h, layer.num_groups)
-                h = add(mul(normed, params[layer.gamma_slot]), params[layer.beta_slot])
-            elif isinstance(layer, BatchCoupledNormLayer):
-                raise ModelValidationError("batch-coupled normalization cannot be traced")
-            else:
-                raise TypeError(f"unknown layer {layer!r}")
-        return reshape(h, (data.shape[0],))
+        return _kernel_forward(self, data, [])  # nothing to differentiate
 
     @property
     def parameter_vector(self) -> np.ndarray:
@@ -351,28 +322,6 @@ def _norm_groups(norm: str, hidden_widths) -> int:
     return num_groups
 
 
-def per_sample_gradient(model: Model, x, y) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Loss and exact gradient of one sample's BCE loss w.r.t. all parameters.
-
-    ``x`` is a single sample (1-D of input_dim, or shape [1, input_dim]);
-    ``y`` must be 0 or 1. Pure: repeated calls return identical values.
-    Runs one autodiff tape, the gradient oracle of the layer kernels.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    if xa.ndim == 1:
-        xa = xa.reshape(1, -1)
-    if xa.shape[0] != 1:
-        raise ShapeMismatchError(f"per_sample_gradient expects one sample, got {xa.shape}")
-    yv = float(y)
-    if yv not in (0.0, 1.0):
-        raise ValueError(f"label must be 0 or 1, got {y!r}")
-    with Tape() as tape:
-        probs = sigmoid(model.forward(xa, tape=tape))
-        loss = reduce_mean(binary_cross_entropy(probs, Tensor(np.array([yv]))))
-        grad = backward(tape, loss)
-    return loss.item(), grad
-
-
 def _layer_slots(layer) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The ``(slot, shape)`` pairs a layer names, in slot order."""
     if isinstance(layer, DenseLayer):
@@ -383,11 +332,64 @@ def _layer_slots(layer) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return ()
 
 
+def _ensure_finite(arr: np.ndarray, op: str) -> None:
+    # One reduction on the fast path: any NaN/Inf propagates into the sum.
+    # A finite array can only sum to non-finite via overflow, so the precise
+    # elementwise check runs just on that rare slow path.
+    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        raise FloatingPointError(f"{op} produced non-finite values")
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp only of non-positive arguments, so neither tail overflows: -|z| is
+    # exactly -z where z >= 0 and z elsewhere.
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return g * out * (1.0 - out)
+
+
+def _group_norm(x: np.ndarray, num_groups: int):
+    """``(y, inv_std, floored)``: ``x`` normalized per group as ``[rows, groups, m]``."""
+    grouped = x.reshape(-1, num_groups, x.shape[-1] // num_groups)
+    mean = grouped.mean(axis=2, keepdims=True)
+    centered = grouped - mean
+    var = np.mean(centered * centered, axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
+    return centered * inv_std, inv_std, var <= GROUP_NORM_VAR_FLOOR
+
+
+def _group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
+    """Input cotangent from the ``[rows, groups, m]`` output cotangent ``gg``."""
+    y, inv_std, floored = saved
+    g_mean = gg.mean(axis=2, keepdims=True)
+    # When the variance floor is active inv_std is constant w.r.t. x and
+    # the projection onto y drops out of the pullback.
+    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
+    return inv_std * (gg - g_mean - y * proj)
+
+
+def _bce(p: np.ndarray, y: np.ndarray):
+    """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs."""
+    pc = np.minimum(np.maximum(p, BCE_PROB_FLOOR), 1.0 - BCE_PROB_FLOOR)
+    loss = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
+    unclamped = (p > BCE_PROB_FLOOR) & (p < 1.0 - BCE_PROB_FLOOR)
+    return loss, (pc, y, unclamped)
+
+
+def _bce_pullback(pc: np.ndarray, y: np.ndarray, unclamped: np.ndarray) -> np.ndarray:
+    """d loss / d p, zero where the clamp is active."""
+    return np.where(unclamped, (pc - y) / (pc * (1.0 - pc)), 0.0)
+
+
 def _kernel_forward(model: Model, h: np.ndarray, saved: list) -> np.ndarray:
     """Logits ``[B]`` of rows ``[B, 1, in]`` or ``[B, in]`` through the layer kernels.
 
-    Each layer runs the numpy operations of the tape primitives it stands
-    for and appends to ``saved`` what its pullback needs.
+    Each layer runs the numpy operations of the autodiff primitives it
+    stands for and appends to ``saved`` what its pullback needs.
     """
     params = model.parameters
     for layer in model.layers:
@@ -426,20 +428,21 @@ def _binary_labels(ys, size: int) -> np.ndarray:
 class _LayerPass:
     """One forward pass through the layer kernels and its backward chain, run once.
 
-    Rows are ``[B, in]`` here and the chain is that of the mean loss, as a
-    batch tape runs it; ``PerSampleBatch`` keeps a unit row axis instead.
-    The chain walks all rows through the pullbacks once (loss, sigmoid,
-    ``g @ W.T``, the ReLU mask, group norm) and keeps, for each trainable
-    layer from the last, its ``(cols, bias_cols, h, g, shape)``: the
-    tail-relative column slices of its weight (or scale) and its bias (or
-    shift), its saved input ``h`` (the normalized input for a norm layer),
-    its output cotangent ``g`` and its weight shape (``None`` for a norm
-    layer). A backward pass then only writes those pairs into the flat
-    layout. Frozen parameters get no gradient work and no columns: the chain
-    stops at the layer whose first slot is ``Model.frozen_slots``, and
-    gradients cover the trainable tail ``[Model.trainable_start:]``, T
-    columns, of the model as it was frozen when the pass was built.
-    Non-finite forward values raise ``FloatingPointError`` as the tape does.
+    Rows are ``[B, in]`` here and the chain is that of the mean loss, as
+    reverse-mode autodiff over the batch graph runs it; ``PerSampleBatch``
+    keeps a unit row axis instead. The chain walks all rows through the
+    pullbacks once (loss, sigmoid, ``g @ W.T``, the ReLU mask, group norm)
+    and keeps, for each trainable layer from the last, its
+    ``(cols, bias_cols, h, g, shape)``: the tail-relative column slices of
+    its weight (or scale) and its bias (or shift), its saved input ``h``
+    (the normalized input for a norm layer), its output cotangent ``g`` and
+    its weight shape (``None`` for a norm layer). A backward pass then only
+    writes those pairs into the flat layout. Frozen parameters get no
+    gradient work and no columns: the chain stops at the layer whose first
+    slot is ``Model.frozen_slots``, and gradients cover the trainable tail
+    ``[Model.trainable_start:]``, T columns, of the model as it was frozen
+    when the pass was built. Non-finite forward values raise
+    ``FloatingPointError``.
     """
 
     _rowwise = False
@@ -471,7 +474,7 @@ class _LayerPass:
         def cols(slot):
             return slice(offsets[slot] - start, offsets[slot + 1] - start)
 
-        # The tape's chain (loss, then sigmoid); the fused p - y rounds differently.
+        # The autodiff chain (loss, then sigmoid); the fused p - y rounds differently.
         dp = _bce_pullback(*bce_saved)
         if not self._rowwise:
             dp = (1.0 / self.size) * dp  # reduce_mean's pullback comes first
@@ -499,23 +502,22 @@ class _LayerPass:
 class PerSampleBatch(_LayerPass):
     """One batched forward pass and backward chain, kept to write per-sample rows in blocks.
 
-    Losses and gradients equal ``per_sample_gradient`` on each sample,
-    because every sample runs through the numpy kernels the tape runs:
-    stacked matmuls keep a unit row axis (``[B, 1, in] @ [in, out]``) so BLAS
-    computes the same one-row product per sample, and the sigmoid, loss and
-    group-norm kernels are the tape primitives' own helpers from
-    :mod:`dptrain.tensor`. The chain runs once for the whole batch, at
+    Losses and gradients equal those of reverse-mode autodiff over each
+    sample's own one-row graph, because every sample runs through the same
+    numpy operations: stacked matmuls keep a unit row axis
+    (``[B, 1, in] @ [in, out]``) so BLAS computes the same one-row product
+    per sample, and the sigmoid, loss and group-norm kernels here are the
+    ones the autodiff oracle's primitives call. The chain runs once for the whole batch, at
     construction; ``backward`` only writes rows from it, so a block of rows
     costs its outer products and copies alone. Weight gradients are exact
     outer products from one ``np.einsum("bi,bj->bij")`` per layer: each
-    entry is one product added to +0.0, as the tape's one-row matmul adds
-    it, so weight rows carry the tape's bits, signed zeros included. The
+    entry is one product added to +0.0, as a one-row matmul adds it, so
+    weight rows carry the one-row graph's bits, signed zeros included. The
     only difference is the sign of some zero entries in the bias, scale and
-    shift rows (copies of the cotangent, where the tape sums over a one-row
+    shift rows (copies of the cotangent, where the graph sums over a one-row
     axis from +0.0); the private step's norms and Adam update absorb it, so
-    its parameters, moments and outcomes are bit-identical. The tape remains
-    the oracle. Rows cover the trainable tail only (see ``backward``);
-    ``per_sample_gradients`` widens them to ``[B, P]``.
+    its parameters, moments and outcomes are bit-identical. Rows cover the
+    trainable tail only (see ``backward``).
     """
 
     _rowwise = True
@@ -552,34 +554,17 @@ class PerSampleBatch(_LayerPass):
             rows[:, bias_cols] = g
 
 
-def per_sample_gradients(model: Model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses ``[B]`` and gradients ``[B, P]`` of a batch in one pass.
-
-    Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
-    slot order (see ``PerSampleBatch``), with zero columns for frozen
-    parameters. Builds the whole matrix; the private step works through
-    ``PerSampleBatch`` in row blocks over the trainable columns instead.
-    """
-    batch = PerSampleBatch(model, xs, ys)
-    start = model.trainable_start
-    tail = np.empty((batch.size, model.num_parameters() - start))
-    batch.backward(0, batch.size, tail)
-    grads = np.zeros((batch.size, model.num_parameters()))
-    grads[:, start:] = tail
-    return batch.losses, grads
-
-
 def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
     """Mean loss over a non-empty batch and its gradient, a flat float64 ``[P]`` vector.
 
     The gradient is laid out like ``Model.parameter_vector``. Loss and
-    trainable entries equal a tape over the batch graph bit for bit; frozen
-    parameters get zeros. Labels must be 0 or 1, one per sample.
+    trainable entries equal reverse-mode autodiff over the batch graph bit
+    for bit; frozen parameters get zeros. Labels must be 0 or 1, one per sample.
     """
     kernels = _LayerPass(model, xs, ys)
     flat = np.zeros(model.num_parameters())
     tail = flat[model.trainable_start:]
-    # Reduced over the batch as its tape reduces: h.T @ g for weights, sums for the rest.
+    # Reduced over the batch as the batch graph reduces: h.T @ g for weights, sums for the rest.
     for cols, bias_cols, h, g, shape in kernels._chain:
         if shape is None:
             tail[cols] = (g * h).sum(axis=0)
@@ -590,7 +575,7 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:
-    return _sigmoid(model.forward(xs).data)
+    return _sigmoid(model.forward(xs))
 
 
 def accuracy(model: Model, xs, ys) -> float:

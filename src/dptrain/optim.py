@@ -12,10 +12,10 @@ the flat parameter vector, ``[B, T]`` for B samples and T trainable of P
 parameters; frozen columns are never allocated, written, divided or
 summed. Clipping (``mechanisms.clip_rows``) and summing work on those
 rows, and ``mechanisms.gaussian_noise`` draws the released ``[P]``
-vector. Each sample runs through the same numpy kernels as the
-one-sample tape, so parameters, Adam moments and the step's
-outcome are bit-identical to clipping and summing ``per_sample_gradient``
-results one by one; the tape is only the gradient oracle. The backward
+vector. Each sample runs through the same numpy kernels as reverse-mode
+autodiff over its own one-row graph, so parameters, Adam moments and the
+step's outcome are bit-identical to clipping and summing such one-sample
+gradients one by one, the test suite's reference step. The backward
 chain (every pullback, down to each trainable layer's input and output
 cotangent) runs once for the whole batch; rows are then written, clipped
 and summed ``ROW_BLOCK_BYTES`` at a time in one reused buffer, so a block
@@ -60,8 +60,7 @@ import numpy as np
 from . import mechanisms
 from .accountant import PrivacyLedger
 from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows
-from .model import Model, ModelValidationError, PerSampleBatch, validate_model
-from .tensor import ShapeMismatchError
+from .model import Model, ModelValidationError, PerSampleBatch, ShapeMismatchError, validate_model
 
 __all__ = [
     "ADAM_VARIANTS",
@@ -222,9 +221,11 @@ def dp_adam_step(
     gradient. The ledger is advanced exactly once per call, including calls
     whose Poisson batch is empty (charging an unused step never understates
     the privacy spent). Arguments it refuses (inputs of the wrong width,
-    a label count that does not match, an unknown noise placement) raise
-    before the Poisson draw and the charge. Per-sample gradients are
-    processed in ascending index order so results are reproducible.
+    a label count that does not match, an unknown noise placement, a
+    sampling rate ``p`` above the ledger's ``q``, which the ledger would
+    undercharge) raise before the Poisson draw and the charge. Per-sample
+    gradients are processed in ascending index order so results are
+    reproducible.
     """
     report = validate_model(model)
     if not report.ok:
@@ -241,6 +242,11 @@ def dp_adam_step(
         raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
+    if p > ledger.spec.q:
+        raise ValueError(
+            f"sampling rate {p} exceeds the ledger's q = {ledger.spec.q}, "
+            "so the ledger would understate the privacy spent"
+        )
 
     indices = poisson_subsample(xs.shape[0], p, poisson_rng)
     ledger.advance(1)

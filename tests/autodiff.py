@@ -1,5 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
+The gradient oracle of the test suite: ``dptrain`` trains and evaluates
+through the numpy layer kernels in :mod:`dptrain.model`, and the tests check
+those kernels against this tape and against :func:`fd_gradient`.
+
 The execution model is deliberately small: a :class:`Tensor` is an immutable
 value wrapping a C-contiguous float64 array, and every primitive operation
 optionally records itself on the active :class:`Tape`. Replaying the tape in
@@ -9,10 +13,9 @@ Tensors are safe to share across threads; a tape must stay confined to the
 thread that created it (the active-tape stack is thread-local). Parallelism
 belongs above this layer, e.g. one tape per sample.
 
-The sigmoid, binary cross-entropy and group-norm primitives keep their
-forward and pullback numpy kernels in private helpers that the model's layer
-kernels call too, so those match the tape bit for bit by construction. No
-training or evaluation path runs the tape: it is the gradient oracle.
+The sigmoid, binary cross-entropy and group-norm primitives run the forward
+and pullback kernels of :mod:`dptrain.model`, so the model's layer kernels
+match the tape bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -21,6 +24,17 @@ import threading
 from collections.abc import Callable, Sequence
 
 import numpy as np
+
+from dptrain.model import (
+    ShapeMismatchError,
+    _bce,
+    _bce_pullback,
+    _ensure_finite,
+    _group_norm,
+    _group_norm_pullback,
+    _sigmoid,
+    _sigmoid_pullback,
+)
 
 __all__ = [
     "Tensor",
@@ -40,21 +54,7 @@ __all__ = [
     "binary_cross_entropy",
     "backward",
     "fd_gradient",
-    "BCE_PROB_FLOOR",
-    "GROUP_NORM_VAR_FLOOR",
 ]
-
-# Predicted probabilities are clamped to [floor, 1 - floor] before the logs in
-# binary_cross_entropy so saturated sigmoids cannot produce infinities.
-BCE_PROB_FLOOR = 1e-12
-
-# group_norm divides by sqrt(max(var, floor)): the normalized output has unit
-# variance whenever the group is not degenerate, and stays bounded otherwise.
-GROUP_NORM_VAR_FLOOR = 1e-5
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes do not conform to the primitive being applied."""
 
 
 class NonScalarLossError(RuntimeError):
@@ -169,14 +169,6 @@ class Tape:
         self._known_ids.add(id(output))
 
 
-def _ensure_finite(arr: np.ndarray, op: str) -> None:
-    # One reduction on the fast path: any NaN/Inf propagates into the sum.
-    # A finite array can only sum to non-finite via overflow, so the precise
-    # elementwise check runs just on that rare slow path.
-    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
-        raise FloatingPointError(f"{op} produced non-finite values")
-
-
 def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, grad_fn) -> Tensor:
     _ensure_finite(out_data, op)
     out = Tensor(out_data)
@@ -248,18 +240,6 @@ def relu(x: Tensor) -> Tensor:
     return _emit("relu", (x,), out, grad_fn)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp only of non-positive arguments, so neither tail overflows: -|z| is
-    # exactly -z where z >= 0 and z elsewhere.
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
-
-
-def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return g * out * (1.0 - out)
-
-
 def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
 
@@ -267,26 +247,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return (_sigmoid_pullback(g, out),)
 
     return _emit("sigmoid", (x,), out, grad_fn)
-
-
-def _group_norm(x: np.ndarray, num_groups: int):
-    """``(y, inv_std, floored)``: ``x`` normalized per group as ``[rows, groups, m]``."""
-    grouped = x.reshape(-1, num_groups, x.shape[-1] // num_groups)
-    mean = grouped.mean(axis=2, keepdims=True)
-    centered = grouped - mean
-    var = np.mean(centered * centered, axis=2, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
-    return centered * inv_std, inv_std, var <= GROUP_NORM_VAR_FLOOR
-
-
-def _group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
-    """Input cotangent from the ``[rows, groups, m]`` output cotangent ``gg``."""
-    y, inv_std, floored = saved
-    g_mean = gg.mean(axis=2, keepdims=True)
-    # When the variance floor is active inv_std is constant w.r.t. x and
-    # the projection onto y drops out of the pullback.
-    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
-    return inv_std * (gg - g_mean - y * proj)
 
 
 def group_norm(x: Tensor, num_groups: int) -> Tensor:
@@ -333,19 +293,6 @@ def reduce_mean(x: Tensor) -> Tensor:
         return (np.full(x.shape, float(g) * inv),)
 
     return _emit("reduce_mean", (x,), out, grad_fn)
-
-
-def _bce(p: np.ndarray, y: np.ndarray):
-    """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs."""
-    pc = np.minimum(np.maximum(p, BCE_PROB_FLOOR), 1.0 - BCE_PROB_FLOOR)
-    loss = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
-    unclamped = (p > BCE_PROB_FLOOR) & (p < 1.0 - BCE_PROB_FLOOR)
-    return loss, (pc, y, unclamped)
-
-
-def _bce_pullback(pc: np.ndarray, y: np.ndarray, unclamped: np.ndarray) -> np.ndarray:
-    """d loss / d p, zero where the clamp is active."""
-    return np.where(unclamped, (pc - y) / (pc * (1.0 - pc)), 0.0)
 
 
 def binary_cross_entropy(p: Tensor, y: Tensor) -> Tensor:

@@ -10,6 +10,12 @@ all-orders RDP table from one numpy pipeline per order
 (``per_order_rdp``) and from the table with one ``np.add.reduce`` per order
 (``row_loop_subsampled_rdp``).
 
+The autodiff tape itself lives in ``autodiff``, beside this module.
+``traced_forward`` builds a model's batch graph on it (``Model.forward``
+runs the layer kernels instead), ``per_sample_gradient`` is one sample's
+loss and gradient from one tape, and ``per_sample_gradients`` widens
+``PerSampleBatch``'s rows to a ``[B, P]`` matrix for comparing with it.
+
 A gradient here is what the tape returns: a tuple of float64 arrays, one
 per parameter slot. ``global_norm``, ``clip_gradient`` and
 ``mean_gradient_sets`` are the per-sample references for it: the global L2
@@ -41,25 +47,33 @@ import math
 
 import numpy as np
 
+from autodiff import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    binary_cross_entropy,
+    group_norm,
+    matmul,
+    mul,
+    reduce_mean,
+    relu,
+    reshape,
+    sigmoid,
+)
 from dptrain.mechanisms import NOISE_PLACEMENTS
 from dptrain.model import (
+    BCE_PROB_FLOOR,
+    ActivationLayer,
+    BatchCoupledNormLayer,
     DenseLayer,
     GroupNormLayer,
     ModelValidationError,
-    per_sample_gradient,
+    PerSampleBatch,
+    ShapeMismatchError,
     validate_model,
 )
 from dptrain.optim import StepOutcome, poisson_subsample
-from dptrain.tensor import (
-    BCE_PROB_FLOOR,
-    ShapeMismatchError,
-    Tape,
-    Tensor,
-    backward,
-    binary_cross_entropy,
-    reduce_mean,
-    sigmoid,
-)
 
 SIMPSON_TOL = 1e-12
 
@@ -383,6 +397,79 @@ def aggregate_noisy(
     return tuple((s + n) / batch for s, n in zip(acc, draw))
 
 
+def traced_forward(model, x, tape: Tape) -> Tensor:
+    """Logits ``[B]`` of a batch as a graph of tape primitives on ``tape`` (already entered).
+
+    ``Model.forward``'s former traced branch. It watches one tensor per
+    parameter, in slot order; those tensors wrap copies of the parameters,
+    so a recorded tape keeps its values when the model is updated.
+    """
+    data = np.asarray(x, dtype=np.float64)
+    if data.ndim == 1:
+        data = data.reshape(1, -1)
+    if data.ndim != 2 or data.shape[1] != model.input_dim:
+        raise ShapeMismatchError(
+            f"input of shape {np.asarray(x).shape} does not match "
+            f"input layer width {model.input_dim}"
+        )
+    params = [Tensor(p.copy()) for p in model.parameters]
+    for p in params:
+        tape.watch(p)
+    h = Tensor(data)
+    for layer in model.layers:
+        if isinstance(layer, DenseLayer):
+            h = add(matmul(h, params[layer.weight_slot]), params[layer.bias_slot])
+        elif isinstance(layer, ActivationLayer):
+            h = relu(h)
+        elif isinstance(layer, GroupNormLayer):
+            normed = group_norm(h, layer.num_groups)
+            h = add(mul(normed, params[layer.gamma_slot]), params[layer.beta_slot])
+        elif isinstance(layer, BatchCoupledNormLayer):
+            raise ModelValidationError("batch-coupled normalization cannot be traced")
+        else:
+            raise TypeError(f"unknown layer {layer!r}")
+    return reshape(h, (data.shape[0],))
+
+
+def per_sample_gradient(model, x, y) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Loss and exact gradient of one sample's BCE loss w.r.t. all parameters.
+
+    ``x`` is a single sample (1-D of input_dim, or shape [1, input_dim]);
+    ``y`` must be 0 or 1. Pure: repeated calls return identical values.
+    Runs one autodiff tape, the gradient oracle of the layer kernels.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    if xa.ndim == 1:
+        xa = xa.reshape(1, -1)
+    if xa.shape[0] != 1:
+        raise ShapeMismatchError(f"per_sample_gradient expects one sample, got {xa.shape}")
+    yv = float(y)
+    if yv not in (0.0, 1.0):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    with Tape() as tape:
+        probs = sigmoid(traced_forward(model, xa, tape))
+        loss = reduce_mean(binary_cross_entropy(probs, Tensor(np.array([yv]))))
+        grad = backward(tape, loss)
+    return loss.item(), grad
+
+
+def per_sample_gradients(model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses ``[B]`` and gradients ``[B, P]`` of a batch in one pass.
+
+    Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
+    slot order (see ``PerSampleBatch``), with zero columns for frozen
+    parameters. Builds the whole matrix; the private step works through
+    ``PerSampleBatch`` in row blocks over the trainable columns instead.
+    """
+    batch = PerSampleBatch(model, xs, ys)
+    start = model.trainable_start
+    tail = np.empty((batch.size, model.num_parameters() - start))
+    batch.backward(0, batch.size, tail)
+    grads = np.zeros((batch.size, model.num_parameters()))
+    grads[:, start:] = tail
+    return batch.losses, grads
+
+
 def tape_batch_gradient(model, xs, ys) -> tuple[float, tuple[np.ndarray, ...]]:
     """Mean BCE loss of a batch and its gradient, from one tape over the batch graph.
 
@@ -393,7 +480,7 @@ def tape_batch_gradient(model, xs, ys) -> tuple[float, tuple[np.ndarray, ...]]:
     xa = np.asarray(xs, dtype=np.float64)
     ya = np.asarray(ys, dtype=np.float64).reshape(-1)
     with Tape() as tape:
-        logits = model.forward(xa, tape=tape)
+        logits = traced_forward(model, xa, tape)
         loss = reduce_mean(binary_cross_entropy(sigmoid(logits), Tensor(ya)))
         grad = backward(tape, loss)
     return loss.item(), grad
@@ -513,6 +600,8 @@ def tape_dp_adam_step(
         raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
+    if p > ledger.spec.q:
+        raise ValueError(f"sampling rate {p} exceeds the ledger's q = {ledger.spec.q}")
     indices = poisson_subsample(xs.shape[0], p, poisson_rng)
     ledger.advance(1)
     if indices.size == 0:

@@ -24,20 +24,24 @@ from dptrain.config import RunConfig, SweepGrid
 from dptrain import mechanisms
 from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
 from dptrain.model import (
+    Model,
     ModelValidationError,
+    PerSampleBatch,
     build_mlp,
-    per_sample_gradient,
     validate_model,
 )
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step
-from dptrain.tensor import Tape, backward, fd_gradient
 from dptrain.train import sweep, train
+from autodiff import Tape, backward, fd_gradient
 from oracles import (
     flat,
     grid_search_epsilon_gaussian,
     mean_gradient_sets,
     mixture_renyi_rdp,
     oracle_alpha_grid,
+    per_sample_gradient,
+    slot_views,
+    traced_forward,
 )
 from test_model import batch_coupled_mlp
 
@@ -61,6 +65,8 @@ def criterion(num, name):
 
 @criterion(1, "gradient correctness vs finite differences")
 def test_criterion_01_gradient_correctness():
+    # The private step's per-sample rows against central differences of the
+    # kernel loss; the tape's own finite-difference checks are in test_autodiff.
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     for trial in range(50):
@@ -72,17 +78,14 @@ def test_criterion_01_gradient_correctness():
         model = build_mlp(dims, norm=norm, seed=int(rng.integers(0, 10_000)))
         x = rng.uniform(-2.0, 2.0, size=dims[0])
         y = float(rng.integers(0, 2))
-        _, grad = per_sample_gradient(model, x, y)
+        row = np.empty((1, model.num_parameters()))
+        PerSampleBatch(model, x[None, :], [y]).backward(0, 1, row)
 
         def loss(params, x=x, y=y, layers=model.layers):
-            from dptrain.model import Model
-
-            probe = Model(layers, params)
-            l, _ = per_sample_gradient(probe, x, y)
-            return l
+            return PerSampleBatch(Model(layers, params), x[None, :], [y]).losses[0]
 
         ref = fd_gradient(loss, model.parameters, step=1e-5)
-        for g, r in zip(grad, ref):
+        for g, r in zip(slot_views(model, row[0]), ref):
             large = np.abs(r) >= 1e-3
             if large.any():
                 rel = np.abs(g[large] - r[large]) / np.abs(r[large])
@@ -228,7 +231,7 @@ def test_criterion_07_noise_calibration(monkeypatch):
 
 @criterion(8, "per-sample isolation and batch-coupled refusal")
 def test_criterion_08_per_sample_isolation():
-    from dptrain.tensor import binary_cross_entropy, mul, reduce_mean, sigmoid, tensor
+    from autodiff import binary_cross_entropy, mul, reduce_mean, sigmoid, tensor
 
     model = build_mlp([6, 8, 8, 1], norm="group:4", seed=21)
     rng = np.random.default_rng(4)
@@ -237,7 +240,7 @@ def test_criterion_08_per_sample_isolation():
     for i in range(10):
         _, alone = per_sample_gradient(model, xs[i], ys[i])
         with Tape() as tape:
-            logits = model.forward(xs, tape=tape)
+            logits = traced_forward(model, xs, tape)
             losses = binary_cross_entropy(sigmoid(logits), tensor(ys))
             onehot = np.zeros(10)
             onehot[i] = 10.0

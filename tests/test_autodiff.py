@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dptrain.tensor import (
-    BCE_PROB_FLOOR,
+from autodiff import (
     IncompleteTapeError,
     NonScalarLossError,
     ShapeMismatchError,
@@ -20,9 +19,8 @@ from dptrain.tensor import (
     reshape,
     sigmoid,
     tensor,
-    _bce,
-    _sigmoid,
 )
+from dptrain.model import BCE_PROB_FLOOR, _bce, _sigmoid
 from oracles import clip_clamp, global_norm, masked_sigmoid, mean_gradient_sets
 
 

@@ -9,17 +9,22 @@ from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
 from dptrain.model import (
     Model,
     PerSampleBatch,
+    ShapeMismatchError,
     batch_gradient,
     build_mlp,
-    per_sample_gradient,
-    per_sample_gradients,
 )
 from dptrain import mechanisms
 from dptrain import model as model_module
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
-from dptrain.tensor import ShapeMismatchError
-from oracles import flat, mean_gradient_sets, per_slot_adam_step, tape_dp_adam_step
+from oracles import (
+    flat,
+    mean_gradient_sets,
+    per_sample_gradient,
+    per_sample_gradients,
+    per_slot_adam_step,
+    tape_dp_adam_step,
+)
 from test_model import batch_coupled_mlp
 
 
@@ -668,10 +673,13 @@ class TestPrivateStepFailures:
                  NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 0
 
-    def assert_refused_before_charge(self, step, error, match, xs, p, **kwargs):
-        """The step raises ``error`` with the ledger and the Poisson stream untouched."""
+    def assert_refused_before_charge(self, step, error, match, xs, p, q=1.0, **kwargs):
+        """The step raises ``error`` with the ledger and the Poisson stream untouched.
+
+        The ledger charges each step at rate ``q``.
+        """
         model = build_mlp([3, 4, 1], seed=1)
-        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        ledger = PrivacyLedger(MechanismSpec(1.0, q))
         poisson_rng = np.random.default_rng(0)
         before = poisson_rng.bit_generator.state
         with pytest.raises(error, match=match):
@@ -706,3 +714,10 @@ class TestPrivateStepFailures:
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
     def test_label_count_refused_before_charge(self, step):
         self.assert_refused_before_charge(step, ShapeMismatchError, "labels", self.xs[:11], 1.0)
+
+    @pytest.mark.parametrize("p", [0.5000001, 1.0])
+    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
+    def test_rate_above_ledger_q_refused_before_charge(self, step, p):
+        # The ledger charges each step at q = 0.5; a draw at a higher rate
+        # would release more than it pays for.
+        self.assert_refused_before_charge(step, ValueError, "exceeds the ledger", self.xs, p, q=0.5)

@@ -259,44 +259,6 @@ class TestLoopHooks:
         }
 
 
-class TestNoTapeOnTrainingPaths:
-    """Training and evaluation run the layer kernels; the tape is the oracle."""
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(privacy="off", sigma=None),
-            dict(privacy="fixed-sigma"),
-            dict(privacy="target-epsilon", target_eps=5.0, sigma=None),
-        ],
-        ids=["off", "fixed-sigma", "target-epsilon"],
-    )
-    def test_train_runs_no_tape_primitive(self, monkeypatch, overrides):
-        # The package attribute ``dptrain.tensor`` is the ``tensor()`` function; fetch the module.
-        tensor_module = importlib.import_module("dptrain.tensor")
-
-        def refuse(op, *args):
-            raise AssertionError(f"tape primitive {op!r} ran on a training path")
-
-        def refuse_backward(*args):
-            raise AssertionError("the tape's backward ran on a training path")
-
-        monkeypatch.setattr(tensor_module, "_emit", refuse)
-        with pytest.raises(AssertionError, match="relu"):
-            tensor_module.relu(tensor_module.Tensor(np.ones(2)))
-        # ``dptrain.model`` binds ``backward`` at import; replace it there too.
-        for module in (tensor_module, importlib.import_module("dptrain.model")):
-            monkeypatch.setattr(module, "backward", refuse_backward)
-            with pytest.raises(AssertionError, match="backward"):
-                module.backward(None, None)
-        config = fast_config(
-            widths=(8, 8, 1), norm="group:4", freeze_prefix=1, epochs=2, **overrides
-        )
-        report = train(config)
-        assert report.steps_run > 0
-        assert 0.0 <= report.test_acc <= 1.0
-
-
 class TestSweep:
     def test_degenerate_grid_matches_single_run(self):
         base = fast_config(epochs=2)
