@@ -21,7 +21,7 @@ from .accountant import (
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset
-from .mechanisms import ClipSpec, NoiseSpec, gaussian_noise
+from .mechanisms import ClipSpec, gaussian_noise
 from .model import (
     Model,
     ModelValidationError,

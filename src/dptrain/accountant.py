@@ -33,9 +33,10 @@ gives bit for bit the values of summing each order on its own with
 ``np.add.reduce``. Noise calibration evaluates the curve about 16 times,
 about 2 ms in all.
 
-When sigma is so small that a closed form overflows (the k^2 / (2 sigma^2)
-term below sigma ~ 3e-153, or 2 sigma^2 underflowing to zero), the per-step
-value is +inf: epsilon is then inf after one step or more and 0 after none.
+When sigma is 0 or so small that a closed form overflows (the
+k^2 / (2 sigma^2) term below sigma ~ 3e-153, or 2 sigma^2 underflowing to
+zero), the per-step value is +inf: epsilon is then inf after one step or
+more and 0 after none.
 
 Every per-step value comes from one builder, ``_per_step``, and every
 epsilon from one engine, :class:`PrivacyLedger`: noise calibration (through
@@ -148,14 +149,18 @@ _FULL_BATCH_ORDERS.flags.writeable = False
 
 @dataclass(frozen=True)
 class MechanismSpec:
-    """One noisy-gradient step: noise multiplier sigma at sampling rate q."""
+    """One noisy-gradient step: noise multiplier sigma at sampling rate q.
+
+    ``dp_adam_step`` releases exactly this: a Poisson batch at q, noise at
+    sigma times the clip norm. sigma = 0 is valid and spends inf per step.
+    """
 
     sigma: float
     q: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma}")
         if not 0 < self.q <= 1:
             raise ValueError(f"sampling probability must be in (0, 1], got {self.q}")
 

@@ -2,7 +2,8 @@
 
 These are the two operations that turn an ordinary optimizer into a noisy
 one: each per-sample gradient is rescaled so its global L2 norm is at most R,
-and the aggregate receives Gaussian noise whose scale is sigma * R.
+and the aggregate receives Gaussian noise whose scale is sigma * R, sigma
+being that of the ``MechanismSpec`` the private step's ledger charges.
 
 Two noise placements are supported:
 
@@ -28,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "ClipSpec",
-    "NoiseSpec",
     "NOISE_PLACEMENTS",
     "clip_rows",
     "gaussian_noise",
@@ -47,21 +47,6 @@ class ClipSpec:
     def __post_init__(self):
         if not (math.isfinite(self.max_norm) and self.max_norm > 0):
             raise ValueError(f"clip norm must be positive and finite, got {self.max_norm}")
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise scale sigma (a multiplier on the clip norm R) and an RNG seed."""
-
-    sigma: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"noise sigma must be >= 0 and finite, got {self.sigma}")
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed))
 
 
 def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec) -> np.ndarray:

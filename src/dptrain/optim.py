@@ -4,7 +4,8 @@
 Poisson batch, compute every member's gradient, clip, aggregate with
 Gaussian noise, update the Adam moments and the parameters, and charge
 exactly one step to the privacy ledger (also when the batch came up empty,
-which is always safe to charge).
+which is always safe to charge). It samples at the ledger's q and adds
+noise at its sigma, so it releases exactly what the ledger charges for.
 
 All per-sample gradients come from one batched pass of the layer kernels
 (:class:`~dptrain.model.PerSampleBatch`) as rows over the trainable tail of
@@ -46,8 +47,8 @@ Two update rules are available:
 
 ``adam_step`` is the one Adam update. The private step hands it the released
 noisy ``[P]`` vector; the non-private step hands it ``model.batch_gradient``'s
-flat full-batch gradient as it is (sigma = 0, p = 1 and a non-binding clip
-reproduce that step exactly).
+flat full-batch gradient as it is (a ledger at sigma = 0 and q = 1 with a
+non-binding clip reproduces that step exactly).
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ import numpy as np
 
 from . import mechanisms
 from .accountant import PrivacyLedger
-from .mechanisms import NOISE_PLACEMENTS, ClipSpec, NoiseSpec, clip_rows
+from .mechanisms import NOISE_PLACEMENTS, ClipSpec, clip_rows
 from .model import Model, ModelValidationError, PerSampleBatch, ShapeMismatchError, validate_model
+from .model import _binary_labels
 
 __all__ = [
     "ADAM_VARIANTS",
@@ -207,8 +209,6 @@ def dp_adam_step(
     ys: np.ndarray,
     state: DpAdamState,
     clip: ClipSpec,
-    noise: NoiseSpec,
-    p: float,
     ledger: PrivacyLedger,
     poisson_rng: np.random.Generator,
     noise_rng: np.random.Generator,
@@ -216,16 +216,16 @@ def dp_adam_step(
 ) -> StepOutcome:
     """One private optimization step over the full dataset (xs, ys).
 
-    Refuses to run on a model that fails ``validate_model``: per-sample
-    clipping bounds nothing if a layer leaks other samples' data into the
-    gradient. The ledger is advanced exactly once per call, including calls
-    whose Poisson batch is empty (charging an unused step never understates
-    the privacy spent). Arguments it refuses (inputs of the wrong width,
-    a label count that does not match, an unknown noise placement, a
-    sampling rate ``p`` above the ledger's ``q``, which the ledger would
-    undercharge) raise before the Poisson draw and the charge. Per-sample
-    gradients are processed in ascending index order so results are
-    reproducible.
+    The Poisson batch is drawn at ``ledger.spec.q`` and the noise scaled by
+    ``ledger.spec.sigma * clip.max_norm``. Refuses to run on a model that
+    fails ``validate_model``: per-sample clipping bounds nothing if a layer
+    leaks other samples' data into the gradient. The ledger is advanced
+    exactly once per call, including calls whose Poisson batch is empty
+    (charging an unused step never understates the privacy spent).
+    Arguments it refuses (inputs of the wrong width, a label count that
+    does not match, a label other than 0 or 1, an unknown noise placement)
+    raise before the Poisson draw and the charge. Per-sample gradients are
+    processed in ascending index order so results are reproducible.
     """
     report = validate_model(model)
     if not report.ok:
@@ -233,22 +233,15 @@ def dp_adam_step(
             "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
         )
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ShapeMismatchError(
             f"input of shape {xs.shape} does not match input layer width {model.input_dim}"
         )
-    if xs.shape[0] != ys.shape[0]:
-        raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
+    ys = _binary_labels(ys, xs.shape[0])
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
-    if p > ledger.spec.q:
-        raise ValueError(
-            f"sampling rate {p} exceeds the ledger's q = {ledger.spec.q}, "
-            "so the ledger would understate the privacy spent"
-        )
 
-    indices = poisson_subsample(xs.shape[0], p, poisson_rng)
+    indices = poisson_subsample(xs.shape[0], ledger.spec.q, poisson_rng)
     ledger.advance(1)
     if indices.size == 0:
         return StepOutcome(
@@ -266,7 +259,7 @@ def dp_adam_step(
     # The whole [P] draw keeps the noise stream; only the trainable tail is
     # released, and the frozen columns of ``flat`` are never read. The draw
     # is looked up on the module so a wrapper installed there sees it.
-    scale = noise.sigma * clip.max_norm
+    scale = ledger.spec.sigma * clip.max_norm
     flat = mechanisms.gaussian_noise(model.num_parameters(), scale, noise_rng)
     released = flat[model.trainable_start:]
     if noise_placement == "after-mean":

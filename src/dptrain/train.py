@@ -26,7 +26,7 @@ import numpy as np
 from .accountant import MechanismSpec, PrivacyLedger, calibrate_sigma
 from .config import RunConfig, SweepGrid
 from .data import Dataset, load_csv_dataset, synthetic_dataset
-from .mechanisms import ClipSpec, NoiseSpec
+from .mechanisms import ClipSpec
 from .model import Model, accuracy, batch_gradient, build_mlp, validate_model
 from .optim import DpAdamState, adam_step, dp_adam_step
 
@@ -182,9 +182,8 @@ def _build_model(config: RunConfig, input_dim: int) -> Model:
 def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):
     """One ``dp_adam_step`` per call; its mean loss, or None for an empty draw."""
     clip = ClipSpec(config.clip_norm)
-    noise = NoiseSpec(ledger.spec.sigma, seed=config.seed_noise)
     poisson_rng = np.random.Generator(np.random.PCG64(config.seed_poisson))
-    noise_rng = noise.make_rng()
+    noise_rng = np.random.Generator(np.random.PCG64(config.seed_noise))
     xs, ys = split.train.features, split.train.labels
 
     def step(_):
@@ -194,8 +193,6 @@ def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):
             ys,
             state,
             clip,
-            noise,
-            ledger.spec.q,
             ledger,
             poisson_rng,
             noise_rng,
@@ -225,7 +222,7 @@ def _nonprivate_step(config: RunConfig, split: Split, model: Model, state):
     return step
 
 
-def _run_epochs(config: RunConfig, split: Split, model: Model, step, ledger):
+def _run_epochs(config: RunConfig, split: Split, model: Model, step, steps_per_epoch, ledger):
     """The epoch loop of every run; ``step(i)`` runs the epoch's ``i``-th step.
 
     ``step`` returns the step's loss, or None when it applied nothing. With a
@@ -233,7 +230,6 @@ def _run_epochs(config: RunConfig, split: Split, model: Model, step, ledger):
     epsilon past the budget.
     """
     budget = config.budget_eps if ledger is not None else None
-    steps_per_epoch = math.ceil(len(split.train) / config.batch_size)
     epochs: list[EpochRecord] = []
     stop_reason = STOP_EPOCHS_EXHAUSTED
     steps_run = 0
@@ -275,11 +271,12 @@ def train(config: RunConfig) -> TrainReport:
     if not report.ok:
         raise ValueError("model failed validation: " + "; ".join(v.reason for v in report.violations))
 
+    steps_per_epoch = math.ceil(len(split.train) / config.batch_size)
     sigma = target = achieved = optimal_alpha = delta = ledger = None
     if config.privacy != "off":
         q = min(config.batch_size / len(split.train), 1.0)
         if config.privacy == "target-epsilon":
-            planned_steps = config.epochs * math.ceil(len(split.train) / config.batch_size)
+            planned_steps = config.epochs * steps_per_epoch
             sigma = calibrate_sigma(config.target_eps, config.delta, q, planned_steps)
             target = config.target_eps
         else:
@@ -295,7 +292,9 @@ def train(config: RunConfig) -> TrainReport:
         step = _nonprivate_step(config, split, model, state)
     else:
         step = _private_step(config, split, model, state, ledger)
-    epochs, stop_reason, steps_run = _run_epochs(config, split, model, step, ledger)
+    epochs, stop_reason, steps_run = _run_epochs(
+        config, split, model, step, steps_per_epoch, ledger
+    )
     if ledger is not None:
         spent = ledger.spent()
         achieved, optimal_alpha, delta = spent.epsilon, spent.optimal_alpha, spent.delta

@@ -24,11 +24,12 @@ that divides by ``max(1, norm / R)``, and the mean in list order.
 ``dptrain.mechanisms.clip_rows`` must equal ``global_norm`` and
 ``clip_gradient`` bit for bit on each row.
 ``aggregate_noisy`` is the noisy aggregation over a list of per-sample
-gradients (clip each, sum in list order, draw the noise array by array
-from one stream, add it at either placement). The private step does the
-same on ``[B, T]`` rows over the trainable columns, in cache-sized blocks,
-with one ``[P]`` draw; ``tape_dp_adam_step`` uses this list form as its
-reference.
+gradients at a float noise multiplier sigma (clip each, sum in list order,
+draw the noise array by array from one stream, add it at either
+placement). The private step does the same on ``[B, T]`` rows over the
+trainable columns, in cache-sized blocks, with one ``[P]`` draw;
+``tape_dp_adam_step`` uses this list form as its reference, at the sigma
+and the sampling rate of the ledger it charges, as the private step does.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``flat`` and ``slot_views`` convert between a per-slot gradient and the flat
@@ -71,6 +72,7 @@ from dptrain.model import (
     ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
+    _binary_labels,
     validate_model,
 )
 from dptrain.optim import StepOutcome, poisson_subsample
@@ -366,11 +368,12 @@ def mean_gradient_sets(sets) -> tuple[np.ndarray, ...]:
 
 
 def aggregate_noisy(
-    per_sample, clip, noise, rng, placement="after-mean"
+    per_sample, clip, sigma, rng, placement="after-mean"
 ) -> tuple[np.ndarray, ...]:
     """Clip every per-sample gradient, average, and add Gaussian noise.
 
-    ``placement`` selects where the sigma*R noise enters (see
+    ``sigma`` is the noise multiplier, a float; ``placement`` selects where
+    the sigma*R noise enters (see
     ``dptrain.mechanisms``). Per-sample gradients are summed in list order
     and the noise is drawn array by array from the one ``rng`` stream, so
     results are reproducible.
@@ -390,7 +393,7 @@ def aggregate_noisy(
         for a, b in zip(acc, clip_gradient(gs, clip)):
             a += b
 
-    scale = noise.sigma * clip.max_norm
+    scale = sigma * clip.max_norm
     draw = [rng.standard_normal(shape) * scale for shape in expected]
     if placement == "after-mean":
         return tuple(s / batch + n for s, n in zip(acc, draw))
@@ -579,13 +582,13 @@ def slot_views(model, vector: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def tape_dp_adam_step(
-    model, xs, ys, state, clip, noise, p, ledger, poisson_rng, noise_rng,
-    noise_placement="after-mean",
+    model, xs, ys, state, clip, ledger, poisson_rng, noise_rng, noise_placement="after-mean",
 ):
     """The private step as a loop over samples: one tape per Poisson-batch member.
 
     Same contract as ``dptrain.optim.dp_adam_step``, which must reproduce it
-    bit for bit; the Adam update is the per-slot oracle.
+    bit for bit: the batch is drawn at ``ledger.spec.q`` and the noise
+    scaled by ``ledger.spec.sigma``. The Adam update is the per-slot oracle.
     """
     report = validate_model(model)
     if not report.ok:
@@ -593,16 +596,12 @@ def tape_dp_adam_step(
             "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
         )
     xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64).reshape(-1)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ShapeMismatchError(f"input of shape {xs.shape} does not match the input layer")
-    if xs.shape[0] != ys.shape[0]:
-        raise ShapeMismatchError(f"{xs.shape[0]} samples but {ys.shape[0]} labels")
+    ys = _binary_labels(ys, xs.shape[0])
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
-    if p > ledger.spec.q:
-        raise ValueError(f"sampling rate {p} exceeds the ledger's q = {ledger.spec.q}")
-    indices = poisson_subsample(xs.shape[0], p, poisson_rng)
+    indices = poisson_subsample(xs.shape[0], ledger.spec.q, poisson_rng)
     ledger.advance(1)
     if indices.size == 0:
         nan = math.nan
@@ -615,7 +614,7 @@ def tape_dp_adam_step(
         losses.append(loss)
     norms = np.array([global_norm(g) for g in grads])
 
-    vbar = aggregate_noisy(grads, clip, noise, noise_rng, placement=noise_placement)
+    vbar = aggregate_noisy(grads, clip, ledger.spec.sigma, noise_rng, placement=noise_placement)
     vbar = masked(vbar, model.trainable)
     per_slot_adam_update(model, state, vbar)
     return StepOutcome(

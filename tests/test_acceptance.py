@@ -22,7 +22,7 @@ from dptrain.accountant import (
 )
 from dptrain.config import RunConfig, SweepGrid
 from dptrain import mechanisms
-from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
+from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
     Model,
     ModelValidationError,
@@ -133,14 +133,11 @@ def test_criterion_03_degenerate_equivalence():
     ref_model = build_mlp([8, 8, 1], seed=5)
     dp_state = DpAdamState.for_model(dp_model, lr=0.05)
     ref_state = DpAdamState.for_model(ref_model, lr=0.05)
-    ledger = PrivacyLedger(MechanismSpec(1e-9, 1.0))
+    ledger = PrivacyLedger(MechanismSpec(0.0, 1.0))
     poisson_rng = np.random.default_rng(0)
     noise_rng = np.random.default_rng(1)
     for _ in range(100):
-        dp_adam_step(
-            dp_model, xs, ys, dp_state, ClipSpec(1e9), NoiseSpec(0.0), 1.0,
-            ledger, poisson_rng, noise_rng,
-        )
+        dp_adam_step(dp_model, xs, ys, dp_state, ClipSpec(1e9), ledger, poisson_rng, noise_rng)
         per = [per_sample_gradient(ref_model, x, y)[1] for x, y in zip(xs, ys)]
         adam_step(ref_model, flat(mean_gradient_sets(per)), ref_state)
     worst = max(
@@ -148,6 +145,8 @@ def test_criterion_03_degenerate_equivalence():
     )
     assert worst < 1e-12, f"max parameter deviation {worst:.2e}"
     assert ledger.step_count == 100
+    # A noise-free release has no finite privacy guarantee.
+    assert ledger.spent().epsilon == math.inf
 
 
 @criterion(4, "accountant parity with quadrature oracle")
@@ -220,7 +219,7 @@ def test_criterion_07_noise_calibration(monkeypatch):
     xs = np.random.default_rng(0).normal(size=(2, 999))
     dp_adam_step(
         model, xs, np.array([0.0, 1.0]), DpAdamState.for_model(model, lr=0.01),
-        ClipSpec(1.0), NoiseSpec(2.0), 1.0, PrivacyLedger(MechanismSpec(2.0, 1.0)),
+        ClipSpec(1.0), PrivacyLedger(MechanismSpec(2.0, 1.0)),
         np.random.default_rng(0), np.random.default_rng(60_613),
     )
     (noise,) = draws
@@ -258,8 +257,7 @@ def test_criterion_08_per_sample_isolation():
     state = DpAdamState.for_model(coupled, lr=0.05)
     with pytest.raises(ModelValidationError):
         dp_adam_step(
-            coupled, xs[:, :4], ys, state, ClipSpec(1.0), NoiseSpec(1.0), 1.0,
-            PrivacyLedger(MechanismSpec(1.0, 1.0)),
+            coupled, xs[:, :4], ys, state, ClipSpec(1.0), PrivacyLedger(MechanismSpec(1.0, 1.0)),
             np.random.default_rng(0), np.random.default_rng(1),
         )
 

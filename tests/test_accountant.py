@@ -453,6 +453,39 @@ class TestTinySigma:
                 assert math.isfinite(got) and got == per_order_epsilon(1e-4, q, steps, 1e-5)
 
 
+class TestMechanismSpec:
+    """sigma must be finite and >= 0, q in (0, 1]; sigma = 0 spends inf after a step."""
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            MechanismSpec(sigma, 0.5)
+
+    @pytest.mark.parametrize("q", [0.0, -0.1, 1.0 + 1e-12, 2.0, math.nan, math.inf])
+    def test_rejects_bad_q(self, q):
+        with pytest.raises(ValueError, match="sampling probability"):
+            MechanismSpec(1.0, q)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 32 / 1440])
+    def test_zero_sigma_spends_inf_after_one_step(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ledger = PrivacyLedger(MechanismSpec(0.0, q))
+            assert ledger.spent().epsilon == 0.0
+            assert ledger.epsilon_if(1) == ledger.epsilon_if(1000) == math.inf
+            ledger.advance(1)
+            assert ledger.spent().epsilon == math.inf
+            assert totals(ledger) == [math.inf] * len(default_alpha_grid(q))
+
+    @pytest.mark.parametrize("steps", [0, 1, 100])
+    @pytest.mark.parametrize("q", [1.0, 0.5, 32 / 1440])
+    def test_zero_sigma_query_equals_tiny_sigma(self, q, steps):
+        zero = accountant_query(0.0, q, steps, 1e-5)
+        tiny = accountant_query(1e-200, q, steps, 1e-5)
+        assert zero["sigma"] == 0.0
+        assert {**zero, "sigma": 1e-200} == tiny
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 

@@ -84,6 +84,17 @@ class TestAccountantCommand:
         assert doc["epsilon"] == "inf"
         assert all(rdp == "inf" for _, rdp in doc["curve"])
 
+    @pytest.mark.parametrize("q", ["0.5", "1"])
+    def test_zero_sigma_reports_infinite_epsilon(self, capsys, q):
+        assert main(["accountant", "--sigma", "0", "--q", q, "--steps", "1"]) == 0
+        assert strict_loads(capsys.readouterr().out)["epsilon"] == "inf"
+
+    def test_negative_sigma_is_runtime_error(self, capsys):
+        assert main(["accountant", "--sigma", "-1", "--q", "0.5", "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sigma must be >= 0 and finite" in captured.err
+
     def test_unreachable_target_is_runtime_error(self, capsys):
         code = main(["accountant", "--target-eps", "0.01", "--q", "1", "--steps", "1"])
         assert code == 2

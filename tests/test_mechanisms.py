@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows, gaussian_noise
+from dptrain.mechanisms import ClipSpec, clip_rows, gaussian_noise
 from oracles import aggregate_noisy, clip_gradient, global_norm, matmul_clip_rows
 
 
@@ -94,8 +94,6 @@ def test_noise_std_large_sample():
 def test_noise_rejects_negative_scale():
     with pytest.raises(ValueError):
         gaussian_noise(2, -0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        NoiseSpec(-1.0)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
@@ -108,14 +106,14 @@ def test_aggregate_zero_sigma_is_plain_mean():
     samples = [gs([1.0, 0.0]), gs([0.0, 1.0])]
     for placement in ("after-mean", "on-sum"):
         out = aggregate_noisy(
-            samples, ClipSpec(10.0), NoiseSpec(0.0), np.random.default_rng(0), placement
+            samples, ClipSpec(10.0), 0.0, np.random.default_rng(0), placement
         )
         np.testing.assert_allclose(out[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_aggregate_single_sample_identity():
     g = gs([0.3, -0.2])
-    out = aggregate_noisy([g], ClipSpec(1.0), NoiseSpec(0.0), np.random.default_rng(0))
+    out = aggregate_noisy([g], ClipSpec(1.0), 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out[0], g[0])
 
 
@@ -124,7 +122,7 @@ def test_aggregate_identical_oversized_gradients():
     bound = 0.5
     g = gs(direction * 2 * bound)  # norm 2R
     out = aggregate_noisy(
-        [g, g, g, g], ClipSpec(bound), NoiseSpec(0.0), np.random.default_rng(0)
+        [g, g, g, g], ClipSpec(bound), 0.0, np.random.default_rng(0)
     )
     assert global_norm(out) == pytest.approx(bound, rel=1e-12)
     np.testing.assert_allclose(out[0] / global_norm(out), direction, atol=1e-12)
@@ -132,18 +130,18 @@ def test_aggregate_identical_oversized_gradients():
 
 def test_aggregate_placements_coincide_for_single_sample():
     g = gs([0.4, 0.1])
-    a = aggregate_noisy([g], ClipSpec(1.0), NoiseSpec(2.0), np.random.default_rng(7), "after-mean")
-    b = aggregate_noisy([g], ClipSpec(1.0), NoiseSpec(2.0), np.random.default_rng(7), "on-sum")
+    a = aggregate_noisy([g], ClipSpec(1.0), 2.0, np.random.default_rng(7), "after-mean")
+    b = aggregate_noisy([g], ClipSpec(1.0), 2.0, np.random.default_rng(7), "on-sum")
     assert np.array_equal(a[0], b[0])
 
 
 def test_aggregate_placement_difference_identity():
     # on_sum - after_mean == sigma*R*N * (1/B - 1) when driven by the same draws.
     samples = [gs(np.full(3, 0.1)) for _ in range(4)]
-    clip, noise = ClipSpec(1.0), NoiseSpec(1.5)
-    after = aggregate_noisy(samples, clip, noise, np.random.default_rng(3), "after-mean")
-    onsum = aggregate_noisy(samples, clip, noise, np.random.default_rng(3), "on-sum")
-    draw = gaussian_noise(3, noise.sigma * clip.max_norm, np.random.default_rng(3))
+    clip, sigma = ClipSpec(1.0), 1.5
+    after = aggregate_noisy(samples, clip, sigma, np.random.default_rng(3), "after-mean")
+    onsum = aggregate_noisy(samples, clip, sigma, np.random.default_rng(3), "on-sum")
+    draw = gaussian_noise(3, sigma * clip.max_norm, np.random.default_rng(3))
     expected = draw * (1.0 / 4.0 - 1.0)
     np.testing.assert_allclose(onsum[0] - after[0], expected, atol=1e-12)
 
@@ -162,7 +160,7 @@ def test_aggregate_empirical_variance(placement, var_scale):
     sigma, bound = 0.7, 1.3
     base = (sigma * bound) ** 2 * var_scale
     samples = [gs([0.2, -0.1]) for _ in range(4)]
-    clip, noise = ClipSpec(bound), NoiseSpec(sigma)
+    clip = ClipSpec(bound)
     total = ((samples[0][0] + samples[1][0]) + samples[2][0]) + samples[3][0]
     draws = np.random.default_rng(99).standard_normal((reps, 2)) * (sigma * bound)
     if placement == "after-mean":
@@ -170,7 +168,7 @@ def test_aggregate_empirical_variance(placement, var_scale):
     else:
         outs = (total + draws) / 4
     rng = np.random.default_rng(99)
-    calls = [aggregate_noisy(samples, clip, noise, rng, placement)[0] for _ in range(100)]
+    calls = [aggregate_noisy(samples, clip, sigma, rng, placement)[0] for _ in range(100)]
     assert outs[:100].tobytes() == np.array(calls).tobytes()
     var = outs.var(axis=0)
     assert np.all(np.abs(var / base - 1.0) < 0.05)
@@ -178,7 +176,7 @@ def test_aggregate_empirical_variance(placement, var_scale):
 
 def test_aggregate_rejects_empty_batch():
     with pytest.raises(ValueError):
-        aggregate_noisy([], ClipSpec(1.0), NoiseSpec(0.0), np.random.default_rng(0))
+        aggregate_noisy([], ClipSpec(1.0), 0.0, np.random.default_rng(0))
 
 
 def test_aggregate_rejects_misaligned_shapes():
@@ -186,14 +184,14 @@ def test_aggregate_rejects_misaligned_shapes():
         aggregate_noisy(
             [gs([1.0]), gs([1.0, 2.0])],
             ClipSpec(1.0),
-            NoiseSpec(0.0),
+            0.0,
             np.random.default_rng(0),
         )
 
 
 def test_aggregate_rejects_unknown_placement():
     with pytest.raises(ValueError):
-        aggregate_noisy([gs([1.0])], ClipSpec(1.0), NoiseSpec(0.0),
+        aggregate_noisy([gs([1.0])], ClipSpec(1.0), 0.0,
                         np.random.default_rng(0), "sideways")
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dptrain.accountant import MechanismSpec, PrivacyLedger
-from dptrain.mechanisms import ClipSpec, NoiseSpec, clip_rows
+from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
     Model,
     PerSampleBatch,
@@ -158,20 +158,24 @@ class TestReferenceAdam:
             DpAdamState(**kwargs)
 
 
+# A sampling rate at which every Poisson draw in these tests comes up empty
+# (the empty-draw tests assert it).
+EMPTY_DRAW_Q = 1e-12
+
+
 def run_dp(model, xs, ys, steps, *, sigma=0.0, clip=1e9, p=1.0, seed=0,
            placement="after-mean", lr=0.05, ledger=None, step=dp_adam_step,
            state=None, **state_kwargs):
     state = state or DpAdamState.for_model(model, lr=lr, **state_kwargs)
-    ledger_q = p if 0 < p <= 1 else 1.0
-    ledger = ledger or PrivacyLedger(MechanismSpec(max(sigma, 1e-9), ledger_q))
+    ledger = ledger or PrivacyLedger(MechanismSpec(sigma, p))
     poisson_rng = np.random.default_rng(seed)
     noise_rng = np.random.default_rng(seed + 1)
     outcomes = []
     for _ in range(steps):
         outcomes.append(
             step(
-                model, xs, ys, state, ClipSpec(clip), NoiseSpec(sigma), p,
-                ledger, poisson_rng, noise_rng, noise_placement=placement,
+                model, xs, ys, state, ClipSpec(clip), ledger, poisson_rng, noise_rng,
+                noise_placement=placement,
             )
         )
     return outcomes, ledger
@@ -212,7 +216,7 @@ class TestDpAdamStep:
     def test_empty_batch_skips_but_charges(self):
         model = build_mlp([5, 4, 1], seed=1)
         before = [p.copy() for p in model.parameters]
-        outcomes, ledger = run_dp(model, self.xs, self.ys, 3, sigma=1.0, clip=1.0, p=0.0)
+        outcomes, ledger = run_dp(model, self.xs, self.ys, 3, sigma=1.0, clip=1.0, p=EMPTY_DRAW_Q)
         assert all(not o.applied for o in outcomes)
         assert all(o.batch_size == 0 for o in outcomes)
         assert ledger.step_count == 3
@@ -260,8 +264,8 @@ class TestDpAdamStep:
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
         with pytest.raises(ModelValidationError):
             dp_adam_step(
-                model, self.xs[:, :4], self.ys, state, ClipSpec(1.0), NoiseSpec(1.0),
-                1.0, ledger, np.random.default_rng(0), np.random.default_rng(1),
+                model, self.xs[:, :4], self.ys, state, ClipSpec(1.0), ledger,
+                np.random.default_rng(0), np.random.default_rng(1),
             )
         assert ledger.step_count == 0
 
@@ -627,7 +631,7 @@ class TestPrivateStepFailures:
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
         with pytest.raises(FloatingPointError):
             step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+                 ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 1
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
@@ -644,7 +648,7 @@ class TestPrivateStepFailures:
             ValueError, match="cannot clip a non-finite gradient"
         ):
             step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+                 ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 1
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
@@ -652,9 +656,9 @@ class TestPrivateStepFailures:
         model = build_mlp([3, 4, 1], seed=1)
         before = [a.copy() for a in model.parameters]
         state = DpAdamState.for_model(model, lr=0.05)
-        ledger = PrivacyLedger(MechanismSpec(1.0, 0.5))
-        outcome = step(model, self.xs, self.ys, state, ClipSpec(1.0), NoiseSpec(1.0), 0.0,
-                       ledger, np.random.default_rng(0), np.random.default_rng(1))
+        ledger = PrivacyLedger(MechanismSpec(1.0, EMPTY_DRAW_Q))
+        outcome = step(model, self.xs, self.ys, state, ClipSpec(1.0), ledger,
+                       np.random.default_rng(0), np.random.default_rng(1))
         assert not outcome.applied and outcome.batch_size == 0
         assert math.isnan(outcome.mean_loss) and math.isnan(outcome.noisy_grad_norm)
         assert ledger.step_count == 1 and state.t == 0
@@ -670,10 +674,10 @@ class TestPrivateStepFailures:
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
         with pytest.raises(ModelValidationError):
             step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), 1.0, ledger, np.random.default_rng(0), np.random.default_rng(1))
+                 ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 0
 
-    def assert_refused_before_charge(self, step, error, match, xs, p, q=1.0, **kwargs):
+    def assert_refused_before_charge(self, step, error, match, xs, q, ys=None, **kwargs):
         """The step raises ``error`` with the ledger and the Poisson stream untouched.
 
         The ledger charges each step at rate ``q``.
@@ -683,8 +687,8 @@ class TestPrivateStepFailures:
         poisson_rng = np.random.default_rng(0)
         before = poisson_rng.bit_generator.state
         with pytest.raises(error, match=match):
-            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 NoiseSpec(1.0), p, ledger, poisson_rng, np.random.default_rng(1), **kwargs)
+            step(model, xs, self.ys if ys is None else ys, DpAdamState.for_model(model, lr=0.05),
+                 ClipSpec(1.0), ledger, poisson_rng, np.random.default_rng(1), **kwargs)
         assert ledger.step_count == 0
         assert poisson_rng.bit_generator.state == before
 
@@ -697,27 +701,30 @@ class TestPrivateStepFailures:
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
     def test_unknown_placement_raises_on_empty_draw(self, step):
         self.assert_refused_before_charge(
-            step, ValueError, "placement", self.xs, 0.0, noise_placement="on-mean"
+            step, ValueError, "placement", self.xs, EMPTY_DRAW_Q, noise_placement="on-mean"
         )
 
-    @pytest.mark.parametrize("p", [1.0, 0.0])
+    @pytest.mark.parametrize("q", [1.0, EMPTY_DRAW_Q])
     @pytest.mark.parametrize(
         "xs",
         [np.zeros((12, 4)), np.zeros((12, 2)), np.zeros(12), np.zeros((12, 3, 1))],
         ids=["wide", "narrow", "1-d", "3-d"],
     )
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
-    def test_wrong_input_width_refused_before_charge(self, step, xs, p):
-        # At p = 0 the empty draw used to pass such inputs as a skipped step.
-        self.assert_refused_before_charge(step, ShapeMismatchError, "input", xs, p)
+    def test_wrong_input_width_refused_before_charge(self, step, xs, q):
+        # An empty draw must not let such inputs pass as a skipped step.
+        self.assert_refused_before_charge(step, ShapeMismatchError, "input", xs, q)
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
     def test_label_count_refused_before_charge(self, step):
         self.assert_refused_before_charge(step, ShapeMismatchError, "labels", self.xs[:11], 1.0)
 
-    @pytest.mark.parametrize("p", [0.5000001, 1.0])
+    @pytest.mark.parametrize("label", [2.0, -1.0, 0.5, math.nan])
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
-    def test_rate_above_ledger_q_refused_before_charge(self, step, p):
-        # The ledger charges each step at q = 0.5; a draw at a higher rate
-        # would release more than it pays for.
-        self.assert_refused_before_charge(step, ValueError, "exceeds the ledger", self.xs, p, q=0.5)
+    def test_bad_label_refused_before_charge(self, step, label):
+        # At q = 0.1 most draws miss row 5, so only a check of every label
+        # refuses the step before it trains on the others and charges.
+        ys = self.ys.copy()
+        ys[5] = label
+        self.assert_refused_before_charge(step, ValueError, "label must be 0 or 1", self.xs, 0.1,
+                                          ys=ys)

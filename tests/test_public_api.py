@@ -48,7 +48,6 @@ PACKAGE_NAMES = {
     "synthetic_dataset",
     # mechanisms
     "ClipSpec",
-    "NoiseSpec",
     "gaussian_noise",
     # model
     "Model",
