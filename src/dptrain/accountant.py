@@ -198,11 +198,11 @@ def _check_distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
 def renyi_divergence(p, q, alpha: float) -> float:
     """Order-alpha Renyi divergence (1/(alpha-1)) log sum p_i^alpha / q_i^(alpha-1).
 
-    Defined for alpha > 0, alpha != 1; callers wanting the alpha -> 1 limit
-    should use :func:`kl_divergence`. Non-negative, zero iff p == q.
+    Defined for finite alpha > 0, alpha != 1; callers wanting the alpha -> 1
+    limit should use :func:`kl_divergence`. Non-negative, zero iff p == q.
     """
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0) or alpha == 1.0:
+        raise ValueError(f"alpha must be positive, finite and != 1, got {alpha}")
     pa, qa = _check_distributions(p, q)
     mask = pa > 0
     terms = pa[mask] ** alpha * qa[mask] ** (1.0 - alpha)
@@ -220,12 +220,14 @@ def kl_divergence(p, q) -> float:
 def rdp_gaussian(alpha: float, sigma: float) -> float:
     """Per-step RDP of the Gaussian mechanism on a sensitivity-1 query.
 
-    +inf once 2 sigma^2 underflows to zero.
+    alpha / (2 sigma^2), the value a q = 1 ledger charges per step; +inf at
+    sigma = 0 and once 2 sigma^2 underflows to zero. alpha must be finite
+    and > 1, sigma finite and >= 0.
     """
-    if alpha <= 1:
-        raise ValueError(f"alpha must be > 1, got {alpha}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
     denominator = 2.0 * sigma * sigma
     return alpha / denominator if denominator > 0.0 else math.inf
 
@@ -364,8 +366,8 @@ def classic_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> 
         raise ValueError(f"classic calibration requires 0 < epsilon <= 1, got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if sensitivity <= 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
+        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 

@@ -17,7 +17,6 @@ from typing import get_type_hints
 from .data import _check_synthetic
 from .mechanisms import NOISE_PLACEMENTS
 from .model import _check_freeze_prefix, _norm_groups
-from .optim import ADAM_VARIANTS
 
 __all__ = [
     "ConfigError",
@@ -65,8 +64,6 @@ class RunConfig:
     lr: float = 0.08
     epochs: int = 30
     batch_size: int = 32
-    variant: str = "adam"
-    bias_correction: bool = True
     # privacy
     privacy: str = "target-epsilon"
     target_eps: float | None = 10.0
@@ -104,8 +101,6 @@ class RunConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.budget_eps is not None and self.budget_eps <= 0:
             raise ConfigError("budget_eps must be positive when set")
-        if self.variant not in ADAM_VARIANTS:
-            raise ConfigError(f"variant must be one of {ADAM_VARIANTS}, got {self.variant!r}")
         if self.noise_placement not in NOISE_PLACEMENTS:
             raise ConfigError(
                 f"noise_placement must be one of {NOISE_PLACEMENTS}, "
@@ -198,15 +193,6 @@ def parse_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
 def _converter(convert, expected: str):
     """A ``(key, value)`` parser applying ``convert``; a ValueError names the key."""
 
@@ -226,7 +212,6 @@ def _comma_list(kind):
 _PARSERS = {
     str: lambda key, value: value,
     str | None: lambda key, value: value,
-    bool: _parse_bool,
     int: _converter(int, "an integer"),
     float: _converter(float, "a number"),
     float | None: _converter(float, "a number"),

@@ -121,10 +121,9 @@ class Model:
     and last the model's life: updates write new values into the vector, so
     the views always read the current parameters. A caller that wants a
     snapshot copies. A gradient of this model is a flat ``[P]`` vector in
-    the same layout. The constructor checks that the layers name slots
-    ``0, 1, 2, ...`` in layer order with the shapes they imply; later slots
-    belong to no layer. Freezing is one boundary: the first
-    ``frozen_slots`` slots are frozen.
+    the same layout. The constructor checks that the layers name every
+    slot, ``0, 1, 2, ...`` in layer order, with the shapes they imply.
+    Freezing is one boundary: the first ``frozen_slots`` slots are frozen.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -132,9 +131,9 @@ class Model:
         arrays = [np.asarray(p, dtype=np.float64) for p in parameters]
         named = [pair for layer in self.layers for pair in _layer_slots(layer)]
         slots = [s for s, _ in named]
-        if slots != list(range(len(slots))) or len(slots) > len(arrays):
+        if slots != list(range(len(arrays))):
             raise ValueError(
-                f"layer slots {slots} must run 0, 1, 2, ... within {len(arrays)} parameters"
+                f"layer slots {slots} must run 0, 1, 2, ... over all {len(arrays)} parameters"
             )
         for s, shape in named:
             if arrays[s].shape != shape:
@@ -144,7 +143,6 @@ class Model:
         for a in arrays:
             offsets.append(offsets[-1] + a.size)
         self._offsets = tuple(offsets)
-        self._layer_end = offsets[len(slots)]  # later slots belong to no layer
         self._frozen = 0
         self.seed = seed
         self.freeze_prefix = 0
@@ -469,7 +467,6 @@ class _LayerPass:
         frozen = model.frozen_slots
         start = offsets[frozen]  # Model.trainable_start
         self._width = offsets[-1] - start
-        self._unnamed = model._layer_end - start  # first tail column no layer names
 
         def cols(slot):
             return slice(offsets[slot] - start, offsets[slot + 1] - start)
@@ -529,9 +526,8 @@ class PerSampleBatch(_LayerPass):
         float64 ``[>= hi - lo, T]`` matrix over the trainable tail: column j
         holds flat parameter ``Model.trainable_start + j``, and T = P when
         nothing is frozen. Frozen parameters have no columns. Every entry of
-        the first ``hi - lo`` rows is set, so ``out`` need not be zeroed:
-        slots that no layer names get zeros. Both checks run before any
-        write.
+        the first ``hi - lo`` rows is set, so ``out`` need not be zeroed.
+        Both checks run before any write.
         """
         if not 0 <= lo <= hi <= self.size:
             raise ValueError(f"rows {lo}..{hi} are not a range within the {self.size} samples")
@@ -544,7 +540,6 @@ class PerSampleBatch(_LayerPass):
         ):
             raise ShapeMismatchError(f"need a C-contiguous float64 [>= {r}, {self._width}] matrix")
         rows = out[:r]
-        rows[:, self._unnamed:] = 0.0
         for cols, bias_cols, h, g, shape in self._chain:
             g = g[lo:hi, 0]
             if shape is None:

@@ -37,13 +37,9 @@ operation is the per-slot formula's own elementwise IEEE operation, so
 trainable parameters and their moments are bit-identical to updating slot
 by slot. Clipping and the noisy gradient's norm read ``Model.trainable_spans``.
 
-Two update rules are available:
-
-* ``"adam"`` (default): w = m_hat / (sqrt(u_hat) + stabilizer), with the
-  usual 1/(1 - beta^t) bias corrections when ``bias_correction`` is on;
-* ``"raw-moment"``: w = m / (u + stabilizer), dividing by the raw second
-  moment without a square root and without bias correction. This variant
-  scales poorly at high curvature; it exists for comparison runs.
+The update rule is bias-corrected Adam (Kingma & Ba 2015) with its usual
+constants: w = m_hat / (sqrt(u_hat) + 1e-8), where m_hat = m / (1 - 0.9^t)
+and u_hat = u / (1 - 0.999^t); only the learning rate is set per run.
 
 ``adam_step`` is the one Adam update. The private step hands it the released
 noisy ``[P]`` vector; the non-private step hands it ``model.batch_gradient``'s
@@ -65,7 +61,6 @@ from .model import Model, ModelValidationError, PerSampleBatch, ShapeMismatchErr
 from .model import _binary_labels
 
 __all__ = [
-    "ADAM_VARIANTS",
     "DpAdamState",
     "StepOutcome",
     "poisson_subsample",
@@ -73,7 +68,11 @@ __all__ = [
     "dp_adam_step",
 ]
 
-ADAM_VARIANTS = ("adam", "raw-moment")
+# Adam's decay rates and the stabilizer added to the denominator (distinct
+# from the privacy budget parameter also commonly called epsilon).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_STABILIZER = 1e-8
 
 # Per-sample gradient rows over the trainable columns are written, clipped and
 # summed in blocks of at most this many bytes (one row when a row is larger).
@@ -89,46 +88,31 @@ ROW_BLOCK_BYTES = 2 << 20
 
 @dataclass
 class DpAdamState:
-    """Adam moments and hyperparameters for one optimizer instance.
+    """Adam moments, learning rate and step count for one optimizer instance.
 
     ``m`` and ``u`` are flat float64 ``[P]`` vectors laid out like the
     model's ``parameter_vector``; they start at zero, and the update writes
     them in place. ``u`` accumulates squares so it
-    stays elementwise non-negative. The stabilizer is the small constant
-    added to the denominator (distinct from the privacy budget parameter
-    also commonly called epsilon).
+    stays elementwise non-negative.
     """
 
     m: np.ndarray
     u: np.ndarray
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_stabilizer: float = 1e-8
-    variant: str = "adam"
-    bias_correction: bool = True
     t: int = 0
 
     def __post_init__(self):
-        if self.variant not in ADAM_VARIANTS:
-            raise ValueError(f"unknown optimizer variant {self.variant!r}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("momentum parameters must lie in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
-        if not (math.isfinite(self.adam_stabilizer) and self.adam_stabilizer > 0):
-            raise ValueError(
-                f"adam stabilizer must be positive and finite, got {self.adam_stabilizer}"
-            )
         self.m = np.asarray(self.m, dtype=np.float64)
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.m.ndim != 1 or self.m.shape != self.u.shape:
             raise ShapeMismatchError("moment estimates must be flat vectors of one length")
 
     @classmethod
-    def for_model(cls, model: Model, lr: float, **kwargs) -> "DpAdamState":
+    def for_model(cls, model: Model, lr: float) -> "DpAdamState":
         size = model.num_parameters()
-        return cls(m=np.zeros(size), u=np.zeros(size), lr=lr, **kwargs)
+        return cls(m=np.zeros(size), u=np.zeros(size), lr=lr)
 
 
 @dataclass(frozen=True)
@@ -171,7 +155,7 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     place; frozen parameters and their moments are never written, whatever
     ``grad`` holds there. Each line is the per-slot formula's own IEEE
     operation, applied to the whole tail:
-    ``m *= b1; m += (1 - b1) * g`` is ``b1 * m + (1 - b1) * g``.
+    ``m *= beta1; m += (1 - beta1) * g`` is ``beta1 * m + (1 - beta1) * g``.
     """
     params = model.parameter_vector
     if not isinstance(grad, np.ndarray) or grad.dtype != np.float64:
@@ -179,26 +163,18 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     if not grad.shape == state.m.shape == state.u.shape == params.shape:
         raise ShapeMismatchError("gradient or moments not aligned with the parameter vector")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - _BETA1 ** state.t
+    c2 = 1.0 - _BETA2 ** state.t
     lo = model.trainable_start
     g, m, u = grad[lo:], state.m[lo:], state.u[lo:]
-    m *= b1
-    m += (1.0 - b1) * g
-    u *= b2
-    u += (1.0 - b2) * (g * g)
-    if state.variant == "raw-moment":
-        w = m / (u + state.adam_stabilizer)
-    elif state.bias_correction:
-        den = np.sqrt(u / c2)
-        den += state.adam_stabilizer
-        w = m / c1
-        w /= den
-    else:
-        den = np.sqrt(u)
-        den += state.adam_stabilizer
-        w = m / den
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    u *= _BETA2
+    u += (1.0 - _BETA2) * (g * g)
+    den = np.sqrt(u / c2)
+    den += _STABILIZER
+    w = m / c1
+    w /= den
     w *= state.lr
     params[lo:] -= w
 

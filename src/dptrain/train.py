@@ -282,12 +282,7 @@ def train(config: RunConfig) -> TrainReport:
         else:
             sigma = config.sigma
         ledger = PrivacyLedger(MechanismSpec(sigma, q), delta=config.delta)
-    state = DpAdamState.for_model(
-        model,
-        lr=config.lr,
-        variant=config.variant,
-        bias_correction=config.bias_correction,
-    )
+    state = DpAdamState.for_model(model, lr=config.lr)
     if ledger is None:
         step = _nonprivate_step(config, split, model, state)
     else:

@@ -5,7 +5,8 @@ divergences of Gaussian mixtures come from adaptive Simpson quadrature, the
 epsilon conversion from a brute-force grid search, the linear-classifier
 baseline from plain logistic regression on raw numpy, the private step
 from one autodiff tape and one ``clip_gradient`` call per sample, the Adam
-update from one numpy expression per parameter slot, and the accountant's
+update from one numpy expression per parameter slot with Adam's constants
+as its own literals, and the accountant's
 all-orders RDP table from one numpy pipeline per order
 (``per_order_rdp``) and from the table with one ``np.add.reduce`` per order
 (``row_loop_subsampled_rdp``).
@@ -536,26 +537,14 @@ def per_slot_adam_update(model, state, vbar) -> None:
         return [vector[offsets[s]:offsets[s + 1]].reshape(a.shape) for s, a in enumerate(vbar)]
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, stabilizer = 0.9, 0.999, 1e-8  # Adam's constants, written out independently
     new_m = [b1 * m + (1.0 - b1) * g for m, g in zip(per_slot(state.m), vbar)]
     new_u = [b2 * u + (1.0 - b2) * (g * g) for u, g in zip(per_slot(state.u), vbar)]
     state.m = np.concatenate([a.reshape(-1) for a in new_m])
     state.u = np.concatenate([a.reshape(-1) for a in new_u])
-
-    if state.variant == "adam":
-        if state.bias_correction:
-            c1 = 1.0 - b1 ** state.t
-            c2 = 1.0 - b2 ** state.t
-            direction = [
-                (m / c1) / (np.sqrt(u / c2) + state.adam_stabilizer)
-                for m, u in zip(new_m, new_u)
-            ]
-        else:
-            direction = [
-                m / (np.sqrt(u) + state.adam_stabilizer) for m, u in zip(new_m, new_u)
-            ]
-    else:
-        direction = [m / (u + state.adam_stabilizer) for m, u in zip(new_m, new_u)]
+    c1 = 1.0 - b1 ** state.t
+    c2 = 1.0 - b2 ** state.t
+    direction = [(m / c1) / (np.sqrt(u / c2) + stabilizer) for m, u in zip(new_m, new_u)]
 
     model.set_parameters(
         [p - state.lr * w for p, w in zip(model.parameters, direction)]

@@ -62,9 +62,12 @@ class TestRenyiDivergence:
             r = renyi_divergence(p, q, 1.0001)
             assert r == pytest.approx(kl_divergence(p, q), abs=1e-3)
 
-    def test_rejects_alpha_one(self):
-        with pytest.raises(ValueError):
-            renyi_divergence([0.5, 0.5], [0.5, 0.5], 1.0)
+    @pytest.mark.parametrize("alpha", [1.0, 0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="alpha must be positive, finite and != 1"):
+                renyi_divergence([0.4, 0.6], [0.5, 0.5], alpha)
 
     def test_rejects_support_violation(self):
         with pytest.raises(ValueError):
@@ -118,11 +121,27 @@ class TestGaussianRdp:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-5
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            rdp_gaussian(1.0, 1.0)
-        with pytest.raises(ValueError):
-            rdp_gaussian(2.0, 0.0)
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 1 and finite"):
+            rdp_gaussian(alpha, 1.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+            rdp_gaussian(2.0, sigma)
+
+    def test_zero_sigma_is_inf(self):
+        assert rdp_gaussian(2.0, 0.0) == math.inf
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-200, 0.616, 3.0])
+    def test_equals_one_step_full_batch_ledger(self, sigma):
+        ledger = PrivacyLedger(MechanismSpec(sigma, 1.0))
+        ledger.advance(1)
+        curve = ledger.curve()
+        assert [a for a, _ in curve] == list(default_alpha_grid(1.0))
+        for alpha, total in curve:
+            assert rdp_gaussian(alpha, sigma).hex() == total.hex()
 
 
 class TestSubsampledRdp:
@@ -266,8 +285,11 @@ class TestClassicGaussianSigma:
     def test_domain(self):
         with pytest.raises(ValueError):
             classic_gaussian_sigma(1.5, 1e-5, 1.0)
-        with pytest.raises(ValueError):
-            classic_gaussian_sigma(0.5, 1e-5, 0.0)
+
+    @pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_sensitivity(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity must be positive and finite"):
+            classic_gaussian_sigma(0.5, 1e-5, sensitivity)
 
 
 class TestLedgerAndQuery:

@@ -196,8 +196,13 @@ class TestTrainCommand:
             ("norm", TRAIN_CONF.replace("widths = 8,1\n", "") + "norm = group:3\n"),
             ("freeze_prefix", TRAIN_CONF + "freeze_prefix = 5\n"),
             ("seed_model", TRAIN_CONF + "seed_model = -1\n"),
+            ("variant", TRAIN_CONF + "variant = raw-moment\n"),  # Adam is the only rule
+            ("bias_correction", TRAIN_CONF + "bias_correction = false\n"),
         ],
-        ids=["n", "dim", "separation", "label_noise", "norm", "norm-groups", "freeze", "seed"],
+        ids=[
+            "n", "dim", "separation", "label_noise", "norm", "norm-groups", "freeze", "seed",
+            "variant", "bias_correction",
+        ],
     )
     def test_bad_value_exits_one_without_outputs(self, tmp_path, capsys, key, conf):
         out = tmp_path / "out"

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -10,6 +10,7 @@ from dptrain.config import (
     ConfigError,
     RunConfig,
     SweepGrid,
+    _field_parsers,
     parse_config_file,
     run_config_from_mapping,
     sweep_grid_from_mapping,
@@ -57,14 +58,13 @@ class TestRunConfig:
             tmp_path,
             "dataset = synthetic\nn = 500\ndim = 8\nwidths = 8,1\n"
             "privacy = fixed-sigma\nsigma = 1.5\nbudget_eps = 2.0\n"
-            "noise_placement = on-sum\nbias_correction = false\n",
+            "noise_placement = on-sum\n",
         )
         config = run_config_from_mapping(parse_config_file(path))
         assert config.n == 500
         assert config.widths == (8, 1)
         assert config.sigma == 1.5
         assert config.noise_placement == "on-sum"
-        assert config.bias_correction is False
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: leraning_rate"):
@@ -104,8 +104,8 @@ class TestRunConfig:
     def test_bad_typed_values(self):
         with pytest.raises(ConfigError, match="epochs"):
             run_config_from_mapping({"epochs": "thirty"})
-        with pytest.raises(ConfigError, match="bias_correction"):
-            run_config_from_mapping({"bias_correction": "maybe"})
+        with pytest.raises(ConfigError, match="sigma"):
+            run_config_from_mapping({"sigma": "lots"})
         with pytest.raises(ConfigError, match="widths"):
             run_config_from_mapping({"widths": "a,b"})
 
@@ -165,7 +165,7 @@ RUN_VALUES = dict(
     dataset="csv", csv_path="train.csv", test_csv_path="test.csv", n=500, dim=8,
     separation=2.5, label_noise=0.1, test_fraction=0.2, train_fraction=0.7,
     widths=(8, 4, 1), norm="group:2", freeze_prefix=1, lr=0.01, epochs=3,
-    batch_size=16, variant="raw-moment", bias_correction=False, privacy="fixed-sigma",
+    batch_size=16, privacy="fixed-sigma",
     target_eps=5.0, sigma=1.5, delta=1e-6, clip_norm=0.5, budget_eps=2.0,
     noise_placement="on-sum", seed_model=11, seed_data=12, seed_poisson=13, seed_noise=14,
 )
@@ -177,8 +177,6 @@ GRID_VALUES = dict(
 def render(key, value):
     if isinstance(value, tuple):
         value = ",".join(str(v) for v in value)
-    elif isinstance(value, bool):
-        value = str(value).lower()
     return f"{key} = {value}\n"
 
 
@@ -215,6 +213,14 @@ class TestSchema:
     def test_float_fields_must_be_finite(self, name, value):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{**RUN_VALUES, name: value})
+
+    def test_field_without_a_parser_is_refused(self):
+        @dataclass(frozen=True)
+        class Flags:
+            verbose: bool = False
+
+        with pytest.raises(TypeError, match="verbose"):
+            _field_parsers(Flags)
 
     def test_readme_run_block_names_every_field(self):
         keys = block_keys(readme_ini_blocks()[0])

@@ -345,8 +345,10 @@ def test_trainable_is_read_only():
         [DenseLayer(8, 1, 2, 3), DenseLayer(4, 8, 0, 1)],  # layers out of slot order
         [DenseLayer(4, 8, 0, 2), DenseLayer(8, 1, 3, 4)],  # a gap
         [DenseLayer(4, 8, 0, 1), DenseLayer(8, 1, 2, 3), DenseLayer(1, 1, 4, 5)],  # past the end
+        [DenseLayer(4, 8, 0, 1), DenseLayer(8, 1, 2, 3)],  # the last parameter unnamed
+        [],  # a parameter holder without layers
     ],
-    ids=["swapped", "out-of-order", "gap", "missing-parameters"],
+    ids=["swapped", "out-of-order", "gap", "missing-parameters", "unnamed-parameter", "no-layers"],
 )
 def test_model_rejects_slots_out_of_layer_order(layers):
     params = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1), np.zeros((1, 1))]
@@ -363,16 +365,6 @@ def test_model_rejects_slot_shapes_its_layers_do_not_imply():
         bad[slot] = np.zeros(shape)
         with pytest.raises(ShapeMismatchError, match=f"slot {slot}"):
             Model(layers, bad)
-
-
-def test_layerless_parameter_holder_builds_and_updates():
-    holder = Model((), [np.array([1.0, -2.0]), np.ones((2, 3))])
-    assert holder.trainable == [True, True]
-    assert holder.trainable_spans() == [(0, 2), (2, 8)]
-    before = holder.parameter_vector.copy()
-    state = DpAdamState.for_model(holder, lr=0.1)
-    adam_step(holder, flat((np.ones(2), np.ones((2, 3)))), state)
-    assert (holder.parameter_vector < before).all()
 
 
 def test_accuracy_on_separable_points():
@@ -492,8 +484,9 @@ def test_checkpoint_with_a_misshapen_slot_fails_at_load(tmp_path):
         lambda doc: doc["params"].pop(),
         lambda doc: doc["param_shapes"].pop(),
         lambda doc: doc["params"].append([1.0]),  # one value more than the shapes name
+        lambda doc: (doc["params"].append([1.0]), doc["param_shapes"].append([1])),  # unnamed
     ],
-    ids=["truncated-params", "truncated-shapes", "extra-params"],
+    ids=["truncated-params", "truncated-shapes", "extra-params", "unnamed-parameter"],
 )
 def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
     doc = json.loads(VERSION_1_CHECKPOINT)
@@ -605,17 +598,16 @@ def test_row_blocks_assemble_the_full_matrix():
     assert not ref_rows[:, :start].any()
 
 
-def test_rows_of_slots_no_layer_names_are_zero():
-    # Row buffers are not zeroed beforehand, so backward must write these columns.
-    base = build_mlp([4, 6, 1], seed=1)
-    model = Model(base.layers, list(base.parameters) + [np.full(3, 2.0)])
+def test_backward_sets_every_entry_of_an_unzeroed_buffer():
+    # Row buffers are not zeroed beforehand: the layers name every column, so
+    # backward writes each one, norm parameters included.
+    model = build_mlp([4, 6, 1], norm="group:2", seed=1)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(5, 4))
     ys = rng.integers(0, 2, size=5).astype(float)
     block = np.full((5, model.num_parameters()), np.nan)
     PerSampleBatch(model, xs, ys).backward(0, 5, block)
     _, ref_rows = tape_rows(model, xs, ys)
-    assert not ref_rows[:, -3:].any()
     np.testing.assert_array_equal(block, ref_rows)
 
 
