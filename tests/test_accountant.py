@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -19,6 +20,8 @@ from dptrain.accountant import (
     renyi_divergence,
 )
 from dptrain import accountant
+from dptrain.config import RunConfig
+from dptrain.train import train
 from oracles import (
     grid_search_epsilon_gaussian,
     mixture_renyi_rdp,
@@ -26,6 +29,28 @@ from oracles import (
     per_order_rdp,
     row_loop_subsampled_rdp,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_curves():
+    """Each test computes its own per-step curves rather than reading another test's."""
+    accountant._per_step.cache_clear()
+    yield
+    accountant._per_step.cache_clear()
+
+
+@pytest.fixture
+def curve_calls(monkeypatch):
+    """The (sigma, q) of every subsampled curve evaluated while the test runs."""
+    calls = []
+    evaluate = accountant._subsampled_rdp
+
+    def counted(sigma, q):
+        calls.append((sigma, q))
+        return evaluate(sigma, q)
+
+    monkeypatch.setattr(accountant, "_subsampled_rdp", counted)
+    return calls
 
 
 def one_step_rdp(sigma, q, alpha):
@@ -555,6 +580,7 @@ class TestPairwiseTableMatchesRowLoop:
         ]
         got = [_calibrate_or_error(*case) for case in cases]
         monkeypatch.setattr(accountant, "_subsampled_rdp", row_loop_subsampled_rdp)
+        accountant._per_step.cache_clear()
         assert got == [_calibrate_or_error(*case) for case in cases]
         assert got.count("CalibrationError") < len(cases) // 2
 
@@ -616,12 +642,14 @@ class TestCaches:
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
-        # What callers get back is theirs to write.
+        # Every ledger of one spec shares its per-step curve, so none may write it.
         for q in (32 / 1440, 1.0):
             ledger = PrivacyLedger(MechanismSpec(1.0, q))
-            ledger._per_step[0] = ledger._per_step[0]
+            assert PrivacyLedger(MechanismSpec(1.0, q), 1e-6)._per_step is ledger._per_step
+            with pytest.raises(ValueError, match="read-only"):
+                ledger._per_step[0] = ledger._per_step[0]
 
-    @pytest.mark.parametrize("name", ["_q_table", "_penalties"])
+    @pytest.mark.parametrize("name", ["_q_table", "_penalties", "_per_step"])
     def test_caches_are_bounded(self, name):
         cache = getattr(accountant, name)
         maxsize = cache.cache_info().maxsize
@@ -637,9 +665,90 @@ class TestCaches:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             accountant._q_table.cache_clear()
+            accountant._per_step.cache_clear()
             assert all(r == math.inf for r in accountant._per_step(MechanismSpec(1e-200, q)))
             assert epsilon_for(1e-200, q, 1, 1e-5) == math.inf
             assert calibrate_sigma(1e300, 1e-5, q, 1) == 1e-4
+
+
+# dp-small's plan (target epsilon, delta, q, steps), and the same plan at
+# epsilon 1, whose search doubles sigma past 1.
+MEMO_PLANS = ((10.0, 1e-5, 32 / 1440, 180), (1.0, 1e-5, 32 / 1440, 180))
+
+
+class TestPerStepMemo:
+    """Each (sigma, q) curve is evaluated once per process and reused with the same bits."""
+
+    @pytest.mark.parametrize("plan", MEMO_PLANS)
+    def test_second_calibration_evaluates_no_curve(self, plan, curve_calls):
+        sigma = calibrate_sigma(*plan)
+        assert len(curve_calls) >= 15
+        curve_calls.clear()
+        again = calibrate_sigma(*plan)
+        assert curve_calls == []
+        assert _bits(again) == _bits(sigma)
+
+    def test_epsilon_one_plan_searches_past_sigma_one(self):
+        assert calibrate_sigma(*MEMO_PLANS[1]) > 1.0
+
+    @pytest.mark.parametrize("q", [32 / 1440, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-200, 0.616, 1.0, 3.0])
+    def test_recomputed_curve_has_the_cached_bytes(self, sigma, q):
+        cached = accountant._per_step(MechanismSpec(sigma, q))
+        assert accountant._per_step(MechanismSpec(sigma, q)) is cached
+        accountant._per_step.cache_clear()
+        recomputed = accountant._per_step(MechanismSpec(sigma, q))
+        assert recomputed is not cached
+        assert recomputed.tobytes() == cached.tobytes()
+
+    def test_refusals_are_not_cached(self, curve_calls):
+        for _ in range(2):
+            with pytest.raises(CalibrationError):
+                calibrate_sigma(0.001, 1e-5, 0.5, 10**5)
+            with pytest.raises(CalibrationError):
+                calibrate_sigma(0.01, 1e-5, 1.0, 1)
+            with pytest.raises(ValueError, match="sigma must be"):
+                PrivacyLedger(MechanismSpec(-1.0, 0.5))
+            with pytest.raises(ValueError, match="delta must be"):
+                PrivacyLedger(MechanismSpec(1.0, 0.5), delta=0.0)
+            with pytest.raises(ValueError, match="target epsilon"):
+                calibrate_sigma(-1.0, 1e-5, 0.5, 10)
+            with pytest.raises(ValueError, match="negative number of steps"):
+                epsilon_for(1.0, 0.5, -1, 1e-5)
+        # The second round read every curve it needed from the memo.
+        assert len(curve_calls) == len(set(curve_calls))
+
+    @pytest.mark.parametrize("q", [32 / 1440, 1.0])
+    def test_equal_sigmas_of_any_type_share_one_entry(self, q, curve_calls):
+        curves = [
+            accountant._per_step(MechanismSpec(sigma, q)) for sigma in (1, 1.0, np.float64(1.0))
+        ]
+        assert curves[1] is curves[0] and curves[2] is curves[0]
+        assert accountant._per_step.cache_info().currsize == 1
+        assert len(curve_calls) == (q < 1)
+        ledgers = [PrivacyLedger(MechanismSpec(sigma, q)) for sigma in (1, 1.0, np.float64(1.0))]
+        for ledger in ledgers:
+            ledger.advance(180)
+        assert len({repr(ledger.curve()) for ledger in ledgers}) == 1
+        assert len({_bits(ledger.spent().epsilon).item() for ledger in ledgers}) == 1
+
+    def test_second_run_of_a_plan_evaluates_no_curve(self, curve_calls):
+        config = RunConfig(n=400, dim=6, widths=(8, 1), epochs=2, noise_placement="on-sum")
+        first = train(config)
+        assert len(curve_calls) >= 15
+        curve_calls.clear()
+        second = train(
+            dataclasses.replace(config, seed_model=11, seed_data=12, seed_poisson=13, seed_noise=14)
+        )
+        assert curve_calls == []
+        assert _bits(second.sigma) == _bits(first.sigma)
+        assert second.numerics() != first.numerics()
+
+    def test_nonprivate_run_touches_no_curve(self, curve_calls):
+        train(RunConfig(n=400, dim=6, widths=(8, 1), epochs=2, privacy="off", target_eps=None))
+        assert curve_calls == []
+        info = accountant._per_step.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
 
 
 class TestStepCounts:
