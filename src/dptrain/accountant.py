@@ -330,17 +330,14 @@ def calibrate_sigma(target_eps: float, delta: float, q: float, steps: int) -> fl
     tolerance of 1e-3; the returned sigma always satisfies
     epsilon(sigma) <= target_eps, so re-running the forward accountant on it
     cannot overshoot. Raises :class:`CalibrationError` when even the ceiling
-    cannot reach the target.
+    cannot reach the target. A delta or q out of range raises ``ValueError``
+    from the first ``epsilon_for`` call, whose ledger checks both.
     """
     if not target_eps > 0:
         raise ValueError(f"target epsilon must be positive, got {target_eps}")
     steps = operator.index(steps)
     if steps < 1:
         raise ValueError(f"calibration needs at least one step, got {steps}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < q <= 1:
-        raise ValueError(f"sampling probability must be in (0, 1], got {q}")
 
     lo = _SIGMA_SEARCH_FLOOR
     if epsilon_for(lo, q, steps, delta) <= target_eps:

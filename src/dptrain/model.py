@@ -120,10 +120,10 @@ class Model:
     tuple of shaped views over it. Both are made once, in the constructor,
     and last the model's life: updates write new values into the vector, so
     the views always read the current parameters. A caller that wants a
-    snapshot copies. A gradient of this model is a flat ``[P]`` vector in
-    the same layout. The constructor checks that the layers name every
+    snapshot copies. The constructor checks that the layers name every
     slot, ``0, 1, 2, ...`` in layer order, with the shapes they imply.
     Freezing is one boundary: the first ``frozen_slots`` slots are frozen.
+    A gradient is a flat ``[T]`` vector over the trainable tail alone.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None):
@@ -206,9 +206,9 @@ class Model:
         return self._offsets[self._frozen]
 
     def trainable_spans(self) -> list[tuple[int, int]]:
-        """Column ranges of the trainable slots in the flat vector, one per slot, in slot order."""
-        offsets = self._offsets
-        return list(zip(offsets[self._frozen:-1], offsets[self._frozen + 1:]))
+        """Column ranges of the trainable slots in a ``[T]`` gradient (from 0), in slot order."""
+        start, offsets = self.trainable_start, self._offsets[self._frozen:]
+        return [(lo - start, hi - start) for lo, hi in zip(offsets, offsets[1:])]
 
     def forward(self, x) -> np.ndarray:
         """Logits of a batch through the layer kernels, a float64 ``[B]`` vector.
@@ -219,12 +219,7 @@ class Model:
         data = np.asarray(x, dtype=np.float64)
         if data.ndim == 1:
             data = data.reshape(1, -1)
-        if data.ndim != 2 or data.shape[1] != self.input_dim:
-            raise ShapeMismatchError(
-                f"input of shape {np.asarray(x).shape} does not match "
-                f"input layer width {self.input_dim}"
-            )
-        return _kernel_forward(self, data, [])  # nothing to differentiate
+        return _kernel_forward(self, _input_rows(self, data), [])  # nothing to differentiate
 
     @property
     def parameter_vector(self) -> np.ndarray:
@@ -412,6 +407,16 @@ def _kernel_forward(model: Model, h: np.ndarray, saved: list) -> np.ndarray:
     return h.reshape(h.shape[0])
 
 
+def _input_rows(model: Model, xs) -> np.ndarray:
+    """``xs`` as a float64 ``[B, input_dim]`` batch; ``ShapeMismatchError`` for any other shape."""
+    xa = np.asarray(xs, dtype=np.float64)
+    if xa.ndim != 2 or xa.shape[1] != model.input_dim:
+        raise ShapeMismatchError(
+            f"input of shape {xa.shape} does not match input layer width {model.input_dim}"
+        )
+    return xa
+
+
 def _binary_labels(ys, size: int) -> np.ndarray:
     """``ys`` as a flat float64 vector of ``size`` labels, each 0 or 1."""
     ya = np.asarray(ys, dtype=np.float64).reshape(-1)
@@ -431,26 +436,21 @@ class _LayerPass:
     keeps a unit row axis instead. The chain walks all rows through the
     pullbacks once (loss, sigmoid, ``g @ W.T``, the ReLU mask, group norm)
     and keeps, for each trainable layer from the last, its
-    ``(cols, bias_cols, h, g, shape)``: the tail-relative column slices of
+    ``(cols, bias_cols, h, g, shape)``: the ``Model.trainable_spans`` of
     its weight (or scale) and its bias (or shift), its saved input ``h``
     (the normalized input for a norm layer), its output cotangent ``g`` and
     its weight shape (``None`` for a norm layer). A backward pass then only
-    writes those pairs into the flat layout. Frozen parameters get no
-    gradient work and no columns: the chain stops at the layer whose first
-    slot is ``Model.frozen_slots``, and gradients cover the trainable tail
-    ``[Model.trainable_start:]``, T columns, of the model as it was frozen
-    when the pass was built. Non-finite forward values raise
+    writes those pairs into ``[T]`` gradients over the trainable tail of
+    the model as it was frozen when the pass was built. Frozen parameters
+    get no gradient work and no columns: the chain stops at the layer whose
+    first slot is ``Model.frozen_slots``. Non-finite forward values raise
     ``FloatingPointError``.
     """
 
     _rowwise = False
 
     def __init__(self, model: Model, xs, ys):
-        xa = np.asarray(xs, dtype=np.float64)
-        if xa.ndim != 2 or xa.shape[1] != model.input_dim:
-            raise ShapeMismatchError(
-                f"input of shape {xa.shape} does not match input layer width {model.input_dim}"
-            )
+        xa = _input_rows(model, xs)
         ya = _binary_labels(ys, xa.shape[0])
         if any(layer.mixes_samples for layer in model.layers):
             raise ModelValidationError("batch-coupled normalization cannot be traced")
@@ -463,13 +463,12 @@ class _LayerPass:
         probs = _sigmoid(_kernel_forward(model, xa[:, None, :] if self._rowwise else xa, saved))
         self.losses, bce_saved = _bce(probs, ya)
 
-        offsets = model.parameter_offsets()
         frozen = model.frozen_slots
-        start = offsets[frozen]  # Model.trainable_start
-        self._width = offsets[-1] - start
+        spans = model.trainable_spans()
+        self._width = spans[-1][1]  # T
 
         def cols(slot):
-            return slice(offsets[slot] - start, offsets[slot + 1] - start)
+            return slice(*spans[slot - frozen])
 
         # The autodiff chain (loss, then sigmoid); the fused p - y rounds differently.
         dp = _bce_pullback(*bce_saved)
@@ -550,15 +549,15 @@ class PerSampleBatch(_LayerPass):
 
 
 def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
-    """Mean loss over a non-empty batch and its gradient, a flat float64 ``[P]`` vector.
+    """Mean loss over a non-empty batch and its gradient, a flat float64 ``[T]`` vector.
 
-    The gradient is laid out like ``Model.parameter_vector``. Loss and
-    trainable entries equal reverse-mode autodiff over the batch graph bit
-    for bit; frozen parameters get zeros. Labels must be 0 or 1, one per sample.
+    The gradient covers the trainable tail: entry j is that of flat
+    parameter ``Model.trainable_start + j``, and frozen parameters have no
+    entries. Loss and gradient equal reverse-mode autodiff over the batch
+    graph bit for bit. Labels must be 0 or 1, one per sample.
     """
     kernels = _LayerPass(model, xs, ys)
-    flat = np.zeros(model.num_parameters())
-    tail = flat[model.trainable_start:]
+    tail = np.zeros(kernels._width)
     # Reduced over the batch as the batch graph reduces: h.T @ g for weights, sums for the rest.
     for cols, bias_cols, h, g, shape in kernels._chain:
         if shape is None:
@@ -566,7 +565,7 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
         else:
             np.matmul(h.T, g, out=tail[cols].reshape(shape))
         tail[bias_cols] = g.sum(axis=0)
-    return float(kernels.losses.mean()), flat
+    return float(kernels.losses.mean()), tail
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:

@@ -8,43 +8,44 @@ which is always safe to charge). It samples at the ledger's q and adds
 noise at its sigma, so it releases exactly what the ledger charges for.
 
 All per-sample gradients come from one batched pass of the layer kernels
-(:class:`~dptrain.model.PerSampleBatch`) as rows over the trainable tail of
-the flat parameter vector, ``[B, T]`` for B samples and T trainable of P
-parameters; frozen columns are never allocated, written, divided or
+(:class:`~dptrain.model.PerSampleBatch`) as rows over the trainable tail
+of the flat parameter vector, ``[B, T]`` for B samples and T trainable
+of P parameters; frozen columns are never allocated, written, divided or
 summed. Clipping (``mechanisms.clip_rows``) and summing work on those
-rows, and ``mechanisms.gaussian_noise`` draws the released ``[P]``
-vector. Each sample runs through the same numpy kernels as reverse-mode
-autodiff over its own one-row graph, so parameters, Adam moments and the
-step's outcome are bit-identical to clipping and summing such one-sample
-gradients one by one, the test suite's reference step. The backward
-chain (every pullback, down to each trainable layer's input and output
-cotangent) runs once for the whole batch; rows are then written, clipped
-and summed ``ROW_BLOCK_BYTES`` at a time in one reused buffer, so a block
-stays in cache across those passes and the step's memory is bounded
-whatever the batch size. The kernels keep
-each element's IEEE operations and spend few numpy calls on them: one
-einsum per weight block, one BLAS dot per row and span for the norms, a
-divide only for the rows that clip, and the outcome statistics straight
-from ufunc reductions (``np.add.reduce(x) / B`` is ``np.mean``'s own sum
-and divide).
+rows, and ``mechanisms.gaussian_noise`` draws a ``[P]`` vector whose
+``[T]`` tail carries the release. Each sample runs through the same
+numpy kernels as reverse-mode autodiff over its own one-row graph, so
+parameters, Adam moments and the step's outcome are bit-identical to
+clipping and summing such one-sample gradients one by one, the test
+suite's reference step. The backward chain (every pullback, down to each
+trainable layer's input and output cotangent) runs once for the whole
+batch; rows are then written, clipped and summed ``ROW_BLOCK_BYTES`` at
+a time in one reused buffer, so a block stays in cache across those
+passes and the step's memory is bounded whatever the batch size. The
+kernels keep each element's IEEE operations and spend few numpy calls on
+them: one einsum per weight block, one BLAS dot per row and span for the
+norms, a divide only for the rows that clip, and the outcome statistics
+straight from ufunc reductions (``np.add.reduce(x) / B`` is
+``np.mean``'s own sum and divide).
 
-The Adam moments are flat ``[P]`` vectors laid out like
-``Model.parameter_vector``. Frozen slots lead that vector
-(``Model.frozen_slots``), so one update runs a few whole-vector operations
-over the trainable tail and writes it into the model's parameter vector in
-place; frozen parameters and their moments are never written. Every
-operation is the per-slot formula's own elementwise IEEE operation, so
-trainable parameters and their moments are bit-identical to updating slot
-by slot. Clipping and the noisy gradient's norm read ``Model.trainable_spans``.
+Every gradient is a flat ``[T]`` vector over the trainable tail
+``[Model.trainable_start:]``, whose slot columns ``Model.trainable_spans``
+gives. The Adam moments are ``[P]`` vectors laid out like
+``Model.parameter_vector``, so a model frozen after some steps keeps its
+state; one update runs a few whole-vector operations over their tails and
+the parameters' in place, and frozen parameters and their moments are
+never written. Every operation is the per-slot formula's own elementwise
+IEEE operation, so trainable parameters and their moments are
+bit-identical to updating slot by slot.
 
 The update rule is bias-corrected Adam (Kingma & Ba 2015) with its usual
 constants: w = m_hat / (sqrt(u_hat) + 1e-8), where m_hat = m / (1 - 0.9^t)
 and u_hat = u / (1 - 0.999^t); only the learning rate is set per run.
 
-``adam_step`` is the one Adam update. The private step hands it the released
-noisy ``[P]`` vector; the non-private step hands it ``model.batch_gradient``'s
-flat full-batch gradient as it is (a ledger at sigma = 0 and q = 1 with a
-non-binding clip reproduces that step exactly).
+``adam_step`` is the one Adam update. The private step hands it the noisy
+``[T]`` vector it releases, no more; the non-private step hands it
+``model.batch_gradient``'s full-batch gradient as it is (a ledger at
+sigma = 0 and q = 1 with a non-binding clip reproduces that step exactly).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from . import mechanisms
 from .accountant import PrivacyLedger
 from .mechanisms import NOISE_PLACEMENTS, ClipSpec, clip_rows
 from .model import Model, ModelValidationError, PerSampleBatch, ShapeMismatchError, validate_model
-from .model import _binary_labels
+from .model import _binary_labels, _input_rows
 
 __all__ = [
     "DpAdamState",
@@ -138,35 +139,34 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"population size must be >= 0, got {n}")
     if not 0 <= p <= 1:
         raise ValueError(f"subsample probability must be in [0, 1], got {p}")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     mask = rng.random(n) < p
     return np.flatnonzero(mask)
 
 
 def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
-    """One Adam update of the trainable tail from a flat float64 ``[P]`` gradient.
+    """One Adam update of the trainable tail from a flat float64 ``[T]`` gradient.
 
-    ``grad`` is laid out like ``Model.parameter_vector``; anything else, or
-    ``state.m`` or ``state.u`` of another shape, raises
+    ``grad`` covers ``Model.parameter_vector[lo:]``, ``lo`` being
+    ``Model.trainable_start``; any other gradient, or ``state.m`` or
+    ``state.u`` not shaped like the parameter vector, raises
     ``ShapeMismatchError`` before the step count, the moments or the
-    parameters change. The frozen slots lead the vector, so the tail
-    ``[lo:]`` holds every trainable parameter, and the update writes it in
-    place; frozen parameters and their moments are never written, whatever
-    ``grad`` holds there. Each line is the per-slot formula's own IEEE
-    operation, applied to the whole tail:
+    parameters change. The update writes the ``[lo:]`` tails of the
+    parameters and moments in place. Each line is the per-slot formula's
+    own IEEE operation, applied to the whole tail:
     ``m *= beta1; m += (1 - beta1) * g`` is ``beta1 * m + (1 - beta1) * g``.
     """
     params = model.parameter_vector
+    lo = model.trainable_start
     if not isinstance(grad, np.ndarray) or grad.dtype != np.float64:
         raise ShapeMismatchError("the gradient must be a float64 ndarray")
-    if not grad.shape == state.m.shape == state.u.shape == params.shape:
-        raise ShapeMismatchError("gradient or moments not aligned with the parameter vector")
+    if grad.shape != params[lo:].shape:
+        raise ShapeMismatchError("the gradient must cover exactly the trainable tail")
+    if not state.m.shape == state.u.shape == params.shape:
+        raise ShapeMismatchError("moments not aligned with the parameter vector")
     state.t += 1
     c1 = 1.0 - _BETA1 ** state.t
     c2 = 1.0 - _BETA2 ** state.t
-    lo = model.trainable_start
-    g, m, u = grad[lo:], state.m[lo:], state.u[lo:]
+    g, m, u = grad, state.m[lo:], state.u[lo:]
     m *= _BETA1
     m += (1.0 - _BETA1) * g
     u *= _BETA2
@@ -208,11 +208,7 @@ def dp_adam_step(
         raise ModelValidationError(
             "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
         )
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.input_dim:
-        raise ShapeMismatchError(
-            f"input of shape {xs.shape} does not match input layer width {model.input_dim}"
-        )
+    xs = _input_rows(model, xs)
     ys = _binary_labels(ys, xs.shape[0])
     if noise_placement not in NOISE_PLACEMENTS:
         raise ValueError(f"unknown noise placement {noise_placement!r}")
@@ -243,11 +239,10 @@ def dp_adam_step(
     else:
         released += clipped_sum
         released /= batch.size
-    adam_step(model, flat, state)
-    # Frozen slots count as zeros, which add exactly nothing to the norm.
+    adam_step(model, released, state)
     noisy_sq = 0.0
     for lo, hi in model.trainable_spans():
-        noisy_sq += np.dot(flat[lo:hi], flat[lo:hi])
+        noisy_sq += np.dot(released[lo:hi], released[lo:hi])
     return StepOutcome(
         applied=True,
         batch_size=batch.size,
@@ -272,9 +267,8 @@ def _clipped_sum(batch: PerSampleBatch, clip: ClipSpec) -> tuple[np.ndarray, np.
     every later row are the same sequential additions as a row loop.
     """
     model = batch.model
-    start = model.trainable_start
-    spans = [(lo - start, hi - start) for lo, hi in model.trainable_spans()]
-    width = model.num_parameters() - start
+    spans = model.trainable_spans()
+    width = model.num_parameters() - model.trainable_start
     per_block = min(batch.size, max(1, ROW_BLOCK_BYTES // (8 * width)))
     rows = np.empty((per_block, width))
     norms = np.empty(batch.size)

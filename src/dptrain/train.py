@@ -27,7 +27,7 @@ from .accountant import MechanismSpec, PrivacyLedger, calibrate_sigma
 from .config import RunConfig, SweepGrid
 from .data import Dataset, load_csv_dataset, synthetic_dataset
 from .mechanisms import ClipSpec
-from .model import Model, accuracy, batch_gradient, build_mlp, validate_model
+from .model import Model, accuracy, batch_gradient, build_mlp
 from .optim import DpAdamState, adam_step, dp_adam_step
 
 __all__ = [
@@ -267,9 +267,6 @@ def train(config: RunConfig) -> TrainReport:
     started = time.perf_counter()
     split = split_dataset(config)
     model = _build_model(config, split.train.dim)
-    report = validate_model(model)
-    if not report.ok:
-        raise ValueError("model failed validation: " + "; ".join(v.reason for v in report.violations))
 
     steps_per_epoch = math.ceil(len(split.train) / config.batch_size)
     sigma = target = achieved = optimal_alpha = delta = ledger = None

@@ -552,8 +552,13 @@ def per_slot_adam_update(model, state, vbar) -> None:
 
 
 def per_slot_adam_step(model, grad: np.ndarray, state) -> None:
-    """``dptrain.optim.adam_step`` on the per-slot update oracle, from a flat ``[P]`` gradient."""
-    per_slot_adam_update(model, state, masked(slot_views(model, grad), model.trainable))
+    """``dptrain.optim.adam_step`` on the per-slot update oracle, from a flat ``[T]`` gradient.
+
+    Frozen slots get zero gradients.
+    """
+    full = np.zeros(model.num_parameters())
+    full[model.trainable_start:] = grad
+    per_slot_adam_update(model, state, slot_views(model, full))
 
 
 def flat(grad) -> np.ndarray:

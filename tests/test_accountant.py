@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -293,6 +294,18 @@ class TestCalibration:
     def test_rejects_nan_target(self):
         with pytest.raises(ValueError, match="target epsilon"):
             calibrate_sigma(math.nan, 1e-5, 0.01, 100)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match=re.escape(f"delta must be in (0, 1), got {delta}")):
+            calibrate_sigma(1.0, delta, 0.01, 100)
+
+    @pytest.mark.parametrize("q", [0.0, 1.5, math.nan])
+    def test_rejects_bad_sampling_probability(self, q):
+        with pytest.raises(
+            ValueError, match=re.escape(f"sampling probability must be in (0, 1], got {q}")
+        ):
+            calibrate_sigma(1.0, 1e-5, q, 100)
 
 
 class TestClassicGaussianSigma:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
     PerSampleBatch,
     ShapeMismatchError,
+    accuracy,
     batch_gradient,
     build_mlp,
 )
@@ -48,6 +50,14 @@ class TestPoissonSubsample:
         with pytest.raises(ValueError):
             poisson_subsample(10, 1.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_empty_population_draws_nothing(self, p):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        idx = poisson_subsample(0, p, rng)
+        assert idx.dtype == np.int64 and idx.shape == (0,)
+        assert rng.bit_generator.state == before
+
 
 class TestReferenceAdam:
     def test_quadratic_bowl_converges(self):
@@ -74,8 +84,8 @@ class TestReferenceAdam:
         state = DpAdamState.for_model(model, lr=0.1)
         g = np.random.default_rng(3).normal(size=model.num_parameters())
         before = model.parameter_vector.copy()
-        adam_step(model, g, state)
         lo = model.trainable_start
+        adam_step(model, g[lo:], state)
         expected = before[lo:] - 0.1 * g[lo:] / (np.abs(g[lo:]) + 1e-8)
         np.testing.assert_allclose(model.parameter_vector[lo:], expected, rtol=1e-12, atol=0)
         assert_same_bits(model.parameter_vector[:lo], before[:lo])
@@ -138,6 +148,23 @@ class TestReferenceAdam:
             assert_same_bits(state.u, u)
             assert model.parameter_vector is params
             assert_same_bits(params, kept)
+
+    def test_frozen_model_refuses_a_full_width_gradient(self):
+        model = build_mlp([3, 4, 4, 1], seed=2)
+        model.set_freeze_prefix(1)
+        state = DpAdamState.for_model(model, lr=0.1)
+        lo = model.trainable_start
+        g = np.random.default_rng(3).normal(size=model.num_parameters())
+        adam_step(model, g[lo:], state)  # non-zero moments to compare
+        params, m, u = model.parameter_vector, state.m.copy(), state.u.copy()
+        kept = params.copy()
+        with pytest.raises(ShapeMismatchError, match="trainable tail"):
+            adam_step(model, g, state)
+        assert state.t == 1
+        assert_same_bits(state.m, m)
+        assert_same_bits(state.u, u)
+        assert model.parameter_vector is params
+        assert_same_bits(params, kept)
 
     def test_state_fields_are_the_moments_rate_and_step(self):
         assert [f.name for f in dataclasses.fields(DpAdamState)] == ["m", "u", "lr", "t"]
@@ -232,6 +259,46 @@ class TestDpAdamStep:
         applied = sum(o.applied for o in outcomes)
         assert 0 < applied < len(outcomes)
         assert calls == [(model.num_parameters(), 1.3 * 0.7)] * applied
+
+    @pytest.mark.parametrize("placement", ["after-mean", "on-sum"])
+    def test_adam_step_receives_exactly_the_release(self, placement, monkeypatch):
+        # On a frozen model the update reads the [T] release and nothing of
+        # the frozen columns' unreleased noise. The release is rebuilt from
+        # the same generator states: the full-width clipped row loop and the
+        # tail of the [P] draw.
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
+        model.set_freeze_prefix(1)
+        start = model.trainable_start
+        sigma, clip, q = 1.3, 0.7, 0.5
+        indices = poisson_subsample(16, q, np.random.default_rng(4))
+        assert indices.size > 1
+        _, rows = per_sample_gradients(model, self.xs[indices], self.ys[indices])
+        clip_rows(rows[:, start:], model.trainable_spans(), ClipSpec(clip))
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        noise = mechanisms.gaussian_noise(
+            model.num_parameters(), sigma * clip, np.random.default_rng(5)
+        )
+        if placement == "after-mean":
+            expected = noise[start:] + total[start:] / indices.size
+        else:
+            expected = (noise[start:] + total[start:]) / indices.size
+
+        recorded = []
+        update = optim.adam_step
+
+        def record(model, grad, state):
+            recorded.append(grad.copy())
+            update(model, grad, state)
+
+        monkeypatch.setattr(optim, "adam_step", record)
+        outcomes, _ = run_dp(model, self.xs, self.ys, 1, sigma=sigma, clip=clip, p=q, seed=4,
+                             placement=placement)
+        assert outcomes[0].batch_size == indices.size
+        assert len(recorded) == 1
+        assert recorded[0].shape == (model.num_parameters() - start,)
+        assert_same_bits(recorded[0], expected)
 
     def test_ledger_counts_every_step(self):
         model = build_mlp([5, 4, 1], seed=2)
@@ -428,7 +495,7 @@ class TestClippedSum:
         clip = ClipSpec(0.3)
 
         _, rows = per_sample_gradients(model, xs, ys)
-        ref_norms = clip_rows(rows, model.trainable_spans(), clip)
+        ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
         ref = rows[0].copy()
         for row in rows[1:]:
             ref += row
@@ -462,7 +529,7 @@ class TestClippedSum:
         width = model.num_parameters() - start
         clip = ClipSpec(12.0)  # 5 of the 10 rows clip
         _, rows = per_sample_gradients(model, xs, ys)
-        ref_norms = clip_rows(rows, model.trainable_spans(), clip)
+        ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
         ref = rows[0].copy()
         for row in rows[1:]:
             ref += row
@@ -709,3 +776,43 @@ class TestPrivateStepFailures:
         ys[5] = label
         self.assert_refused_before_charge(step, ValueError, "label must be 0 or 1", self.xs, 0.1,
                                           ys=ys)
+
+
+class TestInputWidthCheck:
+    """Every entry point that reads a batch refuses a wrong width with one message."""
+
+    @pytest.mark.parametrize(
+        "call,xs,shape",
+        [
+            ("forward", np.zeros((2, 5)), (2, 5)),
+            ("forward", np.zeros(5), (1, 5)),  # a 1-D sample is promoted to a row first
+            ("accuracy", np.zeros((2, 5)), (2, 5)),
+            ("batch_gradient", np.zeros((2, 5)), (2, 5)),
+            ("PerSampleBatch", np.zeros((2, 5)), (2, 5)),
+            ("dp_adam_step", np.zeros((2, 5)), (2, 5)),
+            ("dp_adam_step", np.zeros((2, 4, 1)), (2, 4, 1)),
+        ],
+        ids=["forward", "forward-1d", "accuracy", "batch_gradient", "PerSampleBatch",
+             "dp_adam_step", "dp_adam_step-3d"],
+    )
+    def test_same_message_before_the_draw_and_the_charge(self, call, xs, shape):
+        model = build_mlp([4, 8, 1], seed=0)
+        ys = np.array([0.0, 1.0])
+        state = DpAdamState.for_model(model, lr=0.05)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        poisson_rng, noise_rng = np.random.default_rng(0), np.random.default_rng(1)
+        before = (poisson_rng.bit_generator.state, noise_rng.bit_generator.state)
+        calls = {
+            "forward": lambda: model.forward(xs),
+            "accuracy": lambda: accuracy(model, xs, ys),
+            "batch_gradient": lambda: batch_gradient(model, xs, ys),
+            "PerSampleBatch": lambda: PerSampleBatch(model, xs, ys),
+            "dp_adam_step": lambda: dp_adam_step(
+                model, xs, ys, state, ClipSpec(1.0), ledger, poisson_rng, noise_rng
+            ),
+        }
+        message = f"input of shape {shape} does not match input layer width 4"
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            calls[call]()
+        assert ledger.step_count == 0 and state.t == 0
+        assert (poisson_rng.bit_generator.state, noise_rng.bit_generator.state) == before
