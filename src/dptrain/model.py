@@ -4,7 +4,7 @@ Models here are built so the gradient of one sample's loss never depends on
 other samples in a batch: dense layers, activations and group normalization
 all operate strictly within a sample. A deliberately batch-coupled
 normalization layer is included as a negative example; ``validate_model``
-flags it and the DP optimizer refuses to step such a model.
+flags it, and no gradient is computed through such a model.
 
 Every training and evaluation path runs the layer kernels: one forward
 pass, and one backward chain over the whole batch whose per-layer input and
@@ -12,8 +12,8 @@ cotangent pairs are written per sample or reduced per batch. The test
 suite checks them against an autodiff oracle and finite differences; the
 numpy kernels they share with that oracle (sigmoid, loss, group norm and
 their pullbacks) live here. A ``Model`` owns its parameter layout, and
-freezing is one boundary in it: the trainable parameters are always one
-tail of the flat vector.
+freezing is one boundary in it, fixed when the model is built: the
+trainable parameters are always one tail of the flat vector.
 """
 
 from __future__ import annotations
@@ -122,11 +122,16 @@ class Model:
     the views always read the current parameters. A caller that wants a
     snapshot copies. The constructor checks that the layers name every
     slot, ``0, 1, 2, ...`` in layer order, with the shapes they imply.
-    Freezing is one boundary: the first ``frozen_slots`` slots are frozen.
-    A gradient is a flat ``[T]`` vector over the trainable tail alone.
+
+    ``freeze_prefix = k`` freezes the layers before the ``(k + 1)``-th
+    dense layer for the model's life (the output layer never freezes; a
+    norm layer freezes with the dense layer before it, whatever its kind,
+    and one before the first dense layer whenever ``k >= 1``). So the first
+    ``frozen_slots`` slots are frozen, and a gradient is a flat ``[T]``
+    vector over the trainable tail ``parameter_vector[trainable_start:]``.
     """
 
-    def __init__(self, layers, parameters, seed: int | None = None):
+    def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
         self.layers = tuple(layers)
         arrays = [np.asarray(p, dtype=np.float64) for p in parameters]
         named = [pair for layer in self.layers for pair in _layer_slots(layer)]
@@ -138,14 +143,20 @@ class Model:
         for s, shape in named:
             if arrays[s].shape != shape:
                 raise ShapeMismatchError(f"slot {s} has shape {arrays[s].shape}, not {shape}")
+        dense = [l for l in self.layers if isinstance(l, DenseLayer)]
+        _check_freeze_prefix(freeze_prefix, len(dense))
         self._shapes = tuple(a.shape for a in arrays)
         offsets = [0]
         for a in arrays:
             offsets.append(offsets[-1] + a.size)
         self._offsets = tuple(offsets)
-        self._frozen = 0
         self.seed = seed
-        self.freeze_prefix = 0
+        self._freeze_prefix = freeze_prefix
+        # Slots run 0, 1, 2, ... in layer order: the layers before a dense
+        # layer name exactly the slots below its weight slot.
+        self._frozen = dense[freeze_prefix].weight_slot if freeze_prefix else 0
+        tail = offsets[self._frozen:]
+        self._spans = tuple((lo - tail[0], hi - tail[0]) for lo, hi in zip(tail, tail[1:]))
         self._vector = np.concatenate([a.reshape(-1) for a in arrays])
         self.parameters: tuple[np.ndarray, ...] = tuple(
             self._vector[offsets[s]:offsets[s + 1]].reshape(shape)
@@ -173,22 +184,10 @@ class Model:
         """
         return self._offsets
 
-    def set_freeze_prefix(self, k: int) -> None:
-        """Freeze every slot of the layers before the ``(k + 1)``-th dense layer.
-
-        Mirrors fine-tuning depth experiments: ``k = 0`` freezes nothing,
-        larger ``k`` leaves only the later layers trainable. The output layer
-        can never be frozen. A norm layer freezes with the dense layer before
-        it, whatever its kind: a ``batch_norm`` after a frozen dense layer is
-        frozen, as a ``group_norm`` is. A norm layer before the first dense
-        layer is frozen whenever ``k >= 1``.
-        """
-        dense = [l for l in self.layers if isinstance(l, DenseLayer)]
-        _check_freeze_prefix(k, len(dense))
-        self.freeze_prefix = k
-        # Slots run 0, 1, 2, ... in layer order: the layers before a dense
-        # layer name exactly the slots below its weight slot.
-        self._frozen = dense[k].weight_slot if k else 0
+    @property
+    def freeze_prefix(self) -> int:
+        """How many leading dense layers, with their norm layers, are frozen."""
+        return self._freeze_prefix
 
     @property
     def frozen_slots(self) -> int:
@@ -207,8 +206,7 @@ class Model:
 
     def trainable_spans(self) -> list[tuple[int, int]]:
         """Column ranges of the trainable slots in a ``[T]`` gradient (from 0), in slot order."""
-        start, offsets = self.trainable_start, self._offsets[self._frozen:]
-        return [(lo - start, hi - start) for lo, hi in zip(offsets, offsets[1:])]
+        return list(self._spans)
 
     def forward(self, x) -> np.ndarray:
         """Logits of a batch through the layer kernels, a float64 ``[B]`` vector.
@@ -238,7 +236,7 @@ class Model:
         self._vector[:] = np.concatenate([p.reshape(-1) for p in new_params])
 
 
-def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
+def build_mlp(widths, norm: str = "none", seed: int = 0, freeze_prefix: int = 0) -> Model:
     """Construct a fully connected binary classifier.
 
     Args:
@@ -252,6 +250,8 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
             bit-identically. Each weight block is drawn straight into its
             view of the flat parameter vector, with the same numbers as
             ``Generator.uniform(-bound, bound)``.
+        freeze_prefix: how many leading dense layers (with their norm
+            layers) stay frozen; see ``Model``.
     """
     widths = [int(w) for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
@@ -275,7 +275,7 @@ def build_mlp(widths, norm: str = "none", seed: int = 0) -> Model:
                 layers.append(GroupNormLayer(fan_out, num_groups, len(params), len(params) + 1))
                 params.extend([np.ones(fan_out), np.zeros(fan_out)])
             layers.append(ActivationLayer("relu"))
-    model = Model(layers, params, seed=seed)
+    model = Model(layers, params, seed=seed, freeze_prefix=freeze_prefix)
     rng = np.random.Generator(np.random.PCG64(seed))
     for layer in layers:
         if isinstance(layer, DenseLayer):
@@ -440,11 +440,11 @@ class _LayerPass:
     its weight (or scale) and its bias (or shift), its saved input ``h``
     (the normalized input for a norm layer), its output cotangent ``g`` and
     its weight shape (``None`` for a norm layer). A backward pass then only
-    writes those pairs into ``[T]`` gradients over the trainable tail of
-    the model as it was frozen when the pass was built. Frozen parameters
-    get no gradient work and no columns: the chain stops at the layer whose
-    first slot is ``Model.frozen_slots``. Non-finite forward values raise
-    ``FloatingPointError``.
+    writes those pairs into ``[T]`` gradients over the model's trainable
+    tail. Frozen parameters get no gradient work and no columns: the chain
+    stops at the layer whose first slot is ``Model.frozen_slots``.
+    Non-finite forward values raise ``FloatingPointError``, and a model
+    that fails ``validate_model`` raises ``ModelValidationError``.
     """
 
     _rowwise = False
@@ -452,8 +452,7 @@ class _LayerPass:
     def __init__(self, model: Model, xs, ys):
         xa = _input_rows(model, xs)
         ya = _binary_labels(ys, xa.shape[0])
-        if any(layer.mixes_samples for layer in model.layers):
-            raise ModelValidationError("batch-coupled normalization cannot be traced")
+        _require_isolation(model)
         if not self._rowwise and xa.shape[0] == 0:
             raise ValueError("batch_gradient needs at least one sample")  # the mean has none
 
@@ -621,6 +620,19 @@ def validate_model(model: Model) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _require_isolation(model: Model) -> None:
+    """Raise ``ModelValidationError`` unless ``validate_model`` passes ``model``.
+
+    Clipping bounds nothing if a layer leaks other samples' data into a
+    sample's gradient.
+    """
+    report = validate_model(model)
+    if not report.ok:
+        raise ModelValidationError(
+            "refusing to compute gradients: " + "; ".join(v.reason for v in report.violations)
+        )
+
+
 _CHECKPOINT_FORMAT = "dptrain-model"
 _CHECKPOINT_VERSION = 1
 
@@ -670,7 +682,7 @@ def load_checkpoint(path) -> Model:
         np.array(flat, dtype=np.float64).reshape(shape)
         for flat, shape in zip(doc["params"], doc["param_shapes"], strict=True)
     ]
-    model = Model(layers, params, seed=doc.get("seed"))
-    if doc.get("freeze_prefix"):
-        model.set_freeze_prefix(int(doc["freeze_prefix"]))
-    return model
+    freeze_prefix = doc.get("freeze_prefix", 0)
+    if type(freeze_prefix) is not int:  # excludes bool: JSON true and false are not integers
+        raise ValueError(f"checkpoint field freeze_prefix must be an integer, got {freeze_prefix!r}")
+    return Model(layers, params, seed=doc.get("seed"), freeze_prefix=freeze_prefix)

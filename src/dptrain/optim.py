@@ -30,13 +30,12 @@ straight from ufunc reductions (``np.add.reduce(x) / B`` is
 
 Every gradient is a flat ``[T]`` vector over the trainable tail
 ``[Model.trainable_start:]``, whose slot columns ``Model.trainable_spans``
-gives. The Adam moments are ``[P]`` vectors laid out like
-``Model.parameter_vector``, so a model frozen after some steps keeps its
-state; one update runs a few whole-vector operations over their tails and
-the parameters' in place, and frozen parameters and their moments are
-never written. Every operation is the per-slot formula's own elementwise
-IEEE operation, so trainable parameters and their moments are
-bit-identical to updating slot by slot.
+gives; a model's freeze boundary is fixed when it is built. The Adam
+moments are ``[T]`` vectors laid out like that tail; one update runs a few
+whole-vector operations over them and the parameters' tail in place, and
+frozen parameters are never written. Every operation is the per-slot
+formula's own elementwise IEEE operation, so trainable parameters and
+their moments are bit-identical to updating slot by slot.
 
 The update rule is bias-corrected Adam (Kingma & Ba 2015) with its usual
 constants: w = m_hat / (sqrt(u_hat) + 1e-8), where m_hat = m / (1 - 0.9^t)
@@ -58,8 +57,8 @@ import numpy as np
 from . import mechanisms
 from .accountant import PrivacyLedger
 from .mechanisms import NOISE_PLACEMENTS, ClipSpec, clip_rows
-from .model import Model, ModelValidationError, PerSampleBatch, ShapeMismatchError, validate_model
-from .model import _binary_labels, _input_rows
+from .model import Model, PerSampleBatch, ShapeMismatchError
+from .model import _binary_labels, _input_rows, _require_isolation
 
 __all__ = [
     "DpAdamState",
@@ -91,10 +90,10 @@ ROW_BLOCK_BYTES = 2 << 20
 class DpAdamState:
     """Adam moments, learning rate and step count for one optimizer instance.
 
-    ``m`` and ``u`` are flat float64 ``[P]`` vectors laid out like the
-    model's ``parameter_vector``; they start at zero, and the update writes
-    them in place. ``u`` accumulates squares so it
-    stays elementwise non-negative.
+    ``m`` and ``u`` are flat float64 ``[T]`` vectors laid out like the
+    model's trainable tail, ``parameter_vector[trainable_start:]``; they
+    start at zero, and the update writes them in place. ``u`` accumulates
+    squares so it stays elementwise non-negative.
     """
 
     m: np.ndarray
@@ -112,7 +111,7 @@ class DpAdamState:
 
     @classmethod
     def for_model(cls, model: Model, lr: float) -> "DpAdamState":
-        size = model.num_parameters()
+        size = model.num_parameters() - model.trainable_start
         return cls(m=np.zeros(size), u=np.zeros(size), lr=lr)
 
 
@@ -146,27 +145,26 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     """One Adam update of the trainable tail from a flat float64 ``[T]`` gradient.
 
-    ``grad`` covers ``Model.parameter_vector[lo:]``, ``lo`` being
-    ``Model.trainable_start``; any other gradient, or ``state.m`` or
-    ``state.u`` not shaped like the parameter vector, raises
-    ``ShapeMismatchError`` before the step count, the moments or the
-    parameters change. The update writes the ``[lo:]`` tails of the
-    parameters and moments in place. Each line is the per-slot formula's
-    own IEEE operation, applied to the whole tail:
+    ``grad``, ``state.m`` and ``state.u`` all cover the tail
+    ``Model.parameter_vector[Model.trainable_start:]``; any other gradient,
+    or moments of another length (a state made for another model's
+    layout), raise ``ShapeMismatchError`` before the step count, the
+    moments or the parameters change. The update writes the moments and
+    the parameters' tail in place. Each line is the per-slot formula's own
+    IEEE operation, applied to the whole tail:
     ``m *= beta1; m += (1 - beta1) * g`` is ``beta1 * m + (1 - beta1) * g``.
     """
-    params = model.parameter_vector
-    lo = model.trainable_start
+    params = model.parameter_vector[model.trainable_start:]
     if not isinstance(grad, np.ndarray) or grad.dtype != np.float64:
         raise ShapeMismatchError("the gradient must be a float64 ndarray")
-    if grad.shape != params[lo:].shape:
+    if grad.shape != params.shape:
         raise ShapeMismatchError("the gradient must cover exactly the trainable tail")
     if not state.m.shape == state.u.shape == params.shape:
-        raise ShapeMismatchError("moments not aligned with the parameter vector")
+        raise ShapeMismatchError("moments not aligned with the trainable tail")
     state.t += 1
     c1 = 1.0 - _BETA1 ** state.t
     c2 = 1.0 - _BETA2 ** state.t
-    g, m, u = grad, state.m[lo:], state.u[lo:]
+    g, m, u = grad, state.m, state.u
     m *= _BETA1
     m += (1.0 - _BETA1) * g
     u *= _BETA2
@@ -176,7 +174,7 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     w = m / c1
     w /= den
     w *= state.lr
-    params[lo:] -= w
+    params -= w
 
 
 def dp_adam_step(
@@ -193,9 +191,9 @@ def dp_adam_step(
     """One private optimization step over the full dataset (xs, ys).
 
     The Poisson batch is drawn at ``ledger.spec.q`` and the noise scaled by
-    ``ledger.spec.sigma * clip.max_norm``. Refuses to run on a model that
-    fails ``validate_model``: per-sample clipping bounds nothing if a layer
-    leaks other samples' data into the gradient. The ledger is advanced
+    ``ledger.spec.sigma * clip.max_norm``. A model that fails
+    ``validate_model`` raises ``ModelValidationError``, as every gradient
+    path does, before the Poisson draw and the charge. The ledger is advanced
     exactly once per call, including calls whose Poisson batch is empty
     (charging an unused step never understates the privacy spent).
     Arguments it refuses (inputs of the wrong width, a label count that
@@ -203,11 +201,7 @@ def dp_adam_step(
     raise before the Poisson draw and the charge. Per-sample gradients are
     processed in ascending index order so results are reproducible.
     """
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelValidationError(
-            "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
-        )
+    _require_isolation(model)
     xs = _input_rows(model, xs)
     ys = _binary_labels(ys, xs.shape[0])
     if noise_placement not in NOISE_PLACEMENTS:

@@ -171,14 +171,6 @@ def split_dataset(config: RunConfig) -> Split:
     return Split(train=train_part, valid=valid_part, test=test)
 
 
-def _build_model(config: RunConfig, input_dim: int) -> Model:
-    widths = [input_dim, *config.widths]
-    model = build_mlp(widths, norm=config.norm, seed=config.seed_model)
-    if config.freeze_prefix:
-        model.set_freeze_prefix(config.freeze_prefix)
-    return model
-
-
 def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):
     """One ``dp_adam_step`` per call; its mean loss, or None for an empty draw."""
     clip = ClipSpec(config.clip_norm)
@@ -266,7 +258,8 @@ def train(config: RunConfig) -> TrainReport:
     """
     started = time.perf_counter()
     split = split_dataset(config)
-    model = _build_model(config, split.train.dim)
+    widths = [split.train.dim, *config.widths]
+    model = build_mlp(widths, config.norm, config.seed_model, config.freeze_prefix)
 
     steps_per_epoch = math.ceil(len(split.train) / config.batch_size)
     sigma = target = achieved = optimal_alpha = delta = ledger = None

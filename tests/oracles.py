@@ -494,7 +494,7 @@ def block_freeze_mask(model, k: int) -> list[bool]:
     """Per slot, whether it trains after freezing the first ``k`` dense blocks.
 
     A block is a dense layer plus every ``group_norm`` after it up to the
-    next dense layer, collected slot by slot. ``Model.set_freeze_prefix``
+    next dense layer, collected slot by slot. ``Model``'s ``freeze_prefix``
     states its rule as one slot boundary instead; on every ``build_mlp``
     model the two agree.
     """
@@ -524,10 +524,12 @@ def per_slot_adam_update(model, state, vbar) -> None:
     """The Adam update as one numpy expression per parameter slot.
 
     The optimizer's former implementation, kept as the bit-identity oracle
-    for its flat-vector update. Every slot is updated, frozen ones too, so
-    their moments decay under a masked (zero) gradient: both agree only
-    while a frozen slot's moments are zero, as they are when the model is
-    frozen before its first step.
+    for its flat-vector update. ``state`` holds ``[P]`` moments, laid out
+    like ``Model.parameter_vector``, where the optimizer keeps ``[T]``
+    moments over the trainable tail. Every slot is updated, frozen ones
+    too, under a masked (zero) gradient: from zero moments a frozen slot's
+    moments stay 0.0 and its parameters keep their bits, so the oracle's
+    ``[trainable_start:]`` moments and every parameter match the optimizer.
     """
     if shapes(vbar) != model.parameter_shapes():
         raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
@@ -554,7 +556,7 @@ def per_slot_adam_update(model, state, vbar) -> None:
 def per_slot_adam_step(model, grad: np.ndarray, state) -> None:
     """``dptrain.optim.adam_step`` on the per-slot update oracle, from a flat ``[T]`` gradient.
 
-    Frozen slots get zero gradients.
+    Frozen slots get zero gradients; ``state`` holds ``[P]`` moments.
     """
     full = np.zeros(model.num_parameters())
     full[model.trainable_start:] = grad
@@ -582,7 +584,8 @@ def tape_dp_adam_step(
 
     Same contract as ``dptrain.optim.dp_adam_step``, which must reproduce it
     bit for bit: the batch is drawn at ``ledger.spec.q`` and the noise
-    scaled by ``ledger.spec.sigma``. The Adam update is the per-slot oracle.
+    scaled by ``ledger.spec.sigma``. The Adam update is the per-slot oracle,
+    so ``state`` holds ``[P]`` moments.
     """
     report = validate_model(model)
     if not report.ok:

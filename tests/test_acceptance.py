@@ -204,8 +204,7 @@ def test_criterion_07_noise_calibration(monkeypatch):
     # The private step draws noise for every one of the model's P parameters;
     # [999, 999, 1] has P = 1e6, and freezing its first layer keeps the step
     # cheap. sigma * R = 2.
-    model = build_mlp([999, 999, 1], seed=0)
-    model.set_freeze_prefix(1)
+    model = build_mlp([999, 999, 1], seed=0, freeze_prefix=1)
     assert model.num_parameters() == 1_000_000
     draw = mechanisms.gaussian_noise
     draws = []
@@ -338,6 +337,27 @@ def test_invariant_trainable_depth_trend(sweep_outcome):
         )
         frozen_accs.append(train(config).test_acc)
     assert unfrozen_median >= float(np.median(frozen_accs)) - 0.02
+
+
+def test_invariant_privacy_costs_utility():
+    # Harness invariant, not a numbered criterion. On a task far from its
+    # ceiling (200 features, 1000 samples), the median test accuracy over 4
+    # seed indices, offset as the sweep offsets them, is ordered
+    # off > epsilon 10 > epsilon 1. Measured: 0.855, 0.825 and 0.675 (at one
+    # BLAS thread and at two; the widest weight span, 3,200 entries, is below
+    # OpenBLAS's threading threshold).
+    base = RunConfig(
+        n=1000, dim=200, widths=(16, 16, 1), noise_placement="on-sum", epochs=10, lr=0.01,
+    )
+    grid = SweepGrid(
+        target_eps=SWEEP_EPSILONS, clip_norms=(base.clip_norm,), freeze_prefixes=(0,),
+        seeds_per_cell=4,
+    )
+    rows = sweep(grid, base)
+    assert not [r for r in rows if r.stop_reason == "error"]
+    medians = {float(r.target_eps): float(r.test_acc) for r in rows if r.stop_reason == "median"}
+    assert medians[math.inf] >= medians[10.0] + 0.02, medians
+    assert medians[10.0] >= medians[1.0] + 0.10, medians
 
 
 @criterion(11, "bit-exact training determinism")

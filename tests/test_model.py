@@ -283,23 +283,21 @@ def test_batch_coupled_forward_works_untraced():
 
 
 def test_freeze_prefix_masks_block_params():
-    model = build_mlp([4, 8, 8, 1], norm="group:2", seed=0)
-    model.set_freeze_prefix(1)
+    model = build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=1)
     # First dense (W, b) and its norm (gamma, beta) frozen; rest trainable.
     assert model.trainable == [False, False, False, False, True, True, True, True, True, True]
-    model.set_freeze_prefix(0)
+    model = build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=0)
     assert all(model.trainable)
     with pytest.raises(ValueError):
-        model.set_freeze_prefix(3)
+        build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=3)
 
 
 @pytest.mark.parametrize("norm", ["none", "group:2"])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_freeze_prefix_matches_the_block_rule(norm, depth):
-    model = build_mlp([4] + [8] * (depth - 1) + [1], norm=norm, seed=0)
-    offsets = model.parameter_offsets()
     for k in range(depth):
-        model.set_freeze_prefix(k)
+        model = build_mlp([4] + [8] * (depth - 1) + [1], norm=norm, seed=0, freeze_prefix=k)
+        offsets = model.parameter_offsets()
         mask = block_freeze_mask(model, k)
         assert model.trainable == mask
         assert model.frozen_slots == mask.count(False)
@@ -311,8 +309,8 @@ def test_freeze_prefix_matches_the_block_rule(norm, depth):
 
 def test_freeze_prefix_on_hand_built_models():
     # A batch_norm after a frozen dense layer freezes with it (the block rule kept it trainable).
-    model = batch_coupled_mlp()
-    model.set_freeze_prefix(1)
+    coupled = batch_coupled_mlp()
+    model = Model(coupled.layers, coupled.parameters, freeze_prefix=1)
     assert model.trainable == [False] * 4 + [True] * 2
     assert block_freeze_mask(model, 1) == [False] * 2 + [True] * 4
     # A norm layer before the first dense layer freezes whenever k >= 1.
@@ -323,10 +321,9 @@ def test_freeze_prefix_on_hand_built_models():
         DenseLayer(8, 1, 4, 5),
     ]
     params = [np.ones(4), np.zeros(4), np.ones((4, 8)), np.zeros(8), np.ones((8, 1)), np.zeros(1)]
-    model = Model(layers, params)
-    model.set_freeze_prefix(1)
+    model = Model(layers, params, freeze_prefix=1)
     assert model.trainable == [False] * 4 + [True] * 2
-    model.set_freeze_prefix(0)
+    model = Model(layers, params, freeze_prefix=0)
     assert model.trainable == [True] * 6
     assert model.trainable_spans() == [(0, 4), (4, 8), (8, 40), (40, 48), (48, 56), (56, 57)]
 
@@ -335,6 +332,8 @@ def test_trainable_is_read_only():
     model = build_mlp([4, 8, 1], seed=0)
     with pytest.raises(AttributeError):
         model.trainable = [False, False, True, True]
+    with pytest.raises(AttributeError):  # the boundary is fixed when the model is built
+        model.freeze_prefix = 1
     model.trainable[0] = False  # a fresh list on each read
     assert model.trainable == [True] * 4
 
@@ -398,8 +397,7 @@ def test_accuracy_rejects_zero_samples():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = build_mlp([4, 8, 1], norm="group:2", seed=42)
-    model.set_freeze_prefix(1)
+    model = build_mlp([4, 8, 1], norm="group:2", seed=42, freeze_prefix=1)
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
@@ -411,6 +409,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     x = np.linspace(-1, 1, 4)
     assert model.forward(x).tolist() == loaded.forward(x).tolist()
+
+
+@pytest.mark.parametrize("value", [1.7, True, "2", 2.0])
+def test_checkpoint_rejects_a_freeze_prefix_that_is_not_an_integer(tmp_path, value):
+    # Three dense layers, so 1 and 2 are both valid prefixes once truncated.
+    path = tmp_path / "model.json"
+    save_checkpoint(build_mlp([3, 4, 4, 1], seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["freeze_prefix"] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="freeze_prefix must be an integer"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
@@ -523,9 +533,7 @@ def tape_rows(model, xs, ys):
     ],
 )
 def test_batched_gradients_equal_tape(widths, norm, freeze, batch):
-    model = build_mlp(widths, norm=norm, seed=31)
-    if freeze:
-        model.set_freeze_prefix(freeze)
+    model = build_mlp(widths, norm=norm, seed=31, freeze_prefix=freeze)
     rng = np.random.default_rng(batch + len(widths))
     xs = rng.normal(scale=2.0, size=(batch, widths[0]))
     ys = rng.integers(0, 2, size=batch).astype(float)
@@ -579,8 +587,7 @@ def test_weight_rows_are_broadcast_outer_products(seed):
 
 
 def test_row_blocks_assemble_the_full_matrix():
-    model = build_mlp([20, 256, 256, 1], norm="group:8", seed=4)
-    model.set_freeze_prefix(1)
+    model = build_mlp([20, 256, 256, 1], norm="group:8", seed=4, freeze_prefix=1)
     rng = np.random.default_rng(8)
     xs = rng.normal(size=(10, 20))
     ys = rng.integers(0, 2, size=10).astype(float)
@@ -646,7 +653,8 @@ def test_batched_gradients_reject_bad_input():
         batch.backward(0, 2, np.zeros((2, model.num_parameters() + 1)))
     with pytest.raises(ShapeMismatchError):
         batch.backward(0, 2, np.zeros((1, model.num_parameters())))
-    model.set_freeze_prefix(1)  # blocks cover the trainable columns only
+    # Blocks cover the trainable columns only.
+    model = build_mlp([4, 8, 1], seed=0, freeze_prefix=1)
     frozen = PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
     with pytest.raises(ShapeMismatchError):
         frozen.backward(0, 2, np.zeros((2, model.num_parameters())))
@@ -669,8 +677,7 @@ def assert_batch_gradient_equals_tape(model, xs, ys):
 @pytest.mark.parametrize("freeze", [0, 1, 2])
 @pytest.mark.parametrize("norm", ["none", "group:4"])
 def test_batch_gradient_equals_tape(norm, freeze, batch):
-    model = build_mlp([5, 8, 8, 1], norm=norm, seed=3 * batch + freeze)
-    model.set_freeze_prefix(freeze)
+    model = build_mlp([5, 8, 8, 1], norm=norm, seed=3 * batch + freeze, freeze_prefix=freeze)
     rng = np.random.default_rng(batch + 10 * freeze)
     xs = rng.normal(scale=2.0, size=(batch, 5))
     ys = rng.integers(0, 2, size=batch).astype(float)

@@ -8,6 +8,7 @@ import pytest
 from dptrain.accountant import MechanismSpec, PrivacyLedger
 from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
+    ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
     accuracy,
@@ -79,8 +80,7 @@ class TestReferenceAdam:
         # From zero moments m = 0.1 g and u = 0.001 g^2, so the bias-corrected
         # m_hat = g and sqrt(u_hat) = |g|: each trainable parameter moves by
         # -lr * g / (|g| + 1e-8), and frozen ones stay.
-        model = build_mlp([3, 4, 4, 1], seed=2)
-        model.set_freeze_prefix(1)
+        model = build_mlp([3, 4, 4, 1], seed=2, freeze_prefix=1)
         state = DpAdamState.for_model(model, lr=0.1)
         g = np.random.default_rng(3).normal(size=model.num_parameters())
         before = model.parameter_vector.copy()
@@ -95,8 +95,7 @@ class TestReferenceAdam:
         rng = np.random.default_rng(8)
         xs = rng.normal(size=(16, 5))
         ys = rng.integers(0, 2, size=16).astype(float)
-        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
-        model.set_freeze_prefix(1)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10, freeze_prefix=1)
         state = DpAdamState.for_model(model, lr=0.05)
         vector, views = model.parameter_vector, model.parameters
         lo = model.trainable_start
@@ -150,8 +149,7 @@ class TestReferenceAdam:
             assert_same_bits(params, kept)
 
     def test_frozen_model_refuses_a_full_width_gradient(self):
-        model = build_mlp([3, 4, 4, 1], seed=2)
-        model.set_freeze_prefix(1)
+        model = build_mlp([3, 4, 4, 1], seed=2, freeze_prefix=1)
         state = DpAdamState.for_model(model, lr=0.1)
         lo = model.trainable_start
         g = np.random.default_rng(3).normal(size=model.num_parameters())
@@ -165,6 +163,34 @@ class TestReferenceAdam:
         assert_same_bits(state.u, u)
         assert model.parameter_vector is params
         assert_same_bits(params, kept)
+
+    def test_refuses_a_state_made_for_another_layout(self):
+        # The same widths unfrozen and frozen: [P] moments on the frozen
+        # model and [T] moments on the unfrozen one are both refused.
+        unfrozen = build_mlp([3, 4, 4, 1], seed=2)
+        frozen = build_mlp([3, 4, 4, 1], seed=2, freeze_prefix=1)
+        for made_for, model in ((unfrozen, frozen), (frozen, unfrozen)):
+            state = DpAdamState.for_model(made_for, lr=0.1)
+            size = made_for.num_parameters() - made_for.trainable_start
+            adam_step(made_for, np.linspace(-1.0, 1.0, size), state)  # non-zero moments
+            params, m, u = model.parameter_vector, state.m.copy(), state.u.copy()
+            kept = params.copy()
+            grad = np.ones(model.num_parameters() - model.trainable_start)
+            with pytest.raises(ShapeMismatchError, match="moments"):
+                adam_step(model, grad, state)
+            assert state.t == 1
+            assert_same_bits(state.m, m)
+            assert_same_bits(state.u, u)
+            assert model.parameter_vector is params
+            assert_same_bits(params, kept)
+
+    def test_state_holds_moments_for_the_trainable_tail_alone(self):
+        # dp-wide's model: 72,449 parameters, of which the 66,561 past the first block train.
+        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
+        state = DpAdamState.for_model(model, lr=0.01)
+        assert model.num_parameters() == 72_449
+        assert state.m.shape == state.u.shape == (66_561,)
+        assert not state.m.any() and not state.u.any()
 
     def test_state_fields_are_the_moments_rate_and_step(self):
         assert [f.name for f in dataclasses.fields(DpAdamState)] == ["m", "u", "lr", "t"]
@@ -253,8 +279,7 @@ class TestDpAdamStep:
             return draw(size, scale, rng)
 
         monkeypatch.setattr(mechanisms, "gaussian_noise", record)
-        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
-        model.set_freeze_prefix(1)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10, freeze_prefix=1)
         outcomes, _ = run_dp(model, self.xs, self.ys, 12, sigma=1.3, clip=0.7, p=0.1, seed=4)
         applied = sum(o.applied for o in outcomes)
         assert 0 < applied < len(outcomes)
@@ -266,8 +291,7 @@ class TestDpAdamStep:
         # the frozen columns' unreleased noise. The release is rebuilt from
         # the same generator states: the full-width clipped row loop and the
         # tail of the [P] draw.
-        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
-        model.set_freeze_prefix(1)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10, freeze_prefix=1)
         start = model.trainable_start
         sigma, clip, q = 1.3, 0.7, 0.5
         indices = poisson_subsample(16, q, np.random.default_rng(4))
@@ -316,8 +340,6 @@ class TestDpAdamStep:
         assert outcomes[0].preclip_norm_max > bound
 
     def test_refuses_batch_coupled_model(self):
-        from dptrain.model import ModelValidationError
-
         model = batch_coupled_mlp()
         state = DpAdamState.for_model(model, lr=0.05)
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
@@ -339,8 +361,7 @@ class TestDpAdamStep:
             assert np.array_equal(a, b)
 
     def test_frozen_prefix_parameters_never_move(self):
-        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
-        model.set_freeze_prefix(1)
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10, freeze_prefix=1)
         frozen_before = [
             p.copy() for p, keep in zip(model.parameters, model.trainable) if not keep
         ]
@@ -369,6 +390,21 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def oracle_state(model, lr):
+    """Zero ``[P]`` moments for the per-slot oracles, which update every slot."""
+    size = model.num_parameters()
+    return DpAdamState(m=np.zeros(size), u=np.zeros(size), lr=lr)
+
+
+def assert_same_moments(model, state, ref_state):
+    """The optimizer's ``[T]`` moments are the oracle's tail; its frozen moments stay 0.0."""
+    start = model.trainable_start
+    assert state.m.shape == (model.num_parameters() - start,)
+    for moment, ref in ((state.m, ref_state.m), (state.u, ref_state.u)):
+        assert_same_bits(moment, ref[start:])
+        assert_same_bits(ref[:start], np.zeros(start))
+
+
 class TestFlatAdamEqualsPerSlotOracle:
     """adam_step on flat vectors reproduces the per-slot update bit for bit."""
 
@@ -379,10 +415,9 @@ class TestFlatAdamEqualsPerSlotOracle:
         ys = rng.integers(0, 2, size=40).astype(float)
         results = []
         for step in (adam_step, per_slot_adam_step):
-            model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=23)
-            if freeze:
-                model.set_freeze_prefix(freeze)
-            state = DpAdamState.for_model(model, lr=0.05)
+            model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=23, freeze_prefix=freeze)
+            make_state = oracle_state if step is per_slot_adam_step else DpAdamState.for_model
+            state = make_state(model, lr=0.05)
             for lo in range(0, 40, 5):
                 _, grad = batch_gradient(model, xs[lo:lo + 5], ys[lo:lo + 5])
                 step(model, grad, state)
@@ -391,47 +426,8 @@ class TestFlatAdamEqualsPerSlotOracle:
         assert_same_bits(model.parameter_vector, ref_model.parameter_vector)
         for a, b in zip(model.parameters, ref_model.parameters):
             assert_same_bits(a, b)
-        assert_same_bits(state.m, ref_state.m)
-        assert_same_bits(state.u, ref_state.u)
+        assert_same_moments(model, state, ref_state)
         assert state.t == ref_state.t == 8
-
-
-class TestFreezeAfterSteps:
-    """Freezing a model with non-zero moments stops its frozen slots dead."""
-
-    @pytest.mark.parametrize("private", [False, True])
-    def test_frozen_slots_are_untouched(self, private):
-        rng = np.random.default_rng(8)
-        xs = rng.normal(size=(16, 5))
-        ys = rng.integers(0, 2, size=16).astype(float)
-        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10)
-        state = DpAdamState.for_model(model, lr=0.05)
-
-        def steps(count):
-            if private:
-                run_dp(model, xs, ys, count, sigma=1.0, clip=1.0, p=0.8, seed=3, state=state)
-            else:
-                for _ in range(count):
-                    adam_step(model, batch_gradient(model, xs, ys)[1], state)
-
-        steps(3)
-        model.set_freeze_prefix(1)
-        offsets = model.parameter_offsets()
-        frozen = [
-            (offsets[s], offsets[s + 1]) for s, keep in enumerate(model.trainable) if not keep
-        ]
-        before = [
-            (model.parameter_vector[lo:hi].copy(), state.m[lo:hi].copy(), state.u[lo:hi].copy())
-            for lo, hi in frozen
-        ]
-        assert frozen and all(np.any(m != 0.0) for _, m, _ in before)
-        trainable_before = model.parameters[-1].copy()
-        steps(3)
-        for (lo, hi), (p, m, u) in zip(frozen, before):
-            assert_same_bits(model.parameter_vector[lo:hi], p)
-            assert_same_bits(state.m[lo:hi], m)
-            assert_same_bits(state.u[lo:hi], u)
-        assert not np.array_equal(model.parameters[-1], trainable_before)
 
 
 class TestClippedSum:
@@ -482,8 +478,7 @@ class TestClippedSum:
     def test_trainable_tail_equals_full_width_row_loop(self, freeze, rows_per_block, monkeypatch):
         # Blocks cover only the trainable columns; the full-width matrix
         # (frozen columns zero) is checked against the tape in test_model.
-        model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=4)
-        model.set_freeze_prefix(freeze)
+        model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=4, freeze_prefix=freeze)
         start = model.trainable_start
         width = model.num_parameters() - start
         assert (start > 0) == (freeze > 0)
@@ -512,8 +507,7 @@ class TestClippedSum:
     @staticmethod
     def wide_batch():
         """dp-wide's model (freeze 1) and 10 samples."""
-        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
-        model.set_freeze_prefix(1)
+        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
         rng = np.random.default_rng(3)
         xs = rng.normal(size=(10, 20))
         ys = rng.integers(0, 2, size=10).astype(float)
@@ -580,17 +574,15 @@ class TestBatchedStepEqualsTapeLoop:
         xs, ys = self.data(widths, n)
         results = []
         for step in (dp_adam_step, tape_dp_adam_step):
-            model = build_mlp(widths, norm=norm, seed=21)
-            if freeze:
-                model.set_freeze_prefix(freeze)
-            state = DpAdamState.for_model(model, lr=0.05)
+            model = build_mlp(widths, norm=norm, seed=21, freeze_prefix=freeze)
+            make_state = oracle_state if step is tape_dp_adam_step else DpAdamState.for_model
+            state = make_state(model, lr=0.05)
             outcomes, ledger = run_dp(model, xs, ys, steps, step=step, state=state, **kwargs)
             results.append((model, state, outcomes, ledger))
         (model, state, outcomes, ledger), (ref_model, ref_state, ref_outcomes, ref_ledger) = results
         for a, b in zip(model.parameters, ref_model.parameters):
             assert_same_bits(a, b)
-        assert_same_bits(state.m, ref_state.m)
-        assert_same_bits(state.u, ref_state.u)
+        assert_same_moments(model, state, ref_state)
         assert state.t == ref_state.t
         assert ledger.step_count == ref_ledger.step_count == steps
         for o, r in zip(outcomes, ref_outcomes):
@@ -624,9 +616,7 @@ class TestBatchedStepEqualsTapeLoop:
     def test_clip_regimes(self, widths, norm, freeze, regime):
         # R below every pre-clip norm divides every row, R above every norm
         # divides none, and R at the first batch's median divides some.
-        model = build_mlp(widths, norm=norm, seed=21)
-        if freeze:
-            model.set_freeze_prefix(freeze)
+        model = build_mlp(widths, norm=norm, seed=21, freeze_prefix=freeze)
         _, rows = per_sample_gradients(model, *self.data(widths, 24))
         norms = np.linalg.norm(rows, axis=1)
         clip = {
@@ -650,8 +640,7 @@ class TestBatchedStepEqualsTapeLoop:
 
     def test_wide_model_crosses_row_blocks(self):
         # ~72k parameters, ~67k trainable: the step builds 3 gradient rows at a time.
-        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0)
-        model.set_freeze_prefix(1)
+        model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
         per_block = optim.ROW_BLOCK_BYTES // (8 * (model.num_parameters() - model.trainable_start))
         outcomes = self.run_both([20, 256, 256, 1], norm="group:8", freeze=1, n=40, steps=3,
                                  sigma=1.0, clip=1.0, p=0.5, seed=2)
@@ -715,8 +704,6 @@ class TestPrivateStepFailures:
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
     def test_batch_coupled_model_refused_before_charge(self, step):
-        from dptrain.model import ModelValidationError
-
         model = batch_coupled_mlp()
         xs = np.random.default_rng(0).normal(size=(12, 4))
         ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
@@ -776,6 +763,35 @@ class TestPrivateStepFailures:
         ys[5] = label
         self.assert_refused_before_charge(step, ValueError, "label must be 0 or 1", self.xs, 0.1,
                                           ys=ys)
+
+
+class TestSampleMixingCheck:
+    """Every gradient entry point refuses a model that mixes samples, with one message."""
+
+    @pytest.mark.parametrize("call", ["batch_gradient", "PerSampleBatch", "dp_adam_step"])
+    def test_same_message_before_the_draw_and_the_charge(self, call):
+        model = batch_coupled_mlp()
+        xs = np.random.default_rng(0).normal(size=(2, 4))
+        ys = np.array([0.0, 1.0])
+        state = DpAdamState.for_model(model, lr=0.05)
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        poisson_rng, noise_rng = np.random.default_rng(0), np.random.default_rng(1)
+        before = (poisson_rng.bit_generator.state, noise_rng.bit_generator.state)
+        calls = {
+            "batch_gradient": lambda: batch_gradient(model, xs, ys),
+            "PerSampleBatch": lambda: PerSampleBatch(model, xs, ys),
+            "dp_adam_step": lambda: dp_adam_step(
+                model, xs, ys, state, ClipSpec(1.0), ledger, poisson_rng, noise_rng
+            ),
+        }
+        message = (
+            "refusing to compute gradients: layer 1 (batch_norm) normalizes sample i "
+            "with statistics of other samples in the batch"
+        )
+        with pytest.raises(ModelValidationError, match=f"^{re.escape(message)}$"):
+            calls[call]()
+        assert ledger.step_count == 0 and state.t == 0
+        assert (poisson_rng.bit_generator.state, noise_rng.bit_generator.state) == before
 
 
 class TestInputWidthCheck:
