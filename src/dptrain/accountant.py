@@ -22,18 +22,17 @@ Per-step values come from two closed forms:
 evaluated in log space so large alpha / small sigma do not overflow.
 Fractional orders are used only where the unsubsampled closed form is valid.
 
-All 63 integer orders are computed in one array pass over a [63, 72] table
-whose row alpha - 2 holds log C(alpha, k) for k <= alpha, padded with -inf
-to 9 blocks of 8 columns. Its sigma-free part is cached per q; the row
-maxima and the exponentials are whole-table operations, and exp is skipped
-where it is exactly 0. Each order's sum is its own alpha + 1 terms, added
-in the order numpy's pairwise summation adds a row of that length;
-``_pairwise_sums`` replays that order for every row at once, so the table
-gives bit for bit the values of summing each order on its own with
-``np.add.reduce``. Noise calibration visits about 16 sigmas, about
-1.6 ms when every curve is new. ``_per_step`` memoizes each (sigma, q)
-curve for the process, shared and read-only, 64 curves at most (about
-four plans), so calibrating a plan again takes about 0.15 ms.
+All 63 integer orders are computed in one array pass over a [63, 65] table
+whose row alpha - 2 holds log C(alpha, k) for k <= alpha and -inf after.
+Its sigma-free part is cached per q; the row maxima and the exponentials
+are whole-table operations, and exp is skipped where it is exactly 0. Each
+order's sum is one masked ``np.add.reduce`` over its own alpha + 1 terms:
+numpy hands each row's contiguous run of terms to the pairwise loop that
+summing the row on its own runs, so the table gives bit for bit the values
+of ``np.add.reduce(row[:alpha + 1])``. Noise calibration visits about 16
+sigmas, about 1.1 ms when every curve is new. ``_per_step`` memoizes each
+(sigma, q) curve for the process, shared and read-only, 64 curves at most
+(about four plans), so calibrating a plan again takes about 0.15 ms.
 
 When sigma is 0 or so small that a closed form overflows (the
 k^2 / (2 sigma^2) term below sigma ~ 3e-153, or 2 sigma^2 underflowing to
@@ -80,12 +79,11 @@ _SIGMA_SEARCH_FLOOR = 1e-4
 _CALIBRATION_REL_TOL = 1e-3
 
 _MAX_INT_ALPHA = 64
-# Table columns: k = 0..64, padded to 72 = 9 blocks of 8 for _pairwise_sums.
-_COLUMNS = 72
+_COLUMNS = _MAX_INT_ALPHA + 1
 
 
 def _log_binomial_table() -> np.ndarray:
-    """Row ``a - 2`` holds log C(a, k) for k = 0..a, then -inf up to k = 71."""
+    """Row ``a - 2`` holds log C(a, k) for k = 0..a, then -inf up to k = 64."""
     log_factorial = [math.lgamma(k + 1) for k in range(_MAX_INT_ALPHA + 1)]
     table = np.full((_MAX_INT_ALPHA - 1, _COLUMNS), -math.inf)
     for a in range(2, _MAX_INT_ALPHA + 1):
@@ -94,44 +92,9 @@ def _log_binomial_table() -> np.ndarray:
     return table
 
 
-def _pairwise_layout(lengths: np.ndarray, columns: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where :func:`_pairwise_sums` finds the blocks and the tail of each row.
-
-    Row ``i`` has ``lengths[i]`` terms: its whole blocks of 8 are the columns
-    marked True, and its tail is the next (at most 7) terms, given as flat
-    indices into a ``[len(lengths), columns]`` array, one ``[rows]`` line per
-    tail position. Needs lengths <= 128 and columns >= the longest whole-block
-    prefix + 7, a multiple of 8.
-    """
-    prefix = lengths - lengths % 8
-    in_blocks = np.arange(columns) < prefix[:, None]
-    tail_index = np.arange(7)[:, None] + (np.arange(len(lengths)) * columns + prefix)
-    return in_blocks, tail_index
-
-
-def _pairwise_sums(terms: np.ndarray, in_blocks: np.ndarray, tail_index: np.ndarray) -> np.ndarray:
-    """Each row's sum, added in the order numpy's ``np.add.reduce`` adds it.
-
-    For a contiguous row of n <= 128 float64 terms numpy's pairwise summation
-    keeps 8 running sums over the first n - n % 8 terms (term j goes to sum
-    j % 8, block by block), combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then adds the last
-    n % 8 terms one at a time; a row shorter than 8 is all tail, added to
-    0.0. Here every row does so at once. ``terms`` must be 0.0 past each
-    row's length, and the layout comes from :func:`_pairwise_layout`.
-    """
-    blocks = np.where(in_blocks, terms, 0.0).reshape(len(terms), -1, 8)
-    # Over axis 1 numpy adds the blocks in order, 8 columns at a time.
-    r = np.add.reduce(blocks, axis=1)
-    sums = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for tail_term in terms.take(tail_index):
-        sums += tail_term
-    return sums
-
-
 # The subsampled-Gaussian expansion for every integer order 2..64 at once:
-# row a - 2 of each [63, 72] table is order a, column k its k-th term, and
-# only columns k <= a are terms; the factors that depend on k alone are [72]
+# row a - 2 of each [63, 65] table is order a, column k its k-th term, and
+# only columns k <= a are terms; the factors that depend on k alone are [65]
 # rows.
 _LOG_COMB = _log_binomial_table()
 _K = np.arange(_COLUMNS)
@@ -139,7 +102,6 @@ _K_SQ_MINUS_K = _K * _K - _K
 _ORDERS = np.arange(2, _MAX_INT_ALPHA + 1)
 _A_MINUS_K = _ORDERS[:, None] - _K
 _IN_ROW = _K <= _ORDERS[:, None]
-_IN_BLOCKS, _TAIL_INDEX = _pairwise_layout(_ORDERS + 1, _COLUMNS)
 _A_MINUS_ONE = (_ORDERS - 1).astype(np.float64)
 # exp(x) is exactly +0.0 for every x below about -745.13.
 _EXP_UNDERFLOW = -746.0
@@ -249,19 +211,19 @@ def _subsampled_rdp(sigma: float, q: float) -> np.ndarray:
     Bit for bit the values of summing each order's own a + 1 terms with
     ``np.add.reduce``: the q part of the log terms is cached per q, the
     exponentials are taken only where they can be non-zero (every term of
-    a row that overflowed stays NaN, so the row is +inf), and
-    :func:`_pairwise_sums` adds every row in numpy's order. Each order's log
-    is ``math.log``, which ``np.log`` does not always match in the last bit.
-    Non-finite values are +inf.
+    a row that overflowed stays NaN, so the row is +inf), and one reduce
+    masked to ``_IN_ROW`` sums every row. Each order's log is ``math.log``,
+    which ``np.log`` does not always match in the last bit. Non-finite
+    values are +inf.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x = _q_table(q) + _K_SQ_MINUS_K / (2.0 * sigma * sigma)
-        # fmax skips the NaN that -inf padding plus an overflowed term makes.
+        # fmax skips the NaN that -inf past a row's terms plus an overflowed term makes.
         peaks = np.fmax.reduce(x, axis=1)
         x -= peaks[:, None]
         live = _IN_ROW & ~(x < _EXP_UNDERFLOW)
         scaled = np.exp(x, out=np.zeros_like(x), where=live)
-        sums = _pairwise_sums(scaled, _IN_BLOCKS, _TAIL_INDEX)
+        sums = np.add.reduce(scaled, axis=1, where=_IN_ROW)
         logs = np.array(list(map(math.log, sums.tolist())))
         values = (peaks + logs) / _A_MINUS_ONE
         return np.where(np.isfinite(values), np.maximum(0.0, values), math.inf)
@@ -386,7 +348,7 @@ class PrivacyLedger:
     when the ledger is built, so a query is a few array operations. Both
     arrays are shared and read-only. The curve memo keeps the 64 most
     recently used (sigma, q) curves, about four plans, so a ledger of a
-    recent spec computes no curve (about 0.1 ms saved a ledger, 1.6 ->
+    recent spec computes no curve (about 0.06 ms saved a ledger, 1.1 ->
     0.15 ms a repeated calibration). A ledger with zero accumulated
     divergence (no steps, or an effectively infinite sigma) spends exactly
     nothing, so epsilon is 0 in that case rather than the grid penalty the

@@ -83,6 +83,9 @@ class RunConfig:
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigError("csv dataset requires csv_path")
+        for name in ("csv_path", "test_csv_path"):
+            if self.dataset != "csv" and getattr(self, name):
+                raise ConfigError(f"{name} is set, but dataset is {self.dataset!r}, not 'csv'")
         if not self.widths or self.widths[-1] != 1:
             raise ConfigError(f"widths must end in 1, got {self.widths}")
         if min(self.widths) < 1:

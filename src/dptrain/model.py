@@ -76,10 +76,14 @@ class DenseLayer:
 
 @dataclass(frozen=True)
 class ActivationLayer:
-    activation: str  # currently "relu"
+    activation: str  # "relu", the one kernel
 
     kind = "activation"
     mixes_samples = False
+
+    def __post_init__(self):
+        if self.activation != "relu":
+            raise ValueError(f"unknown activation {self.activation!r}; only 'relu' runs")
 
 
 @dataclass(frozen=True)
@@ -677,11 +681,17 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path} is not a model checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+    for field in ("layers", "params", "param_shapes"):
+        if field not in doc:
+            raise ValueError(f"checkpoint has no {field} field")
     layers = [_layer_from_doc(d) for d in doc["layers"]]
     params = [
         np.array(flat, dtype=np.float64).reshape(shape)
         for flat, shape in zip(doc["params"], doc["param_shapes"], strict=True)
     ]
+    for slot, p in enumerate(params):
+        if not np.isfinite(p).all():
+            raise ValueError(f"checkpoint slot {slot} holds a non-finite parameter")
     freeze_prefix = doc.get("freeze_prefix", 0)
     if type(freeze_prefix) is not int:  # excludes bool: JSON true and false are not integers
         raise ValueError(f"checkpoint field freeze_prefix must be an integer, got {freeze_prefix!r}")

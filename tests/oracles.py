@@ -260,7 +260,7 @@ def row_loop_subsampled_rdp(sigma: float, q: float) -> np.ndarray:
     """Per-step subsampled-Gaussian RDP at orders 2..64, one row sum per order.
 
     The accountant's former ``_subsampled_rdp``, kept as the bit-identity
-    oracle of its pairwise-sum replica: the whole [63, 65] table, exp over
+    oracle of its one-pass table: the whole [63, 65] table, exp over
     every entry, then a Python loop that sums each order's own a + 1 terms
     with ``np.add.reduce`` and takes ``math.log``. Non-finite values are +inf.
     """

@@ -560,7 +560,7 @@ EXTREME_QS = (1e-6, 1 - 1e-9)
 
 
 class TestPairwiseTableMatchesRowLoop:
-    """The pairwise-sum table against the former row loop, bit for bit."""
+    """The masked-reduce table against the former row loop, bit for bit."""
 
     def test_seeded_grid(self):
         rng = np.random.default_rng(14)
@@ -610,26 +610,27 @@ class TestPairwiseTableMatchesRowLoop:
 
 
 NUMPY_ORDER = (
-    "numpy's pairwise summation (pairwise_sum, used by np.add.reduce on float64) "
-    "no longer adds a row in the order accountant._pairwise_sums replicates; "
+    "np.add.reduce with where= no longer sums a row's masked prefix in the order "
+    "np.add.reduce sums that prefix on its own; accountant._subsampled_rdp's "
     "per-step RDP values would lose their bits"
 )
 
 
 class TestNumpyAssumptions:
-    """What the pairwise-sum table relies on numpy for."""
+    """What the accountant's table relies on numpy for."""
 
-    def test_pairwise_replica_matches_add_reduce(self):
+    def test_masked_reduce_matches_row_reduce(self):
         lengths = np.arange(1, 66)
-        in_blocks, tail_index = accountant._pairwise_layout(lengths, 72)
+        prefix_mask = np.arange(65) < lengths[:, None]
         rng = np.random.default_rng(16)
         order_sensitive = 0
         for _ in range(20):
-            rows = _log_uniform(rng, 1e-18, 1.0, (65, 72))
-            rows[rng.random((65, 72)) < 0.15] = 0.0
-            rows[rng.random((65, 72)) < 0.1] = 5e-324 * rng.integers(1, 1000)
-            rows[np.arange(72) >= lengths[:, None]] = 0.0
-            got = accountant._pairwise_sums(rows, in_blocks, tail_index)
+            rows = _log_uniform(rng, 1e-18, 1.0, (65, 65))
+            rows[rng.random((65, 65)) < 0.15] = 0.0
+            rows[rng.random((65, 65)) < 0.1] = 5e-324 * rng.integers(1, 1000)
+            # Past each prefix the mask, not the value, keeps a term out.
+            rows[~prefix_mask] = np.nan
+            got = np.add.reduce(rows, axis=1, where=prefix_mask)
             for n, row, total in zip(lengths, rows, got):
                 expected = np.add.reduce(row[:n])
                 assert _bits(total) == _bits(expected), f"{NUMPY_ORDER} (row length {n})"

@@ -198,10 +198,12 @@ class TestTrainCommand:
             ("seed_model", TRAIN_CONF + "seed_model = -1\n"),
             ("variant", TRAIN_CONF + "variant = raw-moment\n"),  # Adam is the only rule
             ("bias_correction", TRAIN_CONF + "bias_correction = false\n"),
+            ("csv_path", TRAIN_CONF + "csv_path = /nonexistent/train.csv\n"),
+            ("test_csv_path", TRAIN_CONF + "test_csv_path = /nonexistent/test.csv\n"),
         ],
         ids=[
             "n", "dim", "separation", "label_noise", "norm", "norm-groups", "freeze", "seed",
-            "variant", "bias_correction",
+            "variant", "bias_correction", "csv_path", "test_csv_path",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, tmp_path, capsys, key, conf):

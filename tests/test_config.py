@@ -89,6 +89,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="csv_path"):
             RunConfig(dataset="csv")
 
+    @pytest.mark.parametrize("key", ["csv_path", "test_csv_path"])
+    def test_synthetic_refuses_csv_paths(self, key):
+        # A run on the blobs must not be reported as if it came from the file.
+        with pytest.raises(ConfigError, match=rf"^{key} is set"):
+            RunConfig(dataset="synthetic", **{key: "/nonexistent/data.csv"})
+
     def test_value_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(delta=0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -464,8 +465,9 @@ def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
         (3, {"eps": None}),  # a field with a default is still required
         (1, {"momentum": 0.9}),
         (2, {"kind": "layer_norm"}),
+        (2, {"activation": "tanh"}),  # only relu has a kernel
     ],
-    ids=["missing-field", "missing-defaulted-field", "extra-field", "unknown-kind"],
+    ids=["missing-field", "missing-defaulted-field", "extra-field", "unknown-kind", "tanh"],
 )
 def test_checkpoint_rejects_malformed_layers(tmp_path, layer, edit):
     doc = json.loads(VERSION_1_CHECKPOINT)
@@ -506,6 +508,32 @@ def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc["params"][1].__setitem__(0, math.nan), "slot 1"),
+        (lambda doc: doc["params"][6].__setitem__(1, -math.inf), "slot 6"),
+        (lambda doc: doc.pop("layers"), "layers"),
+        (lambda doc: doc.pop("params"), "params"),
+        (lambda doc: doc.pop("param_shapes"), "param_shapes"),
+    ],
+    ids=["nan", "infinity", "no-layers", "no-params", "no-param-shapes"],
+)
+def test_checkpoint_with_unusable_fields_fails_at_load(tmp_path, edit, message):
+    doc = json.loads(VERSION_1_CHECKPOINT)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN and -Infinity
+    with pytest.raises(ValueError, match=rf"\b{message}\b"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid", "RELU", ""])
+def test_activation_layer_refuses_what_it_cannot_run(name):
+    with pytest.raises(ValueError, match="activation"):
+        ActivationLayer(name)
 
 
 def tape_rows(model, xs, ys):
