@@ -109,6 +109,7 @@ _INTEGER_GRID = tuple(float(a) for a in _ORDERS)
 _FULL_BATCH_GRID = (1.25, 1.5) + _INTEGER_GRID
 _FULL_BATCH_ORDERS = np.array(_FULL_BATCH_GRID)
 _FULL_BATCH_ORDERS.flags.writeable = False
+_FULL_BATCH_A_MINUS_ONE = _FULL_BATCH_ORDERS - 1.0
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,7 @@ def rdp_gaussian(alpha: float, sigma: float) -> float:
     """
     if not (math.isfinite(alpha) and alpha > 1):
         raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be >= 0 and finite, got {sigma}")
+    MechanismSpec(sigma, 1.0)
     denominator = 2.0 * sigma * sigma
     return alpha / denominator if denominator > 0.0 else math.inf
 
@@ -248,28 +248,16 @@ def _per_step(spec: MechanismSpec) -> np.ndarray:
     return per_step
 
 
-@functools.lru_cache(maxsize=16)
-def _penalties(alphas: tuple, delta: float) -> np.ndarray:
-    """Read-only log(1/delta) / (alpha - 1) for one grid and delta."""
+def _check_delta(delta: float) -> None:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    penalties = math.log(1.0 / delta) / np.subtract(alphas, 1.0)
-    penalties.flags.writeable = False
-    return penalties
 
 
-def _epsilon(
-    per_step: np.ndarray, penalties: np.ndarray, steps: int, spends_nothing: bool
-) -> tuple[float, int]:
-    """Epsilon after ``steps`` steps, and the index of the order attaining it."""
-    if steps == 0 or spends_nothing:
-        return 0.0, int(penalties.argmin())
-    # A finite per-step value near the float maximum overflows to +inf
-    # here, which is the right total for that order.
-    with np.errstate(over="ignore"):
-        candidates = per_step * steps + penalties
-    best = int(candidates.argmin())
-    return float(candidates[best]), best
+def _steps(count: int) -> int:
+    count = operator.index(count)
+    if count < 0:
+        raise ValueError(f"cannot compose a negative number of steps: {count}")
+    return count
 
 
 class CalibrationError(RuntimeError):
@@ -332,8 +320,7 @@ def classic_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> 
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"classic calibration requires 0 < epsilon <= 1, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _check_delta(delta)
     if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
     return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
@@ -343,13 +330,13 @@ class PrivacyLedger:
     """Mutable running ledger for one training run: the one epsilon engine.
 
     The step loop is the single writer (``advance``); monitors may read
-    ``spent`` at any time. The per-step values on the default grid, and the
-    conversion penalties at the ledger's delta, come from per-process memos
-    when the ledger is built, so a query is a few array operations. Both
-    arrays are shared and read-only. The curve memo keeps the 64 most
-    recently used (sigma, q) curves, about four plans, so a ledger of a
-    recent spec computes no curve (about 0.06 ms saved a ledger, 1.1 ->
-    0.15 ms a repeated calibration). A ledger with zero accumulated
+    ``spent`` at any time. The per-step values on the default grid come
+    from a per-process memo, shared and read-only, and the conversion
+    penalties log(1/delta) / (alpha - 1) are one division by a constant
+    array, so a query is a few array operations. The curve memo keeps the
+    64 most recently used (sigma, q) curves, about four plans, so a ledger
+    of a recent spec computes no curve (about 0.06 ms saved a ledger, 1.1
+    -> 0.15 ms a repeated calibration). A ledger with zero accumulated
     divergence (no steps, or an effectively infinite sigma) spends exactly
     nothing, so epsilon is 0 in that case rather than the grid penalty the
     conversion formula alone would report. An infinite per-step value at
@@ -357,19 +344,19 @@ class PrivacyLedger:
     """
 
     def __init__(self, spec: MechanismSpec, delta: float = DEFAULT_DELTA):
+        _check_delta(delta)
         self.spec = spec
         self.delta = delta
         self._alphas = default_alpha_grid(spec.q)
         self._per_step = _per_step(spec)
         self._spends_nothing = self._per_step.max() == 0.0
-        self._penalties = _penalties(self._alphas, delta)
+        # Every alpha - 1 is exact, so each penalty is one IEEE division.
+        a_minus_one = _FULL_BATCH_A_MINUS_ONE if spec.q >= 1.0 else _A_MINUS_ONE
+        self._penalties = math.log(1.0 / delta) / a_minus_one
         self.step_count = 0
 
     def advance(self, steps: int = 1) -> None:
-        steps = operator.index(steps)
-        if steps < 0:
-            raise ValueError("cannot advance the ledger backwards")
-        self.step_count += steps
+        self.step_count += _steps(steps)
 
     def curve(self) -> list[list[float]]:
         """``[[alpha, accumulated rdp], ...]`` over the grid.
@@ -387,31 +374,33 @@ class PrivacyLedger:
 
     def epsilon_if(self, step_count: int) -> float:
         """Epsilon the ledger would report after ``step_count`` total steps."""
-        step_count = operator.index(step_count)
-        if step_count < 0:
-            raise ValueError(f"cannot compose a negative number of steps: {step_count}")
-        return self._epsilon_at(step_count)[0]
+        return self._epsilon_at(_steps(step_count))[0]
 
     def _epsilon_at(self, steps: int) -> tuple[float, int]:
-        return _epsilon(self._per_step, self._penalties, steps, self._spends_nothing)
+        """Epsilon after ``steps`` steps, and the index of the order attaining it."""
+        if steps == 0 or self._spends_nothing:
+            return 0.0, int(self._penalties.argmin())
+        # A finite per-step value near the float maximum overflows to +inf
+        # here, which is the right total for that order.
+        with np.errstate(over="ignore"):
+            candidates = self._per_step * steps + self._penalties
+        best = int(candidates.argmin())
+        return float(candidates[best]), best
 
 
 def accountant_query(sigma: float, q: float, steps: int, delta: float) -> dict:
     """JSON-ready accountant answer for a (sigma, q, steps, delta) query.
 
     A ledger at ``delta`` advanced by ``steps``: its ``spent()`` and its
-    ``curve()``.
+    ``curve()``; the ledger refuses a bad count.
     """
-    steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
     ledger = PrivacyLedger(MechanismSpec(sigma, q), delta)
     ledger.advance(steps)
     spent = ledger.spent()
     return {
         "sigma": sigma,
         "q": q,
-        "steps": steps,
+        "steps": ledger.step_count,
         "delta": delta,
         "epsilon": spent.epsilon,
         "optimal_alpha": spent.optimal_alpha,

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .accountant import accountant_query, calibrate_sigma
+from .accountant import DEFAULT_DELTA, accountant_query, calibrate_sigma
 from .config import (
     ConfigError,
     parse_config_file,
@@ -51,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_acct.add_argument("--target-eps", type=float, help="calibrate sigma for this epsilon")
     p_acct.add_argument("--q", type=float, required=True, help="sampling probability")
     p_acct.add_argument("--steps", type=int, required=True, help="number of steps")
-    p_acct.add_argument("--delta", type=float, default=1e-5)
+    p_acct.add_argument("--delta", type=float, default=DEFAULT_DELTA)
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
     p_gen.add_argument("config", help="config file with n/dim/separation/label_noise/seed/out")

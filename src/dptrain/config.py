@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import _check_synthetic
-from .mechanisms import NOISE_PLACEMENTS
+from .accountant import DEFAULT_DELTA, _check_delta
+from .data import _check_synthetic, _split_sizes
+from .mechanisms import ClipSpec, _check_placement
 from .model import _check_freeze_prefix, _norm_groups
 
 __all__ = [
@@ -68,7 +69,7 @@ class RunConfig:
     privacy: str = "target-epsilon"
     target_eps: float | None = 10.0
     sigma: float | None = None
-    delta: float = 1e-5
+    delta: float = DEFAULT_DELTA
     clip_norm: float = 1.0
     budget_eps: float | None = None
     noise_placement: str = "after-mean"
@@ -98,17 +99,8 @@ class RunConfig:
         if self.privacy == "fixed-sigma":
             if self.sigma is None or self.sigma <= 0:
                 raise ConfigError("fixed-sigma mode requires a positive sigma")
-        if not 0 < self.delta < 1:
-            raise ConfigError(f"delta must be in (0, 1), got {self.delta}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.budget_eps is not None and self.budget_eps <= 0:
             raise ConfigError("budget_eps must be positive when set")
-        if self.noise_placement not in NOISE_PLACEMENTS:
-            raise ConfigError(
-                f"noise_placement must be one of {NOISE_PLACEMENTS}, "
-                f"got {self.noise_placement!r}"
-            )
         if not 0 < self.train_fraction < 1:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if not 0 <= self.test_fraction < 1:
@@ -126,10 +118,14 @@ class RunConfig:
         for name in _SEED_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # The checks the data and model builders run, so a run fails here, not mid-way.
+        # The checks of the code that reads each value, so a run fails here, not mid-way.
         try:
             if self.dataset == "synthetic":
                 _check_synthetic(self.n, self.dim, self.separation, self.label_noise)
+                _split_sizes(self.n, self.test_fraction, self.train_fraction)
+            _check_delta(self.delta)
+            ClipSpec(self.clip_norm)
+            _check_placement(self.noise_placement)
             _norm_groups(self.norm, self.widths[:-1])
             _check_freeze_prefix(self.freeze_prefix, len(self.widths))
         except ValueError as exc:

@@ -125,6 +125,24 @@ def _check_synthetic(n: int, dim: int, separation: float, label_noise: float) ->
         raise ValueError(f"label_noise: label noise must be in [0, 0.5), got {label_noise}")
 
 
+def _split_sizes(
+    n: int, test_fraction: float, train_fraction: float, test_rows: int | None = None
+) -> tuple[int, int]:
+    """Rows held out of ``n`` for testing, and rows of the rest that train.
+
+    ``test_rows`` is the size of a separate test set; then none of the
+    ``n`` rows are held out. A split that leaves the test, train or
+    validation part empty raises ``ValueError``.
+    """
+    held = int(n * test_fraction) if test_rows is None else 0
+    rest = n - held
+    n_train = int(rest * train_fraction)
+    n_test = held if test_rows is None else test_rows
+    if not (n_test and 0 < n_train < rest):
+        raise ValueError(f"split leaves no data: {n_test} test rows, {n_train} of {rest} to train")
+    return held, n_train
+
+
 def synthetic_dataset(
     n: int,
     dim: int,

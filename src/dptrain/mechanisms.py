@@ -46,26 +46,36 @@ class ClipSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.max_norm) and self.max_norm > 0):
-            raise ValueError(f"clip norm must be positive and finite, got {self.max_norm}")
+            raise ValueError(f"clip_norm must be positive and finite, got {self.max_norm}")
+
+
+def _check_placement(placement: str) -> None:
+    if placement not in NOISE_PLACEMENTS:
+        raise ValueError(f"noise_placement must be one of {NOISE_PLACEMENTS}, got {placement!r}")
+
+
+def _span_norms(rows: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
+    """L2 norm of each row (or of one vector) over the column ranges ``spans``:
+    one ``np.vecdot`` (the BLAS dot ``np.dot`` runs) per span, added in slot order from 0.0."""
+    total = 0.0
+    for lo, hi in spans:
+        v = rows[..., lo:hi]
+        total += np.vecdot(v, v)
+    return np.sqrt(total)
 
 
 def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec) -> np.ndarray:
     """Clip each row of a per-sample gradient matrix in place; return the pre-clip norms.
 
     ``spans`` are the column ranges of the parameter blocks a row's norm
-    covers, in slot order. Each block contributes one dot product per row
-    (``np.vecdot``, the BLAS dot ``np.dot`` runs) and the blocks are added
-    in order from 0.0. A row with norm n above R is divided by n / R, so
-    its norm becomes R and its direction is kept; a row within R is left
-    untouched, which is what dividing it by exactly 1.0 would give. So
-    every norm and clipped row equals the one-sample reference clip in
-    ``tests/oracles.py`` on that sample's per-parameter arrays bit for bit.
+    covers, in slot order; ``_span_norms`` takes the norms. A row with
+    norm n above R is divided by n / R, so its norm becomes R and its
+    direction is kept; a row within R is left untouched, which is what
+    dividing it by exactly 1.0 would give. So every norm and clipped row
+    equals the one-sample reference clip in ``tests/oracles.py`` on that
+    sample's per-parameter arrays bit for bit.
     """
-    total = np.zeros(rows.shape[0])
-    for lo, hi in spans:
-        v = rows[:, lo:hi]
-        total += np.vecdot(v, v)
-    norms = np.sqrt(total)
+    norms = _span_norms(rows, spans)
     if not np.isfinite(norms).all():
         raise ValueError("cannot clip a non-finite gradient")
     factors = norms / spec.max_norm

@@ -149,6 +149,7 @@ class Model:
                 raise ShapeMismatchError(f"slot {s} has shape {arrays[s].shape}, not {shape}")
         dense = [l for l in self.layers if isinstance(l, DenseLayer)]
         _check_freeze_prefix(freeze_prefix, len(dense))
+        self._input_dim = dense[0].in_dim
         self._shapes = tuple(a.shape for a in arrays)
         offsets = [0]
         for a in arrays:
@@ -169,10 +170,8 @@ class Model:
 
     @property
     def input_dim(self) -> int:
-        for layer in self.layers:
-            if isinstance(layer, DenseLayer):
-                return layer.in_dim
-        raise ValueError("model has no dense layer")
+        """The first dense layer's input width; the constructor refuses a model without one."""
+        return self._input_dim
 
     def parameter_shapes(self) -> tuple[tuple[int, ...], ...]:
         return self._shapes

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import mechanisms
 from .accountant import PrivacyLedger
-from .mechanisms import NOISE_PLACEMENTS, ClipSpec, clip_rows
+from .mechanisms import ClipSpec, _check_placement, _span_norms, clip_rows
 from .model import Model, PerSampleBatch, ShapeMismatchError
 from .model import _binary_labels, _input_rows, _require_isolation
 
@@ -204,8 +204,7 @@ def dp_adam_step(
     _require_isolation(model)
     xs = _input_rows(model, xs)
     ys = _binary_labels(ys, xs.shape[0])
-    if noise_placement not in NOISE_PLACEMENTS:
-        raise ValueError(f"unknown noise placement {noise_placement!r}")
+    _check_placement(noise_placement)
 
     indices = poisson_subsample(xs.shape[0], ledger.spec.q, poisson_rng)
     ledger.advance(1)
@@ -234,16 +233,13 @@ def dp_adam_step(
         released += clipped_sum
         released /= batch.size
     adam_step(model, released, state)
-    noisy_sq = 0.0
-    for lo, hi in model.trainable_spans():
-        noisy_sq += np.dot(released[lo:hi], released[lo:hi])
     return StepOutcome(
         applied=True,
         batch_size=batch.size,
         preclip_norm_min=float(np.minimum.reduce(norms)),
         preclip_norm_mean=float(np.add.reduce(norms) / batch.size),
         preclip_norm_max=float(np.maximum.reduce(norms)),
-        noisy_grad_norm=math.sqrt(noisy_sq),
+        noisy_grad_norm=float(_span_norms(released, model.trainable_spans())),
         mean_loss=float(np.add.reduce(batch.losses) / batch.size),
     )
 

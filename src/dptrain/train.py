@@ -25,7 +25,7 @@ import numpy as np
 
 from .accountant import MechanismSpec, PrivacyLedger, calibrate_sigma
 from .config import RunConfig, SweepGrid
-from .data import Dataset, load_csv_dataset, synthetic_dataset
+from .data import Dataset, _split_sizes, load_csv_dataset, synthetic_dataset
 from .mechanisms import ClipSpec
 from .model import Model, accuracy, batch_gradient, build_mlp
 from .optim import DpAdamState, adam_step, dp_adam_step
@@ -153,21 +153,11 @@ def split_dataset(config: RunConfig) -> Split:
     order = rng.permutation(len(data))
     data = data.subset(order)
 
-    if explicit_test is not None:
-        test = explicit_test
-        remainder = data
-    else:
-        n_test = int(len(data) * config.test_fraction)
-        test = data.subset(np.arange(n_test))
-        remainder = data.subset(np.arange(n_test, len(data)))
-
-    n_train = int(len(remainder) * config.train_fraction)
-    if not (len(test) and 0 < n_train < len(remainder)):
-        raise ValueError(
-            f"split leaves no data: {len(test)} test rows, {n_train} of {len(remainder)} to train"
-        )
-    train_part = remainder.subset(np.arange(n_train))
-    valid_part = remainder.subset(np.arange(n_train, len(remainder)))
+    test_rows = None if explicit_test is None else len(explicit_test)
+    held, n_train = _split_sizes(len(data), config.test_fraction, config.train_fraction, test_rows)
+    test = data.subset(np.arange(held)) if explicit_test is None else explicit_test
+    train_part = data.subset(np.arange(held, held + n_train))
+    valid_part = data.subset(np.arange(held + n_train, len(data)))
     return Split(train=train_part, valid=valid_part, test=test)
 
 

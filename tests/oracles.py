@@ -195,23 +195,6 @@ def oracle_alpha_grid(q: float) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def oracle_epsilon(sigma: float, q: float, steps: int, delta: float, alphas=None) -> float:
-    """Grid-search epsilon from quadrature RDP values.
-
-    With the default (denser) grid this lower-bounds any grid-restricted
-    accountant; evaluated on the accountant's own grid it checks every
-    per-order value and the conversion arithmetic independently.
-    """
-    if alphas is None:
-        alphas = oracle_alpha_grid(q)
-    log_inv_delta = math.log(1.0 / delta)
-    best = math.inf
-    for alpha in alphas:
-        rdp = mixture_renyi_rdp(alpha, sigma, q)
-        best = min(best, steps * rdp + log_inv_delta / (alpha - 1.0))
-    return best
-
-
 _LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(65))
 
 

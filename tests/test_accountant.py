@@ -103,6 +103,20 @@ class TestRenyiDivergence:
         with pytest.raises(ValueError):
             renyi_divergence([0.5, 0.6], [0.5, 0.5], 2.0)
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            ([0.5, 0.5], [0.2, 0.3, 0.5], "need two equal-length probability vectors"),
+            ([-0.5, 1.5], [0.5, 0.5], "probabilities must be non-negative"),
+        ],
+        ids=["unequal-lengths", "negative"],
+    )
+    def test_rejects_malformed_distributions(self, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            renyi_divergence(p, q, 2.0)
+        with pytest.raises(ValueError, match=message):
+            kl_divergence(p, q)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_in_alpha_and_nonnegative(self, seed):
@@ -323,6 +337,11 @@ class TestClassicGaussianSigma:
     def test_domain(self):
         with pytest.raises(ValueError):
             classic_gaussian_sigma(1.5, 1e-5, 1.0)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match=re.escape(f"delta must be in (0, 1), got {delta}")):
+            classic_gaussian_sigma(0.5, delta, 1.0)
 
     @pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_sensitivity(self, sensitivity):
@@ -651,7 +670,6 @@ class TestCaches:
         cached = (
             accountant._q_table(32 / 1440),
             accountant._FULL_BATCH_ORDERS,
-            accountant._penalties(default_alpha_grid(0.1), 1e-5),
         )
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -663,7 +681,7 @@ class TestCaches:
             with pytest.raises(ValueError, match="read-only"):
                 ledger._per_step[0] = ledger._per_step[0]
 
-    @pytest.mark.parametrize("name", ["_q_table", "_penalties", "_per_step"])
+    @pytest.mark.parametrize("name", ["_q_table", "_per_step"])
     def test_caches_are_bounded(self, name):
         cache = getattr(accountant, name)
         maxsize = cache.cache_info().maxsize
@@ -671,7 +689,6 @@ class TestCaches:
         for i in range(maxsize + 10):
             q = 0.5 / (i + 2)
             accountant._per_step(MechanismSpec(1.0, q))
-            accountant._penalties((2.0, 3.0), q)
         assert cache.cache_info().currsize <= maxsize
 
     @pytest.mark.parametrize("q", [1e-6, 0.1, 1 - 1e-9, 1.0])

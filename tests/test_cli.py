@@ -7,6 +7,7 @@ import re
 import pytest
 
 from dptrain.cli import main
+from dptrain.data import save_csv_dataset, synthetic_dataset
 
 
 def strict_loads(text):
@@ -156,7 +157,14 @@ class TestTrainCommand:
 
 
     def test_empty_test_split_exits_two(self, tmp_path, capsys):
-        conf = write_config(tmp_path, TRAIN_CONF + "test_fraction = 0\n")
+        # A CSV's row count is unknown until the file is read, so the run refuses.
+        data = tmp_path / "data.csv"
+        save_csv_dataset(synthetic_dataset(300, 5, 4.0, 0.0, seed=0), data)
+        conf = write_config(
+            tmp_path,
+            TRAIN_CONF.replace("dataset = synthetic", f"dataset = csv\ncsv_path = {data}")
+            + "test_fraction = 0\n",
+        )
         out = tmp_path / "out"
         assert main(["train", str(conf), "--out", str(out)]) == 2
         assert not out.exists()
@@ -200,10 +208,17 @@ class TestTrainCommand:
             ("bias_correction", TRAIN_CONF + "bias_correction = false\n"),
             ("csv_path", TRAIN_CONF + "csv_path = /nonexistent/train.csv\n"),
             ("test_csv_path", TRAIN_CONF + "test_csv_path = /nonexistent/test.csv\n"),
+            ("split", TRAIN_CONF + "test_fraction = 0\n"),
+            ("dataset", TRAIN_CONF.replace("dataset = synthetic", "dataset = parquet")),
+            ("epochs", TRAIN_CONF.replace("epochs = 2", "epochs = 0")),
+            ("batch_size", TRAIN_CONF.replace("batch_size = 32", "batch_size = 0")),
+            ("norm", TRAIN_CONF + "norm = group:x\n"),
+            ("norm", TRAIN_CONF + "norm = group:0\n"),
         ],
         ids=[
             "n", "dim", "separation", "label_noise", "norm", "norm-groups", "freeze", "seed",
-            "variant", "bias_correction", "csv_path", "test_csv_path",
+            "variant", "bias_correction", "csv_path", "test_csv_path", "split", "dataset",
+            "epochs", "batch_size", "norm-not-a-count", "norm-no-groups",
         ],
     )
     def test_bad_value_exits_one_without_outputs(self, tmp_path, capsys, key, conf):
@@ -259,8 +274,9 @@ class TestSweepCommand:
             ("n", "n = 1\n"),
             ("norm", "norm = bogus\n"),
             ("freeze_prefix", "sweep_freeze_prefix = 0,5\n"),
+            ("split", "test_fraction = 0\n"),
         ],
-        ids=["n", "norm", "freeze"],
+        ids=["n", "norm", "freeze", "split"],
     )
     def test_bad_cell_value_exits_one_before_any_cell(
         self, tmp_path, capsys, monkeypatch, key, extra
@@ -315,13 +331,19 @@ class TestGenDataCommand:
 
     @pytest.mark.parametrize(
         "key,value,message",
-        [("label_noise", "0.7", "label noise must be in"), ("n", "1", "at least two samples")],
+        [
+            ("label_noise", "0.7", "label noise must be in"),
+            ("n", "1", "at least two samples"),
+            ("n", "ten", "bad gen-data value"),
+            ("out", "", "needs an 'out' path"),
+        ],
+        ids=["label_noise", "n", "n-not-a-number", "no-out"],
     )
     def test_out_of_range_value_exits_1_and_writes_nothing(
         self, tmp_path, capsys, key, value, message
     ):
         data_path = tmp_path / "blobs.csv"
-        values = {"n": "20", "dim": "2", key: value, "out": str(data_path)}
+        values = {"n": "20", "dim": "2", "out": str(data_path), key: value}
         conf = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
         assert main(["gen-data", str(conf)]) == 1
         assert not data_path.exists()

@@ -4,8 +4,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
+from dptrain.accountant import MechanismSpec, PrivacyLedger
 from dptrain.config import (
     ConfigError,
     RunConfig,
@@ -15,6 +17,9 @@ from dptrain.config import (
     run_config_from_mapping,
     sweep_grid_from_mapping,
 )
+from dptrain.mechanisms import ClipSpec
+from dptrain.model import build_mlp
+from dptrain.optim import DpAdamState, dp_adam_step
 
 
 def write(tmp_path, text):
@@ -39,6 +44,11 @@ class TestParseConfigFile:
     def test_bad_line(self, tmp_path):
         path = write(tmp_path, "lr 0.08\n")
         with pytest.raises(ConfigError, match=":1"):
+            parse_config_file(path)
+
+    def test_line_without_a_key(self, tmp_path):
+        path = write(tmp_path, "lr = 0.08\n= 3\n")
+        with pytest.raises(ConfigError, match=":2: missing key"):
             parse_config_file(path)
 
     def test_duplicate_key(self, tmp_path):
@@ -107,6 +117,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(train_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(n=2000, test_fraction=0.0), "0 test rows, 1600 of 2000 to train"),
+            (dict(n=9, test_fraction=0.1), "0 test rows, 7 of 9 to train"),
+            (dict(n=2, test_fraction=0.5), "1 test rows, 0 of 1 to train"),
+        ],
+        ids=["no-test", "test-rounds-to-zero", "no-train"],
+    )
+    def test_synthetic_split_leaving_a_part_empty_is_refused(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^split leaves no data: {message}$"):
+            RunConfig(**overrides)
+        # A CSV's row count is unknown until a run reads the file.
+        RunConfig(**overrides, dataset="csv", csv_path="data.csv")
+
     def test_bad_typed_values(self):
         with pytest.raises(ConfigError, match="epochs"):
             run_config_from_mapping({"epochs": "thirty"})
@@ -114,6 +139,42 @@ class TestRunConfig:
             run_config_from_mapping({"sigma": "lots"})
         with pytest.raises(ConfigError, match="widths"):
             run_config_from_mapping({"widths": "a,b"})
+
+
+def _ledger(delta):
+    PrivacyLedger(MechanismSpec(1.0, 0.5), delta)
+
+
+def _step(placement):
+    model = build_mlp([2, 1], seed=0)
+    xs, ys = np.zeros((4, 2)), np.zeros(4)
+    ledger = PrivacyLedger(MechanismSpec(1.0, 0.5))
+    rng = np.random.default_rng(0)
+    dp_adam_step(model, xs, ys, DpAdamState.for_model(model, lr=0.1), ClipSpec(1.0), ledger,
+                 rng, rng, noise_placement=placement)
+
+
+@pytest.mark.parametrize(
+    "key, value, consumer",
+    [
+        ("delta", 0.0, _ledger),
+        ("delta", 1.0, _ledger),
+        ("delta", -1e-5, _ledger),
+        ("delta", 1.5, _ledger),
+        ("clip_norm", 0.0, ClipSpec),
+        ("clip_norm", -1.0, ClipSpec),
+        ("noise_placement", "everywhere", _step),
+        ("noise_placement", "", _step),
+    ],
+)
+def test_config_refusal_is_the_consumers(key, value, consumer):
+    """RunConfig refuses what the code reading the value refuses, in that code's words."""
+    with pytest.raises(ValueError) as consumed:
+        consumer(value)
+    with pytest.raises(ConfigError) as refused:
+        RunConfig(**{key: value})
+    assert str(refused.value) == str(consumed.value)
+    assert str(refused.value).startswith(key)
 
 
 class TestSweepGrid:

@@ -92,6 +92,19 @@ class TestLoadCsv:
         with pytest.raises(DatasetFormatError, match="header"):
             load_csv_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label\n0\n", "no feature columns"),
+            ("label,x0\n0,1.0\n", "header must be label,f0$"),
+            ("label,f0\n0,1.0\n1,one\n", ":3: could not convert"),
+        ],
+        ids=["no-features", "feature-name", "unparsable"],
+    )
+    def test_malformed_file(self, tmp_path, text, message):
+        with pytest.raises(DatasetFormatError, match=message):
+            load_csv_dataset(write(tmp_path, text))
+
 
 class TestSynthetic:
     def test_deterministic_per_seed(self):
@@ -143,3 +156,5 @@ class TestSynthetic:
     def test_dataset_shape_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match=r"features must be \[n, dim\] and labels \[n\]"):
+            Dataset(np.zeros(3), np.zeros(3))

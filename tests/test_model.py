@@ -357,6 +357,19 @@ def test_model_rejects_slots_out_of_layer_order(layers):
         Model(layers, params)
 
 
+def test_model_needs_a_dense_layer():
+    # So ``input_dim``, the first dense layer's input width, always exists.
+    with pytest.raises(ValueError, match="0 dense layers"):
+        Model([GroupNormLayer(4, 2, 0, 1)], [np.ones(4), np.zeros(4)])
+
+
+def test_forward_refuses_a_layer_without_a_kernel():
+    layers = [DenseLayer(4, 8, 0, 1), object(), DenseLayer(8, 1, 2, 3)]
+    model = Model(layers, [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)])
+    with pytest.raises(TypeError, match="unknown layer"):
+        model.forward(np.zeros(4))
+
+
 def test_model_rejects_slot_shapes_its_layers_do_not_imply():
     layers = [DenseLayer(4, 8, 0, 1), GroupNormLayer(8, 2, 2, 3), DenseLayer(8, 1, 4, 5)]
     good = [np.zeros((4, 8)), np.zeros(8), np.ones(8), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
@@ -518,8 +531,9 @@ def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
         (lambda doc: doc.pop("layers"), "layers"),
         (lambda doc: doc.pop("params"), "params"),
         (lambda doc: doc.pop("param_shapes"), "param_shapes"),
+        (lambda doc: doc.__setitem__("version", 2), "version"),
     ],
-    ids=["nan", "infinity", "no-layers", "no-params", "no-param-shapes"],
+    ids=["nan", "infinity", "no-layers", "no-params", "no-param-shapes", "version"],
 )
 def test_checkpoint_with_unusable_fields_fails_at_load(tmp_path, edit, message):
     doc = json.loads(VERSION_1_CHECKPOINT)
@@ -721,6 +735,26 @@ def test_batch_gradient_equals_tape_at_saturation_and_degenerate_groups():
     assert_batch_gradient_equals_tape(model, xs, ys)
     for i in range(4):
         assert_batch_gradient_equals_tape(model, xs[i:i + 1], ys[i:i + 1])
+
+
+def test_gradients_of_a_model_that_starts_with_a_norm_layer_equal_tape():
+    # The backward chain stops at the norm layer that owns the first trainable slot.
+    layers = [
+        GroupNormLayer(4, 2, 0, 1),
+        DenseLayer(4, 8, 2, 3),
+        ActivationLayer("relu"),
+        DenseLayer(8, 1, 4, 5),
+    ]
+    rng = np.random.default_rng(8)
+    params = [rng.normal(size=s) for s in [(4,), (4,), (4, 8), (8,), (8, 1), (1,)]]
+    model = Model(layers, params)
+    xs = rng.normal(scale=2.0, size=(6, 4))
+    ys = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    assert_batch_gradient_equals_tape(model, xs, ys)
+    losses, grads = per_sample_gradients(model, xs, ys)
+    ref_losses, ref_rows = tape_rows(model, xs, ys)
+    np.testing.assert_array_equal(losses, ref_losses)
+    np.testing.assert_array_equal(grads, ref_rows)
 
 
 def test_batch_gradient_rejects_bad_input():

@@ -51,6 +51,10 @@ class TestPoissonSubsample:
         with pytest.raises(ValueError):
             poisson_subsample(10, 1.5, np.random.default_rng(0))
 
+    def test_rejects_negative_population(self):
+        with pytest.raises(ValueError, match="population size must be >= 0, got -1"):
+            poisson_subsample(-1, 0.5, np.random.default_rng(0))
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_empty_population_draws_nothing(self, p):
         rng = np.random.default_rng(0)

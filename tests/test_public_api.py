@@ -1,17 +1,22 @@
 """The public API: what each module exports resolves, and the package's names are pinned.
 
 Adding or removing a name from ``dptrain`` means editing ``PACKAGE_NAMES``
-here, and adding or removing a module means editing ``MODULES``, so the
-change shows up for review.
+here, adding or removing a module means editing ``MODULES``, and importing
+a private name from a sibling module means editing ``SHARED_PRIVATE_NAMES``,
+so the change shows up for review.
 """
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
 import dptrain
+
+SOURCE = Path(dptrain.__file__).parent
 
 MODULES = (
     "accountant",
@@ -71,6 +76,21 @@ PACKAGE_NAMES = {
     "train",
 }
 
+# Private helpers one module imports from another: each rule has one
+# implementation, in the module that uses the value, and its callers share it.
+SHARED_PRIVATE_NAMES = {
+    "accountant._check_delta",
+    "data._check_synthetic",
+    "data._split_sizes",
+    "mechanisms._check_placement",
+    "mechanisms._span_norms",
+    "model._binary_labels",
+    "model._check_freeze_prefix",
+    "model._input_rows",
+    "model._norm_groups",
+    "model._require_isolation",
+}
+
 
 def test_package_modules_are_pinned():
     # Only what trains ships: the autodiff oracle lives with the tests.
@@ -110,3 +130,19 @@ def test_package_names_come_from_the_modules():
     for name in PACKAGE_NAMES:
         assert name in owners, f"dptrain.{name} is in no module's __all__"
         assert getattr(dptrain, name) is owners[name], name
+
+
+def test_private_imports_between_modules_are_pinned():
+    imported = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update(
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert imported == SHARED_PRIVATE_NAMES, (
+        f"added: {sorted(imported - SHARED_PRIVATE_NAMES)}, "
+        f"removed: {sorted(SHARED_PRIVATE_NAMES - imported)}"
+    )

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from dptrain.accountant import accountant_query
-from dptrain.config import RunConfig, SweepGrid
+from dptrain.config import ConfigError, RunConfig, SweepGrid
+from dptrain.data import save_csv_dataset, synthetic_dataset
 from dptrain.train import (
     REPORT_COLUMNS,
     report_row,
@@ -85,9 +86,15 @@ class TestSplit:
         [dict(n=200, test_fraction=0.0), dict(n=9, test_fraction=0.1)],
         ids=["zero-fraction", "rounds-to-zero"],
     )
-    def test_empty_test_split_is_rejected(self, overrides):
-        config = fast_config(dim=4, widths=(4, 1), epochs=1, privacy="off", sigma=None,
-                             **overrides)
+    def test_empty_test_split_is_rejected(self, overrides, tmp_path):
+        settings = dict(dim=4, widths=(4, 1), epochs=1, privacy="off", sigma=None, **overrides)
+        # Synthetic sizes are known from the config, so it refuses them.
+        with pytest.raises(ConfigError, match="0 test rows"):
+            fast_config(**settings)
+        # A CSV's row count is known only once the run reads the file.
+        path = tmp_path / "data.csv"
+        save_csv_dataset(synthetic_dataset(overrides["n"], 4, 4.0, 0.0, seed=0), path)
+        config = fast_config(**settings, dataset="csv", csv_path=str(path))
         with pytest.raises(ValueError, match="0 test rows"):
             split_dataset(config)
         with pytest.raises(ValueError, match="0 test rows"):
