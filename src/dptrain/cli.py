@@ -22,7 +22,7 @@ from .config import (
     sweep_grid_from_mapping,
 )
 from .data import save_csv_dataset, synthetic_dataset
-from .train import report_row, sweep, train, write_epochs_csv, write_report_csv
+from .train import _fmt, report_row, sweep, train, write_epochs_csv, write_report_csv
 
 __all__ = ["main", "entry"]
 
@@ -63,7 +63,7 @@ def _json_text(doc) -> str:
 
     def strict(value):
         if isinstance(value, float) and not math.isfinite(value):
-            return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+            return _fmt(value)
         if isinstance(value, dict):
             return {k: strict(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):

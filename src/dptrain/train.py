@@ -18,13 +18,13 @@ import csv
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .accountant import MechanismSpec, PrivacyLedger, calibrate_sigma
-from .config import RunConfig, SweepGrid
+from .config import _SEED_FIELDS, RunConfig, SweepGrid
 from .data import Dataset, _split_sizes, load_csv_dataset, synthetic_dataset
 from .mechanisms import ClipSpec
 from .model import Model, accuracy, batch_gradient, build_mlp
@@ -95,27 +95,18 @@ class TrainReport:
         return self.epochs[-1].valid_acc if self.epochs else math.nan
 
     def numerics(self) -> dict:
-        """Everything deterministic about the run (excludes wall clock)."""
-        return {
-            "epochs": [asdict(e) for e in self.epochs],
-            "stop_reason": self.stop_reason,
-            "steps_run": self.steps_run,
-            "sigma": self.sigma,
-            "target_eps": self.target_eps,
-            "achieved_eps": self.achieved_eps,
-            "optimal_alpha": self.optimal_alpha,
-            "delta": self.delta,
-            "test_acc": self.test_acc,
-        }
+        """Everything deterministic about the run: every field but the wall clock and the config echo."""
+        out = asdict(self)
+        del out["wall_clock_s"], out["config"]
+        return out
 
     def summary(self) -> dict:
-        """JSON-ready summary: config echo, spend, accuracy block."""
-        out = self.numerics()
-        out["config"] = asdict(self.config)
-        out["valid_acc"] = self.final_valid_acc
-        out["train_loss_final"] = self.final_train_loss
-        out["wall_clock_s"] = self.wall_clock_s
-        return out
+        """JSON-ready summary: every field, plus the final epoch's valid_acc and train loss."""
+        return {
+            **asdict(self),
+            "valid_acc": self.final_valid_acc,
+            "train_loss_final": self.final_train_loss,
+        }
 
 
 @dataclass(frozen=True)
@@ -337,14 +328,8 @@ def report_row(report: TrainReport, run_id: str, seed_index) -> SweepRow:
 
 
 def _cell_config(base: RunConfig, eps: float, clip: float, freeze: int, seed_index: int) -> RunConfig:
-    overrides = dict(
-        clip_norm=clip,
-        freeze_prefix=freeze,
-        seed_model=base.seed_model + seed_index,
-        seed_data=base.seed_data + seed_index,
-        seed_poisson=base.seed_poisson + seed_index,
-        seed_noise=base.seed_noise + seed_index,
-    )
+    overrides = {name: getattr(base, name) + seed_index for name in _SEED_FIELDS}
+    overrides.update(clip_norm=clip, freeze_prefix=freeze)
     if eps == math.inf:
         overrides.update(privacy="off", target_eps=None, budget_eps=None)
     else:
@@ -362,20 +347,24 @@ def _median_str(values: list[str]) -> str:
 def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
     """Run every grid cell with every seed; append a median row per cell.
 
-    Every run's config is built before the first run trains, so a bad
-    value raises ``ConfigError`` and nothing runs. A run that fails while
-    training becomes a row whose stop_reason is ``error`` (with empty
-    numerics) and the sweep continues, so one failing run cannot lose the
-    rest of the grid.
+    Every run's config is built, and a CSV base split once, before the
+    first run trains, so a bad value (``ConfigError``) or an empty split
+    part (``ValueError``) stops the sweep before anything runs. A run that
+    fails while training becomes a row whose stop_reason is ``error`` (with
+    empty numerics) and the sweep continues, so one failing run cannot lose
+    the rest of the grid.
     """
     seeds = range(grid.seeds_per_cell)
     cells = [
         (eps, clip, freeze, [_cell_config(base, eps, clip, freeze, i) for i in seeds])
         for eps, clip, freeze in grid.cells()
     ]
+    if base.dataset == "csv":
+        split_dataset(base)  # every run reads this file with these fractions
     rows: list[SweepRow] = []
     for eps, clip, freeze, configs in cells:
-        cell_id = f"eps{_fmt(eps)}-clip{_fmt(clip)}-freeze{freeze}"
+        cell = _BLANK_ROW._replace(target_eps=_fmt(eps), clip_norm=_fmt(clip), freeze_prefix=_fmt(freeze))
+        cell_id = f"eps{cell.target_eps}-clip{cell.clip_norm}-freeze{cell.freeze_prefix}"
         cell_rows: list[SweepRow] = []
         for seed_index, config in enumerate(configs):
             run_id = f"{cell_id}-seed{seed_index}"
@@ -383,25 +372,15 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
                 report = train(config)
             except Exception:
                 cell_rows.append(
-                    _BLANK_ROW._replace(
-                        run_id=run_id,
-                        seed=_fmt(seed_index),
-                        target_eps=_fmt(eps),
-                        clip_norm=_fmt(clip),
-                        freeze_prefix=_fmt(freeze),
-                        stop_reason="error",
-                    )
+                    cell._replace(run_id=run_id, seed=_fmt(seed_index), stop_reason="error")
                 )
                 continue
             cell_rows.append(report_row(report, run_id, seed_index))
         rows.extend(cell_rows)
         rows.append(
-            _BLANK_ROW._replace(
+            cell._replace(
                 run_id=f"{cell_id}-median",
-                target_eps=_fmt(eps),
                 delta=cell_rows[0].delta,
-                clip_norm=_fmt(clip),
-                freeze_prefix=_fmt(freeze),
                 stop_reason="median",
                 **{c: _median_str([getattr(r, c) for r in cell_rows]) for c in _MEDIAN_COLUMNS},
             )
@@ -420,8 +399,6 @@ def write_report_csv(rows: list[SweepRow], path) -> None:
 def write_epochs_csv(report: TrainReport, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "valid_acc", "epsilon"])
+        writer.writerow(f.name for f in fields(EpochRecord))
         for rec in report.epochs:
-            writer.writerow(
-                [rec.epoch, _fmt(rec.train_loss), _fmt(rec.valid_acc), _fmt(rec.epsilon)]
-            )
+            writer.writerow(_fmt(value) for value in astuple(rec))

@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from dptrain.cli import main
+from dptrain.cli import _json_text, main
 from dptrain.data import save_csv_dataset, synthetic_dataset
+from dptrain.train import _fmt
 
 
 def strict_loads(text):
@@ -38,6 +39,12 @@ privacy = fixed-sigma
 sigma = 1.0
 noise_placement = on-sum
 """
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_json_spells_non_finite_floats_as_the_csvs(value, text):
+    assert _fmt(value) == text
+    assert strict_loads(_json_text({"x": [value]})) == {"x": [text]}
 
 
 class TestAccountantCommand:
@@ -293,6 +300,25 @@ class TestSweepCommand:
         assert cells == []
         assert not out.exists()
         assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+    def test_empty_csv_split_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # Every run splits the same file the same way, so the sweep checks the split once, first.
+        cells = []
+        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        data = tmp_path / "data.csv"
+        save_csv_dataset(synthetic_dataset(300, 5, 4.0, 0.0, seed=0), data)
+        conf = write_config(
+            tmp_path,
+            TRAIN_CONF.replace("dataset = synthetic", f"dataset = csv\ncsv_path = {data}")
+            .replace("privacy = fixed-sigma\nsigma = 1.0\n", "").replace("n = 300\n", "")
+            + "test_fraction = 0\nsweep_target_eps = 5,inf\nsweep_clip_norm = 1.0\n"
+            + "seeds_per_cell = 2\n",
+        )
+        out = tmp_path / "sweep_out"
+        assert main(["sweep", str(conf), "--out", str(out)]) == 2
+        assert cells == []
+        assert not out.exists()
+        assert "0 test rows" in capsys.readouterr().err
 
 
 class TestGenDataCommand:

@@ -80,6 +80,7 @@ PACKAGE_NAMES = {
 # implementation, in the module that uses the value, and its callers share it.
 SHARED_PRIVATE_NAMES = {
     "accountant._check_delta",
+    "config._SEED_FIELDS",
     "data._check_synthetic",
     "data._split_sizes",
     "mechanisms._check_placement",
@@ -89,6 +90,7 @@ SHARED_PRIVATE_NAMES = {
     "model._input_rows",
     "model._norm_groups",
     "model._require_isolation",
+    "train._fmt",
 }
 
 

@@ -1,14 +1,16 @@
 import importlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dptrain.accountant import accountant_query
-from dptrain.config import ConfigError, RunConfig, SweepGrid
+from dptrain.config import _SEED_FIELDS, ConfigError, RunConfig, SweepGrid
 from dptrain.data import save_csv_dataset, synthetic_dataset
 from dptrain.train import (
     REPORT_COLUMNS,
+    TrainReport,
     report_row,
     split_dataset,
     sweep,
@@ -216,7 +218,11 @@ class TestLoopHooks:
     """The epoch loop looks its optimizer and evaluation calls up at call time.
 
     Benchmarks time steps by replacing these ``dptrain.train`` attributes,
-    so a loop that bound them early would go unmeasured.
+    so a loop that bound them early would go unmeasured. The wrappers take
+    the shapes the benchmark's step timer relies on: ``batch_gradient`` is
+    called as ``(model, xs, ys)``, a private step's outcome carries its
+    ``batch_size``, and each ``adam_step`` applies a ``batch_gradient``
+    called before it.
     """
 
     HOOKS = ("dp_adam_step", "batch_gradient", "adam_step", "accuracy")
@@ -225,16 +231,29 @@ class TestLoopHooks:
         # The package attribute ``dptrain.train`` is the function; fetch the module.
         train_module = importlib.import_module("dptrain.train")
         calls = dict.fromkeys(self.HOOKS, 0)
+        original = {name: getattr(train_module, name) for name in self.HOOKS}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def dp_adam_step(*args, **kwargs):
+            calls["dp_adam_step"] += 1
+            outcome = original["dp_adam_step"](*args, **kwargs)
+            assert outcome.batch_size >= 0
+            return outcome
 
-            return wrapper
+        def batch_gradient(model, xs, ys, /):
+            calls["batch_gradient"] += 1
+            return original["batch_gradient"](model, xs, ys)
 
-        for name in self.HOOKS:
-            monkeypatch.setattr(train_module, name, counting(name, getattr(train_module, name)))
+        def adam_step(*args, **kwargs):
+            assert calls["batch_gradient"] == calls["adam_step"] + 1, "no gradient to apply"
+            calls["adam_step"] += 1
+            return original["adam_step"](*args, **kwargs)
+
+        def accuracy(*args, **kwargs):
+            calls["accuracy"] += 1
+            return original["accuracy"](*args, **kwargs)
+
+        for wrapper in (dp_adam_step, batch_gradient, adam_step, accuracy):
+            monkeypatch.setattr(train_module, wrapper.__name__, wrapper)
         return train(config), calls
 
     def test_private_run(self, monkeypatch):
@@ -309,6 +328,36 @@ class TestSweep:
         healthy = [r for r in rows[2:] if r.stop_reason not in ("median",)]
         assert healthy and all(r.stop_reason != "error" for r in healthy)
 
+    def test_runs_offset_every_seed_and_set_only_their_cell(self, monkeypatch):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            raise RuntimeError("recorded, not trained")
+
+        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", record)
+        base = fast_config(budget_eps=50.0)
+        grid = SweepGrid(target_eps=(2.0, math.inf), clip_norms=(0.5,),
+                         freeze_prefixes=(1,), seeds_per_cell=3)
+        sweep(grid, base)
+        cell_fields = {"clip_norm", "freeze_prefix", "privacy", "target_eps", "budget_eps"}
+        kept = {f.name for f in fields(RunConfig)} - set(_SEED_FIELDS) - cell_fields
+        assert _SEED_FIELDS and len(configs) == 6
+        for index, config in enumerate(configs):
+            eps, seed_index = grid.target_eps[index // 3], index % 3
+            offsets = {name: getattr(config, name) - getattr(base, name) for name in _SEED_FIELDS}
+            assert offsets == dict.fromkeys(_SEED_FIELDS, seed_index)
+            assert {name: getattr(config, name) for name in kept} == {
+                name: getattr(base, name) for name in kept
+            }
+            assert (config.clip_norm, config.freeze_prefix) == (0.5, 1)
+            if eps == math.inf:
+                assert (config.privacy, config.target_eps, config.budget_eps) == ("off", None, None)
+            else:
+                assert (config.privacy, config.target_eps, config.budget_eps) == (
+                    "target-epsilon", eps, 50.0
+                )
+
 
 class TestReportFiles:
     def test_csv_schema_and_round_trip(self, tmp_path):
@@ -342,3 +391,10 @@ class TestReportFiles:
         report = train(fast_config(epochs=2))
         text = json.dumps(report.summary())
         assert "achieved_eps" in text
+
+    def test_numerics_and_summary_keys_are_the_fields(self):
+        # A field added later (a timing, say) must be left out of numerics() on purpose.
+        report = train(fast_config(epochs=1))
+        names = [f.name for f in fields(TrainReport)]
+        assert list(report.numerics()) == [n for n in names if n not in ("wall_clock_s", "config")]
+        assert list(report.summary()) == names + ["valid_acc", "train_loss_final"]
