@@ -8,25 +8,16 @@ which is always safe to charge). It samples at the ledger's q and adds
 noise at its sigma, so it releases exactly what the ledger charges for.
 
 All per-sample gradients come from one batched pass of the layer kernels
-(:class:`~dptrain.model.PerSampleBatch`) as rows over the trainable tail
-of the flat parameter vector, ``[B, T]`` for B samples and T trainable
-of P parameters; frozen columns are never allocated, written, divided or
-summed. Clipping (``mechanisms.clip_rows``) and summing work on those
-rows, and ``mechanisms.gaussian_noise`` draws a ``[P]`` vector whose
-``[T]`` tail carries the release. Each sample runs through the same
-numpy kernels as reverse-mode autodiff over its own one-row graph, so
-parameters, Adam moments and the step's outcome are bit-identical to
-clipping and summing such one-sample gradients one by one, the test
-suite's reference step. The backward chain (every pullback, down to each
-trainable layer's input and output cotangent) runs once for the whole
-batch; rows are then written, clipped and summed ``ROW_BLOCK_BYTES`` at
-a time in one reused buffer, so a block stays in cache across those
-passes and the step's memory is bounded whatever the batch size. The
-kernels keep each element's IEEE operations and spend few numpy calls on
-them: one einsum per weight block, one BLAS dot per row and span for the
-norms, a divide only for the rows that clip, and the outcome statistics
-straight from ufunc reductions (``np.add.reduce(x) / B`` is
-``np.mean``'s own sum and divide).
+(:class:`~dptrain.model.PerSampleBatch`), whose ``clipped_sum`` returns the
+sum of the clipped gradients over the trainable tail of the flat parameter
+vector, a ``[T]`` vector for T trainable of P parameters, and the pre-clip
+norms; ``mechanisms.gaussian_noise`` draws a ``[P]`` vector whose ``[T]``
+tail carries the release. Each sample runs through the same numpy kernels
+as reverse-mode autodiff over its own one-row graph, so parameters, Adam
+moments and the step's outcome are bit-identical to clipping and summing
+such one-sample gradients one by one, the test suite's reference step.
+The outcome statistics come straight from ufunc reductions
+(``np.add.reduce(x) / B`` is ``np.mean``'s own sum and divide).
 
 Every gradient is a flat ``[T]`` vector over the trainable tail
 ``[Model.trainable_start:]``, whose slot columns ``Model.trainable_spans``
@@ -56,7 +47,7 @@ import numpy as np
 
 from . import mechanisms
 from .accountant import PrivacyLedger
-from .mechanisms import ClipSpec, _check_placement, _span_norms, clip_rows
+from .mechanisms import ClipSpec, _check_placement, _span_norms
 from .model import Model, PerSampleBatch, ShapeMismatchError
 from .model import _binary_labels, _input_rows, _require_isolation
 
@@ -73,18 +64,6 @@ __all__ = [
 _BETA1 = 0.9
 _BETA2 = 0.999
 _STABILIZER = 1e-8
-
-# Per-sample gradient rows over the trainable columns are written, clipped and
-# summed in blocks of at most this many bytes (one row when a row is larger).
-# That is the 2 MB L2 cache per core of the x86-64 host it was tuned on, so a
-# block stays in L2 from the row writes through the norms, the divide and
-# the reduce: the whole batch for small models, 3 rows of dp-wide's 66,561
-# trainable columns. With the backward chain run once per batch, dp-wide's
-# forward pass and clipped sum at B = 32 (one BLAS thread, one pinned CPU)
-# took about 3.5% longer at 1 row, 0.5-1.3% less at 2 rows and 4-8% longer at
-# 4 rows than at 3; 2 rows beat 3 in only 6 and 7 of 10 interleaved rounds.
-ROW_BLOCK_BYTES = 2 << 20
-
 
 @dataclass
 class DpAdamState:
@@ -220,7 +199,7 @@ def dp_adam_step(
         )
 
     batch = PerSampleBatch(model, xs[indices], ys[indices])
-    clipped_sum, norms = _clipped_sum(batch, clip)
+    total, norms = batch.clipped_sum(clip)
     # The whole [P] draw keeps the noise stream; only the trainable tail is
     # released, and the frozen columns of ``flat`` are never read. The draw
     # is looked up on the module so a wrapper installed there sees it.
@@ -228,9 +207,9 @@ def dp_adam_step(
     flat = mechanisms.gaussian_noise(model.num_parameters(), scale, noise_rng)
     released = flat[model.trainable_start:]
     if noise_placement == "after-mean":
-        released += clipped_sum / batch.size
+        released += total / batch.size
     else:
-        released += clipped_sum
+        released += total
         released /= batch.size
     adam_step(model, released, state)
     return StepOutcome(
@@ -242,35 +221,3 @@ def dp_adam_step(
         noisy_grad_norm=float(_span_norms(released, model.trainable_spans())),
         mean_loss=float(np.add.reduce(batch.losses) / batch.size),
     )
-
-
-def _clipped_sum(batch: PerSampleBatch, clip: ClipSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the clipped per-sample gradient rows in sample order, and the pre-clip norms.
-
-    The sum covers the trainable tail ``[Model.trainable_start:]``. The
-    batch already holds its backward chain; rows are written from it
-    ``ROW_BLOCK_BYTES`` at a time into one reused buffer that is never
-    zeroed (``PerSampleBatch.backward`` sets every entry).
-    ``np.add.reduce`` over axis 0 of a C-contiguous matrix with two or more
-    columns (every model trains at least a weight and a bias) adds the rows
-    one after another, so the first block's reduce and ``total += row`` for
-    every later row are the same sequential additions as a row loop.
-    """
-    model = batch.model
-    spans = model.trainable_spans()
-    width = model.num_parameters() - model.trainable_start
-    per_block = min(batch.size, max(1, ROW_BLOCK_BYTES // (8 * width)))
-    rows = np.empty((per_block, width))
-    norms = np.empty(batch.size)
-    total = np.empty(width)
-    for lo in range(0, batch.size, per_block):
-        hi = min(lo + per_block, batch.size)
-        block = rows[:hi - lo]
-        batch.backward(lo, hi, block)
-        norms[lo:hi] = clip_rows(block, spans, clip)
-        if lo == 0:
-            np.add.reduce(block, axis=0, out=total)
-        else:
-            for row in block:
-                total += row
-    return total, norms

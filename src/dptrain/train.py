@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, fields
@@ -351,8 +352,8 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
     first run trains, so a bad value (``ConfigError``) or an empty split
     part (``ValueError``) stops the sweep before anything runs. A run that
     fails while training becomes a row whose stop_reason is ``error`` (with
-    empty numerics) and the sweep continues, so one failing run cannot lose
-    the rest of the grid.
+    empty numerics), one line on stderr says why, and the sweep continues,
+    so one failing run cannot lose the rest of the grid.
     """
     seeds = range(grid.seeds_per_cell)
     cells = [
@@ -370,7 +371,8 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
             run_id = f"{cell_id}-seed{seed_index}"
             try:
                 report = train(config)
-            except Exception:
+            except Exception as exc:
+                print(f"sweep: {run_id} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
                 cell_rows.append(
                     cell._replace(run_id=run_id, seed=_fmt(seed_index), stop_reason="error")
                 )

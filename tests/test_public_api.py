@@ -1,8 +1,9 @@
 """The public API: what each module exports resolves, and the package's names are pinned.
 
 Adding or removing a name from ``dptrain`` means editing ``PACKAGE_NAMES``
-here, adding or removing a module means editing ``MODULES``, and importing
-a private name from a sibling module means editing ``SHARED_PRIVATE_NAMES``,
+here, adding or removing a module means editing ``MODULES``, importing a
+private name from a sibling module means editing ``SHARED_PRIVATE_NAMES``,
+and a new import between sibling modules means editing ``MODULE_IMPORTS``,
 so the change shows up for review.
 """
 
@@ -94,6 +95,32 @@ SHARED_PRIVATE_NAMES = {
 }
 
 
+# The sibling modules each module imports from. The graph has no cycle: each
+# module imports only modules listed before it in this dict.
+MODULE_IMPORTS = {
+    "accountant": set(),
+    "data": set(),
+    "mechanisms": set(),
+    "model": {"mechanisms"},
+    "config": {"accountant", "data", "mechanisms", "model"},
+    "optim": {"accountant", "mechanisms", "model"},
+    "train": {"accountant", "config", "data", "mechanisms", "model", "optim"},
+    "cli": {"accountant", "config", "data", "train"},
+}
+
+
+def sibling_imports(name: str) -> set[str]:
+    """Modules of the package that ``dptrain.<name>`` imports, ``from . import x`` included."""
+    found = set()
+    for node in ast.walk(ast.parse((SOURCE / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
 def test_package_modules_are_pinned():
     # Only what trains ships: the autodiff oracle lives with the tests.
     found = {info.name for info in pkgutil.iter_modules(dptrain.__path__)}
@@ -148,3 +175,11 @@ def test_private_imports_between_modules_are_pinned():
         f"added: {sorted(imported - SHARED_PRIVATE_NAMES)}, "
         f"removed: {sorted(SHARED_PRIVATE_NAMES - imported)}"
     )
+
+
+def test_module_import_graph_is_pinned():
+    assert set(MODULE_IMPORTS) == set(MODULES)
+    order = list(MODULE_IMPORTS)
+    for name, expected in MODULE_IMPORTS.items():
+        assert sibling_imports(name) == expected, name
+        assert all(order.index(dep) < order.index(name) for dep in expected), name

@@ -328,6 +328,22 @@ class TestSweep:
         healthy = [r for r in rows[2:] if r.stop_reason not in ("median",)]
         assert healthy and all(r.stop_reason != "error" for r in healthy)
 
+    def test_failed_run_says_why_on_stderr(self, capsys):
+        # One line per failed run; the rows and stdout are as before.
+        base = fast_config(epochs=2)
+        grid = SweepGrid(target_eps=(0.01,), clip_norms=(1.0,), freeze_prefixes=(0,),
+                         seeds_per_cell=1)
+        rows = sweep(grid, base)
+        assert [(r.run_id, r.stop_reason) for r in rows] == [
+            ("eps0.01-clip1.0-freeze0-seed0", "error"), ("eps0.01-clip1.0-freeze0-median", "median"),
+        ]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "sweep: eps0.01-clip1.0-freeze0-seed0 failed: CalibrationError: target epsilon 0.01 "
+        )
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_runs_offset_every_seed_and_set_only_their_cell(self, monkeypatch):
         configs = []
 
