@@ -32,7 +32,11 @@ summing the row on its own runs, so the table gives bit for bit the values
 of ``np.add.reduce(row[:alpha + 1])``. Noise calibration visits about 16
 sigmas, about 1.1 ms when every curve is new. ``_per_step`` memoizes each
 (sigma, q) curve for the process, shared and read-only, 64 curves at most
-(about four plans), so calibrating a plan again takes about 0.15 ms.
+(about four plans); a search over remembered curves still builds its 16
+ledgers, about 0.13 ms. ``calibrate_sigma`` memoizes each plan's sigma
+too, 64 plans at most, so calibrating a plan again, as every seed and
+sweep cell after the first does, is a lookup of about 0.3 us (one pinned
+CPU of a 2-vCPU x86-64 host, dp-small's plan).
 
 When sigma is 0 or so small that a closed form overflows (the
 k^2 / (2 sigma^2) term below sigma ~ 3e-153, or 2 sigma^2 underflowing to
@@ -281,14 +285,26 @@ def calibrate_sigma(target_eps: float, delta: float, q: float, steps: int) -> fl
     epsilon(sigma) <= target_eps, so re-running the forward accountant on it
     cannot overshoot. Raises :class:`CalibrationError` when even the ceiling
     cannot reach the target. A delta or q out of range raises ``ValueError``
-    from the first ``epsilon_for`` call, whose ledger checks both.
+    from the first ``epsilon_for`` call, whose ledger checks both. Each plan
+    (target_eps, delta, q, steps) is searched once per process; a refusal is
+    never stored, so it raises again on every call.
     """
     if not target_eps > 0:
         raise ValueError(f"target epsilon must be positive, got {target_eps}")
     steps = operator.index(steps)
     if steps < 1:
         raise ValueError(f"calibration needs at least one step, got {steps}")
+    return _calibrated_sigma(target_eps, delta, q, steps)
 
+
+@functools.lru_cache(maxsize=64)
+def _calibrated_sigma(target_eps: float, delta: float, q: float, steps: int) -> float:
+    """The bisection behind :func:`calibrate_sigma`, memoized per plan.
+
+    Equal arguments of any numeric type share one entry; the sigma is a
+    Python float either way. Every probe calls ``epsilon_for`` through the
+    module global, so a tracer or test that replaces it sees each call.
+    """
     lo = _SIGMA_SEARCH_FLOOR
     if epsilon_for(lo, q, steps, delta) <= target_eps:
         return lo
@@ -335,12 +351,11 @@ class PrivacyLedger:
     penalties log(1/delta) / (alpha - 1) are one division by a constant
     array, so a query is a few array operations. The curve memo keeps the
     64 most recently used (sigma, q) curves, about four plans, so a ledger
-    of a recent spec computes no curve (about 0.06 ms saved a ledger, 1.1
-    -> 0.15 ms a repeated calibration). A ledger with zero accumulated
-    divergence (no steps, or an effectively infinite sigma) spends exactly
-    nothing, so epsilon is 0 in that case rather than the grid penalty the
-    conversion formula alone would report. An infinite per-step value at
-    every order gives epsilon = inf.
+    of a recent spec computes no curve (about 0.06 ms saved a ledger). A
+    ledger with zero accumulated divergence (no steps, or an effectively
+    infinite sigma) spends exactly nothing, so epsilon is 0 in that case
+    rather than the grid penalty the conversion formula alone would report.
+    An infinite per-step value at every order gives epsilon = inf.
     """
 
     def __init__(self, spec: MechanismSpec, delta: float = DEFAULT_DELTA):

@@ -205,7 +205,8 @@ def _converter(convert, expected: str):
 
 
 def _comma_list(kind):
-    return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
+    """Parse every comma-separated element with ``kind``; an empty element raises ValueError."""
+    return lambda value: tuple(kind(v) for v in value.split(","))
 
 
 _PARSERS = {

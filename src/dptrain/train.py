@@ -137,8 +137,9 @@ def split_dataset(config: RunConfig) -> Split:
 
     When no separate test set is supplied, ``test_fraction`` of the rows is
     held out first; the remainder is split ``train_fraction`` to train and
-    the rest to validation. A split that leaves any part empty raises
-    ``ValueError``.
+    the rest to validation. The parts are disjoint row ranges (views) of
+    one shuffled copy of the data. A split that leaves any part empty
+    raises ``ValueError``.
     """
     data, explicit_test = _load_dataset(config)
     rng = np.random.Generator(np.random.PCG64(config.seed_data + 1))
@@ -147,10 +148,12 @@ def split_dataset(config: RunConfig) -> Split:
 
     test_rows = None if explicit_test is None else len(explicit_test)
     held, n_train = _split_sizes(len(data), config.test_fraction, config.train_fraction, test_rows)
-    test = data.subset(np.arange(held)) if explicit_test is None else explicit_test
-    train_part = data.subset(np.arange(held, held + n_train))
-    valid_part = data.subset(np.arange(held + n_train, len(data)))
-    return Split(train=train_part, valid=valid_part, test=test)
+
+    def rows(start, stop):
+        return Dataset(data.features[start:stop], data.labels[start:stop])
+
+    test = rows(0, held) if explicit_test is None else explicit_test
+    return Split(train=rows(held, held + n_train), valid=rows(held + n_train, len(data)), test=test)
 
 
 def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):

@@ -34,10 +34,12 @@ from oracles import (
 
 @pytest.fixture(autouse=True)
 def fresh_curves():
-    """Each test computes its own per-step curves rather than reading another test's."""
+    """Each test computes its own per-step curves and sigmas rather than reading another test's."""
     accountant._per_step.cache_clear()
+    accountant._calibrated_sigma.cache_clear()
     yield
     accountant._per_step.cache_clear()
+    accountant._calibrated_sigma.cache_clear()
 
 
 @pytest.fixture
@@ -51,6 +53,20 @@ def curve_calls(monkeypatch):
         return evaluate(sigma, q)
 
     monkeypatch.setattr(accountant, "_subsampled_rdp", counted)
+    return calls
+
+
+@pytest.fixture
+def epsilon_calls(monkeypatch):
+    """The arguments of every ``epsilon_for`` call made while the test runs."""
+    calls = []
+    evaluate = accountant.epsilon_for
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(accountant, "epsilon_for", counted)
     return calls
 
 
@@ -463,6 +479,7 @@ class TestTableMatchesPerOrderOracle:
     def test_calibration_picks_the_oracle_sigma(self, case, monkeypatch):
         sigma = calibrate_sigma(*case)
         monkeypatch.setattr(accountant, "epsilon_for", per_order_epsilon)
+        accountant._calibrated_sigma.cache_clear()
         assert sigma == calibrate_sigma(*case)
 
     def test_calibration_error_for_the_same_inputs(self, monkeypatch):
@@ -476,6 +493,7 @@ class TestTableMatchesPerOrderOracle:
         ]
         got = [_calibrate_or_error(*c) for c in cases]
         monkeypatch.setattr(accountant, "epsilon_for", per_order_epsilon)
+        accountant._calibrated_sigma.cache_clear()
         assert got == [_calibrate_or_error(*c) for c in cases]
         assert got.count("CalibrationError") >= 2
 
@@ -613,19 +631,13 @@ class TestPairwiseTableMatchesRowLoop:
         got = [_calibrate_or_error(*case) for case in cases]
         monkeypatch.setattr(accountant, "_subsampled_rdp", row_loop_subsampled_rdp)
         accountant._per_step.cache_clear()
+        accountant._calibrated_sigma.cache_clear()
         assert got == [_calibrate_or_error(*case) for case in cases]
         assert got.count("CalibrationError") < len(cases) // 2
 
-    def test_dp_small_calibration_call_count(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return epsilon_for(*args)
-
-        monkeypatch.setattr(accountant, "epsilon_for", counted)
+    def test_dp_small_calibration_call_count(self, epsilon_calls):
         calibrate_sigma(10.0, 1e-5, 32 / 1440, 180)
-        assert len(calls) == 16
+        assert len(epsilon_calls) == 16
 
 
 NUMPY_ORDER = (
@@ -711,13 +723,19 @@ class TestPerStepMemo:
     """Each (sigma, q) curve is evaluated once per process and reused with the same bits."""
 
     @pytest.mark.parametrize("plan", MEMO_PLANS)
-    def test_second_calibration_evaluates_no_curve(self, plan, curve_calls):
+    def test_second_calibration_evaluates_no_curve(self, plan, curve_calls, epsilon_calls):
         sigma = calibrate_sigma(*plan)
-        assert len(curve_calls) >= 15
+        assert len(curve_calls) >= 15 and len(epsilon_calls) >= 15
         curve_calls.clear()
+        epsilon_calls.clear()
         again = calibrate_sigma(*plan)
-        assert curve_calls == []
+        assert curve_calls == [] and epsilon_calls == []
         assert _bits(again) == _bits(sigma)
+        # Without the sigma memo the search runs again, on remembered curves.
+        accountant._calibrated_sigma.cache_clear()
+        searched = calibrate_sigma(*plan)
+        assert curve_calls == [] and len(epsilon_calls) >= 15
+        assert _bits(searched) == _bits(sigma)
 
     def test_epsilon_one_plan_searches_past_sigma_one(self):
         assert calibrate_sigma(*MEMO_PLANS[1]) > 1.0
@@ -763,15 +781,16 @@ class TestPerStepMemo:
         assert len({repr(ledger.curve()) for ledger in ledgers}) == 1
         assert len({_bits(ledger.spent().epsilon).item() for ledger in ledgers}) == 1
 
-    def test_second_run_of_a_plan_evaluates_no_curve(self, curve_calls):
+    def test_second_run_of_a_plan_evaluates_no_curve(self, curve_calls, epsilon_calls):
         config = RunConfig(n=400, dim=6, widths=(8, 1), epochs=2, noise_placement="on-sum")
         first = train(config)
-        assert len(curve_calls) >= 15
+        assert len(curve_calls) >= 15 and len(epsilon_calls) >= 15
         curve_calls.clear()
+        epsilon_calls.clear()
         second = train(
             dataclasses.replace(config, seed_model=11, seed_data=12, seed_poisson=13, seed_noise=14)
         )
-        assert curve_calls == []
+        assert curve_calls == [] and epsilon_calls == []
         assert _bits(second.sigma) == _bits(first.sigma)
         assert second.numerics() != first.numerics()
 
@@ -780,6 +799,35 @@ class TestPerStepMemo:
         assert curve_calls == []
         info = accountant._per_step.cache_info()
         assert (info.hits, info.misses) == (0, 0)
+
+
+class TestCalibrationMemo:
+    """Each plan (target epsilon, delta, q, steps) is searched once per process."""
+
+    def test_equal_targets_of_any_type_share_one_entry(self, epsilon_calls):
+        sigmas = [calibrate_sigma(eps, 1e-5, 32 / 1440, 180) for eps in (10, 10.0, np.float64(10.0))]
+        assert accountant._calibrated_sigma.cache_info().currsize == 1
+        assert len(epsilon_calls) == 16
+        assert all(type(sigma) is float for sigma in sigmas)
+        assert len({_bits(sigma).item() for sigma in sigmas}) == 1
+
+    @pytest.mark.parametrize(
+        "plan, error, message",
+        [
+            ((0.001, 1e-5, 0.5, 10**5), CalibrationError, "unreachable"),
+            ((0.01, 1e-5, 1.0, 1), CalibrationError, "unreachable"),
+            ((-1.0, 1e-5, 0.5, 10), ValueError, "target epsilon"),
+            ((1.0, 1e-5, 0.5, 0), ValueError, "at least one step"),
+            ((1.0, 1e-5, 0.5, 2.5), TypeError, "interpreted as an integer"),
+            ((1.0, 0.0, 0.5, 10), ValueError, "delta must be"),
+            ((1.0, 1e-5, 1.5, 10), ValueError, "sampling probability"),
+        ],
+    )
+    def test_refusal_raises_every_time_and_is_not_stored(self, plan, error, message):
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                calibrate_sigma(*plan)
+        assert accountant._calibrated_sigma.cache_info().currsize == 0
 
 
 class TestStepCounts:

@@ -200,6 +200,14 @@ class TestTrainCommand:
         assert not out.exists()
         assert "widths must all be >= 1" in capsys.readouterr().err
 
+    def test_width_list_with_an_empty_element_exits_one_without_outputs(self, tmp_path, capsys):
+        conf = write_config(tmp_path, TRAIN_CONF.replace("widths = 8,1", "widths = 16,,1"))
+        out = tmp_path / "out"
+        assert main(["train", str(conf), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "widths: expected comma-separated integers, got '16,,1'" in err
+
     @pytest.mark.parametrize(
         "key, conf",
         [
@@ -258,8 +266,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "axes",
         ["sweep_target_eps = -inf\nsweep_clip_norm = 1.0\n",
-         "sweep_target_eps = 5\nsweep_clip_norm = 1.0,-1\n"],
-        ids=["eps", "clip"],
+         "sweep_target_eps = 5\nsweep_clip_norm = 1.0,-1\n",
+         "sweep_target_eps = 1,,10\nsweep_clip_norm = 1.0\n"],
+        ids=["eps", "clip", "eps-empty-element"],
     )
     def test_bad_axis_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, axes):
         cells = []

@@ -140,6 +140,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="widths"):
             run_config_from_mapping({"widths": "a,b"})
 
+    @pytest.mark.parametrize("value", ["16,,1", ",16,1", "16,1,", "16, ,1", ",", ""])
+    def test_list_with_an_empty_element_is_refused(self, value):
+        message = f"^widths: expected comma-separated integers, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            run_config_from_mapping({"widths": value})
+
 
 def _ledger(delta):
     PrivacyLedger(MechanismSpec(1.0, 0.5), delta)
@@ -192,6 +198,18 @@ class TestSweepGrid:
         assert math.isinf(grid.target_eps[-1])
         assert grid.freeze_prefixes == (0, 1)
         assert len(list(grid.cells())) == 6
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("sweep_target_eps", "1,,10", "comma-separated numbers"),
+            ("sweep_clip_norm", "1.0,", "comma-separated numbers"),
+            ("sweep_freeze_prefix", ",0", "comma-separated integers"),
+        ],
+    )
+    def test_axis_with_an_empty_element_is_refused(self, key, value, expected):
+        with pytest.raises(ConfigError, match=f"^{key}: expected {expected}, got '{value}'$"):
+            sweep_grid_from_mapping({key: value})
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,13 +1,13 @@
 import importlib
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from dptrain.accountant import accountant_query
 from dptrain.config import _SEED_FIELDS, ConfigError, RunConfig, SweepGrid
-from dptrain.data import save_csv_dataset, synthetic_dataset
+from dptrain.data import _split_sizes, load_csv_dataset, save_csv_dataset, synthetic_dataset
 from dptrain.train import (
     REPORT_COLUMNS,
     TrainReport,
@@ -68,6 +68,48 @@ class TestSplit:
         assert len(split.test) == 40
         assert len(split.train) == 80  # no holdout when a test file is given
         assert len(split.valid) == 20
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv", "csv-with-test-file"])
+    def test_parts_are_disjoint_rows_of_one_shuffle(self, source, tmp_path):
+        config = fast_config(n=300, test_fraction=0.2, train_fraction=0.7)
+        if source != "synthetic":
+            path = tmp_path / "data.csv"
+            save_csv_dataset(synthetic_dataset(300, 6, 4.0, 0.1, seed=3), path)
+            config = replace(config, dataset="csv", csv_path=str(path))
+        explicit_test = None
+        if source == "csv-with-test-file":
+            test_path = tmp_path / "test.csv"
+            save_csv_dataset(synthetic_dataset(50, 6, 4.0, 0.1, seed=4), test_path)
+            config = replace(config, test_csv_path=str(test_path))
+            explicit_test = load_csv_dataset(test_path)
+        split = split_dataset(config)
+
+        # The former split: one gather per part from the shuffled copy.
+        data = load_csv_dataset(config.csv_path) if config.csv_path else synthetic_dataset(
+            config.n, config.dim, config.separation, config.label_noise, config.seed_data
+        )
+        order = np.random.Generator(np.random.PCG64(config.seed_data + 1)).permutation(len(data))
+        data = data.subset(order)
+        held, n_train = _split_sizes(
+            len(data), config.test_fraction, config.train_fraction,
+            None if explicit_test is None else len(explicit_test),
+        )
+        expected = {
+            "test": data.subset(np.arange(held)) if explicit_test is None else explicit_test,
+            "train": data.subset(np.arange(held, held + n_train)),
+            "valid": data.subset(np.arange(held + n_train, len(data))),
+        }
+        parts = {name: getattr(split, name) for name in expected}
+        for name, part in parts.items():
+            for got, want in [(part.features, expected[name].features),
+                              (part.labels, expected[name].labels)]:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
+        arrays = [a for part in parts.values() for a in (part.features, part.labels)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert len(split.test) == (50 if explicit_test is not None else 60)
 
     def test_dimension_mismatch_between_train_and_test(self, tmp_path):
         from dptrain.data import save_csv_dataset, synthetic_dataset
