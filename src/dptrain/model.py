@@ -33,6 +33,7 @@ divide only for the rows that clip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -247,7 +248,7 @@ class Model:
         data = np.asarray(x, dtype=np.float64)
         if data.ndim == 1:
             data = data.reshape(1, -1)
-        return _kernel_forward(self, _input_rows(self, data), [])  # nothing to differentiate
+        return _kernel_forward(self, _input_rows(self, data), None)  # nothing to differentiate
 
     @property
     def parameter_vector(self) -> np.ndarray:
@@ -359,7 +360,7 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
     # One reduction on the fast path: any NaN/Inf propagates into the sum.
     # A finite array can only sum to non-finite via overflow, so the precise
     # elementwise check runs just on that rare slow path.
-    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
@@ -408,25 +409,30 @@ def _bce_pullback(pc: np.ndarray, y: np.ndarray, unclamped: np.ndarray) -> np.nd
     return np.where(unclamped, (pc - y) / (pc * (1.0 - pc)), 0.0)
 
 
-def _kernel_forward(model: Model, h: np.ndarray, saved: list) -> np.ndarray:
+def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarray:
     """Logits ``[B]`` of rows ``[B, 1, in]`` or ``[B, in]`` through the layer kernels.
 
     Each layer runs the numpy operations of the autodiff primitives it
-    stands for and appends to ``saved`` what its pullback needs.
+    stands for and appends to ``saved`` what its pullback needs; with
+    ``saved=None`` nothing is kept, so each layer's input is freed once
+    the next layer has read it.
     """
     params = model.parameters
     for layer in model.layers:
         if isinstance(layer, DenseLayer):
-            saved.append(h)
+            if saved is not None:
+                saved.append(h)
             h = h @ params[layer.weight_slot] + params[layer.bias_slot]
             _ensure_finite(h, "dense")
         elif isinstance(layer, ActivationLayer):
-            saved.append(h > 0.0)
+            if saved is not None:
+                saved.append(h > 0.0)
             h = np.maximum(h, 0.0)
         elif isinstance(layer, GroupNormLayer):
             norm_saved = _group_norm(h, layer.num_groups)
             normed = norm_saved[0].reshape(h.shape)
-            saved.append((normed, *norm_saved))
+            if saved is not None:
+                saved.append((normed, *norm_saved))
             h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
             _ensure_finite(h, "group_norm")
         elif isinstance(layer, BatchCoupledNormLayer):
@@ -454,7 +460,7 @@ def _binary_labels(ys, size: int) -> np.ndarray:
         raise ShapeMismatchError(f"{size} samples but {ya.shape[0]} labels")
     bad = (ya != 0.0) & (ya != 1.0)
     if bad.any():
-        raise ValueError(f"label must be 0 or 1, got {ya[bad][0]!r}")
+        raise ValueError(f"label must be 0 or 1, got {float(ya[bad][0])!r}")
     return ya
 
 
@@ -485,7 +491,21 @@ class _LayerPass:
         _require_isolation(model)
         if not self._rowwise and xa.shape[0] == 0:
             raise ValueError("batch_gradient needs at least one sample")  # the mean has none
+        self._run(model, xa, ya)
 
+    @classmethod
+    def _checked(cls, model: Model, xa: np.ndarray, ya: np.ndarray):
+        """The pass over rows and labels that already meet every check ``__init__`` makes.
+
+        ``xa`` is a float64 ``[B, input_dim]`` matrix, ``ya`` a flat float64
+        vector of B labels, each 0 or 1, and ``model`` passes
+        ``validate_model``; nothing here checks them again.
+        """
+        self = cls.__new__(cls)
+        self._run(model, xa, ya)
+        return self
+
+    def _run(self, model: Model, xa: np.ndarray, ya: np.ndarray) -> None:
         self.model = model
         self.size = xa.shape[0]
         saved: list = []  # what each layer's pullback needs, for all rows

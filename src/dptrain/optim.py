@@ -16,17 +16,23 @@ tail carries the release. Each sample runs through the same numpy kernels
 as reverse-mode autodiff over its own one-row graph, so parameters, Adam
 moments and the step's outcome are bit-identical to clipping and summing
 such one-sample gradients one by one, the test suite's reference step.
-The outcome statistics come straight from ufunc reductions
-(``np.add.reduce(x) / B`` is ``np.mean``'s own sum and divide).
+
+The step checks its inputs once, on the full data before the draw and the
+charge; the ``PerSampleBatch`` it builds from the drawn rows does not check
+them again. Its ``StepOutcome`` keeps the pre-clip norms, the losses and
+the released vector, and computes each statistic when it is read, from
+ufunc reductions (``np.add.reduce(x) / B`` is ``np.mean``'s own sum and
+divide).
 
 Every gradient is a flat ``[T]`` vector over the trainable tail
 ``[Model.trainable_start:]``, whose slot columns ``Model.trainable_spans``
 gives; a model's freeze boundary is fixed when it is built. The Adam
 moments are ``[T]`` vectors laid out like that tail; one update runs a few
-whole-vector operations over them and the parameters' tail in place, and
-frozen parameters are never written. Every operation is the per-slot
-formula's own elementwise IEEE operation, so trainable parameters and
-their moments are bit-identical to updating slot by slot.
+whole-vector operations over them and the parameters' tail in place,
+writing every intermediate result into one scratch buffer that the state
+keeps, and frozen parameters are never written. Every operation is the
+per-slot formula's own elementwise IEEE operation, so trainable parameters
+and their moments are bit-identical to updating slot by slot.
 
 The update rule is bias-corrected Adam (Kingma & Ba 2015) with its usual
 constants: w = m_hat / (sqrt(u_hat) + 1e-8), where m_hat = m / (1 - 0.9^t)
@@ -72,7 +78,9 @@ class DpAdamState:
     ``m`` and ``u`` are flat float64 ``[T]`` vectors laid out like the
     model's trainable tail, ``parameter_vector[trainable_start:]``; they
     start at zero, and the update writes them in place. ``u`` accumulates
-    squares so it stays elementwise non-negative.
+    squares so it stays elementwise non-negative. The state also holds the
+    update's scratch buffer, two ``[T]`` rows that every update reuses, so
+    a step allocates nothing for Adam.
     """
 
     m: np.ndarray
@@ -87,6 +95,7 @@ class DpAdamState:
         self.u = np.asarray(self.u, dtype=np.float64)
         if self.m.ndim != 1 or self.m.shape != self.u.shape:
             raise ShapeMismatchError("moment estimates must be flat vectors of one length")
+        self._scratch = np.empty((2, *self.m.shape))
 
     @classmethod
     def for_model(cls, model: Model, lr: float) -> "DpAdamState":
@@ -94,21 +103,51 @@ class DpAdamState:
         return cls(m=np.zeros(size), u=np.zeros(size), lr=lr)
 
 
-@dataclass(frozen=True)
 class StepOutcome:
     """Observability record for one dp_adam_step call.
 
+    It keeps arrays the step already holds, which no later step writes:
+    ``norms``, the ``[B]`` pre-clip gradient norms in sample order,
+    ``losses``, the ``[B]`` per-sample losses, and ``released``, the noisy
+    ``[T]`` vector handed to Adam (``None`` when nothing was released).
+    ``batch_size`` is B; the other statistics are computed when read.
     ``applied`` is False when the Poisson draw was empty: parameters are
-    untouched that step, but the ledger is still charged.
+    untouched that step, but the ledger is still charged, and the other
+    statistics read NaN.
     """
 
-    applied: bool
-    batch_size: int
-    preclip_norm_min: float
-    preclip_norm_mean: float
-    preclip_norm_max: float
-    noisy_grad_norm: float
-    mean_loss: float
+    __slots__ = ("batch_size", "norms", "losses", "released", "_spans")
+
+    def __init__(self, batch_size: int, norms, losses, released, spans):
+        self.batch_size = batch_size
+        self.norms = norms
+        self.losses = losses
+        self.released = released
+        self._spans = spans
+
+    @property
+    def applied(self) -> bool:
+        return self.batch_size > 0
+
+    @property
+    def preclip_norm_min(self) -> float:
+        return float(np.minimum.reduce(self.norms)) if self.batch_size else math.nan
+
+    @property
+    def preclip_norm_mean(self) -> float:
+        return float(np.add.reduce(self.norms) / self.batch_size) if self.batch_size else math.nan
+
+    @property
+    def preclip_norm_max(self) -> float:
+        return float(np.maximum.reduce(self.norms)) if self.batch_size else math.nan
+
+    @property
+    def noisy_grad_norm(self) -> float:
+        return float(_span_norms(self.released, self._spans)) if self.batch_size else math.nan
+
+    @property
+    def mean_loss(self) -> float:
+        return float(np.add.reduce(self.losses) / self.batch_size) if self.batch_size else math.nan
 
 
 def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -129,7 +168,8 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     or moments of another length (a state made for another model's
     layout), raise ``ShapeMismatchError`` before the step count, the
     moments or the parameters change. The update writes the moments and
-    the parameters' tail in place. Each line is the per-slot formula's own
+    the parameters' tail in place, and its intermediates into the state's
+    scratch buffer. Each line is the per-slot formula's own
     IEEE operation, applied to the whole tail:
     ``m *= beta1; m += (1 - beta1) * g`` is ``beta1 * m + (1 - beta1) * g``.
     """
@@ -144,13 +184,20 @@ def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:
     c1 = 1.0 - _BETA1 ** state.t
     c2 = 1.0 - _BETA2 ** state.t
     g, m, u = grad, state.m, state.u
+    if state._scratch.shape[1:] != params.shape:  # moments replaced after the state was made
+        state._scratch = np.empty((2, *params.shape))
+    den, w = state._scratch  # every intermediate lands in these two rows
     m *= _BETA1
-    m += (1.0 - _BETA1) * g
+    np.multiply(1.0 - _BETA1, g, out=w)
+    m += w
     u *= _BETA2
-    u += (1.0 - _BETA2) * (g * g)
-    den = np.sqrt(u / c2)
+    np.multiply(g, g, out=w)
+    w *= 1.0 - _BETA2
+    u += w
+    np.divide(u, c2, out=den)
+    np.sqrt(den, out=den)
     den += _STABILIZER
-    w = m / c1
+    np.divide(m, c1, out=w)
     w /= den
     w *= state.lr
     params -= w
@@ -188,17 +235,9 @@ def dp_adam_step(
     indices = poisson_subsample(xs.shape[0], ledger.spec.q, poisson_rng)
     ledger.advance(1)
     if indices.size == 0:
-        return StepOutcome(
-            applied=False,
-            batch_size=0,
-            preclip_norm_min=math.nan,
-            preclip_norm_mean=math.nan,
-            preclip_norm_max=math.nan,
-            noisy_grad_norm=math.nan,
-            mean_loss=math.nan,
-        )
+        return StepOutcome(0, np.empty(0), np.empty(0), None, ())
 
-    batch = PerSampleBatch(model, xs[indices], ys[indices])
+    batch = PerSampleBatch._checked(model, xs[indices], ys[indices])
     total, norms = batch.clipped_sum(clip)
     # The whole [P] draw keeps the noise stream; only the trainable tail is
     # released, and the frozen columns of ``flat`` are never read. The draw
@@ -212,12 +251,4 @@ def dp_adam_step(
         released += total
         released /= batch.size
     adam_step(model, released, state)
-    return StepOutcome(
-        applied=True,
-        batch_size=batch.size,
-        preclip_norm_min=float(np.minimum.reduce(norms)),
-        preclip_norm_mean=float(np.add.reduce(norms) / batch.size),
-        preclip_norm_max=float(np.maximum.reduce(norms)),
-        noisy_grad_norm=float(_span_norms(released, model.trainable_spans())),
-        mean_loss=float(np.add.reduce(batch.losses) / batch.size),
-    )
+    return StepOutcome(batch.size, norms, batch.losses, released, model.trainable_spans())

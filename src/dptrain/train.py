@@ -141,7 +141,11 @@ def split_dataset(config: RunConfig) -> Split:
     one shuffled copy of the data. A split that leaves any part empty
     raises ``ValueError``.
     """
-    data, explicit_test = _load_dataset(config)
+    return _split(config, *_load_dataset(config))
+
+
+def _split(config: RunConfig, data: Dataset, explicit_test: Dataset | None) -> Split:
+    """``split_dataset`` of rows ``_load_dataset(config)`` returned; it leaves them unchanged."""
     rng = np.random.Generator(np.random.PCG64(config.seed_data + 1))
     order = rng.permutation(len(data))
     data = data.subset(order)
@@ -241,8 +245,13 @@ def train(config: RunConfig) -> TrainReport:
     exceeded. Both run the same epoch loop. Deterministic: identical configs
     (seeds included) reproduce the report numerics bit-exactly.
     """
+    return _train(config, None)
+
+
+def _train(config: RunConfig, loaded: tuple[Dataset, Dataset | None] | None) -> TrainReport:
+    """``train``, on the rows ``_load_dataset(config)`` returned when ``loaded`` holds them."""
     started = time.perf_counter()
-    split = split_dataset(config)
+    split = split_dataset(config) if loaded is None else _split(config, *loaded)
     widths = [split.train.dim, *config.widths]
     model = build_mlp(widths, config.norm, config.seed_model, config.freeze_prefix)
 
@@ -351,9 +360,11 @@ def _median_str(values: list[str]) -> str:
 def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
     """Run every grid cell with every seed; append a median row per cell.
 
-    Every run's config is built, and a CSV base split once, before the
-    first run trains, so a bad value (``ConfigError``) or an empty split
-    part (``ValueError``) stops the sweep before anything runs. A run that
+    Every run's config is built, and a CSV base loaded and split once,
+    before the first run trains, so a bad value (``ConfigError``) or an
+    empty split part (``ValueError``) stops the sweep before anything runs.
+    Every run of a CSV base trains on those loaded rows (a cell changes
+    neither the file nor its standardization). A run that
     fails while training becomes a row whose stop_reason is ``error`` (with
     empty numerics), one line on stderr says why, and the sweep continues,
     so one failing run cannot lose the rest of the grid.
@@ -363,8 +374,10 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
         (eps, clip, freeze, [_cell_config(base, eps, clip, freeze, i) for i in seeds])
         for eps, clip, freeze in grid.cells()
     ]
+    loaded = None
     if base.dataset == "csv":
-        split_dataset(base)  # every run reads this file with these fractions
+        loaded = _load_dataset(base)
+        _split(base, *loaded)  # every run splits these rows with these fractions
     rows: list[SweepRow] = []
     for eps, clip, freeze, configs in cells:
         cell = _BLANK_ROW._replace(target_eps=_fmt(eps), clip_norm=_fmt(clip), freeze_prefix=_fmt(freeze))
@@ -373,7 +386,7 @@ def sweep(grid: SweepGrid, base: RunConfig) -> list[SweepRow]:
         for seed_index, config in enumerate(configs):
             run_id = f"{cell_id}-seed{seed_index}"
             try:
-                report = train(config)
+                report = _train(config, loaded)
             except Exception as exc:
                 print(f"sweep: {run_id} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
                 cell_rows.append(

@@ -30,7 +30,8 @@ draw the noise array by array from one stream, add it at either
 placement). The private step does the same on ``[B, T]`` rows over the
 trainable columns, in cache-sized blocks, with one ``[P]`` draw;
 ``tape_dp_adam_step`` uses this list form as its reference, at the sigma
-and the sampling rate of the ledger it charges, as the private step does.
+and the sampling rate of the ledger it charges, as the private step does,
+and returns its seven outcome statistics as a ``TapeStepOutcome``.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``flat`` and ``slot_views`` convert between a per-slot gradient and the flat
@@ -46,6 +47,7 @@ the references the current kernels must equal bit for bit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -76,7 +78,7 @@ from dptrain.model import (
     _binary_labels,
     validate_model,
 )
-from dptrain.optim import StepOutcome, poisson_subsample
+from dptrain.optim import poisson_subsample
 
 SIMPSON_TOL = 1e-12
 
@@ -560,6 +562,14 @@ def slot_views(model, vector: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
+# The seven statistics a ``dptrain.optim.StepOutcome`` reads, by name.
+TapeStepOutcome = namedtuple(
+    "TapeStepOutcome",
+    "applied batch_size preclip_norm_min preclip_norm_mean preclip_norm_max "
+    "noisy_grad_norm mean_loss",
+)
+
+
 def tape_dp_adam_step(
     model, xs, ys, state, clip, ledger, poisson_rng, noise_rng, noise_placement="after-mean",
 ):
@@ -568,7 +578,7 @@ def tape_dp_adam_step(
     Same contract as ``dptrain.optim.dp_adam_step``, which must reproduce it
     bit for bit: the batch is drawn at ``ledger.spec.q`` and the noise
     scaled by ``ledger.spec.sigma``. The Adam update is the per-slot oracle,
-    so ``state`` holds ``[P]`` moments.
+    so ``state`` holds ``[P]`` moments. It returns a ``TapeStepOutcome``.
     """
     report = validate_model(model)
     if not report.ok:
@@ -585,7 +595,7 @@ def tape_dp_adam_step(
     ledger.advance(1)
     if indices.size == 0:
         nan = math.nan
-        return StepOutcome(False, 0, nan, nan, nan, nan, nan)
+        return TapeStepOutcome(False, 0, nan, nan, nan, nan, nan)
 
     grads, losses = [], []
     for i in indices:
@@ -597,7 +607,7 @@ def tape_dp_adam_step(
     vbar = aggregate_noisy(grads, clip, ledger.spec.sigma, noise_rng, placement=noise_placement)
     vbar = masked(vbar, model.trainable)
     per_slot_adam_update(model, state, vbar)
-    return StepOutcome(
+    return TapeStepOutcome(
         applied=True,
         batch_size=int(indices.size),
         preclip_norm_min=float(norms.min()),

@@ -272,7 +272,9 @@ class TestSweepCommand:
     )
     def test_bad_axis_exits_one_before_any_cell(self, tmp_path, capsys, monkeypatch, axes):
         cells = []
-        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        monkeypatch.setattr(
+            importlib.import_module("dptrain.train"), "_train", lambda config, _: cells.append(config)
+        )
         conf = write_config(
             tmp_path,
             TRAIN_CONF.replace("privacy = fixed-sigma\nsigma = 1.0\n", "")
@@ -298,7 +300,9 @@ class TestSweepCommand:
         self, tmp_path, capsys, monkeypatch, key, extra
     ):
         cells = []
-        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        monkeypatch.setattr(
+            importlib.import_module("dptrain.train"), "_train", lambda config, _: cells.append(config)
+        )
         conf = write_config(
             tmp_path,
             TRAIN_CONF.replace("privacy = fixed-sigma\nsigma = 1.0\n", "").replace("n = 300\n", "")
@@ -313,7 +317,9 @@ class TestSweepCommand:
     def test_empty_csv_split_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
         # Every run splits the same file the same way, so the sweep checks the split once, first.
         cells = []
-        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", cells.append)
+        monkeypatch.setattr(
+            importlib.import_module("dptrain.train"), "_train", lambda config, _: cells.append(config)
+        )
         data = tmp_path / "data.csv"
         save_csv_dataset(synthetic_dataset(300, 5, 4.0, 0.0, seed=0), data)
         conf = write_config(

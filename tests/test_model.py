@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,20 @@ def test_accuracy_rejects_labels_outside_zero_and_one(bad):
     xs = np.random.default_rng(1).normal(size=(4, 2))
     with pytest.raises(ValueError, match="label must be 0 or 1"):
         accuracy(model, xs, [0.0, 1.0, bad, 1.0])
+
+
+@pytest.mark.parametrize(
+    "bad, shown", [(2.0, "2.0"), (2, "2.0"), (-1.0, "-1.0"), (0.5, "0.5"), (np.nan, "nan")]
+)
+def test_label_error_shows_the_label_as_a_plain_float(bad, shown):
+    # The message prints the float, not numpy's scalar repr (np.float64(2.0)).
+    model = build_mlp([2, 4, 1], seed=0)
+    xs = np.random.default_rng(1).normal(size=(4, 2))
+    message = f"^label must be 0 or 1, got {re.escape(shown)}$"
+    with pytest.raises(ValueError, match=message):
+        accuracy(model, xs, [0, 1, bad, 1])
+    with pytest.raises(ValueError, match=message):
+        batch_gradient(model, xs, [0, 1, bad, 1])
 
 
 def test_accuracy_rejects_zero_samples():

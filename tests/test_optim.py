@@ -20,6 +20,7 @@ from dptrain import model as model_module
 from dptrain import optim
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step, poisson_subsample
 from oracles import (
+    TapeStepOutcome,
     flat,
     mean_gradient_sets,
     per_sample_gradient,
@@ -187,6 +188,24 @@ class TestReferenceAdam:
             assert_same_bits(state.u, u)
             assert model.parameter_vector is params
             assert_same_bits(params, kept)
+
+    def test_moments_replaced_by_another_length_still_update(self):
+        # The scratch buffer follows the moments: a state whose moments were
+        # swapped for another model's updates that model as a fresh state does.
+        unfrozen = build_mlp([3, 4, 4, 1], seed=2)
+        frozen = build_mlp([3, 4, 4, 1], seed=2, freeze_prefix=1)
+        size = frozen.num_parameters() - frozen.trainable_start
+        grad = np.linspace(-1.0, 1.0, size)
+        fresh = DpAdamState.for_model(frozen, lr=0.1)
+        adam_step(frozen, grad, fresh)
+        expected = frozen.parameter_vector.copy()
+        frozen.set_parameters(build_mlp([3, 4, 4, 1], seed=2).parameters)
+        swapped = DpAdamState.for_model(unfrozen, lr=0.1)
+        swapped.m, swapped.u = np.zeros(size), np.zeros(size)
+        adam_step(frozen, grad, swapped)
+        assert_same_bits(frozen.parameter_vector, expected)
+        assert_same_bits(swapped.m, fresh.m)
+        assert_same_bits(swapped.u, fresh.u)
 
     def test_state_holds_moments_for_the_trainable_tail_alone(self):
         # dp-wide's model: 72,449 parameters, of which the 66,561 past the first block train.
@@ -388,6 +407,54 @@ class TestDpAdamStep:
         assert o.batch_size == 16
         assert o.preclip_norm_min <= o.preclip_norm_mean <= o.preclip_norm_max
         assert math.isfinite(o.mean_loss) and o.mean_loss > 0
+
+    def test_outcome_reads_the_same_after_the_next_step(self):
+        # The statistics are computed when read, from arrays the outcome
+        # keeps; no later step writes them or the memory under them.
+        model = build_mlp([5, 6, 6, 1], norm="group:2", seed=10, freeze_prefix=1)
+        state = DpAdamState.for_model(model, lr=0.05)
+        ledger = PrivacyLedger(MechanismSpec(0.8, 0.5))
+        rngs = np.random.default_rng(4), np.random.default_rng(5)
+
+        def step():
+            return dp_adam_step(model, self.xs, self.ys, state, ClipSpec(0.7), ledger, *rngs)
+
+        first = step()
+        kept = (first.norms, first.losses, first.released)
+        copies = [a.copy() for a in kept]
+        read = outcome_statistics(first)
+        second = step()
+        assert first.applied and second.applied
+        np.testing.assert_equal(outcome_statistics(first), read)
+        for a, b in zip(kept, copies):
+            assert_same_bits(a, b)
+        buffers = (second.norms, second.losses, second.released,
+                   model.parameter_vector, state.m, state.u)
+        assert not any(np.shares_memory(a, b) for a in kept for b in buffers)
+
+    def test_step_checks_its_inputs_once(self, monkeypatch):
+        # The step checks the full data before the draw; the batch it builds
+        # from those rows is not checked again.
+        calls = []
+        for name in ("_input_rows", "_binary_labels", "_require_isolation"):
+            check = getattr(model_module, name)
+
+            def counting(*args, _check=check, _name=name):
+                calls.append(_name)
+                return _check(*args)
+
+            monkeypatch.setattr(model_module, name, counting)
+        model = build_mlp([5, 6, 1], seed=12)
+        outcomes, _ = run_dp(model, self.xs, self.ys, 3, sigma=0.5, clip=1.0, p=1.0)
+        assert [o.batch_size for o in outcomes] == [16] * 3
+        assert calls == []
+        PerSampleBatch(model, self.xs, self.ys)
+        assert sorted(calls) == ["_binary_labels", "_input_rows", "_require_isolation"]
+
+
+def outcome_statistics(outcome):
+    """The seven statistics a step outcome reads, by name, as ``TapeStepOutcome`` holds them."""
+    return {name: getattr(outcome, name) for name in TapeStepOutcome._fields}
 
 
 def assert_same_bits(a, b):
@@ -602,7 +669,7 @@ class TestBatchedStepEqualsTapeLoop:
         assert state.t == ref_state.t
         assert ledger.step_count == ref_ledger.step_count == steps
         for o, r in zip(outcomes, ref_outcomes):
-            np.testing.assert_equal(dataclasses.asdict(o), dataclasses.asdict(r))
+            np.testing.assert_equal(outcome_statistics(o), r._asdict())
         return outcomes
 
     @pytest.mark.parametrize("placement", ["after-mean", "on-sum"])

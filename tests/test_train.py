@@ -1,6 +1,7 @@
 import importlib
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -386,14 +387,53 @@ class TestSweep:
         )
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    @pytest.mark.parametrize("with_test_file", [False, True], ids=["held-out", "test-file"])
+    def test_csv_base_is_loaded_once_per_sweep(self, with_test_file, tmp_path, monkeypatch):
+        # The rows and their standardization depend on neither the cell nor
+        # the seed: the sweep loads each file once, and writes the bytes of
+        # a sweep whose every run loads the files itself.
+        train_module = importlib.import_module("dptrain.train")
+        path = tmp_path / "data.csv"
+        save_csv_dataset(synthetic_dataset(300, 6, 4.0, 0.1, seed=3), path)
+        base = fast_config(dataset="csv", csv_path=str(path), epochs=1)
+        files = [base.csv_path]
+        if with_test_file:
+            test_path = tmp_path / "test.csv"
+            save_csv_dataset(synthetic_dataset(80, 6, 4.0, 0.1, seed=4), test_path)
+            base = replace(base, test_csv_path=str(test_path))
+            files.append(base.test_csv_path)
+        grid = SweepGrid(target_eps=(5.0, math.inf), clip_norms=(1.0,), freeze_prefixes=(0,),
+                         seeds_per_cell=3)
+        loads = []
+        load = train_module.load_csv_dataset
+
+        def counting(file):
+            loads.append(file)
+            return load(file)
+
+        monkeypatch.setattr(train_module, "load_csv_dataset", counting)
+        # Every run's wall clock reads 0.0, so the two files can match byte for byte.
+        monkeypatch.setattr(train_module, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        write_report_csv(sweep(grid, base), tmp_path / "once.csv")
+        assert loads == files
+
+        loads.clear()
+        run = train_module._train
+        monkeypatch.setattr(train_module, "_train", lambda config, _: run(config, None))
+        write_report_csv(sweep(grid, base), tmp_path / "per-run.csv")
+        assert loads == files * 7  # the up-front split check, then each of the 6 runs
+        once = (tmp_path / "once.csv").read_bytes()
+        assert once == (tmp_path / "per-run.csv").read_bytes()
+        assert once.count(b"error") == 0 and once.count(b"\n") == 1 + 2 * 4
+
     def test_runs_offset_every_seed_and_set_only_their_cell(self, monkeypatch):
         configs = []
 
-        def record(config):
+        def record(config, loaded):
             configs.append(config)
             raise RuntimeError("recorded, not trained")
 
-        monkeypatch.setattr(importlib.import_module("dptrain.train"), "train", record)
+        monkeypatch.setattr(importlib.import_module("dptrain.train"), "_train", record)
         base = fast_config(budget_eps=50.0)
         grid = SweepGrid(target_eps=(2.0, math.inf), clip_norms=(0.5,),
                          freeze_prefixes=(1,), seeds_per_cell=3)
