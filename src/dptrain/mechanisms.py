@@ -56,9 +56,15 @@ def _check_placement(placement: str) -> None:
 
 def _span_norms(rows: np.ndarray, spans: Sequence[tuple[int, int]]) -> np.ndarray:
     """L2 norm of each row (or of one vector) over the column ranges ``spans``:
-    one ``np.vecdot`` (the BLAS dot ``np.dot`` runs) per span, added in slot order from 0.0."""
-    total = 0.0
-    for lo, hi in spans:
+    one ``np.vecdot`` (the BLAS dot ``np.dot`` runs) per span, added in slot order.
+
+    The sum starts from the first span's dot rather than from 0.0; a dot of
+    a vector with itself is never -0.0, so ``0.0 +`` it would change no bit.
+    """
+    (lo, hi), *rest = spans
+    v = rows[..., lo:hi]
+    total = np.vecdot(v, v)
+    for lo, hi in rest:
         v = rows[..., lo:hi]
         total += np.vecdot(v, v)
     return np.sqrt(total)

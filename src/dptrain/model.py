@@ -366,10 +366,11 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp only of non-positive arguments, so neither tail overflows: -|z| is
-    # exactly -z where z >= 0 and z elsewhere.
+    # exactly -z where z >= 0 and z elsewhere. One divide serves both
+    # branches: the numerator is 1.0 where z >= 0 and e elsewhere.
     e = np.exp(-np.abs(z))
     d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / d
 
 
 def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -397,9 +398,17 @@ def _group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
 
 
 def _bce(p: np.ndarray, y: np.ndarray):
-    """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs."""
+    """``(loss, (clamped p, y, unclamped mask))``: elementwise BCE and what the pullback needs.
+
+    Every label must be 0 or 1 (``-0.0`` counts as 0); each caller checks
+    that with ``_binary_labels`` first. The loss then selects one log per
+    sample, and that has the bits of ``-(y log pc + (1 - y) log1p(-pc))``:
+    the clamp keeps both logs finite and below zero, so the unselected
+    product is a signed zero and adding it leaves the other term unchanged.
+    """
     pc = np.minimum(np.maximum(p, BCE_PROB_FLOOR), 1.0 - BCE_PROB_FLOOR)
-    loss = -(y * np.log(pc) + (1.0 - y) * np.log1p(-pc))
+    loss = np.where(y == 1.0, np.log(pc), np.log1p(-pc))
+    np.negative(loss, out=loss)
     unclamped = (p > BCE_PROB_FLOOR) & (p < 1.0 - BCE_PROB_FLOOR)
     return loss, (pc, y, unclamped)
 
@@ -422,7 +431,8 @@ def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarr
         if isinstance(layer, DenseLayer):
             if saved is not None:
                 saved.append(h)
-            h = h @ params[layer.weight_slot] + params[layer.bias_slot]
+            h = h @ params[layer.weight_slot]
+            h += params[layer.bias_slot]
             _ensure_finite(h, "dense")
         elif isinstance(layer, ActivationLayer):
             if saved is not None:
@@ -433,7 +443,8 @@ def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarr
             normed = norm_saved[0].reshape(h.shape)
             if saved is not None:
                 saved.append((normed, *norm_saved))
-            h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
+            h = normed * params[layer.gamma_slot]
+            h += params[layer.beta_slot]
             _ensure_finite(h, "group_norm")
         elif isinstance(layer, BatchCoupledNormLayer):
             normed = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + layer.eps)
@@ -626,15 +637,17 @@ def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:
     graph bit for bit. Labels must be 0 or 1, one per sample.
     """
     kernels = _LayerPass(model, xs, ys)
-    tail = np.zeros(kernels._width)
-    # Reduced over the batch as the batch graph reduces: h.T @ g for weights, sums for the rest.
+    tail = np.empty(kernels._width)  # the chain covers every trainable column
+    # Reduced over the batch as the batch graph reduces: h.T @ g for weights, sums for the
+    # rest, each written straight into its columns (``np.add.reduce`` is what ``sum`` runs).
     for cols, bias_cols, h, g, shape in kernels._chain:
         if shape is None:
-            tail[cols] = (g * h).sum(axis=0)
+            np.add.reduce(g * h, axis=0, out=tail[cols])
         else:
             np.matmul(h.T, g, out=tail[cols].reshape(shape))
-        tail[bias_cols] = g.sum(axis=0)
-    return float(kernels.losses.mean()), tail
+        np.add.reduce(g, axis=0, out=tail[bias_cols])
+    # np.mean's own sum and divide.
+    return float(np.add.reduce(kernels.losses) / kernels.size), tail
 
 
 def predict_proba(model: Model, xs) -> np.ndarray:

@@ -246,7 +246,8 @@ def dp_adam_step(
     flat = mechanisms.gaussian_noise(model.num_parameters(), scale, noise_rng)
     released = flat[model.trainable_start:]
     if noise_placement == "after-mean":
-        released += total / batch.size
+        np.divide(total, batch.size, out=total)
+        released += total
     else:
         released += total
         released /= batch.size

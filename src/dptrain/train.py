@@ -185,18 +185,25 @@ def _private_step(config: RunConfig, split: Split, model: Model, state, ledger):
 
 
 def _nonprivate_step(config: RunConfig, split: Split, model: Model, state):
-    """Batch ``i`` of the epoch's shuffle, drawn at ``i == 0``: full-batch gradient, then Adam."""
+    """Batch ``i`` of the epoch's shuffle, drawn at ``i == 0``: full-batch gradient, then Adam.
+
+    At ``i == 0`` the epoch's rows are gathered once, in shuffled order, into
+    two buffers the run keeps; batch ``i`` is then a contiguous slice of them.
+    """
     order_rng = np.random.Generator(np.random.PCG64(config.seed_data + 2))
     xs, ys = split.train.features, split.train.labels
+    shuffled_xs, shuffled_ys = np.empty_like(xs), np.empty_like(ys)
     size = config.batch_size
-    order = None
 
     def step(i):
-        nonlocal order
         if i == 0:
             order = order_rng.permutation(len(xs))
-        batch = order[i * size:(i + 1) * size]
-        loss, grad = batch_gradient(model, xs[batch], ys[batch])
+            # Every index is in range, so "clip" changes none; the default
+            # "raise" would gather into a temporary and then copy it.
+            np.take(xs, order, axis=0, out=shuffled_xs, mode="clip")
+            np.take(ys, order, axis=0, out=shuffled_ys, mode="clip")
+        rows = slice(i * size, (i + 1) * size)
+        loss, grad = batch_gradient(model, shuffled_xs[rows], shuffled_ys[rows])
         adam_step(model, grad, state)
         return loss
 
@@ -208,16 +215,19 @@ def _run_epochs(config: RunConfig, split: Split, model: Model, step, steps_per_e
 
     ``step`` returns the step's loss, or None when it applied nothing. With a
     ledger and a budget, the loop stops before the step that would push
-    epsilon past the budget.
+    epsilon past the budget: the ledger finds that step once, before the
+    first step, from one table of every planned step count.
     """
-    budget = config.budget_eps if ledger is not None else None
+    stop_at = None  # the step count whose epsilon first exceeds the budget
+    if ledger is not None and config.budget_eps is not None:
+        stop_at = ledger._first_step_over(config.budget_eps, config.epochs * steps_per_epoch)
     epochs: list[EpochRecord] = []
     stop_reason = STOP_EPOCHS_EXHAUSTED
     steps_run = 0
     for epoch in range(1, config.epochs + 1):
         losses: list[float] = []
         for i in range(steps_per_epoch):
-            if budget is not None and ledger.epsilon_if(steps_run + 1) > budget:
+            if steps_run + 1 == stop_at:
                 stop_reason = STOP_BUDGET_EXCEEDED
                 break
             loss = step(i)

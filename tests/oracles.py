@@ -32,6 +32,8 @@ trainable columns, in cache-sized blocks, with one ``[P]`` draw;
 ``tape_dp_adam_step`` uses this list form as its reference, at the sigma
 and the sampling rate of the ledger it charges, as the private step does,
 and returns its seven outcome statistics as a ``TapeStepOutcome``.
+``per_step_first_over`` is the budget stop as one ledger query per step
+count, the reference for the ledger's one table per run.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``flat`` and ``slot_views`` convert between a per-slot gradient and the flat
@@ -274,6 +276,12 @@ def per_order_epsilon(sigma: float, q: float, steps: int, delta: float) -> float
     if steps == 0 or float(totals.max()) == 0.0:
         return 0.0
     return float(candidates[int(np.argmin(candidates))])
+
+
+def per_step_first_over(ledger, budget: float, planned: int) -> int | None:
+    """The budget stop as one ``epsilon_if`` query per step count: the
+    least count in ``1..planned`` whose epsilon exceeds ``budget``, or None."""
+    return next((n for n in range(1, planned + 1) if ledger.epsilon_if(n) > budget), None)
 
 
 def grid_search_epsilon_gaussian(sigma: float, delta: float, steps: int = 1) -> tuple[float, int]:

@@ -28,6 +28,7 @@ from oracles import (
     mixture_renyi_rdp,
     per_order_epsilon,
     per_order_rdp,
+    per_step_first_over,
     row_loop_subsampled_rdp,
 )
 
@@ -447,6 +448,54 @@ CALIBRATION_CASES = (
     (1.0, 1e-5, 32 / 1440, 1350),
     (10.0, 1e-5, 32 / 1440, 1350),
 )
+
+
+class TestFirstStepOver:
+    """The budget stop's one table per run finds the step a query per step finds."""
+
+    BLOCK = accountant._COUNT_BLOCK
+
+    def budgets(self, ledger, planned):
+        """Below the first step's epsilon, equal to several steps' epsilon, and never reached."""
+        first = ledger.epsilon_if(1)
+        equal = [ledger.epsilon_if(n) for n in (1, 2, self.BLOCK - 1, self.BLOCK, self.BLOCK + 1, planned)]
+        return [first / 2, math.nextafter(first, 0.0), *equal, ledger.epsilon_if(planned) * 2, math.inf]
+
+    @pytest.mark.parametrize(
+        "sigma,q", [(1.0, 32 / 1440), (0.8, 0.1), (2.0, 1.0), (1e4, 0.5), (1e-154, 0.1)]
+    )
+    def test_equals_a_query_per_step(self, sigma, q):
+        ledger = PrivacyLedger(MechanismSpec(sigma, q))
+        for planned in (0, 1, 180, 2 * self.BLOCK + 5):
+            for budget in self.budgets(ledger, max(planned, 1)):
+                want = per_step_first_over(ledger, budget, planned)
+                assert ledger._first_step_over(budget, planned) == want, (planned, budget)
+        assert ledger.step_count == 0
+
+    def test_assumes_no_growth_with_the_count(self):
+        # Totals n and 1030 - n: epsilon rises to 515 and falls again, and the
+        # order attaining it at the last count is within the budget early on.
+        ledger = PrivacyLedger(MechanismSpec(1.0, 0.5))
+        ledger._per_step, ledger._penalties = np.array([1.0, -1.0]), np.array([0.0, 1030.0])
+        planned = 2 * self.BLOCK + 6
+        for budget in (100.0, 514.0, 515.0, 600.0, -1.0):
+            want = per_step_first_over(ledger, budget, planned)
+            assert ledger._first_step_over(budget, planned) == want, budget
+        assert per_step_first_over(ledger, 514.0, planned) == 515
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 32 / 1440])
+    def test_zero_sigma_stops_before_the_first_step(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ledger = PrivacyLedger(MechanismSpec(0.0, q))
+            assert ledger._first_step_over(1e300, 10) == 1
+        assert ledger._first_step_over(1e300, 0) is None
+
+    def test_no_spend_never_stops(self):
+        ledger = PrivacyLedger(MechanismSpec(1e200, 1.0))
+        assert ledger.epsilon_if(10**6) == 0.0
+        assert ledger._first_step_over(1e-300, 10**6) is None
+        assert ledger._first_step_over(-1.0, 10) == 1 == per_step_first_over(ledger, -1.0, 10)
 
 
 def _calibrate_or_error(*args):

@@ -320,13 +320,19 @@ def test_bce_clamp_equals_np_clip_bitwise():
         1.0 - 10.0 ** rng.uniform(-17, -1, size=500),
     ])
     p = p[(p >= 0.0) & (p <= 1.0)]
-    y = rng.integers(0, 2, size=p.size).astype(float)
-    loss, (pc, _, unclamped) = _bce(p, y)
     want = clip_clamp(p)
-    assert pc.tobytes() == want.tobytes()
-    ref_loss = -(y * np.log(want) + (1.0 - y) * np.log1p(-want))
-    assert loss.tobytes() == ref_loss.tobytes()
-    assert unclamped.any() and not unclamped.all()
+    labels = rng.integers(0, 2, size=p.size).astype(float)
+    # Labels 0 or 1, with 0 written as +0.0, as -0.0 or as either: the loss
+    # selects a log, and that must be the product formula bit for bit.
+    negative_zeros = np.where(labels == 0.0, -0.0, labels)
+    mixed = np.where(rng.random(p.size) < 0.5, labels, negative_zeros)
+    for y in (labels, negative_zeros, mixed):
+        loss, (pc, _, unclamped) = _bce(p, y)
+        assert pc.tobytes() == want.tobytes()
+        ref_loss = -(y * np.log(want) + (1.0 - y) * np.log1p(-want))
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert unclamped.any() and not unclamped.all()
+    assert np.signbit(y).any() and (y == 1.0).any()
 
 
 def test_non_finite_inputs_rejected():

@@ -19,7 +19,7 @@ from dptrain.train import (
     write_epochs_csv,
     write_report_csv,
 )
-from oracles import logistic_regression_accuracy
+from oracles import logistic_regression_accuracy, per_step_first_over
 
 
 def fast_config(**overrides):
@@ -205,6 +205,45 @@ class TestTrain:
         ledger = PrivacyLedger(MechanismSpec(1.0, 32 / len(split.train)), delta=config.delta)
         assert ledger.epsilon_if(report.steps_run) <= 5.0 < ledger.epsilon_if(report.steps_run + 1)
 
+    @pytest.mark.parametrize(
+        "sigma,budget,steps",
+        [(1.0, 0.01, 0), (1.0, None, 16), (1.0, None, 1), (1e-200, 10.0, 0), (1.0, 1e6, None)],
+        ids=["below-first-step", "equal-to-a-step", "equal-to-first-step", "infinite-eps", "never-reached"],
+    )
+    def test_budget_stop_equals_a_query_per_step(self, monkeypatch, sigma, budget, steps):
+        # The loop finds its stop once, from one table; a query before every
+        # step, as the loop once made, must stop at the same step. A budget of
+        # None is the epsilon after ``steps`` steps; None steps runs them all.
+        from dptrain.accountant import MechanismSpec, PrivacyLedger
+
+        config = fast_config(sigma=sigma, epochs=30)
+        train_rows = len(split_dataset(config).train)
+        if budget is None:
+            ledger = PrivacyLedger(MechanismSpec(sigma, 32 / train_rows), delta=config.delta)
+            budget = ledger.epsilon_if(steps)
+        config = config.with_overrides(budget_eps=budget)
+        report = train(config)
+        monkeypatch.setattr(PrivacyLedger, "_first_step_over", per_step_first_over)
+        reference = train(config)
+        assert report.numerics() == reference.numerics()
+        if steps is None:
+            assert report.stop_reason == "epochs-exhausted"
+            assert report.steps_run == config.epochs * math.ceil(train_rows / 32)
+        else:
+            assert report.stop_reason == "budget-exceeded" and report.steps_run == steps
+
+    def test_budget_stop_queries_no_epsilon_per_step(self, monkeypatch):
+        from dptrain.accountant import PrivacyLedger
+
+        calls = []
+        original = PrivacyLedger.epsilon_if
+        monkeypatch.setattr(
+            PrivacyLedger, "epsilon_if", lambda self, n: calls.append(n) or original(self, n)
+        )
+        report = train(fast_config(budget_eps=5.0, epochs=30))
+        assert report.stop_reason == "budget-exceeded" and report.steps_run > 0
+        assert calls == []
+
     def test_budget_binding_immediately(self):
         report = train(fast_config(budget_eps=0.01, epochs=2))
         assert report.stop_reason == "budget-exceeded"
@@ -326,6 +365,36 @@ class TestLoopHooks:
             "adam_step": report.steps_run,
             "accuracy": len(report.epochs) + 1,
         }
+
+
+class TestNonPrivateBatches:
+    def test_each_step_gets_its_rows_of_the_epoch_shuffle(self, monkeypatch):
+        # 2 epochs whose last batch is short: every step's rows, in order,
+        # are the next slice of that epoch's permutation.
+        config = fast_config(privacy="off", sigma=None, epochs=2, batch_size=40)
+        split = split_dataset(config)
+        xs, ys = split.train.features, split.train.labels
+        size = config.batch_size
+        assert len(xs) % size != 0
+        train_module = importlib.import_module("dptrain.train")
+        original = train_module.batch_gradient
+        received = []
+
+        def batch_gradient(model, xs, ys, /):
+            received.append((xs.tobytes(), ys.tobytes()))
+            return original(model, xs, ys)
+
+        monkeypatch.setattr(train_module, "batch_gradient", batch_gradient)
+        report = train(config)
+        order_rng = np.random.Generator(np.random.PCG64(config.seed_data + 2))
+        expected = []
+        for _ in range(config.epochs):
+            perm = order_rng.permutation(len(xs))
+            for i in range(math.ceil(len(xs) / size)):
+                batch = perm[i * size:(i + 1) * size]
+                expected.append((xs[batch].tobytes(), ys[batch].tobytes()))
+        assert report.steps_run == len(expected) == len(received)
+        assert received == expected
 
 
 class TestSweep:
