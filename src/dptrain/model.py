@@ -21,13 +21,16 @@ Its rows cover the trainable tail of the flat parameter vector, ``[B, T]``
 for B samples and T trainable of P parameters; frozen columns are never
 allocated, written, divided or summed. The backward chain (every
 pullback, down to each trainable layer's input and output cotangent) runs
-once for the whole batch; rows are then written, clipped
-(``mechanisms.clip_rows``) and summed ``ROW_BLOCK_BYTES`` at a time in one
-reused buffer, so a block stays in cache across those passes and the
-step's memory is bounded whatever the batch size. The kernels keep each
-element's IEEE operations and spend few numpy calls on them: one einsum
-per weight block, one BLAS dot per row and span for the norms, and a
-divide only for the rows that clip.
+once for the whole batch. A wide weight span (see ``ROW_BLOCK_BYTES``) is
+then written, normed, clipped and added one sample at a time in one reused
+``[in, out]`` buffer; the other spans' rows are written, clipped
+(``mechanisms.clip_rows``'s norms and divides) and summed
+``ROW_BLOCK_BYTES`` at a time in another. So the step's memory is bounded
+whatever the batch size, and no ``[B, in * out]`` weight block is built.
+The kernels keep each element's IEEE operations, so the sum and norms are
+those of a full-width row loop bit for bit, and spend few numpy calls on
+them: one einsum per weight block, one BLAS dot per row and span for the
+norms, and a divide only for the rows that clip.
 """
 
 from __future__ import annotations
@@ -71,15 +74,21 @@ BCE_PROB_FLOOR = 1e-12
 # variance whenever the group is not degenerate, and stays bounded otherwise.
 GROUP_NORM_VAR_FLOOR = 1e-5
 
-# Per-sample gradient rows over the trainable columns are written, clipped and
-# summed in blocks of at most this many bytes (one row when a row is larger).
-# That is the 2 MB L2 cache per core of the x86-64 host it was tuned on, so a
-# block stays in L2 from the row writes through the norms, the divide and
-# the reduce: the whole batch for small models, 3 rows of dp-wide's 66,561
-# trainable columns. With the backward chain run once per batch, dp-wide's
-# forward pass and clipped sum at B = 32 (one BLAS thread, one pinned CPU)
-# took about 3.5% longer at 1 row, 0.5-1.3% less at 2 rows and 4-8% longer at
-# 4 rows than at 3; 2 rows beat 3 in only 6 and 7 of 10 interleaved rounds.
+# The clipped sum's memory and cache bound. A trainable weight span is wide
+# when its one-sample [in, out] block is larger than ROW_BLOCK_BYTES // 8
+# (256 KB): it is written, clipped and added to the [T] sum one sample at a
+# time, so that block and its columns of the sum stay in the 2 MB L2 cache
+# per core of the x86-64 host this was measured on. The rows of every other
+# span (the narrow ones, packed side by side) are written, clipped and summed
+# in blocks of at most ROW_BLOCK_BYTES (one row when a row is larger): the
+# whole batch for small models and for dp-wide's 1,025 narrow columns (blocks
+# of all 66,561 columns, 3 rows or 1.6 MB, plus the 0.53 MB sum did not fit in
+# L2). On that host (one BLAS thread, one pinned CPU, [20, n, n, 1] models at
+# freeze 1, B = 8, 32 and 116) the one-sample layout's clipped sum against
+# the block one took 14-63% longer for weights of 32-63 KB, -1% to +17% at
+# 128 KB, -9% to +7% at 153 KB, 3-14% less at 200 KB, 4-9% less just under
+# 256 KB and 12-16% less at dp-wide's 512 KB; the cut-off keeps every B on
+# the winning side.
 ROW_BLOCK_BYTES = 2 << 20
 
 
@@ -583,49 +592,143 @@ class PerSampleBatch(_LayerPass):
 
         The sum is a ``[T]`` vector over the trainable tail
         ``[Model.trainable_start:]``, the norms a ``[B]`` vector; an empty
-        batch sums to zeros. Rows are written ``ROW_BLOCK_BYTES`` at a time
-        into one reused buffer that is never zeroed (``_write_rows`` sets
-        every entry) and clipped by ``mechanisms.clip_rows``.
-        ``np.add.reduce`` over axis 0 of a C-contiguous matrix with two or
-        more columns (every model trains at least a weight and a bias) adds
+        batch sums to zeros. Every column's sum starts at +0.0 and adds the
+        clipped rows one after another, as ``np.add.reduce`` does, so a
+        column where every row holds -0.0 sums to +0.0.
+
+        The columns are split by span (see ``ROW_BLOCK_BYTES``). The narrow
+        spans, packed side by side, are written ``ROW_BLOCK_BYTES`` at a
+        time into one reused buffer that is never zeroed (``_write_rows``
+        sets every entry), normed, clipped and reduced: ``np.add.reduce``
+        over axis 0 of a C-contiguous matrix with two or more columns adds
         the rows one after another, so the first block's reduce and
-        ``total += row`` for every later row are the same sequential
-        additions as a row loop.
+        ``+= row`` for every later row (for every row when one column is
+        narrow) are a row loop's additions.
+        Each wide span goes one sample at a time through its own reused
+        ``[in, out]`` buffer: its outer product, its dot, a divide if the
+        sample clips, then an add into its columns of the sum. A sample's
+        norm adds its span dots in slot order, the narrow ones from the
+        block, so norms and divides are ``mechanisms.clip_rows``'s. With no
+        wide span the block covers all T columns and is clipped by
+        ``clip_rows`` itself.
         """
-        spans = self.model.trainable_spans()
-        width = self._width
+        width, chain, slots, wide, moves = self._layout()
         per_block = max(1, min(self.size, ROW_BLOCK_BYTES // (8 * width)))
         rows = np.empty((per_block, width))
         norms = np.empty(self.size)
-        total = np.zeros(width)  # the sum of no rows; the first block's reduce overwrites it
+        total = narrow = np.zeros(self._width)  # the sum of no rows
+        if wide:
+            narrow = np.zeros(width)
+            wide = [(h, g, np.empty((1, *shape)), total[cols]) for cols, h, g, shape in wide]
         for lo in range(0, self.size, per_block):
             hi = min(lo + per_block, self.size)
             block = rows[:hi - lo]
-            self._write_rows(lo, hi, block)
-            norms[lo:hi] = clip_rows(block, spans, clip)
-            if lo == 0:
-                np.add.reduce(block, axis=0, out=total)
+            self._write_rows(lo, hi, block, chain)
+            if wide:
+                norms[lo:hi] = _clip_one_by_one(lo, block, slots, wide, clip)
+            else:
+                norms[lo:hi] = clip_rows(block, slots, clip)
+            if lo == 0 and width > 1:  # one column would be summed pairwise
+                np.add.reduce(block, axis=0, out=narrow)
             else:
                 for row in block:
-                    total += row
+                    narrow += row
+        for dst, src in moves:
+            total[dst] = narrow[src]
         return total, norms
 
-    def _write_rows(self, lo: int, hi: int, rows: np.ndarray) -> None:
+    def _layout(self):
+        """``(width, chain, slots, wide, moves)``: how ``clipped_sum`` splits the columns.
+
+        A wide span is a weight span whose one-sample ``[in, out]`` block
+        is larger than ``ROW_BLOCK_BYTES // 8`` bytes. ``wide`` holds each
+        one's ``(cols, h, g, shape)`` in slot order. The narrow spans are
+        packed side by side in ``width`` columns: ``chain`` is ``_chain``
+        with those columns and ``None`` for a wide weight, ``slots`` gives,
+        in slot order, each span's packed columns or ``None`` when it is
+        wide, and ``moves`` pairs each narrow span's columns in ``[T]`` with
+        its packed ones. Without a wide span the layout is ``_chain``'s own
+        over all T columns, and ``moves`` is empty.
+        """
+        spans = self.model.trainable_spans()
+        limit = ROW_BLOCK_BYTES // 8
+        wide = ()
+        if 8 * self._width > limit:  # otherwise no span can be wide
+            wide = [(cols, h, g, shape) for cols, _, h, g, shape in reversed(self._chain)
+                    if shape is not None and 8 * shape[0] * shape[1] > limit]
+        if not wide:
+            return self._width, self._chain, spans, (), ()
+        starts = {cols.start for cols, *_ in wide}
+        packed, slots, moves = {}, [], []
+        width = 0
+        for lo, hi in spans:
+            if lo in starts:
+                slots.append(None)
+                continue
+            packed[lo] = slice(width, width + hi - lo)
+            slots.append((width, width + hi - lo))
+            moves.append((slice(lo, hi), packed[lo]))
+            width += hi - lo
+        chain = [(None if cols.start in starts else packed[cols.start], packed[bias_cols.start],
+                  h, g, shape) for cols, bias_cols, h, g, shape in self._chain]
+        return width, chain, slots, wide, moves
+
+    def _write_rows(self, lo: int, hi: int, rows: np.ndarray, chain=None) -> None:
         """Write the gradients of samples ``lo..hi-1`` into ``rows``, unchecked.
 
         ``rows`` is a C-contiguous float64 ``[hi - lo, T]`` matrix over the
         trainable tail: column j holds flat parameter
         ``Model.trainable_start + j``, and T = P when nothing is frozen.
-        Every entry is set, so ``rows`` need not be zeroed.
+        Every entry is set, so ``rows`` need not be zeroed. ``clipped_sum``
+        passes its narrow ``chain`` (see ``_layout``) instead: ``rows`` is
+        then its narrow block, and wide weights are left out.
         """
         r = hi - lo
-        for cols, bias_cols, h, g, shape in self._chain:
+        for cols, bias_cols, h, g, shape in self._chain if chain is None else chain:
             g = g[lo:hi, 0]
-            if shape is None:
+            if cols is None:
+                pass  # a wide weight, written one sample at a time
+            elif shape is None:
                 np.multiply(g, h[lo:hi, 0], out=rows[:, cols])
             else:
                 np.einsum("bi,bj->bij", h[lo:hi, 0], g, out=rows[:, cols].reshape(r, *shape))
             rows[:, bias_cols] = g
+
+
+def _clip_one_by_one(lo: int, block: np.ndarray, slots, wide, clip: ClipSpec) -> np.ndarray:
+    """Clip samples ``lo, lo + 1, ...`` of the narrow ``block`` and add their wide spans.
+
+    ``slots`` is ``PerSampleBatch._layout``'s; ``wide`` holds each wide
+    span's ``(h, g, buffer, sum)``: its ``[1, in, out]`` buffer and its
+    columns of the ``[T]`` sum. Each sample's wide blocks are written by the
+    ``_write_rows`` einsum and normed by the BLAS dot ``clip_rows`` runs,
+    and its squared norm adds the span dots in slot order (Python floats
+    make the same IEEE operations), so every norm, divide and addition is
+    that of the full-width row. Returns the block's pre-clip norms.
+    """
+    dots = [None if s is None else np.vecdot(block[:, s[0]:s[1]], block[:, s[0]:s[1]]).tolist()
+            for s in slots]
+    flats = [buf.reshape(-1) for _, _, buf, _ in wide]
+    norms = np.empty(len(block))
+    for i, row in enumerate(block):
+        b = lo + i
+        for h, g, buf, _ in wide:
+            np.einsum("bi,bj->bij", h[b], g[b], out=buf)
+        wide_dots = iter([np.vecdot(flat, flat).item() for flat in flats])
+        square = 0.0
+        for d in dots:
+            square += next(wide_dots) if d is None else d[i]
+        norm = norms[i] = math.sqrt(square)
+        if not math.isfinite(norm):
+            raise ValueError("cannot clip a non-finite gradient")
+        factor = norm / clip.max_norm
+        for flat, (_, _, _, dst) in zip(flats, wide):
+            if factor > 1.0:
+                flat /= factor
+            dst += flat
+        if factor > 1.0:
+            row /= factor
+    return norms
 
 
 def batch_gradient(model: Model, xs, ys) -> tuple[float, np.ndarray]:

@@ -455,8 +455,11 @@ def per_sample_gradients(model, xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
     Row i equals ``per_sample_gradient(model, xs[i], ys[i])`` flattened in
     slot order (see ``PerSampleBatch``), with zero columns for frozen
-    parameters. Builds the whole matrix; ``PerSampleBatch.clipped_sum``
-    works in row blocks over the trainable columns instead.
+    parameters. Builds the whole matrix with ``PerSampleBatch._write_rows``,
+    the full-row writer: the full-width row loop the tests hold
+    ``PerSampleBatch.clipped_sum`` to, which builds no such matrix (it
+    writes each wide weight one sample at a time and the other trainable
+    columns in row blocks; see ``model.ROW_BLOCK_BYTES``).
     """
     batch = PerSampleBatch(model, xs, ys)
     start = model.trainable_start

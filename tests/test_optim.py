@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dptrain.accountant import MechanismSpec, PrivacyLedger
 from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
+    DenseLayer,
     ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
@@ -502,7 +504,7 @@ class TestFlatAdamEqualsPerSlotOracle:
 
 
 class TestClippedSum:
-    """The block reduction adds the clipped rows in sample order, like a row loop."""
+    """The clipped sum adds the clipped rows in sample order from +0.0, like a row loop."""
 
     @staticmethod
     def record_row_writes(monkeypatch):
@@ -513,12 +515,36 @@ class TestClippedSum:
         received = []
         write_rows = PerSampleBatch._write_rows
 
-        def recording(batch, lo, hi, rows):
+        def recording(batch, lo, hi, rows, *chain):
             received.append((lo, hi, rows.shape, (rows if rows.base is None else rows.base).nbytes))
-            write_rows(batch, lo, hi, rows)
+            write_rows(batch, lo, hi, rows, *chain)
 
         monkeypatch.setattr(PerSampleBatch, "_write_rows", recording)
         return received
+
+    @staticmethod
+    def row_loop_sum(rows):
+        """+0.0 plus each row in sample order, column by column, as ``np.add.reduce`` adds."""
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total += row
+        return total
+
+    @staticmethod
+    def narrow_width(model):
+        """Trainable columns outside the wide weights, those whose one-sample block is larger
+        than ``ROW_BLOCK_BYTES // 8`` bytes: the width of every block the row writer receives."""
+        limit = model_module.ROW_BLOCK_BYTES // 8
+        wide = [layer.in_dim * layer.out_dim for layer in model.layers
+                if isinstance(layer, DenseLayer) and layer.weight_slot >= model.frozen_slots
+                and 8 * layer.in_dim * layer.out_dim > limit]
+        return model.num_parameters() - model.trainable_start - sum(wide)
+
+    @staticmethod
+    def row_blocks(size, width):
+        """The ``(lo, hi)`` blocks of ``width``-column rows that fit ``ROW_BLOCK_BYTES``."""
+        per_block = max(1, min(size, model_module.ROW_BLOCK_BYTES // (8 * width)))
+        return [(lo, min(lo + per_block, size)) for lo in range(0, size, per_block)]
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, None])
     @pytest.mark.parametrize("widths", [[6, 8, 8, 1], [1, 1]], ids=["mlp", "two-parameters"])
@@ -536,9 +562,7 @@ class TestClippedSum:
 
         _, rows = per_sample_gradients(model, xs, ys)
         ref_norms = clip_rows(rows, spans, clip)
-        ref = rows[0].copy()
-        for row in rows[1:]:
-            ref += row
+        ref = self.row_loop_sum(rows)
         total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
         assert_same_bits(total, ref)
         assert_same_bits(norms, ref_norms)
@@ -549,6 +573,7 @@ class TestClippedSum:
     def test_trainable_tail_equals_full_width_row_loop(self, freeze, rows_per_block, monkeypatch):
         # Blocks cover only the trainable columns; the full-width matrix
         # (frozen columns zero) is checked against the tape in test_model.
+        # The smaller block sizes make some weights wide.
         model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=4, freeze_prefix=freeze)
         start = model.trainable_start
         width = model.num_parameters() - start
@@ -562,62 +587,64 @@ class TestClippedSum:
 
         _, rows = per_sample_gradients(model, xs, ys)
         ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
-        ref = rows[0].copy()
-        for row in rows[1:]:
-            ref += row
+        ref = self.row_loop_sum(rows)
         received = self.record_row_writes(monkeypatch)
         total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
         assert_same_bits(total, ref[start:])
         assert_same_bits(norms, ref_norms)
         assert not ref[:start].any()
         assert np.count_nonzero(ref_norms > clip.max_norm) > 0
-        assert len(received) == -(-23 // (rows_per_block or 23))
-        assert all(shape[1] == width and nbytes <= model_module.ROW_BLOCK_BYTES
+        narrow = self.narrow_width(model)
+        assert [(lo, hi) for lo, hi, _, _ in received] == self.row_blocks(23, narrow)
+        assert all(shape[1] == narrow and nbytes <= model_module.ROW_BLOCK_BYTES
                    for _, _, shape, nbytes in received)
 
     @staticmethod
-    def wide_batch():
-        """dp-wide's model (freeze 1) and 10 samples."""
+    def wide_batch(size=10):
+        """dp-wide's model (freeze 1) and ``size`` samples."""
         model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
         rng = np.random.default_rng(3)
-        xs = rng.normal(size=(10, 20))
-        ys = rng.integers(0, 2, size=10).astype(float)
+        xs = rng.normal(size=(size, 20))
+        ys = rng.integers(0, 2, size=size).astype(float)
         return model, xs, ys
 
     def test_wide_blocks_fit_the_block_bytes(self, monkeypatch):
-        # dp-wide's model: every buffer the step hands to the row writer is a few
-        # trainable-width rows within ROW_BLOCK_BYTES (3 rows by default),
-        # and 1-, 2- and 3-row blocks give the full-width row loop's total
-        # and norms bit for bit.
+        # dp-wide's model: the row writer receives only blocks of the 1,025
+        # narrow columns within ROW_BLOCK_BYTES, and the 256 x 256 weight
+        # goes one sample at a time, unless the block size makes it narrow
+        # (4 MB: its 512 KB are not above 4 MB // 8). Every layout gives the
+        # full-width row loop's total and norms bit for bit.
         model, xs, ys = self.wide_batch()
         start = model.trainable_start
         width = model.num_parameters() - start
         clip = ClipSpec(12.0)  # 5 of the 10 rows clip
         _, rows = per_sample_gradients(model, xs, ys)
         ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
-        ref = rows[0].copy()
-        for row in rows[1:]:
-            ref += row
+        ref = self.row_loop_sum(rows)
         assert np.count_nonzero(ref_norms > clip.max_norm) == 5
         received = self.record_row_writes(monkeypatch)
-        for rows_per_block in (None, 1, 2, 3):
-            if rows_per_block is not None:
-                monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+        for block_bytes, narrow, blocks in [
+            (None, 1025, [(0, 10)]),
+            (8 * 1025 * 3, 1025, [(0, 3), (3, 6), (6, 9), (9, 10)]),
+            (4 << 20, width, [(0, 7), (7, 10)]),
+        ]:
+            if block_bytes is not None:
+                monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", block_bytes)
             received.clear()
             total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
             assert_same_bits(total, ref[start:])
             assert_same_bits(norms, ref_norms)
-            per_block = rows_per_block or 3
-            assert [(lo, hi) for lo, hi, _, _ in received] == [
-                (lo, min(lo + per_block, 10)) for lo in range(0, 10, per_block)
-            ]
-            assert all(shape[1] == width and nbytes <= model_module.ROW_BLOCK_BYTES
+            assert self.narrow_width(model) == narrow
+            assert [(lo, hi) for lo, hi, _, _ in received] == blocks
+            assert all(shape[1] == narrow and nbytes <= model_module.ROW_BLOCK_BYTES
                        for _, _, shape, nbytes in received)
 
     def test_backward_chain_runs_once_per_batch(self, monkeypatch):
         # Blocks only write rows: the loss and group-norm pullbacks run once
-        # for the batch, not once per block (4 blocks of at most 3 rows here).
+        # for the batch, not once per block (4 narrow blocks of at most 3
+        # rows here, and 10 one-sample blocks of the wide weight).
         model, xs, ys = self.wide_batch()
+        monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * 1025 * 3)
         calls = {"_bce_pullback": 0, "_group_norm_pullback": 0}
         for name in calls:
             pullback = getattr(model_module, name)
@@ -643,6 +670,117 @@ class TestClippedSum:
         assert_same_bits(total, np.zeros(width))
         assert_same_bits(norms, np.empty(0))
         assert total.dtype == norms.dtype == np.float64
+
+    # Block sizes that force each layout: the rule's (2 MB), none wide (8 MB),
+    # and every weight above 8 KB wide with the narrow rows in several blocks.
+    LAYOUTS = {"rule": None, "none-wide": 8 << 20, "narrow-blocks": 1 << 16}
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("size", [0, 1, 29])
+    @pytest.mark.parametrize(
+        "widths,norm,freeze",
+        [
+            ([20, 256, 256, 256, 1], "none", 0),
+            ([20, 256, 256, 256, 1], "group:8", 0),
+            ([20, 256, 256, 256, 1], "none", 1),
+            ([20, 256, 256, 256, 1], "group:8", 1),
+            ([20, 512, 128, 1], "none", 0),
+        ],
+        ids=["256x3", "256x3-gn", "256x3-frozen", "256x3-gn-frozen", "512-128"],
+    )
+    def test_each_layout_equals_full_width_row_loop(self, widths, norm, freeze, size, layout,
+                                                    monkeypatch):
+        # Two wide spans between narrow ones ([20, 256, 256, 256, 1]), one
+        # ([20, 512, 128, 1]), or none; with no, some and every row clipped.
+        if self.LAYOUTS[layout] is not None:
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", self.LAYOUTS[layout])
+        model = build_mlp(widths, norm=norm, seed=7, freeze_prefix=freeze)
+        start = model.trainable_start
+        width = model.num_parameters() - start
+        narrow = self.narrow_width(model)
+        assert (narrow == width) == (layout == "none-wide")
+        rng = np.random.default_rng(size)
+        xs = rng.normal(size=(size, widths[0]))
+        ys = rng.integers(0, 2, size=size).astype(float)
+        _, rows = per_sample_gradients(model, xs, ys)
+        row_norms = np.linalg.norm(rows, axis=1)
+        bounds = [1.0] if size == 0 else [2.0 * row_norms.max(), float(np.median(row_norms)),
+                                          0.5 * row_norms.min()]
+        for bound in bounds:
+            clip = ClipSpec(bound)
+            clipped = rows.copy()
+            ref_norms = clip_rows(clipped[:, start:], model.trainable_spans(), clip)
+            ref = self.row_loop_sum(clipped)
+            total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
+            assert_same_bits(total, ref[start:])
+            assert_same_bits(norms, ref_norms)
+        if size == 29:
+            assert [np.count_nonzero(row_norms > b) for b in bounds] == [0, 14, 29]
+
+    @pytest.mark.parametrize("layout", ["rule", "none-wide"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_a_column_of_negative_zeros_sums_to_positive_zero(self, size, layout, monkeypatch):
+        # dp-wide's model. One sample: where a dead ReLU input meets a
+        # negative cotangent, its shift (and some scale) entries are -0.0.
+        # Two samples: unit 1 of the last norm layer is dead for both (its
+        # shift is -1000) and both are labelled 1, so its shift column holds
+        # -0.0 twice. The sum starts at +0.0, as np.add.reduce does.
+        if self.LAYOUTS[layout] is not None:
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", self.LAYOUTS[layout])
+        model, xs, ys = self.wide_batch(size)
+        if size == 2:
+            beta, w_out = model.parameters[7], model.parameters[8]
+            assert w_out[1, 0] > 0.0  # the dead unit passes back a negative cotangent
+            beta[1] = -1000.0
+            ys[:] = 1.0
+        start = model.trainable_start
+        clip = ClipSpec(1.0)
+        _, rows = per_sample_gradients(model, xs, ys)
+        ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
+        ref = self.row_loop_sum(rows)
+        total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
+        assert_same_bits(total, ref[start:])
+        assert_same_bits(norms, ref_norms)
+        negative_zeros = ((rows == 0.0) & np.signbit(rows)).all(axis=0)[start:]
+        assert np.count_nonzero(negative_zeros) > 0
+        assert not np.signbit(total[negative_zeros]).any()
+        if size == 2:
+            shift_column = model.parameter_offsets()[7] + 1 - start
+            assert negative_zeros[shift_column]
+
+    def test_one_narrow_column_is_added_row_by_row(self, monkeypatch):
+        # The output weight made wide leaves only the output bias narrow: a
+        # one-column reduce would sum it pairwise, not in sample order.
+        model = build_mlp([6, 8, 1], seed=2, freeze_prefix=1)
+        monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * 63)
+        assert self.narrow_width(model) == 1
+        rng = np.random.default_rng(11)
+        xs = rng.normal(size=(37, 6)) * 10.0 ** rng.integers(-3, 4, size=(37, 1))
+        ys = rng.integers(0, 2, size=37).astype(float)
+        clip = ClipSpec(0.5)
+        start = model.trainable_start
+        _, rows = per_sample_gradients(model, xs, ys)
+        ref_norms = clip_rows(rows[:, start:], model.trainable_spans(), clip)
+        ref = self.row_loop_sum(rows)
+        total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
+        assert_same_bits(total, ref[start:])
+        assert_same_bits(norms, ref_norms)
+
+    def test_memory_does_not_grow_with_the_wide_weight(self):
+        # dp-wide's model at 116 samples needs no more memory inside
+        # clipped_sum than at 29, beyond 87 more rows of the 1,025 narrow
+        # columns (and a few small per-sample lists): no [B, 65536] block.
+        peaks = []
+        for size in (29, 116):
+            model, xs, ys = self.wide_batch(size)
+            batch = PerSampleBatch(model, xs, ys)
+            tracemalloc.start()
+            try:
+                batch.clipped_sum(ClipSpec(1.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 87 * 1025 * 8 + (64 << 10)
 
 
 class TestBatchedStepEqualsTapeLoop:
@@ -721,14 +859,15 @@ class TestBatchedStepEqualsTapeLoop:
         sizes = {o.batch_size for o in outcomes}
         assert 0 in sizes and 1 in sizes
 
-    def test_wide_model_crosses_row_blocks(self):
-        # ~72k parameters, ~67k trainable: the step builds 3 gradient rows at a time.
+    def test_wide_model_crosses_row_blocks(self, monkeypatch):
+        # ~72k parameters, ~67k trainable: the 256 x 256 weight goes one
+        # sample at a time, and the other 1,025 columns in 3-row blocks here.
+        monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * 1025 * 3)
         model = build_mlp([20, 256, 256, 1], norm="group:8", seed=0, freeze_prefix=1)
-        width = model.num_parameters() - model.trainable_start
-        per_block = model_module.ROW_BLOCK_BYTES // (8 * width)
+        assert TestClippedSum.narrow_width(model) == 1025
         outcomes = self.run_both([20, 256, 256, 1], norm="group:8", freeze=1, n=40, steps=3,
                                  sigma=1.0, clip=1.0, p=0.5, seed=2)
-        assert 1 < per_block < max(o.batch_size for o in outcomes)
+        assert 3 < max(o.batch_size for o in outcomes)
 
     def test_small_row_blocks(self, monkeypatch):
         monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 1)
@@ -770,6 +909,29 @@ class TestPrivateStepFailures:
         ):
             step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
                  ledger, np.random.default_rng(0), np.random.default_rng(1))
+        assert ledger.step_count == 1
+
+    @pytest.mark.parametrize("layout", TestClippedSum.LAYOUTS)
+    def test_nan_in_a_wide_span_raises_after_one_charge(self, layout, monkeypatch):
+        # A NaN in the input the 256 x 256 weight's gradient reads, planted
+        # after the batch's checks: only that weight's block holds it.
+        if TestClippedSum.LAYOUTS[layout] is not None:
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", TestClippedSum.LAYOUTS[layout])
+        model, xs, ys = TestClippedSum.wide_batch()
+        checked = PerSampleBatch._checked.__func__
+
+        def poisoned(cls, model, xa, ya):
+            batch = checked(cls, model, xa, ya)
+            _, _, h, _, shape = batch._chain[-1]
+            assert shape == (256, 256)
+            h[4, 0, 7] = np.nan
+            return batch
+
+        monkeypatch.setattr(PerSampleBatch, "_checked", classmethod(poisoned))
+        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
+        with pytest.raises(ValueError, match="cannot clip a non-finite gradient"):
+            dp_adam_step(model, xs, ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
+                         ledger, np.random.default_rng(0), np.random.default_rng(1))
         assert ledger.step_count == 1
 
     @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
