@@ -45,8 +45,9 @@ more and 0 after none.
 
 Every per-step value comes from one builder, ``_per_step``, and every
 epsilon from one engine, :class:`PrivacyLedger`: noise calibration (through
-:func:`epsilon_for`), the budget stop (one table over a run's planned
-step counts), the reported spend and the
+:func:`epsilon_for`), the budget stop (a bisection over a run's planned
+step counts, valid because epsilon never falls as the count grows), the
+reported spend and the
 ``dptrain accountant`` document (:func:`accountant_query`) all run its
 conversion. Step counts are integers (Python or numpy); a fractional count
 raises ``TypeError`` rather than being truncated.
@@ -115,9 +116,6 @@ _FULL_BATCH_GRID = (1.25, 1.5) + _INTEGER_GRID
 _FULL_BATCH_ORDERS = np.array(_FULL_BATCH_GRID)
 _FULL_BATCH_ORDERS.flags.writeable = False
 _FULL_BATCH_A_MINUS_ONE = _FULL_BATCH_ORDERS - 1.0
-# Step counts per block of ``PrivacyLedger._first_step_over``'s table: 65 orders
-# at most, so a block is at most 65 * 512 * 8 bytes, about 266 KB.
-_COUNT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -398,32 +396,23 @@ class PrivacyLedger:
     def _first_step_over(self, budget: float, planned: int) -> int | None:
         """The least count n in ``1..planned`` with ``epsilon_if(n) > budget``, or None.
 
-        Every count's epsilon is ``_epsilon_at``'s own float operations,
-        ``per_step * n + penalties`` and then the least over the orders,
-        for ``_COUNT_BLOCK`` counts at a time in an ``[orders, counts]``
-        table, so memory stays bounded whatever the plan. Nothing assumes
-        that epsilon grows with n: the answer is the first count a query
-        per count would find. A count at which one order's total is
-        within the budget has its least total within it too, so the
-        table is built only for the counts where the order attaining
-        ``epsilon_if(planned)`` exceeds the budget; when the budget holds
-        for the whole plan, that is usually none.
+        One bisection over ``_epsilon_at``. It relies on epsilon never
+        falling as n grows: every per-step value is >= 0 or +inf, and IEEE
+        multiplication and addition round monotonically, so each order's
+        total ``per_step * n + penalty`` does not decrease with n, nor does
+        the least of them. The answer is the count a query per count finds.
         """
-        if self._spends_nothing:  # epsilon is 0.0 at every count
-            return 1 if planned >= 1 and 0.0 > budget else None
-        best = self._epsilon_at(planned)[1]
-        for lo in range(1, planned + 1, _COUNT_BLOCK):
-            counts = np.arange(lo, min(lo + _COUNT_BLOCK, planned + 1), dtype=np.float64)
-            with np.errstate(over="ignore"):
-                counts = counts[self._per_step[best] * counts + self._penalties[best] > budget]
-                if not counts.size:
-                    continue
-                table = self._per_step[:, None] * counts
-                table += self._penalties[:, None]
-            over = np.flatnonzero(np.minimum.reduce(table, axis=0) > budget)
-            if over.size:
-                return int(counts[over[0]])
-        return None
+        if planned < 1 or self._epsilon_at(planned)[0] <= budget:
+            return None
+        # Every count up to lo is within the budget; hi is over it.
+        lo, hi = 0, planned
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._epsilon_at(mid)[0] > budget:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def _epsilon_at(self, steps: int) -> tuple[float, int]:
         """Epsilon after ``steps`` steps, and the index of the order attaining it."""

@@ -829,6 +829,8 @@ _LAYER_CLASSES = {
 
 
 def _layer_from_doc(doc: dict):
+    if type(doc) is not dict:
+        raise ValueError(f"checkpoint field layers holds {doc!r}, not a layer object")
     values = dict(doc)
     cls = _LAYER_CLASSES.get(values.pop("kind", None))
     if cls is None:
@@ -859,22 +861,31 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != _CHECKPOINT_FORMAT:
+    if type(doc) is not dict or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a model checkpoint")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != _CHECKPOINT_VERSION:  # JSON true is not 1
+        raise ValueError(f"unsupported checkpoint version {version!r}")
     for field in ("layers", "params", "param_shapes"):
         if field not in doc:
             raise ValueError(f"checkpoint has no {field} field")
+        if type(doc[field]) is not list:
+            raise ValueError(f"checkpoint field {field} must be a list, got {doc[field]!r}")
     layers = [_layer_from_doc(d) for d in doc["layers"]]
-    params = [
-        np.array(flat, dtype=np.float64).reshape(shape)
-        for flat, shape in zip(doc["params"], doc["param_shapes"], strict=True)
-    ]
+    try:
+        params = [
+            np.array(flat, dtype=np.float64).reshape(shape)
+            for flat, shape in zip(doc["params"], doc["param_shapes"], strict=True)
+        ]
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint fields params and param_shapes do not pair into arrays: {err}") from None
     for slot, p in enumerate(params):
         if not np.isfinite(p).all():
             raise ValueError(f"checkpoint slot {slot} holds a non-finite parameter")
     freeze_prefix = doc.get("freeze_prefix", 0)
     if type(freeze_prefix) is not int:  # excludes bool: JSON true and false are not integers
         raise ValueError(f"checkpoint field freeze_prefix must be an integer, got {freeze_prefix!r}")
-    return Model(layers, params, seed=doc.get("seed"), freeze_prefix=freeze_prefix)
+    seed = doc.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"checkpoint field seed must be an integer or null, got {seed!r}")
+    return Model(layers, params, seed=seed, freeze_prefix=freeze_prefix)

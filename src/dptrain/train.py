@@ -216,7 +216,7 @@ def _run_epochs(config: RunConfig, split: Split, model: Model, step, steps_per_e
     ``step`` returns the step's loss, or None when it applied nothing. With a
     ledger and a budget, the loop stops before the step that would push
     epsilon past the budget: the ledger finds that step once, before the
-    first step, from one table of every planned step count.
+    first step, by bisecting its epsilon over the planned step counts.
     """
     stop_at = None  # the step count whose epsilon first exceeds the budget
     if ledger is not None and config.budget_eps is not None:

@@ -33,7 +33,7 @@ trainable columns, in cache-sized blocks, with one ``[P]`` draw;
 and the sampling rate of the ledger it charges, as the private step does,
 and returns its seven outcome statistics as a ``TapeStepOutcome``.
 ``per_step_first_over`` is the budget stop as one ledger query per step
-count, the reference for the ledger's one table per run.
+count, the reference for the ledger's bisection.
 ``tape_batch_gradient`` is the batch gradient on one autodiff tape over the
 batch graph, the reference for the layer kernels' batch layout.
 ``flat`` and ``slot_views`` convert between a per-slot gradient and the flat

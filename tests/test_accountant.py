@@ -451,9 +451,9 @@ CALIBRATION_CASES = (
 
 
 class TestFirstStepOver:
-    """The budget stop's one table per run finds the step a query per step finds."""
+    """The budget stop's bisection finds the step a query per step finds."""
 
-    BLOCK = accountant._COUNT_BLOCK
+    BLOCK = 512
 
     def budgets(self, ledger, planned):
         """Below the first step's epsilon, equal to several steps' epsilon, and never reached."""
@@ -470,18 +470,22 @@ class TestFirstStepOver:
             for budget in self.budgets(ledger, max(planned, 1)):
                 want = per_step_first_over(ledger, budget, planned)
                 assert ledger._first_step_over(budget, planned) == want, (planned, budget)
+        # A budget equal to every count's epsilon puts ties at the bisection's midpoints.
+        for budget in map(ledger.epsilon_if, range(1, 38)):
+            assert ledger._first_step_over(budget, 37) == per_step_first_over(ledger, budget, 37), budget
         assert ledger.step_count == 0
 
-    def test_assumes_no_growth_with_the_count(self):
-        # Totals n and 1030 - n: epsilon rises to 515 and falls again, and the
-        # order attaining it at the last count is within the budget early on.
-        ledger = PrivacyLedger(MechanismSpec(1.0, 0.5))
-        ledger._per_step, ledger._penalties = np.array([1.0, -1.0]), np.array([0.0, 1030.0])
-        planned = 2 * self.BLOCK + 6
-        for budget in (100.0, 514.0, 515.0, 600.0, -1.0):
-            want = per_step_first_over(ledger, budget, planned)
-            assert ledger._first_step_over(budget, planned) == want, budget
-        assert per_step_first_over(ledger, 514.0, planned) == 515
+    @pytest.mark.parametrize("q", [1e-9, 1e-4, 32 / 1440, 0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-154, 1e-4, 0.3, 0.616, 1.0, 10.0, 1e4, 1e200])
+    def test_epsilon_never_falls_with_the_count(self, sigma, q):
+        # The bisection's precondition: no per-step value is negative or NaN,
+        # so no count's epsilon is below the one before it.
+        spec = MechanismSpec(sigma, q)
+        per_step = accountant._per_step(spec)
+        assert not np.isnan(per_step).any() and (per_step >= 0.0).all()
+        ledger = PrivacyLedger(spec)
+        epsilons = [ledger.epsilon_if(n) for n in range(1101)]
+        assert all(a <= b for a, b in zip(epsilons, epsilons[1:]))
 
     @pytest.mark.parametrize("q", [1.0, 0.5, 32 / 1440])
     def test_zero_sigma_stops_before_the_first_step(self, q):

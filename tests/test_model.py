@@ -543,16 +543,28 @@ def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
     [
         (lambda doc: doc["params"][1].__setitem__(0, math.nan), "slot 1"),
         (lambda doc: doc["params"][6].__setitem__(1, -math.inf), "slot 6"),
-        (lambda doc: doc.pop("layers"), "layers"),
-        (lambda doc: doc.pop("params"), "params"),
-        (lambda doc: doc.pop("param_shapes"), "param_shapes"),
+        (lambda doc: doc.__delitem__("layers"), "layers"),
+        (lambda doc: doc.__delitem__("params"), "params"),
+        (lambda doc: doc.__delitem__("param_shapes"), "param_shapes"),
         (lambda doc: doc.__setitem__("version", 2), "version"),
+        (lambda doc: doc.__setitem__("version", True), "version"),  # True == 1 in Python
+        (lambda doc: [doc], "checkpoint"),  # the edit returns the document to write
+        (lambda doc: doc.__setitem__("layers", 5), "layers"),
+        (lambda doc: doc.__setitem__("layers", [1, 2]), "layers"),
+        (lambda doc: doc.__setitem__("param_shapes", "ab"), "param_shapes"),
+        (lambda doc: doc["param_shapes"].__setitem__(0, ["a", 2]), "param_shapes"),
+        (lambda doc: doc["params"].__setitem__(0, {"x": 1}), "params"),
+        (lambda doc: doc.__setitem__("seed", "x"), "seed"),
     ],
-    ids=["nan", "infinity", "no-layers", "no-params", "no-param-shapes", "version"],
+    ids=[
+        "nan", "infinity", "no-layers", "no-params", "no-param-shapes", "version",
+        "version-true", "top-level-array", "layers-number", "layers-of-numbers",
+        "param-shapes-string", "shape-of-strings", "params-object", "seed-string",
+    ],
 )
 def test_checkpoint_with_unusable_fields_fails_at_load(tmp_path, edit, message):
     doc = json.loads(VERSION_1_CHECKPOINT)
-    edit(doc)
+    doc = edit(doc) or doc
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN and -Infinity
     with pytest.raises(ValueError, match=rf"\b{message}\b"):
