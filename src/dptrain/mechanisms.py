@@ -82,10 +82,12 @@ def clip_rows(rows: np.ndarray, spans: Sequence[tuple[int, int]], spec: ClipSpec
     sample's per-parameter arrays bit for bit.
     """
     norms = _span_norms(rows, spans)
-    if not np.isfinite(norms).all():
+    # A NaN or infinite norm makes the sum non-finite; finite norms make it
+    # so only by overflow, and then the elementwise check decides.
+    if not math.isfinite(np.add.reduce(norms)) and not np.isfinite(norms).all():
         raise ValueError("cannot clip a non-finite gradient")
     factors = norms / spec.max_norm
-    for i in np.flatnonzero(factors > 1.0):
+    for i in (factors > 1.0).nonzero()[0]:
         rows[i] /= factors[i]
     return norms
 

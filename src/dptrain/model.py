@@ -15,6 +15,14 @@ their pullbacks) live here. A ``Model`` owns its parameter layout, and
 freezing is one boundary in it, fixed when the model is built: the
 trainable parameters are always one tail of the flat vector.
 
+Each model derives its layer plan once, when it is built, from its fixed
+layers and freeze boundary: each layer's forward kernel with the views of
+the parameter vector it reads, the backward chain down to the boundary
+(each trainable layer's ``[T]`` columns, weight shape and pullback view),
+the clipped sum's column split, and the ``validate_model`` verdict. Every
+pass reads the plan instead of dispatching on the layers again, and the
+report is built only to name the violations of a model it refuses.
+
 ``PerSampleBatch.clipped_sum`` is the private step's one exact operation:
 the sum, in sample order, of the per-sample gradients each clipped to R.
 Its rows cover the trainable tail of the flat parameter vector, ``[B, T]``
@@ -170,12 +178,17 @@ class Model:
     and one before the first dense layer whenever ``k >= 1``). So the first
     ``frozen_slots`` slots are frozen, and a gradient is a flat ``[T]``
     vector over the trainable tail ``parameter_vector[trainable_start:]``.
+
+    ``layers`` is read-only: the layout, the boundary and the layer plan
+    (see the module docstring) are derived from it in the constructor. A
+    layer object without a kernel is accepted; a pass that runs it raises
+    ``TypeError``.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
-        self.layers = tuple(layers)
+        self._layers = tuple(layers)
         arrays = [np.asarray(p, dtype=np.float64) for p in parameters]
-        named = [pair for layer in self.layers for pair in _layer_slots(layer)]
+        named = [pair for layer in self._layers for pair in _layer_slots(layer)]
         slots = [s for s, _ in named]
         if slots != list(range(len(arrays))):
             raise ValueError(
@@ -184,7 +197,7 @@ class Model:
         for s, shape in named:
             if arrays[s].shape != shape:
                 raise ShapeMismatchError(f"slot {s} has shape {arrays[s].shape}, not {shape}")
-        dense = [l for l in self.layers if isinstance(l, DenseLayer)]
+        dense = [l for l in self._layers if isinstance(l, DenseLayer)]
         _check_freeze_prefix(freeze_prefix, len(dense))
         self._input_dim = dense[0].in_dim
         self._shapes = tuple(a.shape for a in arrays)
@@ -198,12 +211,18 @@ class Model:
         # layer name exactly the slots below its weight slot.
         self._frozen = dense[freeze_prefix].weight_slot if freeze_prefix else 0
         tail = offsets[self._frozen:]
-        self._spans = tuple((lo - tail[0], hi - tail[0]) for lo, hi in zip(tail, tail[1:]))
+        spans = tuple((lo - tail[0], hi - tail[0]) for lo, hi in zip(tail, tail[1:]))
         self._vector = np.concatenate([a.reshape(-1) for a in arrays])
         self.parameters: tuple[np.ndarray, ...] = tuple(
             self._vector[offsets[s]:offsets[s + 1]].reshape(shape)
             for s, shape in enumerate(self._shapes)
         )
+        self._plan = _LayerPlan(self._layers, self.parameters, spans, self._frozen)
+
+    @property
+    def layers(self) -> tuple:
+        """The layer sequence, fixed when the model is built (its plan is derived from it)."""
+        return self._layers
 
     @property
     def input_dim(self) -> int:
@@ -246,7 +265,7 @@ class Model:
 
     def trainable_spans(self) -> list[tuple[int, int]]:
         """Column ranges of the trainable slots in a ``[T]`` gradient (from 0), in slot order."""
-        return list(self._spans)
+        return list(self._plan.spans)
 
     def forward(self, x) -> np.ndarray:
         """Logits of a batch through the layer kernels, a float64 ``[B]`` vector.
@@ -369,7 +388,7 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
     # One reduction on the fast path: any NaN/Inf propagates into the sum.
     # A finite array can only sum to non-finite via overflow, so the precise
     # elementwise check runs just on that rare slow path.
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
@@ -387,11 +406,16 @@ def _sigmoid_pullback(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _group_norm(x: np.ndarray, num_groups: int):
-    """``(y, inv_std, floored)``: ``x`` normalized per group as ``[rows, groups, m]``."""
-    grouped = x.reshape(-1, num_groups, x.shape[-1] // num_groups)
-    mean = grouped.mean(axis=2, keepdims=True)
+    """``(y, inv_std, floored)``: ``x`` normalized per group as ``[rows, groups, m]``.
+
+    Each mean is ``np.mean``'s own sum and divide: ``np.add.reduce`` over
+    the group, then a divide by its width m.
+    """
+    width = x.shape[-1] // num_groups
+    grouped = x.reshape(-1, num_groups, width)
+    mean = np.add.reduce(grouped, axis=2, keepdims=True) / width
     centered = grouped - mean
-    var = np.mean(centered * centered, axis=2, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=2, keepdims=True) / width
     inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
     return centered * inv_std, inv_std, var <= GROUP_NORM_VAR_FLOOR
 
@@ -399,10 +423,11 @@ def _group_norm(x: np.ndarray, num_groups: int):
 def _group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
     """Input cotangent from the ``[rows, groups, m]`` output cotangent ``gg``."""
     y, inv_std, floored = saved
-    g_mean = gg.mean(axis=2, keepdims=True)
+    width = gg.shape[2]  # the means are np.mean's sum and divide, as in _group_norm
+    g_mean = np.add.reduce(gg, axis=2, keepdims=True) / width
     # When the variance floor is active inv_std is constant w.r.t. x and
     # the projection onto y drops out of the pullback.
-    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
+    proj = np.where(floored, 0.0, np.add.reduce(gg * y, axis=2, keepdims=True) / width)
     return inv_std * (gg - g_mean - y * proj)
 
 
@@ -427,6 +452,150 @@ def _bce_pullback(pc: np.ndarray, y: np.ndarray, unclamped: np.ndarray) -> np.nd
     return np.where(unclamped, (pc - y) / (pc * (1.0 - pc)), 0.0)
 
 
+def _dense_kernel(h: np.ndarray, saved: list | None, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if saved is not None:
+        saved.append(h)
+    h = h @ w
+    h += b
+    _ensure_finite(h, "dense")
+    return h
+
+
+def _relu_kernel(h: np.ndarray, saved: list | None) -> np.ndarray:
+    if saved is not None:
+        saved.append(h > 0.0)
+    return np.maximum(h, 0.0)
+
+
+def _group_norm_kernel(h: np.ndarray, saved: list | None, num_groups: int,
+                       gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    norm_saved = _group_norm(h, num_groups)
+    normed = norm_saved[0].reshape(h.shape)
+    if saved is not None:
+        saved.append((normed, *norm_saved))
+    h = normed * gamma
+    h += beta
+    _ensure_finite(h, "group_norm")
+    return h
+
+
+def _batch_norm_kernel(h: np.ndarray, saved: list | None, eps: float,
+                       gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    normed = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + eps)
+    return normed * gamma + beta
+
+
+def _unknown_kernel(h: np.ndarray, saved: list | None, layer) -> np.ndarray:
+    raise TypeError(f"unknown layer {layer!r}")
+
+
+def _forward_step(layer, params) -> tuple:
+    """``(kernel, args)``: the kernel that runs ``layer`` and the parameter views it reads."""
+    if isinstance(layer, DenseLayer):
+        return _dense_kernel, (params[layer.weight_slot], params[layer.bias_slot])
+    if isinstance(layer, ActivationLayer):
+        return _relu_kernel, ()
+    if isinstance(layer, GroupNormLayer):
+        return _group_norm_kernel, (layer.num_groups, params[layer.gamma_slot],
+                                    params[layer.beta_slot])
+    if isinstance(layer, BatchCoupledNormLayer):
+        return _batch_norm_kernel, (layer.eps, params[layer.gamma_slot], params[layer.beta_slot])
+    return _unknown_kernel, (layer,)  # accepted by ``Model``; running it raises
+
+
+def _mixes_samples(layer) -> bool:
+    """Whether ``layer`` says it mixes samples; a layer object without the flag has no kernel."""
+    return getattr(layer, "mixes_samples", False)
+
+
+class _LayerPlan:
+    """What a model's passes read, derived once from its fixed layers and freeze boundary.
+
+    ``forward`` holds each layer's ``(kernel, args)``; ``kernel(h, saved,
+    *args)`` runs the layer, and ``args`` are the parameter views of the
+    one parameter vector it reads, never copies, so every pass reads the
+    current parameters. ``chain`` is the backward chain from the last layer
+    down to the freeze boundary: ``None`` for a ReLU mask, and for each
+    trainable layer its ``(cols, bias_cols, shape, pull, stop)``: the
+    ``[T]`` columns of its weight (or scale) and bias (or shift), its weight
+    shape (``None`` for a norm layer), the view its pullback multiplies by
+    (``W.T``, or the scale) and whether the chain stops there. ``spans`` are
+    ``Model.trainable_spans``, ``width`` is T and ``isolated`` the verdict
+    of ``validate_model``. ``layout`` splits the columns for
+    ``PerSampleBatch.clipped_sum``, once per block size.
+    """
+
+    __slots__ = ("forward", "chain", "spans", "width", "isolated", "_layouts")
+
+    def __init__(self, layers: tuple, params: tuple, spans: tuple, frozen: int):
+        self.forward = tuple(_forward_step(layer, params) for layer in layers)
+        self.spans = spans
+        self.width = spans[-1][1]
+        self.isolated = not any(_mixes_samples(layer) for layer in layers)
+        self._layouts: dict = {}
+        chain: list = []
+        for layer in reversed(layers):
+            if isinstance(layer, ActivationLayer):
+                chain.append(None)
+                continue
+            if isinstance(layer, DenseLayer):
+                first, last = layer.weight_slot, layer.bias_slot
+                shape, pull = (layer.in_dim, layer.out_dim), params[first].T
+            elif isinstance(layer, GroupNormLayer):
+                first, last = layer.gamma_slot, layer.beta_slot
+                shape, pull = None, params[first]
+            else:
+                break  # no chain runs through it: the forward pass or the isolation check raises
+            cols, bias_cols = slice(*spans[first - frozen]), slice(*spans[last - frozen])
+            stop = first == frozen
+            chain.append((cols, bias_cols, shape, pull, stop))
+            if stop:
+                break
+        self.chain = tuple(chain)
+
+    def layout(self, limit: int) -> tuple:
+        """``(width, columns, slots, wide, moves)``: the clipped sum's split at ``limit`` bytes.
+
+        A wide span is a weight span whose one-sample ``[in, out]`` block is
+        larger than ``limit`` bytes. ``wide`` holds each one's ``(index,
+        cols, shape)`` in slot order, ``index`` being its entry among the
+        chain's trainable layers. The narrow spans are packed side by side
+        in ``width`` columns: ``columns`` gives each trainable layer's packed
+        ``(cols, bias_cols)``, ``None`` for a wide weight; ``slots`` gives,
+        in slot order, each span's packed columns or ``None`` when it is
+        wide; and ``moves`` pairs each narrow span's columns in ``[T]`` with
+        its packed ones. Without a wide span ``width`` is T, ``columns`` is
+        ``None``, ``slots`` is ``spans`` and ``moves`` is empty.
+        """
+        found = self._layouts.get(limit)
+        if found is None:
+            found = self._layouts[limit] = self._split(limit)
+        return found
+
+    def _split(self, limit: int) -> tuple:
+        trainable = [step for step in self.chain if step is not None]
+        wide = ()
+        if 8 * self.width > limit:  # otherwise no span can be wide
+            wide = tuple((i, cols, shape) for i, (cols, _, shape, _, _) in enumerate(trainable)
+                         if shape is not None and 8 * shape[0] * shape[1] > limit)[::-1]
+        if not wide:
+            return self.width, None, self.spans, (), ()
+        starts = {cols.start for _, cols, _ in wide}
+        packed, slots, moves = {}, [], []
+        width = 0
+        for lo, hi in self.spans:
+            if lo in starts:
+                slots.append(None)
+                continue
+            packed[lo] = slice(width, width + hi - lo)
+            slots.append((width, width + hi - lo))
+            moves.append((slice(lo, hi), packed[lo]))
+            width += hi - lo
+        columns = tuple((None if cols.start in starts else packed[cols.start],
+                         packed[bias_cols.start]) for cols, bias_cols, *_ in trainable)
+        return width, columns, tuple(slots), wide, tuple(moves)
+
+
 def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarray:
     """Logits ``[B]`` of rows ``[B, 1, in]`` or ``[B, in]`` through the layer kernels.
 
@@ -435,31 +604,8 @@ def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarr
     ``saved=None`` nothing is kept, so each layer's input is freed once
     the next layer has read it.
     """
-    params = model.parameters
-    for layer in model.layers:
-        if isinstance(layer, DenseLayer):
-            if saved is not None:
-                saved.append(h)
-            h = h @ params[layer.weight_slot]
-            h += params[layer.bias_slot]
-            _ensure_finite(h, "dense")
-        elif isinstance(layer, ActivationLayer):
-            if saved is not None:
-                saved.append(h > 0.0)
-            h = np.maximum(h, 0.0)
-        elif isinstance(layer, GroupNormLayer):
-            norm_saved = _group_norm(h, layer.num_groups)
-            normed = norm_saved[0].reshape(h.shape)
-            if saved is not None:
-                saved.append((normed, *norm_saved))
-            h = normed * params[layer.gamma_slot]
-            h += params[layer.beta_slot]
-            _ensure_finite(h, "group_norm")
-        elif isinstance(layer, BatchCoupledNormLayer):
-            normed = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + layer.eps)
-            h = normed * params[layer.gamma_slot] + params[layer.beta_slot]
-        else:
-            raise TypeError(f"unknown layer {layer!r}")
+    for kernel, args in model._plan.forward:
+        h = kernel(h, saved, *args)
     return h.reshape(h.shape[0])
 
 
@@ -478,8 +624,10 @@ def _binary_labels(ys, size: int) -> np.ndarray:
     ya = np.asarray(ys, dtype=np.float64).reshape(-1)
     if ya.shape[0] != size:
         raise ShapeMismatchError(f"{size} samples but {ya.shape[0]} labels")
-    bad = (ya != 0.0) & (ya != 1.0)
-    if bad.any():
+    # Every nonzero label is a 1.0 (NaN is nonzero, -0.0 is not) exactly when
+    # the counts agree; the mask is built only to name the first bad label.
+    if np.count_nonzero(ya) != np.count_nonzero(ya == 1.0):
+        bad = (ya != 0.0) & (ya != 1.0)
         raise ValueError(f"label must be 0 or 1, got {float(ya[bad][0])!r}")
     return ya
 
@@ -490,8 +638,9 @@ class _LayerPass:
     Rows are ``[B, in]`` here and the chain is that of the mean loss, as
     reverse-mode autodiff over the batch graph runs it; ``PerSampleBatch``
     keeps a unit row axis instead. The chain walks all rows through the
-    pullbacks once (loss, sigmoid, ``g @ W.T``, the ReLU mask, group norm)
-    and keeps, for each trainable layer from the last, its
+    pullbacks once (loss, sigmoid, ``g @ W.T``, the ReLU mask, group norm),
+    as the model plan's ``chain`` lays them out, and keeps, for each
+    trainable layer from the last, its
     ``(cols, bias_cols, h, g, shape)``: the ``Model.trainable_spans`` of
     its weight (or scale) and its bias (or shift), its saved input ``h``
     (the normalized input for a norm layer), its output cotangent ``g`` and
@@ -532,13 +681,8 @@ class _LayerPass:
         probs = _sigmoid(_kernel_forward(model, xa[:, None, :] if self._rowwise else xa, saved))
         self.losses, bce_saved = _bce(probs, ya)
 
-        frozen = model.frozen_slots
-        spans = model.trainable_spans()
-        self._width = spans[-1][1]  # T
-
-        def cols(slot):
-            return slice(*spans[slot - frozen])
-
+        plan = model._plan
+        self._width = plan.width  # T
         # The autodiff chain (loss, then sigmoid); the fused p - y rounds differently.
         dp = _bce_pullback(*bce_saved)
         if not self._rowwise:
@@ -546,22 +690,23 @@ class _LayerPass:
         g = _sigmoid_pullback(dp, probs)
         g = g.reshape((self.size, 1, 1) if self._rowwise else (self.size, 1))
         self._chain: list = []
-        for layer, kept in zip(reversed(model.layers), reversed(saved)):
-            if isinstance(layer, DenseLayer):
-                shape = (layer.in_dim, layer.out_dim)
-                self._chain.append((cols(layer.weight_slot), cols(layer.bias_slot), kept, g, shape))
-                if layer.weight_slot == frozen:
-                    break
-                g = g @ model.parameters[layer.weight_slot].T
-            elif isinstance(layer, ActivationLayer):
+        for step, kept in zip(plan.chain, reversed(saved)):
+            if step is None:  # a ReLU's mask
                 g = g * kept
-            else:
+                continue
+            cols, bias_cols, shape, pull, stop = step
+            if shape is None:
                 normed, *norm_saved = kept
-                self._chain.append((cols(layer.gamma_slot), cols(layer.beta_slot), normed, g, None))
-                if layer.gamma_slot == frozen:
+                self._chain.append((cols, bias_cols, normed, g, None))
+                if stop:
                     break
-                gg = (g * model.parameters[layer.gamma_slot]).reshape(norm_saved[0].shape)
+                gg = (g * pull).reshape(norm_saved[0].shape)
                 g = _group_norm_pullback(gg, norm_saved).reshape(g.shape)
+            else:
+                self._chain.append((cols, bias_cols, kept, g, shape))
+                if stop:
+                    break
+                g = g @ pull
 
 
 class PerSampleBatch(_LayerPass):
@@ -640,37 +785,19 @@ class PerSampleBatch(_LayerPass):
     def _layout(self):
         """``(width, chain, slots, wide, moves)``: how ``clipped_sum`` splits the columns.
 
-        A wide span is a weight span whose one-sample ``[in, out]`` block
-        is larger than ``ROW_BLOCK_BYTES // 8`` bytes. ``wide`` holds each
-        one's ``(cols, h, g, shape)`` in slot order. The narrow spans are
-        packed side by side in ``width`` columns: ``chain`` is ``_chain``
-        with those columns and ``None`` for a wide weight, ``slots`` gives,
-        in slot order, each span's packed columns or ``None`` when it is
-        wide, and ``moves`` pairs each narrow span's columns in ``[T]`` with
-        its packed ones. Without a wide span the layout is ``_chain``'s own
-        over all T columns, and ``moves`` is empty.
+        The split is the model plan's ``layout`` for ``ROW_BLOCK_BYTES //
+        8``, joined here with this batch's inputs and cotangents: ``wide``
+        holds each wide span's ``(cols, h, g, shape)`` in slot order, and
+        ``chain`` is ``_chain`` over the packed narrow columns, with
+        ``None`` for a wide weight. Without a wide span the layout is
+        ``_chain``'s own over all T columns, and ``moves`` is empty.
         """
-        spans = self.model.trainable_spans()
-        limit = ROW_BLOCK_BYTES // 8
-        wide = ()
-        if 8 * self._width > limit:  # otherwise no span can be wide
-            wide = [(cols, h, g, shape) for cols, _, h, g, shape in reversed(self._chain)
-                    if shape is not None and 8 * shape[0] * shape[1] > limit]
+        width, columns, slots, wide, moves = self.model._plan.layout(ROW_BLOCK_BYTES // 8)
         if not wide:
-            return self._width, self._chain, spans, (), ()
-        starts = {cols.start for cols, *_ in wide}
-        packed, slots, moves = {}, [], []
-        width = 0
-        for lo, hi in spans:
-            if lo in starts:
-                slots.append(None)
-                continue
-            packed[lo] = slice(width, width + hi - lo)
-            slots.append((width, width + hi - lo))
-            moves.append((slice(lo, hi), packed[lo]))
-            width += hi - lo
-        chain = [(None if cols.start in starts else packed[cols.start], packed[bias_cols.start],
-                  h, g, shape) for cols, bias_cols, h, g, shape in self._chain]
+            return width, self._chain, slots, (), ()
+        chain = [(cols, bias_cols, h, g, shape)
+                 for (cols, bias_cols), (_, _, h, g, shape) in zip(columns, self._chain)]
+        wide = [(cols, *self._chain[i][2:4], shape) for i, cols, shape in wide]
         return width, chain, slots, wide, moves
 
     def _write_rows(self, lo: int, hi: int, rows: np.ndarray, chain=None) -> None:
@@ -792,7 +919,7 @@ def validate_model(model: Model) -> ValidationReport:
     """
     violations = []
     for i, layer in enumerate(model.layers):
-        if layer.mixes_samples:
+        if _mixes_samples(layer):
             violations.append(
                 Violation(
                     layer_index=i,
@@ -810,10 +937,11 @@ def _require_isolation(model: Model) -> None:
     """Raise ``ModelValidationError`` unless ``validate_model`` passes ``model``.
 
     Clipping bounds nothing if a layer leaks other samples' data into a
-    sample's gradient.
+    sample's gradient. The verdict is the model plan's, made when the model
+    was built; the report is built only to name the violations.
     """
-    report = validate_model(model)
-    if not report.ok:
+    if not model._plan.isolated:
+        report = validate_model(model)
         raise ModelValidationError(
             "refusing to compute gradients: " + "; ".join(v.reason for v in report.violations)
         )

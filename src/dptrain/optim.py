@@ -157,7 +157,7 @@ def poisson_subsample(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     if not 0 <= p <= 1:
         raise ValueError(f"subsample probability must be in [0, 1], got {p}")
     mask = rng.random(n) < p
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def adam_step(model: Model, grad: np.ndarray, state: DpAdamState) -> None:

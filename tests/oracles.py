@@ -39,11 +39,13 @@ batch graph, the reference for the layer kernels' batch layout.
 ``flat`` and ``slot_views`` convert between a per-slot gradient and the flat
 ``[P]`` vector that ``batch_gradient`` returns and ``adam_step`` takes.
 ``block_freeze_mask`` is the frozen-slot rule walked layer by layer.
-``masked_sigmoid``, ``clip_clamp``, ``broadcast_outer`` and
-``matmul_clip_rows`` are the former numpy formulas of the private step's
-kernels (masked sigmoid branches, the ``np.clip`` loss clamp, the
-broadcast outer product and the matmul norms with an all-rows divide),
-the references the current kernels must equal bit for bit.
+``masked_sigmoid``, ``clip_clamp``, ``broadcast_outer``,
+``matmul_clip_rows``, ``mean_group_norm`` and ``mean_group_norm_pullback``
+are the former numpy formulas of the private step's kernels (masked
+sigmoid branches, the ``np.clip`` loss clamp, the broadcast outer
+product, the matmul norms with an all-rows divide, and group norm and its
+pullback with ``np.mean``), the references the current kernels must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from autodiff import (
 from dptrain.mechanisms import NOISE_PLACEMENTS
 from dptrain.model import (
     BCE_PROB_FLOOR,
+    GROUP_NORM_VAR_FLOOR,
     ActivationLayer,
     BatchCoupledNormLayer,
     DenseLayer,
@@ -660,3 +663,21 @@ def matmul_clip_rows(rows: np.ndarray, spans, spec) -> np.ndarray:
         raise ValueError("cannot clip a non-finite gradient")
     rows /= np.maximum(1.0, norms / spec.max_norm)[:, None]
     return norms
+
+
+def mean_group_norm(x: np.ndarray, num_groups: int):
+    """``(y, inv_std, floored)`` of ``model._group_norm``, its statistics taken with ``np.mean``."""
+    grouped = x.reshape(-1, num_groups, x.shape[-1] // num_groups)
+    mean = grouped.mean(axis=2, keepdims=True)
+    centered = grouped - mean
+    var = np.mean(centered * centered, axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.maximum(var, GROUP_NORM_VAR_FLOOR))
+    return centered * inv_std, inv_std, var <= GROUP_NORM_VAR_FLOOR
+
+
+def mean_group_norm_pullback(gg: np.ndarray, saved) -> np.ndarray:
+    """``model._group_norm_pullback`` with ``np.mean`` for the two means."""
+    y, inv_std, floored = saved
+    g_mean = gg.mean(axis=2, keepdims=True)
+    proj = np.where(floored, 0.0, np.mean(gg * y, axis=2, keepdims=True))
+    return inv_std * (gg - g_mean - y * proj)

@@ -20,8 +20,22 @@ from autodiff import (
     sigmoid,
     tensor,
 )
-from dptrain.model import BCE_PROB_FLOOR, _bce, _sigmoid
-from oracles import clip_clamp, global_norm, masked_sigmoid, mean_gradient_sets
+from dptrain.model import (
+    BCE_PROB_FLOOR,
+    GROUP_NORM_VAR_FLOOR,
+    _bce,
+    _group_norm,
+    _group_norm_pullback,
+    _sigmoid,
+)
+from oracles import (
+    clip_clamp,
+    global_norm,
+    masked_sigmoid,
+    mean_gradient_sets,
+    mean_group_norm,
+    mean_group_norm_pullback,
+)
 
 
 def test_matmul_identity():
@@ -271,6 +285,33 @@ def test_group_norm_constant_group_is_bounded():
 def test_group_norm_rejects_indivisible():
     with pytest.raises(ShapeMismatchError):
         group_norm(tensor(np.ones(6)), 4)
+
+
+@pytest.mark.parametrize("width", [1, 3, 32])
+def test_group_norm_kernels_equal_np_mean_formulas_bitwise(width):
+    # Sums then a divide by the group width, as np.mean runs them. Rows of
+    # constant groups, and of ramps whose variance sits just below, near and
+    # just above the floor, take the floored branch or its neighbours.
+    groups = 4
+    rng = np.random.default_rng(width)
+    rows = [
+        rng.normal(loc=3.0, scale=2.0, size=(6, groups * width)),
+        np.full((2, groups * width), 7.5),
+        np.zeros((1, groups * width)),
+    ]
+    if width > 1:
+        ramp = np.linspace(-1.0, 1.0, width)
+        for scale in (1e-3, 0.99, 1.0, 1.01):
+            a = scale * np.sqrt(GROUP_NORM_VAR_FLOOR / ramp.var())
+            rows.append(np.tile(a * ramp, (1, groups)) + 0.25)
+    x = np.concatenate(rows)[:, None, :]  # the per-sample layout, [B, 1, channels]
+    got, want = _group_norm(x, groups), mean_group_norm(x, groups)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    floored = got[2]
+    assert floored.any() and (width == 1 or not floored.all())
+    gg = rng.normal(size=got[0].shape)
+    assert _group_norm_pullback(gg, got).tobytes() == mean_group_norm_pullback(gg, want).tobytes()
 
 
 def test_bce_at_half():

@@ -14,6 +14,7 @@ from dptrain.model import (
     ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
+    _binary_labels,
     accuracy,
     batch_gradient,
     build_mlp,
@@ -22,6 +23,7 @@ from dptrain.model import (
     save_checkpoint,
     validate_model,
 )
+from dptrain.mechanisms import ClipSpec
 from dptrain.optim import DpAdamState, adam_step
 from autodiff import (
     Tape,
@@ -371,6 +373,26 @@ def test_forward_refuses_a_layer_without_a_kernel():
         model.forward(np.zeros(4))
 
 
+def test_gradient_paths_refuse_a_layer_without_a_kernel():
+    # The model is accepted; every pass that runs the layer raises.
+    layers = [DenseLayer(4, 8, 0, 1), object(), DenseLayer(8, 1, 2, 3)]
+    model = Model(layers, [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)])
+    with pytest.raises(TypeError, match="unknown layer"):
+        batch_gradient(model, np.zeros((2, 4)), [0.0, 1.0])
+    with pytest.raises(TypeError, match="unknown layer"):
+        PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
+
+
+def test_layers_are_read_only():
+    # The spans, offsets, freeze boundary and layer plan are derived from the
+    # layers when the model is built, so the layers cannot be replaced.
+    model = build_mlp([4, 8, 1], seed=0)
+    layers = model.layers
+    with pytest.raises(AttributeError):
+        model.layers = [DenseLayer(4, 1, 0, 1)]
+    assert model.layers is layers and type(layers) is tuple
+
+
 def test_model_rejects_slot_shapes_its_layers_do_not_imply():
     layers = [DenseLayer(4, 8, 0, 1), GroupNormLayer(8, 2, 2, 3), DenseLayer(8, 1, 4, 5)]
     good = [np.zeros((4, 8)), np.zeros(8), np.ones(8), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
@@ -417,6 +439,23 @@ def test_label_error_shows_the_label_as_a_plain_float(bad, shown):
         accuracy(model, xs, [0, 1, bad, 1])
     with pytest.raises(ValueError, match=message):
         batch_gradient(model, xs, [0, 1, bad, 1])
+
+
+@pytest.mark.parametrize("good", [0.0, 1.0, -0.0])
+def test_binary_labels_accept_zero_one_and_negative_zero(good):
+    ys = [1.0, good, 0.0]
+    assert _binary_labels(ys, 3).tobytes() == np.array(ys).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(2.0, "2.0"), (0.5, "0.5"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+     (1e-320, "1e-320")],
+)
+def test_binary_labels_refuse_everything_else(bad, shown):
+    # A subnormal is nonzero and not 1, NaN is nonzero and not 1: each is named.
+    with pytest.raises(ValueError, match=f"^label must be 0 or 1, got {re.escape(shown)}$"):
+        _binary_labels([0.0, 1.0, bad, -0.0, 1.0], 5)
 
 
 def test_accuracy_rejects_zero_samples():
@@ -805,3 +844,39 @@ def test_batch_coupled_model_evaluates_untraced():
     np.testing.assert_array_equal(model.forward(xs), logits)
     probs = predict_proba(model, xs)
     assert accuracy(model, xs, ys) == float(np.mean((probs > 0.5) == ys))
+
+
+def assert_same_passes(model, xs, ys):
+    """``model``'s forward pass, batch gradient and clipped sum equal a fresh build's bits."""
+    fresh = Model(model.layers, [p.copy() for p in model.parameters], seed=model.seed,
+                  freeze_prefix=model.freeze_prefix)
+    assert model.forward(xs).tobytes() == fresh.forward(xs).tobytes()
+    loss, grad = batch_gradient(model, xs, ys)
+    fresh_loss, fresh_grad = batch_gradient(fresh, xs, ys)
+    assert loss == fresh_loss and grad.tobytes() == fresh_grad.tobytes()
+    clip = ClipSpec(0.5)
+    for a, b in zip(PerSampleBatch(model, xs, ys).clipped_sum(clip),
+                    PerSampleBatch(fresh, xs, ys).clipped_sum(clip)):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("freeze", [0, 1])
+@pytest.mark.parametrize("norm", ["none", "group:2"])
+def test_layer_plan_reads_the_current_parameters(norm, freeze, tmp_path):
+    # The plan holds views of the one parameter vector, so a model whose
+    # parameters were replaced, updated or loaded runs as one built with them.
+    model = build_mlp([3, 4, 4, 1], norm=norm, seed=5, freeze_prefix=freeze)
+    rng = np.random.default_rng(6)
+    xs = rng.normal(size=(9, 3))
+    ys = rng.integers(0, 2, size=9).astype(float)
+    model.set_parameters([rng.normal(size=p.shape) for p in model.parameters])
+    assert_same_passes(model, xs, ys)
+    state = DpAdamState.for_model(model, lr=0.1)
+    adam_step(model, batch_gradient(model, xs, ys)[1], state)
+    assert_same_passes(model, xs, ys)
+    save_checkpoint(model, tmp_path / "model.json")
+    loaded = load_checkpoint(tmp_path / "model.json")
+    assert loaded.parameter_vector.tobytes() == model.parameter_vector.tobytes()
+    assert_same_passes(loaded, xs, ys)
+    loaded.set_parameters([p + 0.5 for p in loaded.parameters])
+    assert_same_passes(loaded, xs, ys)

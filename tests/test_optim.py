@@ -1039,6 +1039,44 @@ class TestSampleMixingCheck:
         assert ledger.step_count == 0 and state.t == 0
         assert (poisson_rng.bit_generator.state, noise_rng.bit_generator.state) == before
 
+    @staticmethod
+    def count_reports(monkeypatch):
+        """A list that grows by one entry on every ``model.validate_model`` call."""
+        calls = []
+        validate = model_module.validate_model
+
+        def counting(model):
+            calls.append(model)
+            return validate(model)
+
+        monkeypatch.setattr(model_module, "validate_model", counting)
+        return calls
+
+    def test_isolated_runs_never_build_the_report(self, monkeypatch):
+        # The verdict is made when the model is built: ten private and ten
+        # non-private steps of an isolated model build no report.
+        model = build_mlp([5, 6, 1], norm="group:2", seed=3)
+        rng = np.random.default_rng(4)
+        xs = rng.normal(size=(16, 5))
+        ys = rng.integers(0, 2, size=16).astype(float)
+        calls = self.count_reports(monkeypatch)
+        outcomes, ledger = run_dp(model, xs, ys, 10, sigma=1.0, clip=1.0, p=0.5)
+        assert ledger.step_count == 10 and sum(o.batch_size for o in outcomes) > 0
+        state = DpAdamState.for_model(model, lr=0.05)
+        for i in range(10):
+            rows = slice(i % 4 * 4, i % 4 * 4 + 4)
+            adam_step(model, batch_gradient(model, xs[rows], ys[rows])[1], state)
+        assert state.t == 10
+        assert calls == []
+
+    def test_a_refusal_builds_the_report_once(self, monkeypatch):
+        model = batch_coupled_mlp()
+        xs = np.random.default_rng(0).normal(size=(2, 4))
+        calls = self.count_reports(monkeypatch)
+        with pytest.raises(ModelValidationError, match="layer 1 \\(batch_norm\\)"):
+            batch_gradient(model, xs, [0.0, 1.0])
+        assert calls == [model]
+
 
 class TestInputWidthCheck:
     """Every entry point that reads a batch refuses a wrong width with one message."""
