@@ -19,9 +19,10 @@ Each model derives its layer plan once, when it is built, from its fixed
 layers and freeze boundary: each layer's forward kernel with the views of
 the parameter vector it reads, the backward chain down to the boundary
 (each trainable layer's ``[T]`` columns, weight shape and pullback view),
-the clipped sum's column split, and the ``validate_model`` verdict. Every
-pass reads the plan instead of dispatching on the layers again, and the
-report is built only to name the violations of a model it refuses.
+the clipped sum's column split and row-block size (from ``ROW_BLOCK_BYTES``
+as it stands then), and the ``validate_model`` verdict. Every pass reads
+the plan instead of dispatching on the layers again, and the report is
+built only to name the violations of a model it refuses.
 
 ``PerSampleBatch.clipped_sum`` is the private step's one exact operation:
 the sum, in sample order, of the per-sample gradients each clipped to R.
@@ -31,8 +32,8 @@ allocated, written, divided or summed. The backward chain (every
 pullback, down to each trainable layer's input and output cotangent) runs
 once for the whole batch. A wide weight span (see ``ROW_BLOCK_BYTES``) is
 then written, normed, clipped and added one sample at a time in one reused
-``[in, out]`` buffer; the other spans' rows are written, clipped
-(``mechanisms.clip_rows``'s norms and divides) and summed
+``[in, out]`` buffer; the other spans' rows are packed side by side,
+written, clipped (``mechanisms.clip_rows``'s norms and divides) and summed
 ``ROW_BLOCK_BYTES`` at a time in another. So the step's memory is bounded
 whatever the batch size, and no ``[B, in * out]`` weight block is built.
 The kernels keep each element's IEEE operations, so the sum and norms are
@@ -96,7 +97,7 @@ GROUP_NORM_VAR_FLOOR = 1e-5
 # the block one took 14-63% longer for weights of 32-63 KB, -1% to +17% at
 # 128 KB, -9% to +7% at 153 KB, 3-14% less at 200 KB, 4-9% less just under
 # 256 KB and 12-16% less at dp-wide's 512 KB; the cut-off keeps every B on
-# the winning side.
+# the winning side. A model reads it once, when it is built.
 ROW_BLOCK_BYTES = 2 << 20
 
 
@@ -179,10 +180,10 @@ class Model:
     ``frozen_slots`` slots are frozen, and a gradient is a flat ``[T]``
     vector over the trainable tail ``parameter_vector[trainable_start:]``.
 
-    ``layers`` is read-only: the layout, the boundary and the layer plan
-    (see the module docstring) are derived from it in the constructor. A
-    layer object without a kernel is accepted; a pass that runs it raises
-    ``TypeError``.
+    ``layers`` and ``parameters`` are read-only: the layout, the boundary
+    and the layer plan (see the module docstring) are derived from them in
+    the constructor, which refuses with ``TypeError`` any layer that is not
+    one of the four layer classes.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
@@ -213,16 +214,21 @@ class Model:
         tail = offsets[self._frozen:]
         spans = tuple((lo - tail[0], hi - tail[0]) for lo, hi in zip(tail, tail[1:]))
         self._vector = np.concatenate([a.reshape(-1) for a in arrays])
-        self.parameters: tuple[np.ndarray, ...] = tuple(
+        self._parameters = tuple(
             self._vector[offsets[s]:offsets[s + 1]].reshape(shape)
             for s, shape in enumerate(self._shapes)
         )
-        self._plan = _LayerPlan(self._layers, self.parameters, spans, self._frozen)
+        self._plan = _LayerPlan(self._layers, self._parameters, spans, self._frozen)
 
     @property
     def layers(self) -> tuple:
         """The layer sequence, fixed when the model is built (its plan is derived from it)."""
         return self._layers
+
+    @property
+    def parameters(self) -> tuple[np.ndarray, ...]:
+        """Shaped views of ``parameter_vector``, one per slot, made when the model is built."""
+        return self._parameters
 
     @property
     def input_dim(self) -> int:
@@ -375,13 +381,15 @@ def _norm_groups(norm: str, hidden_widths) -> int:
 
 
 def _layer_slots(layer) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The ``(slot, shape)`` pairs a layer names, in slot order."""
+    """The ``(slot, shape)`` pairs a layer names, in slot order; ``TypeError`` for a non-layer."""
     if isinstance(layer, DenseLayer):
         w, b = layer.weight_slot, layer.bias_slot
         return ((w, (layer.in_dim, layer.out_dim)), (b, (layer.out_dim,)))
     if isinstance(layer, (GroupNormLayer, BatchCoupledNormLayer)):
         return ((layer.gamma_slot, (layer.channels,)), (layer.beta_slot, (layer.channels,)))
-    return ()
+    if isinstance(layer, ActivationLayer):
+        return ()
+    raise TypeError(f"unknown layer {layer!r}")  # no kernel runs it
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> None:
@@ -485,10 +493,6 @@ def _batch_norm_kernel(h: np.ndarray, saved: list | None, eps: float,
     return normed * gamma + beta
 
 
-def _unknown_kernel(h: np.ndarray, saved: list | None, layer) -> np.ndarray:
-    raise TypeError(f"unknown layer {layer!r}")
-
-
 def _forward_step(layer, params) -> tuple:
     """``(kernel, args)``: the kernel that runs ``layer`` and the parameter views it reads."""
     if isinstance(layer, DenseLayer):
@@ -498,14 +502,8 @@ def _forward_step(layer, params) -> tuple:
     if isinstance(layer, GroupNormLayer):
         return _group_norm_kernel, (layer.num_groups, params[layer.gamma_slot],
                                     params[layer.beta_slot])
-    if isinstance(layer, BatchCoupledNormLayer):
-        return _batch_norm_kernel, (layer.eps, params[layer.gamma_slot], params[layer.beta_slot])
-    return _unknown_kernel, (layer,)  # accepted by ``Model``; running it raises
-
-
-def _mixes_samples(layer) -> bool:
-    """Whether ``layer`` says it mixes samples; a layer object without the flag has no kernel."""
-    return getattr(layer, "mixes_samples", False)
+    # A BatchCoupledNormLayer, the one class left: ``Model`` refuses any other object.
+    return _batch_norm_kernel, (layer.eps, params[layer.gamma_slot], params[layer.beta_slot])
 
 
 class _LayerPlan:
@@ -521,18 +519,30 @@ class _LayerPlan:
     shape (``None`` for a norm layer), the view its pullback multiplies by
     (``W.T``, or the scale) and whether the chain stops there. ``spans`` are
     ``Model.trainable_spans``, ``width`` is T and ``isolated`` the verdict
-    of ``validate_model``. ``layout`` splits the columns for
-    ``PerSampleBatch.clipped_sum``, once per block size.
+    of ``validate_model``.
+
+    The rest is ``PerSampleBatch.clipped_sum``'s column split, fixed from
+    ``ROW_BLOCK_BYTES`` when the plan is made. ``wide`` holds, in slot
+    order, the ``(index, cols, shape)`` of each weight span whose one-sample
+    ``[in, out]`` block is larger than ``ROW_BLOCK_BYTES // 8`` bytes,
+    ``index`` being its entry among the chain's trainable layers. The other
+    spans are packed side by side in ``narrow`` columns: ``writes`` gives
+    each trainable layer's packed ``(cols, bias_cols)``, ``None`` for a wide
+    weight; ``slots`` gives, in slot order, each span's packed columns or
+    ``None``; ``moves`` pairs each narrow span's ``[T]`` columns with its
+    packed ones, and is empty when nothing is wide (packing is then the
+    identity). ``rows_cap`` is how many packed rows fit ``ROW_BLOCK_BYTES``,
+    at least one.
     """
 
-    __slots__ = ("forward", "chain", "spans", "width", "isolated", "_layouts")
+    __slots__ = ("forward", "chain", "spans", "width", "isolated",
+                 "wide", "narrow", "writes", "slots", "moves", "rows_cap")
 
     def __init__(self, layers: tuple, params: tuple, spans: tuple, frozen: int):
         self.forward = tuple(_forward_step(layer, params) for layer in layers)
         self.spans = spans
         self.width = spans[-1][1]
-        self.isolated = not any(_mixes_samples(layer) for layer in layers)
-        self._layouts: dict = {}
+        self.isolated = not any(layer.mixes_samples for layer in layers)
         chain: list = []
         for layer in reversed(layers):
             if isinstance(layer, ActivationLayer):
@@ -545,7 +555,7 @@ class _LayerPlan:
                 first, last = layer.gamma_slot, layer.beta_slot
                 shape, pull = None, params[first]
             else:
-                break  # no chain runs through it: the forward pass or the isolation check raises
+                break  # a batch-coupled norm: the isolation check refuses every chain
             cols, bias_cols = slice(*spans[first - frozen]), slice(*spans[last - frozen])
             stop = first == frozen
             chain.append((cols, bias_cols, shape, pull, stop))
@@ -553,47 +563,27 @@ class _LayerPlan:
                 break
         self.chain = tuple(chain)
 
-    def layout(self, limit: int) -> tuple:
-        """``(width, columns, slots, wide, moves)``: the clipped sum's split at ``limit`` bytes.
-
-        A wide span is a weight span whose one-sample ``[in, out]`` block is
-        larger than ``limit`` bytes. ``wide`` holds each one's ``(index,
-        cols, shape)`` in slot order, ``index`` being its entry among the
-        chain's trainable layers. The narrow spans are packed side by side
-        in ``width`` columns: ``columns`` gives each trainable layer's packed
-        ``(cols, bias_cols)``, ``None`` for a wide weight; ``slots`` gives,
-        in slot order, each span's packed columns or ``None`` when it is
-        wide; and ``moves`` pairs each narrow span's columns in ``[T]`` with
-        its packed ones. Without a wide span ``width`` is T, ``columns`` is
-        ``None``, ``slots`` is ``spans`` and ``moves`` is empty.
-        """
-        found = self._layouts.get(limit)
-        if found is None:
-            found = self._layouts[limit] = self._split(limit)
-        return found
-
-    def _split(self, limit: int) -> tuple:
         trainable = [step for step in self.chain if step is not None]
-        wide = ()
-        if 8 * self.width > limit:  # otherwise no span can be wide
-            wide = tuple((i, cols, shape) for i, (cols, _, shape, _, _) in enumerate(trainable)
-                         if shape is not None and 8 * shape[0] * shape[1] > limit)[::-1]
-        if not wide:
-            return self.width, None, self.spans, (), ()
-        starts = {cols.start for _, cols, _ in wide}
+        limit = ROW_BLOCK_BYTES // 8
+        self.wide = tuple((i, cols, shape) for i, (cols, _, shape, _, _) in enumerate(trainable)
+                          if shape is not None and 8 * shape[0] * shape[1] > limit)[::-1]
+        starts = {cols.start for _, cols, _ in self.wide}
         packed, slots, moves = {}, [], []
-        width = 0
-        for lo, hi in self.spans:
+        narrow = 0
+        for lo, hi in spans:
             if lo in starts:
                 slots.append(None)
                 continue
-            packed[lo] = slice(width, width + hi - lo)
-            slots.append((width, width + hi - lo))
+            packed[lo] = slice(narrow, narrow + hi - lo)
+            slots.append((narrow, narrow + hi - lo))
             moves.append((slice(lo, hi), packed[lo]))
-            width += hi - lo
-        columns = tuple((None if cols.start in starts else packed[cols.start],
-                         packed[bias_cols.start]) for cols, bias_cols, *_ in trainable)
-        return width, columns, tuple(slots), wide, tuple(moves)
+            narrow += hi - lo
+        self.narrow = narrow
+        self.writes = tuple((None if cols.start in starts else packed[cols.start],
+                             packed[bias_cols.start]) for cols, bias_cols, *_ in trainable)
+        self.slots = tuple(slots)
+        self.moves = tuple(moves) if self.wide else ()
+        self.rows_cap = max(1, ROW_BLOCK_BYTES // (8 * narrow))
 
 
 def _kernel_forward(model: Model, h: np.ndarray, saved: list | None) -> np.ndarray:
@@ -741,77 +731,61 @@ class PerSampleBatch(_LayerPass):
         clipped rows one after another, as ``np.add.reduce`` does, so a
         column where every row holds -0.0 sums to +0.0.
 
-        The columns are split by span (see ``ROW_BLOCK_BYTES``). The narrow
-        spans, packed side by side, are written ``ROW_BLOCK_BYTES`` at a
-        time into one reused buffer that is never zeroed (``_write_rows``
-        sets every entry), normed, clipped and reduced: ``np.add.reduce``
-        over axis 0 of a C-contiguous matrix with two or more columns adds
-        the rows one after another, so the first block's reduce and
-        ``+= row`` for every later row (for every row when one column is
-        narrow) are a row loop's additions.
-        Each wide span goes one sample at a time through its own reused
-        ``[in, out]`` buffer: its outer product, its dot, a divide if the
-        sample clips, then an add into its columns of the sum. A sample's
-        norm adds its span dots in slot order, the narrow ones from the
-        block, so norms and divides are ``mechanisms.clip_rows``'s. With no
-        wide span the block covers all T columns and is clipped by
-        ``clip_rows`` itself.
+        The columns are split as the model plan fixed them (see
+        ``ROW_BLOCK_BYTES``). The narrow spans, packed side by side, are
+        written ``rows_cap`` rows at a time into one reused buffer that is
+        never zeroed (``_write_rows`` sets every entry), normed, clipped and
+        reduced: ``np.add.reduce`` over axis 0 of a C-contiguous matrix with
+        two or more columns adds the rows one after another, so the first
+        block's reduce and ``+= row`` for every later row (for every row
+        when one column is narrow) are a row loop's additions. Each wide
+        span goes one sample at a time through its own reused ``[in, out]``
+        buffer: its outer product, its dot, a divide if the sample clips,
+        then an add into its columns of the sum. A sample's norm adds its
+        span dots in slot order, the narrow ones from the block, so norms
+        and divides are ``mechanisms.clip_rows``'s; with no wide span,
+        ``clip_rows`` clips the block itself.
         """
-        width, chain, slots, wide, moves = self._layout()
-        per_block = max(1, min(self.size, ROW_BLOCK_BYTES // (8 * width)))
-        rows = np.empty((per_block, width))
+        plan = self.model._plan
+        cap = plan.rows_cap
+        rows = np.empty((min(self.size, cap), plan.narrow))
         norms = np.empty(self.size)
-        total = narrow = np.zeros(self._width)  # the sum of no rows
-        if wide:
-            narrow = np.zeros(width)
-            wide = [(h, g, np.empty((1, *shape)), total[cols]) for cols, h, g, shape in wide]
-        for lo in range(0, self.size, per_block):
-            hi = min(lo + per_block, self.size)
+        total = np.zeros(self._width)  # the sum of no rows
+        narrow = np.zeros(plan.narrow) if plan.moves else total  # nothing wide: no packing
+        wide = [(*self._chain[i][2:4], np.empty((1, *shape)), total[cols])
+                for i, cols, shape in plan.wide]
+        for lo in range(0, self.size, cap):
+            hi = min(lo + cap, self.size)
             block = rows[:hi - lo]
-            self._write_rows(lo, hi, block, chain)
+            self._write_rows(lo, hi, block, plan.writes)
             if wide:
-                norms[lo:hi] = _clip_one_by_one(lo, block, slots, wide, clip)
+                norms[lo:hi] = _clip_one_by_one(lo, block, plan.slots, wide, clip)
             else:
-                norms[lo:hi] = clip_rows(block, slots, clip)
-            if lo == 0 and width > 1:  # one column would be summed pairwise
+                norms[lo:hi] = clip_rows(block, plan.slots, clip)
+            if lo == 0 and plan.narrow > 1:  # one column would be summed pairwise
                 np.add.reduce(block, axis=0, out=narrow)
             else:
                 for row in block:
                     narrow += row
-        for dst, src in moves:
+        for dst, src in plan.moves:
             total[dst] = narrow[src]
         return total, norms
 
-    def _layout(self):
-        """``(width, chain, slots, wide, moves)``: how ``clipped_sum`` splits the columns.
-
-        The split is the model plan's ``layout`` for ``ROW_BLOCK_BYTES //
-        8``, joined here with this batch's inputs and cotangents: ``wide``
-        holds each wide span's ``(cols, h, g, shape)`` in slot order, and
-        ``chain`` is ``_chain`` over the packed narrow columns, with
-        ``None`` for a wide weight. Without a wide span the layout is
-        ``_chain``'s own over all T columns, and ``moves`` is empty.
-        """
-        width, columns, slots, wide, moves = self.model._plan.layout(ROW_BLOCK_BYTES // 8)
-        if not wide:
-            return width, self._chain, slots, (), ()
-        chain = [(cols, bias_cols, h, g, shape)
-                 for (cols, bias_cols), (_, _, h, g, shape) in zip(columns, self._chain)]
-        wide = [(cols, *self._chain[i][2:4], shape) for i, cols, shape in wide]
-        return width, chain, slots, wide, moves
-
-    def _write_rows(self, lo: int, hi: int, rows: np.ndarray, chain=None) -> None:
+    def _write_rows(self, lo: int, hi: int, rows: np.ndarray, writes=None) -> None:
         """Write the gradients of samples ``lo..hi-1`` into ``rows``, unchecked.
 
         ``rows`` is a C-contiguous float64 ``[hi - lo, T]`` matrix over the
         trainable tail: column j holds flat parameter
         ``Model.trainable_start + j``, and T = P when nothing is frozen.
         Every entry is set, so ``rows`` need not be zeroed. ``clipped_sum``
-        passes its narrow ``chain`` (see ``_layout``) instead: ``rows`` is
-        then its narrow block, and wide weights are left out.
+        passes the plan's ``writes`` (each trainable layer's ``(cols,
+        bias_cols)``) for the chain's own: ``rows`` is then its packed
+        narrow block, and a wide weight (``cols`` is ``None``) is left out.
         """
+        if writes is None:
+            writes = [step[:2] for step in self._chain]
         r = hi - lo
-        for cols, bias_cols, h, g, shape in self._chain if chain is None else chain:
+        for (cols, bias_cols), (_, _, h, g, shape) in zip(writes, self._chain):
             g = g[lo:hi, 0]
             if cols is None:
                 pass  # a wide weight, written one sample at a time
@@ -825,7 +799,7 @@ class PerSampleBatch(_LayerPass):
 def _clip_one_by_one(lo: int, block: np.ndarray, slots, wide, clip: ClipSpec) -> np.ndarray:
     """Clip samples ``lo, lo + 1, ...`` of the narrow ``block`` and add their wide spans.
 
-    ``slots`` is ``PerSampleBatch._layout``'s; ``wide`` holds each wide
+    ``slots`` is the model plan's; ``wide`` holds each wide
     span's ``(h, g, buffer, sum)``: its ``[1, in, out]`` buffer and its
     columns of the ``[T]`` sum. Each sample's wide blocks are written by the
     ``_write_rows`` einsum and normed by the BLAS dot ``clip_rows`` runs,
@@ -919,7 +893,7 @@ def validate_model(model: Model) -> ValidationReport:
     """
     violations = []
     for i, layer in enumerate(model.layers):
-        if _mixes_samples(layer):
+        if layer.mixes_samples:
             violations.append(
                 Violation(
                     layer_index=i,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -367,20 +368,29 @@ def test_model_needs_a_dense_layer():
 
 
 def test_forward_refuses_a_layer_without_a_kernel():
-    layers = [DenseLayer(4, 8, 0, 1), object(), DenseLayer(8, 1, 2, 3)]
-    model = Model(layers, [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)])
-    with pytest.raises(TypeError, match="unknown layer"):
-        model.forward(np.zeros(4))
+    # Only the four layer classes have kernels; any other object, even one
+    # with a layer's fields and flags, is refused when the model is built,
+    # so no forward pass can reach it.
+    @dataclasses.dataclass(frozen=True)
+    class Lookalike:
+        channels: int = 8
+        kind = "activation"
+        mixes_samples = False
+
+    params = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
+    for layer in (object(), Lookalike()):
+        with pytest.raises(TypeError, match="unknown layer"):
+            Model([DenseLayer(4, 8, 0, 1), layer, DenseLayer(8, 1, 2, 3)], params)
 
 
 def test_gradient_paths_refuse_a_layer_without_a_kernel():
-    # The model is accepted; every pass that runs the layer raises.
+    # Refused at build whether the layer sits in the trainable tail or in the
+    # frozen prefix, where the backward chain would never reach it.
     layers = [DenseLayer(4, 8, 0, 1), object(), DenseLayer(8, 1, 2, 3)]
-    model = Model(layers, [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)])
-    with pytest.raises(TypeError, match="unknown layer"):
-        batch_gradient(model, np.zeros((2, 4)), [0.0, 1.0])
-    with pytest.raises(TypeError, match="unknown layer"):
-        PerSampleBatch(model, np.zeros((2, 4)), [0.0, 1.0])
+    params = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
+    for freeze_prefix in (0, 1):
+        with pytest.raises(TypeError, match="unknown layer"):
+            Model(layers, params, freeze_prefix=freeze_prefix)
 
 
 def test_layers_are_read_only():
@@ -391,6 +401,17 @@ def test_layers_are_read_only():
     with pytest.raises(AttributeError):
         model.layers = [DenseLayer(4, 1, 0, 1)]
     assert model.layers is layers and type(layers) is tuple
+
+
+def test_parameters_are_read_only():
+    # A new tuple would split the attribute from the vector the passes read,
+    # so a checkpoint would write values the model never runs.
+    model = build_mlp([3, 4, 1], seed=0)
+    views = model.parameters
+    with pytest.raises(AttributeError):
+        model.parameters = tuple(np.zeros_like(p) for p in views)
+    assert model.parameters is views and type(views) is tuple
+    assert views[0].base is model.parameter_vector
 
 
 def test_model_rejects_slot_shapes_its_layers_do_not_imply():

@@ -549,10 +549,10 @@ class TestClippedSum:
     @pytest.mark.parametrize("rows_per_block", [1, 3, None])
     @pytest.mark.parametrize("widths", [[6, 8, 8, 1], [1, 1]], ids=["mlp", "two-parameters"])
     def test_equals_row_loop(self, widths, rows_per_block, monkeypatch):
-        model = build_mlp(widths, seed=4)
-        size = model.num_parameters()
+        size = build_mlp(widths, seed=4).num_parameters()
         if rows_per_block is not None:
             monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * size * rows_per_block)
+        model = build_mlp(widths, seed=4)  # built under the patched block size
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(37, widths[0]))
         ys = rng.integers(0, 2, size=37).astype(float)
@@ -580,6 +580,7 @@ class TestClippedSum:
         assert (start > 0) == (freeze > 0)
         if rows_per_block is not None:
             monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * width * rows_per_block)
+            model = build_mlp([6, 8, 8, 8, 1], norm="group:4", seed=4, freeze_prefix=freeze)
         rng = np.random.default_rng(10 + freeze)
         xs = rng.normal(size=(23, 6))
         ys = rng.integers(0, 2, size=23).astype(float)
@@ -630,6 +631,7 @@ class TestClippedSum:
         ]:
             if block_bytes is not None:
                 monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", block_bytes)
+                model = self.wide_batch()[0]  # the split is fixed when the model is built
             received.clear()
             total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
             assert_same_bits(total, ref[start:])
@@ -643,8 +645,8 @@ class TestClippedSum:
         # Blocks only write rows: the loss and group-norm pullbacks run once
         # for the batch, not once per block (4 narrow blocks of at most 3
         # rows here, and 10 one-sample blocks of the wide weight).
-        model, xs, ys = self.wide_batch()
         monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * 1025 * 3)
+        model, xs, ys = self.wide_batch()
         calls = {"_bce_pullback": 0, "_group_norm_pullback": 0}
         for name in calls:
             pullback = getattr(model_module, name)
@@ -658,6 +660,41 @@ class TestClippedSum:
         PerSampleBatch(model, xs, ys).clipped_sum(ClipSpec(1.0))
         assert len(received) == 4
         assert calls == {"_bce_pullback": 1, "_group_norm_pullback": 1}
+
+    def test_a_built_model_keeps_its_split(self, monkeypatch):
+        # The split and the row blocks are fixed when the model is built:
+        # patching ROW_BLOCK_BYTES afterwards changes neither, nor any bit.
+        model, xs, ys = self.wide_batch(size=300)
+        plan = model._plan
+        split = (plan.wide, plan.narrow, plan.writes, plan.slots, plan.moves, plan.rows_cap)
+        assert (len(plan.wide), plan.narrow, plan.rows_cap) == (1, 1025, 255)
+        clip = ClipSpec(12.0)
+        received = self.record_row_writes(monkeypatch)
+        total, norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
+        blocks = [(lo, hi, shape) for lo, hi, shape, _ in received]
+        assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 255), (255, 300)]
+        for block_bytes in (1, 8 * 1025 * 3, 8 << 20):
+            monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", block_bytes)
+            received.clear()
+            again, again_norms = PerSampleBatch(model, xs, ys).clipped_sum(clip)
+            assert (plan.wide, plan.narrow, plan.writes, plan.slots, plan.moves,
+                    plan.rows_cap) == split
+            assert [(lo, hi, shape) for lo, hi, shape, _ in received] == blocks
+            assert_same_bits(again, total)
+            assert_same_bits(again_norms, norms)
+
+    @pytest.mark.parametrize("freeze", [0, 1])
+    def test_a_narrow_only_model_writes_its_chain_columns(self, freeze):
+        # Packing with nothing wide is the identity: the block covers all T
+        # columns as the chain lays them out, and nothing moves.
+        model = build_mlp([20, 16, 16, 1], norm="group:4", seed=1, freeze_prefix=freeze)
+        plan = model._plan
+        rng = np.random.default_rng(5)
+        batch = PerSampleBatch(model, rng.normal(size=(4, 20)), [0.0, 1.0, 1.0, 0.0])
+        assert plan.wide == () and plan.moves == ()
+        assert plan.narrow == plan.width == model.num_parameters() - model.trainable_start
+        assert plan.writes == tuple((cols, bias_cols) for cols, bias_cols, *_ in batch._chain)
+        assert plan.slots == tuple(model.trainable_spans())
 
     @pytest.mark.parametrize("freeze", [0, 1])
     def test_empty_batch_sums_to_zeros(self, freeze):
@@ -751,8 +788,8 @@ class TestClippedSum:
     def test_one_narrow_column_is_added_row_by_row(self, monkeypatch):
         # The output weight made wide leaves only the output bias narrow: a
         # one-column reduce would sum it pairwise, not in sample order.
-        model = build_mlp([6, 8, 1], seed=2, freeze_prefix=1)
         monkeypatch.setattr(model_module, "ROW_BLOCK_BYTES", 8 * 63)
+        model = build_mlp([6, 8, 1], seed=2, freeze_prefix=1)
         assert self.narrow_width(model) == 1
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(37, 6)) * 10.0 ** rng.integers(-3, 4, size=(37, 1))

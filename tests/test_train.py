@@ -211,9 +211,10 @@ class TestTrain:
         ids=["below-first-step", "equal-to-a-step", "equal-to-first-step", "infinite-eps", "never-reached"],
     )
     def test_budget_stop_equals_a_query_per_step(self, monkeypatch, sigma, budget, steps):
-        # The loop finds its stop once, from one table; a query before every
-        # step, as the loop once made, must stop at the same step. A budget of
-        # None is the epsilon after ``steps`` steps; None steps runs them all.
+        # The loop finds its stop once, by bisecting the ledger's epsilon; a
+        # query before every step, as the loop once made, must stop at the
+        # same step. A budget of None is the epsilon after ``steps`` steps;
+        # None steps runs them all.
         from dptrain.accountant import MechanismSpec, PrivacyLedger
 
         config = fast_config(sigma=sigma, epochs=30)
