@@ -17,21 +17,17 @@ from .accountant import (
     classic_gaussian_sigma,
     kl_divergence,
     renyi_divergence,
-    rdp_gaussian,
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset
 from .mechanisms import ClipSpec, gaussian_noise
 from .model import (
     Model,
-    ModelValidationError,
-    ValidationReport,
     accuracy,
     batch_gradient,
     build_mlp,
     load_checkpoint,
     save_checkpoint,
-    validate_model,
 )
 from .optim import DpAdamState, StepOutcome, adam_step, dp_adam_step, poisson_subsample
 from .train import TrainReport, sweep, train

@@ -71,7 +71,6 @@ __all__ = [
     "default_alpha_grid",
     "renyi_divergence",
     "kl_divergence",
-    "rdp_gaussian",
     "epsilon_for",
     "calibrate_sigma",
     "classic_gaussian_sigma",
@@ -186,20 +185,6 @@ def kl_divergence(p, q) -> float:
     pa, qa = _check_distributions(p, q)
     mask = pa > 0
     return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-
-
-def rdp_gaussian(alpha: float, sigma: float) -> float:
-    """Per-step RDP of the Gaussian mechanism on a sensitivity-1 query.
-
-    alpha / (2 sigma^2), the value a q = 1 ledger charges per step; +inf at
-    sigma = 0 and once 2 sigma^2 underflows to zero. alpha must be finite
-    and > 1, sigma finite and >= 0.
-    """
-    if not (math.isfinite(alpha) and alpha > 1):
-        raise ValueError(f"alpha must be > 1 and finite, got {alpha}")
-    MechanismSpec(sigma, 1.0)
-    denominator = 2.0 * sigma * sigma
-    return alpha / denominator if denominator > 0.0 else math.inf
 
 
 @functools.lru_cache(maxsize=16)

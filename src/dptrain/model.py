@@ -1,10 +1,11 @@
 """Small feedforward binary classifiers with privacy-compatible layers.
 
 Models here are built so the gradient of one sample's loss never depends on
-other samples in a batch: dense layers, activations and group normalization
-all operate strictly within a sample. A deliberately batch-coupled
-normalization layer is included as a negative example; ``validate_model``
-flags it, and no gradient is computed through such a model.
+other samples in a batch. The layer set is closed: ``Model`` admits only
+dense layers, activations and group normalization, and each computes sample
+i's output from sample i alone. A layer that mixes samples, such as batch
+normalization, cannot be built into a model or loaded from a checkpoint, so
+per-sample isolation holds by construction and no pass checks for it.
 
 Every training and evaluation path runs the layer kernels: one forward
 pass, and one backward chain over the whole batch whose per-layer input and
@@ -20,9 +21,8 @@ layers and freeze boundary: each layer's forward kernel with the views of
 the parameter vector it reads, the backward chain down to the boundary
 (each trainable layer's ``[T]`` columns, weight shape and pullback view),
 the clipped sum's column split and row-block size (from ``ROW_BLOCK_BYTES``
-as it stands then), and the ``validate_model`` verdict. Every pass reads
-the plan instead of dispatching on the layers again, and the report is
-built only to name the violations of a model it refuses.
+as it stands then). Every pass reads the plan instead of dispatching on
+the layers again.
 
 ``PerSampleBatch.clipped_sum`` is the private step's one exact operation:
 the sum, in sample order, of the per-sample gradients each clipped to R.
@@ -57,11 +57,7 @@ __all__ = [
     "DenseLayer",
     "ActivationLayer",
     "GroupNormLayer",
-    "BatchCoupledNormLayer",
     "Model",
-    "ValidationReport",
-    "Violation",
-    "ModelValidationError",
     "ShapeMismatchError",
     "BCE_PROB_FLOOR",
     "GROUP_NORM_VAR_FLOOR",
@@ -70,7 +66,6 @@ __all__ = [
     "batch_gradient",
     "predict_proba",
     "accuracy",
-    "validate_model",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -105,10 +100,6 @@ class ShapeMismatchError(ValueError):
     """Operand shapes do not conform to the operation being applied."""
 
 
-class ModelValidationError(RuntimeError):
-    """A model failed the per-sample isolation validation."""
-
-
 @dataclass(frozen=True)
 class DenseLayer:
     in_dim: int
@@ -117,7 +108,6 @@ class DenseLayer:
     bias_slot: int
 
     kind = "dense"
-    mixes_samples = False
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,6 @@ class ActivationLayer:
     activation: str  # "relu", the one kernel
 
     kind = "activation"
-    mixes_samples = False
 
     def __post_init__(self):
         if self.activation != "relu":
@@ -140,26 +129,6 @@ class GroupNormLayer:
     beta_slot: int
 
     kind = "group_norm"
-    mixes_samples = False
-
-
-@dataclass(frozen=True)
-class BatchCoupledNormLayer:
-    """Normalizes each feature using statistics of the whole batch.
-
-    Exists as the canonical example of a layer that breaks per-sample
-    gradient isolation: sample i's output reads the mean and variance of
-    every other sample. It cannot be traced for gradients and any model
-    containing it is rejected by ``validate_model``.
-    """
-
-    channels: int
-    gamma_slot: int
-    beta_slot: int
-    eps: float = 1e-5
-
-    kind = "batch_norm"
-    mixes_samples = True
 
 
 class Model:
@@ -183,7 +152,8 @@ class Model:
     ``layers`` and ``parameters`` are read-only: the layout, the boundary
     and the layer plan (see the module docstring) are derived from them in
     the constructor, which refuses with ``TypeError`` any layer that is not
-    one of the four layer classes.
+    one of the three layer classes (so no model holds a layer that mixes
+    samples).
     """
 
     def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
@@ -385,7 +355,7 @@ def _layer_slots(layer) -> tuple[tuple[int, tuple[int, ...]], ...]:
     if isinstance(layer, DenseLayer):
         w, b = layer.weight_slot, layer.bias_slot
         return ((w, (layer.in_dim, layer.out_dim)), (b, (layer.out_dim,)))
-    if isinstance(layer, (GroupNormLayer, BatchCoupledNormLayer)):
+    if isinstance(layer, GroupNormLayer):
         return ((layer.gamma_slot, (layer.channels,)), (layer.beta_slot, (layer.channels,)))
     if isinstance(layer, ActivationLayer):
         return ()
@@ -487,23 +457,15 @@ def _group_norm_kernel(h: np.ndarray, saved: list | None, num_groups: int,
     return h
 
 
-def _batch_norm_kernel(h: np.ndarray, saved: list | None, eps: float,
-                       gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    normed = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + eps)
-    return normed * gamma + beta
-
-
 def _forward_step(layer, params) -> tuple:
     """``(kernel, args)``: the kernel that runs ``layer`` and the parameter views it reads."""
     if isinstance(layer, DenseLayer):
         return _dense_kernel, (params[layer.weight_slot], params[layer.bias_slot])
-    if isinstance(layer, ActivationLayer):
-        return _relu_kernel, ()
     if isinstance(layer, GroupNormLayer):
         return _group_norm_kernel, (layer.num_groups, params[layer.gamma_slot],
                                     params[layer.beta_slot])
-    # A BatchCoupledNormLayer, the one class left: ``Model`` refuses any other object.
-    return _batch_norm_kernel, (layer.eps, params[layer.gamma_slot], params[layer.beta_slot])
+    # An ActivationLayer, the one class left: ``Model`` refuses any other object.
+    return _relu_kernel, ()
 
 
 class _LayerPlan:
@@ -518,8 +480,7 @@ class _LayerPlan:
     ``[T]`` columns of its weight (or scale) and bias (or shift), its weight
     shape (``None`` for a norm layer), the view its pullback multiplies by
     (``W.T``, or the scale) and whether the chain stops there. ``spans`` are
-    ``Model.trainable_spans``, ``width`` is T and ``isolated`` the verdict
-    of ``validate_model``.
+    ``Model.trainable_spans`` and ``width`` is T.
 
     The rest is ``PerSampleBatch.clipped_sum``'s column split, fixed from
     ``ROW_BLOCK_BYTES`` when the plan is made. ``wide`` holds, in slot
@@ -535,14 +496,13 @@ class _LayerPlan:
     at least one.
     """
 
-    __slots__ = ("forward", "chain", "spans", "width", "isolated",
+    __slots__ = ("forward", "chain", "spans", "width",
                  "wide", "narrow", "writes", "slots", "moves", "rows_cap")
 
     def __init__(self, layers: tuple, params: tuple, spans: tuple, frozen: int):
         self.forward = tuple(_forward_step(layer, params) for layer in layers)
         self.spans = spans
         self.width = spans[-1][1]
-        self.isolated = not any(layer.mixes_samples for layer in layers)
         chain: list = []
         for layer in reversed(layers):
             if isinstance(layer, ActivationLayer):
@@ -551,11 +511,9 @@ class _LayerPlan:
             if isinstance(layer, DenseLayer):
                 first, last = layer.weight_slot, layer.bias_slot
                 shape, pull = (layer.in_dim, layer.out_dim), params[first].T
-            elif isinstance(layer, GroupNormLayer):
+            else:  # a GroupNormLayer, the one class left
                 first, last = layer.gamma_slot, layer.beta_slot
                 shape, pull = None, params[first]
-            else:
-                break  # a batch-coupled norm: the isolation check refuses every chain
             cols, bias_cols = slice(*spans[first - frozen]), slice(*spans[last - frozen])
             stop = first == frozen
             chain.append((cols, bias_cols, shape, pull, stop))
@@ -637,9 +595,10 @@ class _LayerPass:
     its weight shape (``None`` for a norm layer). A backward pass then only
     writes those pairs into ``[T]`` gradients over the model's trainable
     tail. Frozen parameters get no gradient work and no columns: the chain
-    stops at the layer whose first slot is ``Model.frozen_slots``.
-    Non-finite forward values raise ``FloatingPointError``, and a model
-    that fails ``validate_model`` raises ``ModelValidationError``.
+    stops at the layer whose first slot is ``Model.frozen_slots``. Every
+    layer a ``Model`` admits reads each sample alone, so a sample's gradient
+    reads no other sample and no pass checks for one. Non-finite forward
+    values raise ``FloatingPointError``.
     """
 
     _rowwise = False
@@ -647,7 +606,6 @@ class _LayerPass:
     def __init__(self, model: Model, xs, ys):
         xa = _input_rows(model, xs)
         ya = _binary_labels(ys, xa.shape[0])
-        _require_isolation(model)
         if not self._rowwise and xa.shape[0] == 0:
             raise ValueError("batch_gradient needs at least one sample")  # the mean has none
         self._run(model, xa, ya)
@@ -656,9 +614,9 @@ class _LayerPass:
     def _checked(cls, model: Model, xa: np.ndarray, ya: np.ndarray):
         """The pass over rows and labels that already meet every check ``__init__`` makes.
 
-        ``xa`` is a float64 ``[B, input_dim]`` matrix, ``ya`` a flat float64
-        vector of B labels, each 0 or 1, and ``model`` passes
-        ``validate_model``; nothing here checks them again.
+        ``xa`` is a float64 ``[B, input_dim]`` matrix and ``ya`` a flat
+        float64 vector of B labels, each 0 or 1; nothing here checks them
+        again.
         """
         self = cls.__new__(cls)
         self._run(model, xa, ya)
@@ -868,66 +826,11 @@ def accuracy(model: Model, xs, ys) -> float:
     return float(np.mean(preds == labels))
 
 
-@dataclass(frozen=True)
-class Violation:
-    layer_index: int
-    layer_kind: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_model(model: Model) -> ValidationReport:
-    """Flag layers whose forward pass mixes information across samples.
-
-    An empty report means per-sample gradient isolation holds by
-    construction: every layer computes sample i's output from sample i
-    alone, so per-sample gradients are exact.
-    """
-    violations = []
-    for i, layer in enumerate(model.layers):
-        if layer.mixes_samples:
-            violations.append(
-                Violation(
-                    layer_index=i,
-                    layer_kind=layer.kind,
-                    reason=(
-                        f"layer {i} ({layer.kind}) normalizes sample i with "
-                        "statistics of other samples in the batch"
-                    ),
-                )
-            )
-    return ValidationReport(tuple(violations))
-
-
-def _require_isolation(model: Model) -> None:
-    """Raise ``ModelValidationError`` unless ``validate_model`` passes ``model``.
-
-    Clipping bounds nothing if a layer leaks other samples' data into a
-    sample's gradient. The verdict is the model plan's, made when the model
-    was built; the report is built only to name the violations.
-    """
-    if not model._plan.isolated:
-        report = validate_model(model)
-        raise ModelValidationError(
-            "refusing to compute gradients: " + "; ".join(v.reason for v in report.violations)
-        )
-
-
 _CHECKPOINT_FORMAT = "dptrain-model"
 _CHECKPOINT_VERSION = 1
 
 
-_LAYER_CLASSES = {
-    cls.kind: cls for cls in (DenseLayer, ActivationLayer, GroupNormLayer, BatchCoupledNormLayer)
-}
+_LAYER_CLASSES = {cls.kind: cls for cls in (DenseLayer, ActivationLayer, GroupNormLayer)}
 
 
 def _layer_from_doc(doc: dict):

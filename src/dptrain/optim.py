@@ -55,7 +55,7 @@ from . import mechanisms
 from .accountant import PrivacyLedger
 from .mechanisms import ClipSpec, _check_placement, _span_norms
 from .model import Model, PerSampleBatch, ShapeMismatchError
-from .model import _binary_labels, _input_rows, _require_isolation
+from .model import _binary_labels, _input_rows
 
 __all__ = [
     "DpAdamState",
@@ -217,17 +217,16 @@ def dp_adam_step(
     """One private optimization step over the full dataset (xs, ys).
 
     The Poisson batch is drawn at ``ledger.spec.q`` and the noise scaled by
-    ``ledger.spec.sigma * clip.max_norm``. A model that fails
-    ``validate_model`` raises ``ModelValidationError``, as every gradient
-    path does, before the Poisson draw and the charge. The ledger is advanced
-    exactly once per call, including calls whose Poisson batch is empty
-    (charging an unused step never understates the privacy spent).
+    ``ledger.spec.sigma * clip.max_norm``. Every layer a ``Model`` admits
+    reads each sample alone, so each sample's gradient reads no other sample
+    and the clip bounds its influence. The ledger is advanced exactly once
+    per call, including calls whose Poisson batch is empty (charging an
+    unused step never understates the privacy spent).
     Arguments it refuses (inputs of the wrong width, a label count that
     does not match, a label other than 0 or 1, an unknown noise placement)
     raise before the Poisson draw and the charge. Per-sample gradients are
     processed in ascending index order so results are reproducible.
     """
-    _require_isolation(model)
     xs = _input_rows(model, xs)
     ys = _binary_labels(ys, xs.shape[0])
     _check_placement(noise_placement)

@@ -15,7 +15,8 @@ belongs above this layer, e.g. one tape per sample.
 
 The sigmoid, binary cross-entropy and group-norm primitives run the forward
 and pullback kernels of :mod:`dptrain.model`, so the model's layer kernels
-match the tape bit for bit by construction.
+match the tape bit for bit by construction; ``batch_norm`` runs the
+group-norm kernels down the batch axis.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "relu",
     "sigmoid",
     "group_norm",
+    "batch_norm",
     "reshape",
     "reduce_mean",
     "binary_cross_entropy",
@@ -271,6 +273,26 @@ def group_norm(x: Tensor, num_groups: int) -> Tensor:
         return (gx.reshape(x.shape),)
 
     return _emit("group_norm", (x,), y.reshape(x.shape), grad_fn)
+
+
+def batch_norm(x: Tensor) -> Tensor:
+    """Normalize each channel of a ``[batch, channels]`` input over the whole batch.
+
+    The one primitive whose output for a sample reads the other samples:
+    group norm taken down the batch axis, one group per channel (the same
+    kernels on the transposed input, variance floor included). Only the
+    test-only batch-coupled layer in ``oracles`` runs it.
+    """
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"batch_norm: expected 2-D input, got {x.shape}")
+    saved = _group_norm(x.data.T, 1)  # [channels, 1, batch]
+
+    def grad_fn(g):
+        gx = _group_norm_pullback(g.T.reshape(saved[0].shape), saved)
+        return (np.ascontiguousarray(gx.reshape(x.shape[::-1]).T),)
+
+    return _emit("batch_norm", (x,), np.ascontiguousarray(saved[0].reshape(x.shape[::-1]).T),
+                 grad_fn)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:

@@ -16,6 +16,9 @@ The autodiff tape itself lives in ``autodiff``, beside this module.
 runs the layer kernels instead), ``per_sample_gradient`` is one sample's
 loss and gradient from one tape, and ``per_sample_gradients`` widens
 ``PerSampleBatch``'s rows to a ``[B, P]`` matrix for comparing with it.
+``BatchCoupledNormLayer`` is a layer no ``Model`` admits;
+``traced_forward`` and ``per_sample_gradient`` also run it, on a
+``LayerStack``, so the tests can show that it mixes samples.
 
 A gradient here is what the tape returns: a tuple of float64 arrays, one
 per parameter slot. ``global_norm``, ``clip_gradient`` and
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from autodiff import (
     Tensor,
     add,
     backward,
+    batch_norm,
     binary_cross_entropy,
     group_norm,
     matmul,
@@ -74,14 +79,11 @@ from dptrain.model import (
     BCE_PROB_FLOOR,
     GROUP_NORM_VAR_FLOOR,
     ActivationLayer,
-    BatchCoupledNormLayer,
     DenseLayer,
     GroupNormLayer,
-    ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
     _binary_labels,
-    validate_model,
 )
 from dptrain.optim import poisson_subsample
 
@@ -397,12 +399,35 @@ def aggregate_noisy(
     return tuple((s + n) / batch for s, n in zip(acc, draw))
 
 
+@dataclass(frozen=True)
+class BatchCoupledNormLayer:
+    """Normalizes each feature with the mean and variance of the whole batch (tests only).
+
+    The layer that breaks per-sample isolation: sample i's output reads
+    every other sample, so sample i's gradient does too. ``Model`` refuses
+    it, as it refuses every layer outside its closed set; ``traced_forward``
+    runs it on a ``LayerStack``, so a test can show the mixing on the tape.
+    """
+
+    channels: int
+    gamma_slot: int
+    beta_slot: int
+
+    kind = "batch_norm"
+
+
+# What ``traced_forward`` and ``per_sample_gradient`` read of a model, for layers no
+# ``Model`` admits.
+LayerStack = namedtuple("LayerStack", "layers parameters input_dim")
+
+
 def traced_forward(model, x, tape: Tape) -> Tensor:
     """Logits ``[B]`` of a batch as a graph of tape primitives on ``tape`` (already entered).
 
     ``Model.forward``'s former traced branch. It watches one tensor per
     parameter, in slot order; those tensors wrap copies of the parameters,
     so a recorded tape keeps its values when the model is updated.
+    ``model`` is a ``Model`` or a ``LayerStack``.
     """
     data = np.asarray(x, dtype=np.float64)
     if data.ndim == 1:
@@ -425,7 +450,7 @@ def traced_forward(model, x, tape: Tape) -> Tensor:
             normed = group_norm(h, layer.num_groups)
             h = add(mul(normed, params[layer.gamma_slot]), params[layer.beta_slot])
         elif isinstance(layer, BatchCoupledNormLayer):
-            raise ModelValidationError("batch-coupled normalization cannot be traced")
+            h = add(mul(batch_norm(h), params[layer.gamma_slot]), params[layer.beta_slot])
         else:
             raise TypeError(f"unknown layer {layer!r}")
     return reshape(h, (data.shape[0],))
@@ -594,11 +619,6 @@ def tape_dp_adam_step(
     scaled by ``ledger.spec.sigma``. The Adam update is the per-slot oracle,
     so ``state`` holds ``[P]`` moments. It returns a ``TapeStepOutcome``.
     """
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelValidationError(
-            "refusing to run a private step: " + "; ".join(v.reason for v in report.violations)
-        )
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ShapeMismatchError(f"input of shape {xs.shape} does not match the input layer")

@@ -23,13 +23,7 @@ from dptrain.accountant import (
 from dptrain.config import RunConfig, SweepGrid
 from dptrain import mechanisms
 from dptrain.mechanisms import ClipSpec, clip_rows
-from dptrain.model import (
-    Model,
-    ModelValidationError,
-    PerSampleBatch,
-    build_mlp,
-    validate_model,
-)
+from dptrain.model import Model, PerSampleBatch, build_mlp, load_checkpoint
 from dptrain.optim import DpAdamState, adam_step, dp_adam_step
 from dptrain.train import _cell_config, sweep, train
 from autodiff import Tape, backward, fd_gradient
@@ -43,7 +37,7 @@ from oracles import (
     slot_views,
     traced_forward,
 )
-from test_model import batch_coupled_mlp
+from test_model import batch_coupled_mlp, write_batch_norm_checkpoint
 
 
 def criterion(num, name):
@@ -228,7 +222,7 @@ def test_criterion_07_noise_calibration(monkeypatch):
 
 
 @criterion(8, "per-sample isolation and batch-coupled refusal")
-def test_criterion_08_per_sample_isolation():
+def test_criterion_08_per_sample_isolation(tmp_path):
     from autodiff import binary_cross_entropy, mul, reduce_mean, sigmoid, tensor
 
     model = build_mlp([6, 8, 8, 1], norm="group:4", seed=21)
@@ -249,16 +243,15 @@ def test_criterion_08_per_sample_isolation():
             # absolutely since relative error is undefined there
             assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a) + 1e-12)
 
+    # The layer set is closed: no model with a batch-coupled layer can be
+    # built or loaded, so no training path ever computes a mixed gradient.
     coupled = batch_coupled_mlp()
-    report = validate_model(coupled)
-    assert len(report.violations) == 1
-    assert report.violations[0].layer_kind == "batch_norm"
-    state = DpAdamState.for_model(coupled, lr=0.05)
-    with pytest.raises(ModelValidationError):
-        dp_adam_step(
-            coupled, xs[:, :4], ys, state, ClipSpec(1.0), PrivacyLedger(MechanismSpec(1.0, 1.0)),
-            np.random.default_rng(0), np.random.default_rng(1),
-        )
+    with pytest.raises(TypeError, match="unknown layer BatchCoupledNormLayer"):
+        Model(coupled.layers, coupled.parameters)
+    path = tmp_path / "batch_norm.json"
+    write_batch_norm_checkpoint(path)
+    with pytest.raises(ValueError, match="unknown layer kind 'batch_norm'"):
+        load_checkpoint(path)
 
 
 @criterion(9, "privacy budget early stopping")

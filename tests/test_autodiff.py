@@ -8,6 +8,7 @@ from autodiff import (
     ShapeMismatchError,
     Tape,
     backward,
+    batch_norm,
     binary_cross_entropy,
     fd_gradient,
     group_norm,
@@ -233,6 +234,19 @@ def test_fd_parity_group_norm_variance_floor_branch():
     grad = backward(tape, out)
     ref = fd_gradient(lambda arrs: build([tensor(arrs[0])]).item(), [z], step=1e-7)
     np.testing.assert_allclose(grad[0], ref[0], rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fd_parity_batch_norm(seed):
+    rng = np.random.default_rng(50 + seed)
+    z = rng.uniform(-2, 2, size=(4, 3))
+    weights = tensor(rng.uniform(-1, 1, size=(4, 3)))
+
+    def build(params):
+        (zt,) = params
+        return reduce_mean(mul(batch_norm(zt), weights))
+
+    _fd_check(build, [z])
 
 
 def test_fd_parity_reshape():

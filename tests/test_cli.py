@@ -3,10 +3,11 @@ import importlib
 import json
 import math
 import re
+import sys
 
 import pytest
 
-from dptrain.cli import _json_text, main
+from dptrain.cli import _json_text, entry, main
 from dptrain.data import save_csv_dataset, synthetic_dataset
 from dptrain.train import _fmt
 
@@ -400,3 +401,14 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_console_script_exits_with_the_code_of_main(self, monkeypatch, capsys):
+        # ``entry`` is what the installed ``dptrain`` script runs: main on sys.argv.
+        for argv, code in [(["accountant", "--sigma", "1", "--q", "1", "--steps", "1"], 0),
+                           (["accountant", "--q", "1", "--steps", "1"], 1)]:
+            monkeypatch.setattr(sys, "argv", ["dptrain", *argv])
+            with pytest.raises(SystemExit) as exit_info:
+                entry()
+            assert exit_info.value.code == code
+            out = capsys.readouterr().out
+            assert ("epsilon" in json.loads(out)) if code == 0 else out == ""

@@ -8,11 +8,9 @@ import pytest
 
 from dptrain.model import (
     ActivationLayer,
-    BatchCoupledNormLayer,
     DenseLayer,
     GroupNormLayer,
     Model,
-    ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
     _binary_labels,
@@ -22,7 +20,6 @@ from dptrain.model import (
     load_checkpoint,
     predict_proba,
     save_checkpoint,
-    validate_model,
 )
 from dptrain.mechanisms import ClipSpec
 from dptrain.optim import DpAdamState, adam_step
@@ -37,6 +34,8 @@ from autodiff import (
     tensor,
 )
 from oracles import (
+    BatchCoupledNormLayer,
+    LayerStack,
     block_freeze_mask,
     broadcast_outer,
     flat,
@@ -51,7 +50,10 @@ from oracles import (
 
 
 def batch_coupled_mlp(seed=0):
-    """[4, 8, 1] MLP with a deliberately batch-coupled norm after the hidden layer."""
+    """[4, 8, 1] MLP with a batch-coupled norm after the hidden layer, as a ``LayerStack``.
+
+    No ``Model`` admits the norm, so the tape oracle runs the stack itself.
+    """
     rng = np.random.default_rng(seed)
     params = [
         rng.normal(size=(4, 8)),
@@ -67,7 +69,7 @@ def batch_coupled_mlp(seed=0):
         ActivationLayer("relu"),
         DenseLayer(8, 1, 4, 5),
     ]
-    return Model(layers, params)
+    return LayerStack(layers, params, 4)
 
 
 def test_build_is_deterministic():
@@ -238,6 +240,17 @@ def test_batch_gradient_is_mean_of_per_sample():
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
+def gradient_within(model, xs, ys, i):
+    """Gradient of sample i's loss inside the batch graph of ``xs``, picked with a one-hot mask."""
+    with Tape() as tape:
+        logits = traced_forward(model, xs, tape)
+        losses = binary_cross_entropy(sigmoid(logits), tensor(ys))
+        onehot = np.zeros(len(xs))
+        onehot[i] = len(xs)  # undo the 1/B of reduce_mean
+        picked = reduce_mean(mul(losses, tensor(onehot)))
+    return backward(tape, picked)
+
+
 def test_per_sample_isolation_within_batch():
     # Gradient of sample i's loss inside a batch graph (selected with a
     # one-hot mask) must equal the gradient computed with the sample alone.
@@ -245,46 +258,42 @@ def test_per_sample_isolation_within_batch():
     rng = np.random.default_rng(3)
     xs = rng.normal(size=(6, 4))
     ys = rng.integers(0, 2, size=6).astype(float)
-    from autodiff import backward, binary_cross_entropy, sigmoid
-
     for i in range(6):
         _, alone = per_sample_gradient(model, xs[i], ys[i])
-        with Tape() as tape:
-            logits = traced_forward(model, xs, tape)
-            losses = binary_cross_entropy(sigmoid(logits), tensor(ys))
-            onehot = np.zeros(6)
-            onehot[i] = 6.0  # undo the 1/B of reduce_mean
-            picked = reduce_mean(mul(losses, tensor(onehot)))
-        within = backward(tape, picked)
-        for a, b in zip(alone, within):
+        for a, b in zip(alone, gradient_within(model, xs, ys, i)):
             assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a) + 1e-12)
 
 
-def test_validate_group_norm_mlp_ok():
-    assert validate_model(build_mlp([4, 8, 1], norm="group:2", seed=0)).ok
+def test_batch_coupled_layer_mixes_samples():
+    # The isolation above fails for the test-only batch-coupled layer: on the
+    # tape, sample 0's gradient within the batch differs from its gradient
+    # alone and moves when another sample's features do.
+    stack = batch_coupled_mlp()
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(6, 4))
+    ys = rng.integers(0, 2, size=6).astype(float)
+    moved = xs.copy()
+    moved[5] += 1.0
+    _, alone = per_sample_gradient(stack, xs[0], ys[0])
+    within = gradient_within(stack, xs, ys, 0)
+    beside_moved = gradient_within(stack, moved, ys, 0)
+    assert max(np.abs(a - b).max() for a, b in zip(alone, within)) > 1e-3
+    assert max(np.abs(a - b).max() for a, b in zip(within, beside_moved)) > 1e-3
 
 
-def test_validate_plain_mlp_ok():
-    assert validate_model(build_mlp([4, 8, 1], seed=0)).ok
-
-
-def test_validate_flags_batch_coupled_layer():
-    report = validate_model(batch_coupled_mlp())
-    assert len(report.violations) == 1
-    v = report.violations[0]
-    assert v.layer_kind == "batch_norm" and v.layer_index == 1
-
-
-def test_batch_coupled_layer_refuses_tracing():
-    model = batch_coupled_mlp()
-    with pytest.raises(ModelValidationError):
-        per_sample_gradient(model, np.ones(4), 1)
-
-
-def test_batch_coupled_forward_works_untraced():
-    model = batch_coupled_mlp()
-    logits = model.forward(np.ones((3, 4)))
-    assert logits.shape == (3,)
+def test_the_layer_set_is_closed(tmp_path):
+    # Model admits dense, activation and group-norm layers only: the
+    # batch-coupled layer is refused when the model is built, in the frozen
+    # prefix (freeze_prefix 1) and in the trainable tail (0), and a
+    # checkpoint that names one is refused when it is loaded.
+    stack = batch_coupled_mlp()
+    for freeze_prefix in (0, 1):
+        with pytest.raises(TypeError, match=r"^unknown layer BatchCoupledNormLayer\("):
+            Model(stack.layers, stack.parameters, freeze_prefix=freeze_prefix)
+    path = tmp_path / "batch_norm.json"
+    write_batch_norm_checkpoint(path)
+    with pytest.raises(ValueError, match="^unknown layer kind 'batch_norm' in checkpoint$"):
+        load_checkpoint(path)
 
 
 def test_freeze_prefix_masks_block_params():
@@ -313,11 +322,6 @@ def test_freeze_prefix_matches_the_block_rule(norm, depth):
 
 
 def test_freeze_prefix_on_hand_built_models():
-    # A batch_norm after a frozen dense layer freezes with it (the block rule kept it trainable).
-    coupled = batch_coupled_mlp()
-    model = Model(coupled.layers, coupled.parameters, freeze_prefix=1)
-    assert model.trainable == [False] * 4 + [True] * 2
-    assert block_freeze_mask(model, 1) == [False] * 2 + [True] * 4
     # A norm layer before the first dense layer freezes whenever k >= 1.
     layers = [
         GroupNormLayer(4, 2, 0, 1),
@@ -368,14 +372,13 @@ def test_model_needs_a_dense_layer():
 
 
 def test_forward_refuses_a_layer_without_a_kernel():
-    # Only the four layer classes have kernels; any other object, even one
-    # with a layer's fields and flags, is refused when the model is built,
+    # Only the three layer classes have kernels; any other object, even one
+    # with a layer's fields and kind, is refused when the model is built,
     # so no forward pass can reach it.
     @dataclasses.dataclass(frozen=True)
     class Lookalike:
         channels: int = 8
         kind = "activation"
-        mixes_samples = False
 
     params = [np.zeros((4, 8)), np.zeros(8), np.zeros((8, 1)), np.zeros(1)]
     for layer in (object(), Lookalike()):
@@ -525,23 +528,34 @@ VERSION_1_CHECKPOINT = (
     '{"kind": "dense", "in_dim": 2, "out_dim": 2, "weight_slot": 0, "bias_slot": 1}, '
     '{"kind": "group_norm", "channels": 2, "num_groups": 1, "gamma_slot": 2, "beta_slot": 3}, '
     '{"kind": "activation", "activation": "relu"}, '
-    '{"kind": "batch_norm", "channels": 2, "gamma_slot": 4, "beta_slot": 5, "eps": 0.001}, '
-    '{"kind": "dense", "in_dim": 2, "out_dim": 1, "weight_slot": 6, "bias_slot": 7}], '
-    '"param_shapes": [[2, 2], [2], [2], [2], [2], [2], [2, 1], [1]], '
+    '{"kind": "dense", "in_dim": 2, "out_dim": 1, "weight_slot": 4, "bias_slot": 5}], '
+    '"param_shapes": [[2, 2], [2], [2], [2], [2, 1], [1]], '
     '"params": [[0.1, -0.25, 1e-300, 0.30000000000000004], [0.0, -0.0], [1.0, 2.5], '
-    '[0.5, -1.5], [1.0, 1.0], [0.0, 0.0], [3.0, -2.0], [0.125]]}'
+    '[0.5, -1.5], [3.0, -2.0], [0.125]]}'
 )
+
+
+def write_batch_norm_checkpoint(path):
+    """Write ``VERSION_1_CHECKPOINT`` with a ``batch_norm`` layer before its output layer.
+
+    Earlier versions saved such a layer; every other field is well formed,
+    so the layer's kind is the one thing a load can refuse.
+    """
+    doc = json.loads(VERSION_1_CHECKPOINT)
+    doc["layers"].insert(3, {"kind": "batch_norm", "channels": 2, "gamma_slot": 4,
+                             "beta_slot": 5, "eps": 0.001})
+    doc["layers"][4].update(weight_slot=6, bias_slot=7)
+    doc["param_shapes"][4:4] = [[2], [2]]
+    doc["params"][4:4] = [[1.0, 1.0], [0.0, 0.0]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(VERSION_1_CHECKPOINT, encoding="utf-8")
     model = load_checkpoint(old)
-    assert [l.kind for l in model.layers] == [
-        "dense", "group_norm", "activation", "batch_norm", "dense"
-    ]
-    assert model.layers[3] == BatchCoupledNormLayer(2, 4, 5, 0.001)
-    assert model.trainable == [False] * 6 + [True] * 2  # the batch_norm follows the frozen dense
+    assert [l.kind for l in model.layers] == ["dense", "group_norm", "activation", "dense"]
+    assert model.trainable == [False] * 4 + [True] * 2  # the group_norm follows the frozen dense
     save_checkpoint(model, new)
     assert new.read_bytes() == VERSION_1_CHECKPOINT.encode("utf-8")
 
@@ -550,12 +564,11 @@ def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
     "layer,edit",
     [
         (0, {"bias_slot": None}),  # None deletes the field
-        (3, {"eps": None}),  # a field with a default is still required
         (1, {"momentum": 0.9}),
         (2, {"kind": "layer_norm"}),
         (2, {"activation": "tanh"}),  # only relu has a kernel
     ],
-    ids=["missing-field", "missing-defaulted-field", "extra-field", "unknown-kind", "tanh"],
+    ids=["missing-field", "extra-field", "unknown-kind", "tanh"],
 )
 def test_checkpoint_rejects_malformed_layers(tmp_path, layer, edit):
     doc = json.loads(VERSION_1_CHECKPOINT)
@@ -602,7 +615,7 @@ def test_checkpoint_with_unpaired_parameters_fails_at_load(tmp_path, edit):
     "edit,message",
     [
         (lambda doc: doc["params"][1].__setitem__(0, math.nan), "slot 1"),
-        (lambda doc: doc["params"][6].__setitem__(1, -math.inf), "slot 6"),
+        (lambda doc: doc["params"][4].__setitem__(1, -math.inf), "slot 4"),
         (lambda doc: doc.__delitem__("layers"), "layers"),
         (lambda doc: doc.__delitem__("params"), "params"),
         (lambda doc: doc.__delitem__("param_shapes"), "param_shapes"),
@@ -758,8 +771,6 @@ def test_batched_gradients_reject_bad_input():
         per_sample_gradients(model, np.zeros((2, 4)), [0.0, 0.5])
     with pytest.raises(FloatingPointError):
         per_sample_gradients(model, np.array([[0.0, 1.0, np.nan, 0.0]]), [1.0])
-    with pytest.raises(ModelValidationError):
-        per_sample_gradients(batch_coupled_mlp(), np.ones((2, 4)), [0.0, 1.0])
 
 
 def assert_batch_gradient_equals_tape(model, xs, ys):
@@ -830,8 +841,6 @@ def test_batch_gradient_rejects_bad_input():
         batch_gradient(model, np.zeros((0, 4)), [])
     with pytest.raises(FloatingPointError):
         batch_gradient(model, np.array([[0.0, 1.0, np.nan, 0.0]]), [1.0])
-    with pytest.raises(ModelValidationError):
-        batch_gradient(batch_coupled_mlp(), np.ones((2, 4)), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("norm", ["none", "group:4"])
@@ -851,20 +860,6 @@ def test_predictions_equal_traced_forward(norm):
     assert accuracy(model, xs, ys) == float(np.mean((probs > 0.5) == ys))
     with pytest.raises(FloatingPointError):
         model.forward(np.array([0.0, np.nan, 0.0, 0.0, 0.0]))
-
-
-def test_batch_coupled_model_evaluates_untraced():
-    model = batch_coupled_mlp()
-    rng = np.random.default_rng(2)
-    xs = rng.normal(size=(5, 4))
-    ys = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-    w0, b0, gamma, beta, w1, b1 = model.parameters
-    h = xs @ w0 + b0
-    h = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + 1e-5) * gamma + beta
-    logits = (np.maximum(h, 0.0) @ w1 + b1).reshape(5)
-    np.testing.assert_array_equal(model.forward(xs), logits)
-    probs = predict_proba(model, xs)
-    assert accuracy(model, xs, ys) == float(np.mean((probs > 0.5) == ys))
 
 
 def assert_same_passes(model, xs, ys):

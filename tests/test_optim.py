@@ -10,7 +10,6 @@ from dptrain.accountant import MechanismSpec, PrivacyLedger
 from dptrain.mechanisms import ClipSpec, clip_rows
 from dptrain.model import (
     DenseLayer,
-    ModelValidationError,
     PerSampleBatch,
     ShapeMismatchError,
     accuracy,
@@ -30,7 +29,6 @@ from oracles import (
     per_slot_adam_step,
     tape_dp_adam_step,
 )
-from test_model import batch_coupled_mlp
 
 
 class TestPoissonSubsample:
@@ -364,17 +362,6 @@ class TestDpAdamStep:
         assert outcomes[0].noisy_grad_norm <= bound * (1 + 1e-12)
         assert outcomes[0].preclip_norm_max > bound
 
-    def test_refuses_batch_coupled_model(self):
-        model = batch_coupled_mlp()
-        state = DpAdamState.for_model(model, lr=0.05)
-        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
-        with pytest.raises(ModelValidationError):
-            dp_adam_step(
-                model, self.xs[:, :4], self.ys, state, ClipSpec(1.0), ledger,
-                np.random.default_rng(0), np.random.default_rng(1),
-            )
-        assert ledger.step_count == 0
-
     def test_bitwise_deterministic_trajectories(self):
         results = []
         for _ in range(2):
@@ -438,7 +425,7 @@ class TestDpAdamStep:
         # The step checks the full data before the draw; the batch it builds
         # from those rows is not checked again.
         calls = []
-        for name in ("_input_rows", "_binary_labels", "_require_isolation"):
+        for name in ("_input_rows", "_binary_labels"):
             check = getattr(model_module, name)
 
             def counting(*args, _check=check, _name=name):
@@ -451,7 +438,7 @@ class TestDpAdamStep:
         assert [o.batch_size for o in outcomes] == [16] * 3
         assert calls == []
         PerSampleBatch(model, self.xs, self.ys)
-        assert sorted(calls) == ["_binary_labels", "_input_rows", "_require_isolation"]
+        assert sorted(calls) == ["_binary_labels", "_input_rows"]
 
 
 def outcome_statistics(outcome):
@@ -985,16 +972,6 @@ class TestPrivateStepFailures:
         for a, b in zip(model.parameters, before):
             assert_same_bits(a, b)
 
-    @pytest.mark.parametrize("step", [dp_adam_step, tape_dp_adam_step])
-    def test_batch_coupled_model_refused_before_charge(self, step):
-        model = batch_coupled_mlp()
-        xs = np.random.default_rng(0).normal(size=(12, 4))
-        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
-        with pytest.raises(ModelValidationError):
-            step(model, xs, self.ys, DpAdamState.for_model(model, lr=0.05), ClipSpec(1.0),
-                 ledger, np.random.default_rng(0), np.random.default_rng(1))
-        assert ledger.step_count == 0
-
     def assert_refused_before_charge(self, step, error, match, xs, q, ys=None, **kwargs):
         """The step raises ``error`` with the ledger and the Poisson stream untouched.
 
@@ -1046,73 +1023,6 @@ class TestPrivateStepFailures:
         ys[5] = label
         self.assert_refused_before_charge(step, ValueError, "label must be 0 or 1", self.xs, 0.1,
                                           ys=ys)
-
-
-class TestSampleMixingCheck:
-    """Every gradient entry point refuses a model that mixes samples, with one message."""
-
-    @pytest.mark.parametrize("call", ["batch_gradient", "PerSampleBatch", "dp_adam_step"])
-    def test_same_message_before_the_draw_and_the_charge(self, call):
-        model = batch_coupled_mlp()
-        xs = np.random.default_rng(0).normal(size=(2, 4))
-        ys = np.array([0.0, 1.0])
-        state = DpAdamState.for_model(model, lr=0.05)
-        ledger = PrivacyLedger(MechanismSpec(1.0, 1.0))
-        poisson_rng, noise_rng = np.random.default_rng(0), np.random.default_rng(1)
-        before = (poisson_rng.bit_generator.state, noise_rng.bit_generator.state)
-        calls = {
-            "batch_gradient": lambda: batch_gradient(model, xs, ys),
-            "PerSampleBatch": lambda: PerSampleBatch(model, xs, ys),
-            "dp_adam_step": lambda: dp_adam_step(
-                model, xs, ys, state, ClipSpec(1.0), ledger, poisson_rng, noise_rng
-            ),
-        }
-        message = (
-            "refusing to compute gradients: layer 1 (batch_norm) normalizes sample i "
-            "with statistics of other samples in the batch"
-        )
-        with pytest.raises(ModelValidationError, match=f"^{re.escape(message)}$"):
-            calls[call]()
-        assert ledger.step_count == 0 and state.t == 0
-        assert (poisson_rng.bit_generator.state, noise_rng.bit_generator.state) == before
-
-    @staticmethod
-    def count_reports(monkeypatch):
-        """A list that grows by one entry on every ``model.validate_model`` call."""
-        calls = []
-        validate = model_module.validate_model
-
-        def counting(model):
-            calls.append(model)
-            return validate(model)
-
-        monkeypatch.setattr(model_module, "validate_model", counting)
-        return calls
-
-    def test_isolated_runs_never_build_the_report(self, monkeypatch):
-        # The verdict is made when the model is built: ten private and ten
-        # non-private steps of an isolated model build no report.
-        model = build_mlp([5, 6, 1], norm="group:2", seed=3)
-        rng = np.random.default_rng(4)
-        xs = rng.normal(size=(16, 5))
-        ys = rng.integers(0, 2, size=16).astype(float)
-        calls = self.count_reports(monkeypatch)
-        outcomes, ledger = run_dp(model, xs, ys, 10, sigma=1.0, clip=1.0, p=0.5)
-        assert ledger.step_count == 10 and sum(o.batch_size for o in outcomes) > 0
-        state = DpAdamState.for_model(model, lr=0.05)
-        for i in range(10):
-            rows = slice(i % 4 * 4, i % 4 * 4 + 4)
-            adam_step(model, batch_gradient(model, xs[rows], ys[rows])[1], state)
-        assert state.t == 10
-        assert calls == []
-
-    def test_a_refusal_builds_the_report_once(self, monkeypatch):
-        model = batch_coupled_mlp()
-        xs = np.random.default_rng(0).normal(size=(2, 4))
-        calls = self.count_reports(monkeypatch)
-        with pytest.raises(ModelValidationError, match="layer 1 \\(batch_norm\\)"):
-            batch_gradient(model, xs, [0.0, 1.0])
-        assert calls == [model]
 
 
 class TestInputWidthCheck:

@@ -40,7 +40,6 @@ PACKAGE_NAMES = {
     "calibrate_sigma",
     "classic_gaussian_sigma",
     "kl_divergence",
-    "rdp_gaussian",
     "renyi_divergence",
     # config
     "ConfigError",
@@ -57,14 +56,11 @@ PACKAGE_NAMES = {
     "gaussian_noise",
     # model
     "Model",
-    "ModelValidationError",
-    "ValidationReport",
     "accuracy",
     "batch_gradient",
     "build_mlp",
     "load_checkpoint",
     "save_checkpoint",
-    "validate_model",
     # optim
     "DpAdamState",
     "StepOutcome",
@@ -90,7 +86,6 @@ SHARED_PRIVATE_NAMES = {
     "model._check_freeze_prefix",
     "model._input_rows",
     "model._norm_groups",
-    "model._require_isolation",
     "train._fmt",
 }
 
