@@ -14,9 +14,6 @@ from .accountant import (
     PrivacySpent,
     accountant_query,
     calibrate_sigma,
-    classic_gaussian_sigma,
-    kl_divergence,
-    renyi_divergence,
 )
 from .config import ConfigError, RunConfig, SweepGrid, parse_config_file
 from .data import Dataset, load_csv_dataset, save_csv_dataset, synthetic_dataset

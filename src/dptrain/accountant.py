@@ -50,7 +50,7 @@ step counts, valid because epsilon never falls as the count grows), the
 reported spend and the
 ``dptrain accountant`` document (:func:`accountant_query`) all run its
 conversion. Step counts are integers (Python or numpy); a fractional count
-raises ``TypeError`` rather than being truncated.
+or a ``bool`` raises ``TypeError`` rather than being truncated or read as 1.
 """
 
 from __future__ import annotations
@@ -69,11 +69,8 @@ __all__ = [
     "PrivacySpent",
     "CalibrationError",
     "default_alpha_grid",
-    "renyi_divergence",
-    "kl_divergence",
     "epsilon_for",
     "calibrate_sigma",
-    "classic_gaussian_sigma",
     "PrivacyLedger",
     "accountant_query",
 ]
@@ -151,42 +148,6 @@ def default_alpha_grid(q: float) -> tuple[float, ...]:
     return _FULL_BATCH_GRID if q >= 1.0 else _INTEGER_GRID
 
 
-def _check_distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
-    pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape or pa.ndim != 1:
-        raise ValueError(f"need two equal-length probability vectors, got {pa.shape}, {qa.shape}")
-    if np.any(pa < 0) or np.any(qa < 0):
-        raise ValueError("probabilities must be non-negative")
-    if abs(pa.sum() - 1.0) > 1e-12 or abs(qa.sum() - 1.0) > 1e-12:
-        raise ValueError("probability vectors must sum to 1 within 1e-12")
-    if np.any((pa > 0) & (qa == 0)):
-        raise ValueError("support violation: q must be positive wherever p is")
-    return pa, qa
-
-
-def renyi_divergence(p, q, alpha: float) -> float:
-    """Order-alpha Renyi divergence (1/(alpha-1)) log sum p_i^alpha / q_i^(alpha-1).
-
-    Defined for finite alpha > 0, alpha != 1; callers wanting the alpha -> 1
-    limit should use :func:`kl_divergence`. Non-negative, zero iff p == q.
-    """
-    if not (math.isfinite(alpha) and alpha > 0) or alpha == 1.0:
-        raise ValueError(f"alpha must be positive, finite and != 1, got {alpha}")
-    pa, qa = _check_distributions(p, q)
-    mask = pa > 0
-    terms = pa[mask] ** alpha * qa[mask] ** (1.0 - alpha)
-    val = math.log(float(terms.sum())) / (alpha - 1.0)
-    return max(0.0, val)
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence sum p_i log(p_i / q_i), with 0 log 0 = 0."""
-    pa, qa = _check_distributions(p, q)
-    mask = pa > 0
-    return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-
-
 @functools.lru_cache(maxsize=16)
 def _q_table(q: float) -> np.ndarray:
     """The sigma-free part of every order's log terms at rate q, read-only."""
@@ -245,6 +206,8 @@ def _check_delta(delta: float) -> None:
 
 
 def _steps(count: int) -> int:
+    if isinstance(count, bool):  # operator.index takes True as 1; np.True_ it refuses
+        raise TypeError(f"a step count must be an integer, not {count!r}")
     count = operator.index(count)
     if count < 0:
         raise ValueError(f"cannot compose a negative number of steps: {count}")
@@ -278,7 +241,7 @@ def calibrate_sigma(target_eps: float, delta: float, q: float, steps: int) -> fl
     """
     if not target_eps > 0:
         raise ValueError(f"target epsilon must be positive, got {target_eps}")
-    steps = operator.index(steps)
+    steps = _steps(steps)
     if steps < 1:
         raise ValueError(f"calibration needs at least one step, got {steps}")
     return _calibrated_sigma(target_eps, delta, q, steps)
@@ -311,22 +274,6 @@ def _calibrated_sigma(target_eps: float, delta: float, q: float, steps: int) -> 
         else:
             lo = mid
     return hi
-
-
-def classic_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
-    """Classic one-shot Gaussian mechanism calibration.
-
-    Returns sensitivity * sqrt(2 ln(1.25/delta)) / epsilon, the standard
-    noise scale guaranteeing (epsilon, delta)-DP for a single query of the
-    given L2 sensitivity. Valid for epsilon in (0, 1]; iterated training
-    should use the RDP accountant instead.
-    """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"classic calibration requires 0 < epsilon <= 1, got {epsilon}")
-    _check_delta(delta)
-    if not (math.isfinite(sensitivity) and sensitivity > 0):
-        raise ValueError(f"sensitivity must be positive and finite, got {sensitivity}")
-    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
 class PrivacyLedger:

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -153,7 +154,8 @@ class Model:
     and the layer plan (see the module docstring) are derived from them in
     the constructor, which refuses with ``TypeError`` any layer that is not
     one of the three layer classes (so no model holds a layer that mixes
-    samples).
+    samples). ``seed`` is ``None`` or an integer, kept as a Python int so
+    a checkpoint writes it as a JSON integer; a bool raises ``TypeError``.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
@@ -176,7 +178,7 @@ class Model:
         for a in arrays:
             offsets.append(offsets[-1] + a.size)
         self._offsets = tuple(offsets)
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self._freeze_prefix = freeze_prefix
         # Slots run 0, 1, 2, ... in layer order: the layers before a dense
         # layer name exactly the slots below its weight slot.
@@ -321,6 +323,13 @@ def build_mlp(widths, norm: str = "none", seed: int = 0, freeze_prefix: int = 0)
             w *= 2.0 * bound
             w -= bound
     return model
+
+
+def _check_seed(seed) -> int | None:
+    """``None``, or ``seed`` as a Python int; a bool or a non-integer raises ``TypeError``."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer or None, not {seed!r}")
+    return None if seed is None else operator.index(seed)
 
 
 def _check_freeze_prefix(k: int, dense_layers: int) -> None:

@@ -9,7 +9,10 @@ update from one numpy expression per parameter slot with Adam's constants
 as its own literals, and the accountant's
 all-orders RDP table from one numpy pipeline per order
 (``per_order_rdp``) and from the table with one ``np.add.reduce`` per order
-(``row_loop_subsampled_rdp``).
+(``row_loop_subsampled_rdp``). ``renyi_divergence`` and ``kl_divergence``
+between two discrete distributions, and ``classic_gaussian_sigma``, the
+one-shot Gaussian calibration, are the textbook formulas criteria 05 and 06
+check; no training path uses them.
 
 The autodiff tape itself lives in ``autodiff``, beside this module.
 ``traced_forward`` builds a model's batch graph on it (``Model.forward``
@@ -297,6 +300,36 @@ def grid_search_epsilon_gaussian(sigma: float, delta: float, steps: int = 1) -> 
         if eps < best_eps:
             best_eps, best_alpha = eps, alpha
     return best_eps, best_alpha
+
+
+def renyi_divergence(p, q, alpha: float) -> float:
+    """Order-alpha Renyi divergence (1/(alpha-1)) log sum p_i^alpha q_i^(1-alpha), floored at 0.
+
+    For probability vectors p and q, q positive wherever p is, and finite
+    alpha > 0 other than 1; the alpha -> 1 limit is :func:`kl_divergence`.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    mask = p > 0
+    terms = p[mask] ** alpha * q[mask] ** (1.0 - alpha)
+    return max(0.0, math.log(float(terms.sum())) / (alpha - 1.0))
+
+
+def kl_divergence(p, q) -> float:
+    """Kullback-Leibler divergence sum p_i log(p_i / q_i), with 0 log 0 = 0."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def classic_gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
+    """The classic one-shot Gaussian noise scale, sensitivity sqrt(2 ln(1.25 / delta)) / epsilon.
+
+    (epsilon, delta)-DP for one query of that L2 sensitivity when epsilon
+    is in (0, 1] (Dwork & Roth 2014, Theorem A.1).
+    """
+    return sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
 def logistic_regression_accuracy(

@@ -14,11 +14,8 @@ import pytest
 from dptrain.accountant import (
     MechanismSpec,
     PrivacyLedger,
-    classic_gaussian_sigma,
     default_alpha_grid,
     epsilon_for,
-    kl_divergence,
-    renyi_divergence,
 )
 from dptrain.config import RunConfig, SweepGrid
 from dptrain import mechanisms
@@ -28,12 +25,15 @@ from dptrain.optim import DpAdamState, adam_step, dp_adam_step
 from dptrain.train import _cell_config, sweep, train
 from autodiff import Tape, backward, fd_gradient
 from oracles import (
+    classic_gaussian_sigma,
     flat,
     grid_search_epsilon_gaussian,
+    kl_divergence,
     mean_gradient_sets,
     mixture_renyi_rdp,
     oracle_alpha_grid,
     per_sample_gradient,
+    renyi_divergence,
     slot_views,
     traced_forward,
 )

@@ -13,21 +13,21 @@ from dptrain.accountant import (
     PrivacyLedger,
     accountant_query,
     calibrate_sigma,
-    classic_gaussian_sigma,
     default_alpha_grid,
     epsilon_for,
-    kl_divergence,
-    renyi_divergence,
 )
 from dptrain import accountant
 from dptrain.config import RunConfig
 from dptrain.train import train
 from oracles import (
+    classic_gaussian_sigma,
     grid_search_epsilon_gaussian,
+    kl_divergence,
     mixture_renyi_rdp,
     per_order_epsilon,
     per_order_rdp,
     per_step_first_over,
+    renyi_divergence,
     row_loop_subsampled_rdp,
 )
 
@@ -103,35 +103,6 @@ class TestRenyiDivergence:
             q = random_distribution(rng, 6)
             r = renyi_divergence(p, q, 1.0001)
             assert r == pytest.approx(kl_divergence(p, q), abs=1e-3)
-
-    @pytest.mark.parametrize("alpha", [1.0, 0.0, -2.0, math.nan, math.inf, -math.inf])
-    def test_rejects_bad_alpha(self, alpha):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="alpha must be positive, finite and != 1"):
-                renyi_divergence([0.4, 0.6], [0.5, 0.5], alpha)
-
-    def test_rejects_support_violation(self):
-        with pytest.raises(ValueError):
-            renyi_divergence([0.5, 0.5], [1.0, 0.0], 2.0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            renyi_divergence([0.5, 0.6], [0.5, 0.5], 2.0)
-
-    @pytest.mark.parametrize(
-        "p, q, message",
-        [
-            ([0.5, 0.5], [0.2, 0.3, 0.5], "need two equal-length probability vectors"),
-            ([-0.5, 1.5], [0.5, 0.5], "probabilities must be non-negative"),
-        ],
-        ids=["unequal-lengths", "negative"],
-    )
-    def test_rejects_malformed_distributions(self, p, q, message):
-        with pytest.raises(ValueError, match=message):
-            renyi_divergence(p, q, 2.0)
-        with pytest.raises(ValueError, match=message):
-            kl_divergence(p, q)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
@@ -345,20 +316,6 @@ class TestClassicGaussianSigma:
     def test_decreasing_in_delta(self):
         sigmas = [classic_gaussian_sigma(0.5, d, 1.0) for d in (1e-7, 1e-5, 1e-3, 0.5)]
         assert all(b < a for a, b in zip(sigmas, sigmas[1:]))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            classic_gaussian_sigma(1.5, 1e-5, 1.0)
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan])
-    def test_rejects_bad_delta(self, delta):
-        with pytest.raises(ValueError, match=re.escape(f"delta must be in (0, 1), got {delta}")):
-            classic_gaussian_sigma(0.5, delta, 1.0)
-
-    @pytest.mark.parametrize("sensitivity", [0.0, -1.0, math.nan, math.inf, -math.inf])
-    def test_rejects_bad_sensitivity(self, sensitivity):
-        with pytest.raises(ValueError, match="sensitivity must be positive and finite"):
-            classic_gaussian_sigma(0.5, 1e-5, sensitivity)
 
 
 class TestLedgerAndQuery:
@@ -878,7 +835,7 @@ class TestCalibrationMemo:
 
 
 class TestStepCounts:
-    """Step counts are integers; a fractional count raises instead of truncating."""
+    """Step counts are integers; a fractional count or a bool raises instead of being read as one."""
 
     SPEC = MechanismSpec(1.0, 0.02)
 
@@ -906,6 +863,22 @@ class TestStepCounts:
         "entry",
         ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "accountant_query"],
     )
+    def test_bool_count_raises(self, entry):
+        call = self._entry_points()[entry]
+        for count in (True, False):
+            with pytest.raises(TypeError, match=f"a step count must be an integer, not {count}"):
+                call(count)
+        with pytest.raises(TypeError):
+            call(np.True_)
+
+    def test_calibration_refuses_a_negative_count_by_the_ledger_rule(self):
+        with pytest.raises(ValueError, match="cannot compose a negative number of steps: -1"):
+            calibrate_sigma(10.0, 1e-5, 0.02, -1)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["advance", "epsilon_if", "epsilon_for", "calibrate_sigma", "accountant_query"],
+    )
     def test_numpy_integer_count_matches_int(self, entry):
         expected = self._entry_points()[entry](3)
         assert self._entry_points()[entry](np.int64(3)) == expected
@@ -915,6 +888,8 @@ class TestStepCounts:
         ledger.advance(2)
         with pytest.raises(TypeError):
             ledger.advance(1.5)
+        with pytest.raises(TypeError):
+            ledger.advance(True)
         assert ledger.step_count == 2
         assert type(ledger.step_count) is int
         assert ledger.spent().epsilon == epsilon_for(1.0, 0.02, 2, 1e-5)

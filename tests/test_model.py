@@ -503,6 +503,21 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert model.forward(x).tolist() == loaded.forward(x).tolist()
 
 
+def test_numpy_integer_seed_round_trips_as_an_int(tmp_path):
+    model = build_mlp([3, 4, 1], seed=np.int64(3))
+    assert type(model.seed) is int and model.seed == 3
+    save_checkpoint(model, tmp_path / "model.json")
+    loaded = load_checkpoint(tmp_path / "model.json")
+    assert type(loaded.seed) is int and loaded.seed == 3
+
+
+@pytest.mark.parametrize("seed", [True, "3", 1.5])
+def test_model_refuses_a_seed_that_is_not_an_integer(seed):
+    model = build_mlp([3, 4, 1], seed=0)
+    with pytest.raises(TypeError):
+        Model(model.layers, model.parameters, seed=seed)
+
+
 @pytest.mark.parametrize("value", [1.7, True, "2", 2.0])
 def test_checkpoint_rejects_a_freeze_prefix_that_is_not_an_integer(tmp_path, value):
     # Three dense layers, so 1 and 2 are both valid prefixes once truncated.

@@ -38,9 +38,6 @@ PACKAGE_NAMES = {
     "PrivacySpent",
     "accountant_query",
     "calibrate_sigma",
-    "classic_gaussian_sigma",
-    "kl_divergence",
-    "renyi_divergence",
     # config
     "ConfigError",
     "RunConfig",
