@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import get_type_hints
 
@@ -80,6 +81,7 @@ class RunConfig:
     seed_noise: int = 4
 
     def __post_init__(self):
+        _check_numbers(self, _RUN_NUMBERS)
         if self.dataset not in ("synthetic", "csv"):
             raise ConfigError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
@@ -111,10 +113,6 @@ class RunConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
         for name in _SEED_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -146,6 +144,7 @@ class SweepGrid:
     seeds_per_cell: int = 5
 
     def __post_init__(self):
+        _check_numbers(self, _GRID_NUMBERS)
         if not self.target_eps or not self.clip_norms or not self.freeze_prefixes:
             raise ConfigError("sweep grid axes must be non-empty")
         if self.seeds_per_cell < 1:
@@ -220,6 +219,33 @@ _PARSERS = {
 }
 
 
+# What each numeric annotation's values (a tuple's entries) must be; a bool is neither.
+_NUMERIC = {int: (Integral, "an integer", False), tuple[int, ...]: (Integral, "integers", True),
+            float: (Real, "a number", False), float | None: (Real, "a number", False),
+            tuple[float, ...]: (Real, "numbers", True)}
+
+
+def _number_fields(cls) -> tuple:
+    """Each numeric field of dataclass ``cls``: its name, then its ``_NUMERIC`` entry."""
+    return tuple((name, *_NUMERIC[h]) for name, h in get_type_hints(cls).items() if h in _NUMERIC)
+
+
+def _check_numbers(config, numbers) -> None:
+    """Refuse a bool, a value not of its field's kind or a non-finite scalar float.
+
+    Run first, so ``epochs="3"`` and NaN (which passes ``lr <= 0``) are
+    refused; numpy scalars pass, and ``None`` is left to the range checks.
+    """
+    for name, kind, what, many in numbers:
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if many else (value,))):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if kind is Real and not many and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def _field_parsers(cls) -> dict:
     """Map each field of dataclass ``cls`` to the parser for its annotation."""
     hints = get_type_hints(cls)
@@ -230,14 +256,11 @@ def _field_parsers(cls) -> dict:
 
 
 _RUN_PARSERS = _field_parsers(RunConfig)
-# NaN fails every comparison, so checks such as ``lr <= 0`` let it through;
-# set float fields are checked for finiteness instead.
-_FINITE_FIELDS = tuple(
-    name for name, hint in get_type_hints(RunConfig).items() if hint in (float, float | None)
-)
+_RUN_NUMBERS = _number_fields(RunConfig)
 # PCG64 takes no negative seed; sweeps offset the seeds upwards only.
 _SEED_FIELDS = tuple(name for name in get_type_hints(RunConfig) if name.startswith("seed_"))
 _GRID_PARSERS = _field_parsers(SweepGrid)
+_GRID_NUMBERS = _number_fields(SweepGrid)
 # Sweep file keys differ from the SweepGrid field names they set.
 _SWEEP_KEYS = {
     "sweep_target_eps": "target_eps",

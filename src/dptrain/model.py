@@ -140,22 +140,23 @@ class Model:
     tuple of shaped views over it. Both are made once, in the constructor,
     and last the model's life: updates write new values into the vector, so
     the views always read the current parameters. A caller that wants a
-    snapshot copies. The constructor checks that the layers name every
-    slot, ``0, 1, 2, ...`` in layer order, with the shapes they imply.
+    snapshot copies, and one with other per-slot arrays builds a ``Model``
+    from them: the constructor checks that the layers name every slot,
+    ``0, 1, 2, ...`` in layer order, with the shapes they imply.
 
     ``freeze_prefix = k`` freezes the layers before the ``(k + 1)``-th
     dense layer for the model's life (the output layer never freezes; a
     norm layer freezes with the dense layer before it, whatever its kind,
-    and one before the first dense layer whenever ``k >= 1``). So the first
-    ``frozen_slots`` slots are frozen, and a gradient is a flat ``[T]``
-    vector over the trainable tail ``parameter_vector[trainable_start:]``.
+    and one before the first dense layer whenever ``k >= 1``). So a
+    gradient is a flat ``[T]`` vector over the trainable tail
+    ``parameter_vector[trainable_start:]``.
 
     ``layers`` and ``parameters`` are read-only: the layout, the boundary
     and the layer plan (see the module docstring) are derived from them in
     the constructor, which refuses with ``TypeError`` any layer that is not
     one of the three layer classes (so no model holds a layer that mixes
-    samples). ``seed`` is ``None`` or an integer, kept as a Python int so
-    a checkpoint writes it as a JSON integer; a bool raises ``TypeError``.
+    samples). The read-only ``seed`` is ``None`` or a Python int, so a
+    checkpoint writes it as a JSON integer; a bool raises ``TypeError``.
     """
 
     def __init__(self, layers, parameters, seed: int | None = None, freeze_prefix: int = 0):
@@ -173,24 +174,20 @@ class Model:
         dense = [l for l in self._layers if isinstance(l, DenseLayer)]
         _check_freeze_prefix(freeze_prefix, len(dense))
         self._input_dim = dense[0].in_dim
-        self._shapes = tuple(a.shape for a in arrays)
-        offsets = [0]
-        for a in arrays:
-            offsets.append(offsets[-1] + a.size)
-        self._offsets = tuple(offsets)
-        self.seed = _check_seed(seed)
+        offsets = np.cumsum([0, *(a.size for a in arrays)]).tolist()
+        self._seed = None if seed is None else _check_integer(seed, "seed")
         self._freeze_prefix = freeze_prefix
         # Slots run 0, 1, 2, ... in layer order: the layers before a dense
         # layer name exactly the slots below its weight slot.
-        self._frozen = dense[freeze_prefix].weight_slot if freeze_prefix else 0
-        tail = offsets[self._frozen:]
+        frozen = dense[freeze_prefix].weight_slot if freeze_prefix else 0
+        self._trainable_start = offsets[frozen]
+        tail = offsets[frozen:]
         spans = tuple((lo - tail[0], hi - tail[0]) for lo, hi in zip(tail, tail[1:]))
         self._vector = np.concatenate([a.reshape(-1) for a in arrays])
         self._parameters = tuple(
-            self._vector[offsets[s]:offsets[s + 1]].reshape(shape)
-            for s, shape in enumerate(self._shapes)
+            self._vector[lo:hi].reshape(a.shape) for lo, hi, a in zip(offsets, offsets[1:], arrays)
         )
-        self._plan = _LayerPlan(self._layers, self._parameters, spans, self._frozen)
+        self._plan = _LayerPlan(self._layers, self._parameters, spans, frozen)
 
     @property
     def layers(self) -> tuple:
@@ -207,19 +204,13 @@ class Model:
         """The first dense layer's input width; the constructor refuses a model without one."""
         return self._input_dim
 
-    def parameter_shapes(self) -> tuple[tuple[int, ...], ...]:
-        return self._shapes
+    @property
+    def seed(self) -> int | None:
+        """The initialization seed, ``None`` or a Python int, fixed when the model is built."""
+        return self._seed
 
     def num_parameters(self) -> int:
-        return self._offsets[-1]
-
-    def parameter_offsets(self) -> tuple[int, ...]:
-        """Start of each parameter in the flat parameter vector, then its length.
-
-        The flat vector concatenates the raveled parameters in slot order;
-        each row of a per-sample gradient matrix is laid out the same way.
-        """
-        return self._offsets
+        return self._vector.size
 
     @property
     def freeze_prefix(self) -> int:
@@ -227,19 +218,9 @@ class Model:
         return self._freeze_prefix
 
     @property
-    def frozen_slots(self) -> int:
-        """How many leading slots are frozen; every later slot trains."""
-        return self._frozen
-
-    @property
-    def trainable(self) -> list[bool]:
-        """Per slot, whether it trains (a new list on each read)."""
-        return [s >= self._frozen for s in range(len(self._shapes))]
-
-    @property
     def trainable_start(self) -> int:
         """Index of the first trainable parameter: the trainable tail is ``[trainable_start:]``."""
-        return self._offsets[self._frozen]
+        return self._trainable_start
 
     def trainable_spans(self) -> list[tuple[int, int]]:
         """Column ranges of the trainable slots in a ``[T]`` gradient (from 0), in slot order."""
@@ -258,26 +239,20 @@ class Model:
 
     @property
     def parameter_vector(self) -> np.ndarray:
-        """The flat ``[P]`` parameter vector laid out by ``parameter_offsets``."""
-        return self._vector
+        """The flat ``[P]`` parameter vector: every slot raveled, in slot order.
 
-    def set_parameters(self, new_params) -> None:
-        """Write new values of every parameter into the parameter vector.
-
-        The shapes are checked before anything is written; the vector and
-        the views in ``parameters`` stay the same objects.
+        Writing into it (as ``adam_step`` does) is how a model's parameters
+        change; the views in ``parameters`` read the new values.
         """
-        new_params = [np.asarray(p, dtype=np.float64) for p in new_params]
-        if tuple(p.shape for p in new_params) != self.parameter_shapes():
-            raise ShapeMismatchError("replacement parameters are not shape-aligned")
-        self._vector[:] = np.concatenate([p.reshape(-1) for p in new_params])
+        return self._vector
 
 
 def build_mlp(widths, norm: str = "none", seed: int = 0, freeze_prefix: int = 0) -> Model:
     """Construct a fully connected binary classifier.
 
     Args:
-        widths: layer widths including input and output; at least two entries
+        widths: integer layer widths including input and output (a bool, a
+            float or a string raises ``TypeError``); at least two entries
             and the final width must be 1 (a single logit per sample).
         norm: "none", or "group:G" to insert a G-group normalization after
             every hidden dense layer. G must divide each normalized width.
@@ -290,7 +265,7 @@ def build_mlp(widths, norm: str = "none", seed: int = 0, freeze_prefix: int = 0)
         freeze_prefix: how many leading dense layers (with their norm
             layers) stay frozen; see ``Model``.
     """
-    widths = [int(w) for w in widths]
+    widths = [_check_integer(w, "a width") for w in widths]
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"invalid widths {widths}: need >= 2 positive entries")
     if widths[-1] != 1:
@@ -325,11 +300,11 @@ def build_mlp(widths, norm: str = "none", seed: int = 0, freeze_prefix: int = 0)
     return model
 
 
-def _check_seed(seed) -> int | None:
-    """``None``, or ``seed`` as a Python int; a bool or a non-integer raises ``TypeError``."""
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer or None, not {seed!r}")
-    return None if seed is None else operator.index(seed)
+def _check_integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer raises ``TypeError``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def _check_freeze_prefix(k: int, dense_layers: int) -> None:
@@ -597,17 +572,17 @@ class _LayerPass:
     keeps a unit row axis instead. The chain walks all rows through the
     pullbacks once (loss, sigmoid, ``g @ W.T``, the ReLU mask, group norm),
     as the model plan's ``chain`` lays them out, and keeps, for each
-    trainable layer from the last, its
-    ``(cols, bias_cols, h, g, shape)``: the ``Model.trainable_spans`` of
-    its weight (or scale) and its bias (or shift), its saved input ``h``
-    (the normalized input for a norm layer), its output cotangent ``g`` and
-    its weight shape (``None`` for a norm layer). A backward pass then only
-    writes those pairs into ``[T]`` gradients over the model's trainable
-    tail. Frozen parameters get no gradient work and no columns: the chain
-    stops at the layer whose first slot is ``Model.frozen_slots``. Every
-    layer a ``Model`` admits reads each sample alone, so a sample's gradient
-    reads no other sample and no pass checks for one. Non-finite forward
-    values raise ``FloatingPointError``.
+    trainable layer from the last, its ``(cols, bias_cols, h, g, shape)``:
+    the ``Model.trainable_spans`` of its weight (or scale) and its bias (or
+    shift), its saved input ``h`` (the normalized input for a norm layer),
+    its output cotangent ``g`` and its weight shape (``None`` for a norm
+    layer). A backward pass then only writes those pairs into ``[T]``
+    gradients over the model's trainable tail. Frozen parameters get no
+    gradient work and no columns: the chain stops at the layer whose weight
+    (or scale) starts at ``Model.trainable_start``. Every layer a ``Model``
+    admits reads each sample alone, so a sample's gradient reads no other
+    sample and no pass checks for one. Non-finite forward values raise
+    ``FloatingPointError``.
     """
 
     _rowwise = False

@@ -588,9 +588,9 @@ def per_slot_adam_update(model, state, vbar) -> None:
     moments stay 0.0 and its parameters keep their bits, so the oracle's
     ``[trainable_start:]`` moments and every parameter match the optimizer.
     """
-    if shapes(vbar) != model.parameter_shapes():
+    if shapes(vbar) != shapes(model.parameters):
         raise ShapeMismatchError("gradient is not shape-aligned with the model parameters")
-    offsets = model.parameter_offsets()
+    offsets = slot_offsets(model)
 
     def per_slot(vector):
         return [vector[offsets[s]:offsets[s + 1]].reshape(a.shape) for s, a in enumerate(vbar)]
@@ -605,7 +605,7 @@ def per_slot_adam_update(model, state, vbar) -> None:
     c2 = 1.0 - b2 ** state.t
     direction = [(m / c1) / (np.sqrt(u / c2) + stabilizer) for m, u in zip(new_m, new_u)]
 
-    model.set_parameters(
+    model.parameter_vector[:] = flat(
         [p - state.lr * w for p, w in zip(model.parameters, direction)]
     )
 
@@ -625,12 +625,25 @@ def flat(grad) -> np.ndarray:
     return np.concatenate([a.reshape(-1) for a in grad])
 
 
+def slot_offsets(model) -> tuple[int, ...]:
+    """Start of each slot in ``model.parameter_vector``, then its length ``P``."""
+    offsets = [0]
+    for p in model.parameters:
+        offsets.append(offsets[-1] + p.size)
+    return tuple(offsets)
+
+
+def trainable_mask(model) -> list[bool]:
+    """Per slot, whether it trains: whether it starts at or after ``model.trainable_start``."""
+    return [start >= model.trainable_start for start in slot_offsets(model)[:-1]]
+
+
 def slot_views(model, vector: np.ndarray) -> tuple[np.ndarray, ...]:
     """A flat ``[P]`` vector split into shaped views, one per slot."""
-    offsets = model.parameter_offsets()
+    offsets = slot_offsets(model)
     return tuple(
-        vector[offsets[s]:offsets[s + 1]].reshape(shape)
-        for s, shape in enumerate(model.parameter_shapes())
+        vector[offsets[s]:offsets[s + 1]].reshape(p.shape)
+        for s, p in enumerate(model.parameters)
     )
 
 
@@ -664,15 +677,15 @@ def tape_dp_adam_step(
         nan = math.nan
         return TapeStepOutcome(False, 0, nan, nan, nan, nan, nan)
 
-    grads, losses = [], []
+    grads, losses, trainable = [], [], trainable_mask(model)
     for i in indices:
         loss, g = per_sample_gradient(model, xs[i], ys[i])
-        grads.append(masked(g, model.trainable))
+        grads.append(masked(g, trainable))
         losses.append(loss)
     norms = np.array([global_norm(g) for g in grads])
 
     vbar = aggregate_noisy(grads, clip, ledger.spec.sigma, noise_rng, placement=noise_placement)
-    vbar = masked(vbar, model.trainable)
+    vbar = masked(vbar, trainable)
     per_slot_adam_update(model, state, vbar)
     return TapeStepOutcome(
         applied=True,

@@ -259,6 +259,21 @@ GRID_VALUES = dict(
 )
 
 
+# The numeric fields, read from the annotations as RunConfig reads them.
+INTEGER_FIELDS = [
+    name for name, hint in get_type_hints(RunConfig).items() if hint in (int, tuple[int, ...])
+]
+FLOAT_FIELDS = [
+    name for name, hint in get_type_hints(RunConfig).items() if hint in (float, float | None)
+]
+
+
+def with_value(name, value):
+    """``RUN_VALUES`` with ``value`` in field ``name`` (a tuple field's first entry)."""
+    old = RUN_VALUES[name]
+    return {**RUN_VALUES, name: (value, *old[1:]) if isinstance(old, tuple) else value}
+
+
 def render(key, value):
     if isinstance(value, tuple):
         value = ",".join(str(v) for v in value)
@@ -298,6 +313,35 @@ class TestSchema:
     def test_float_fields_must_be_finite(self, name, value):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{**RUN_VALUES, name: value})
+
+    @pytest.mark.parametrize("name", INTEGER_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, np.float64(3.0), "3"],
+                             ids=["True", "False", "2.5", "2.0", "np.float64", "str"])
+    def test_integer_fields_refuse_bools_and_non_integers(self, name, value):
+        # Checked before any range check, so a string is a ConfigError, not a TypeError.
+        with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|integers), got "):
+            RunConfig(**with_value(name, value))
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [True, False, "0.5"], ids=["True", "False", "str"])
+    def test_float_fields_refuse_bools_and_non_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number, got "):
+            RunConfig(**with_value(name, value))
+
+    def test_numpy_scalars_pass(self):
+        values = {name: np.int64(RUN_VALUES[name]) for name in INTEGER_FIELDS if name != "widths"}
+        values.update({name: np.float64(RUN_VALUES[name]) for name in FLOAT_FIELDS})
+        values["widths"] = tuple(np.int64(w) for w in RUN_VALUES["widths"])
+        assert RunConfig(**{**RUN_VALUES, **values}) == RunConfig(**RUN_VALUES)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seeds_per_cell", True), ("seeds_per_cell", 2.0), ("freeze_prefixes", (0, 1.0)),
+         ("freeze_prefixes", (False,)), ("target_eps", (True,)), ("clip_norms", ("0.5",))],
+    )
+    def test_sweep_grid_refuses_bools_and_values_of_the_wrong_kind(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be "):
+            SweepGrid(**{**GRID_VALUES, name: value})
 
     def test_field_without_a_parser_is_refused(self):
         @dataclass(frozen=True)

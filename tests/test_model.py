@@ -43,8 +43,10 @@ from oracles import (
     per_sample_gradient,
     per_sample_gradients,
     shapes,
+    slot_offsets,
     slot_views,
     tape_batch_gradient,
+    trainable_mask,
     traced_forward,
 )
 
@@ -86,45 +88,22 @@ def test_parameter_counts():
     assert build_mlp([4, 8, 1], norm="group:2", seed=7).num_parameters() == 65
 
 
-def test_parameter_offsets_survive_set_parameters():
-    model = build_mlp([4, 8, 1], norm="group:2", seed=7)
-    offsets = model.parameter_offsets()
-    assert offsets == (0, 32, 40, 48, 56, 64, 65)
-    model.set_parameters([p + 1.0 for p in model.parameters])
-    assert model.parameter_offsets() == offsets
-    assert model.num_parameters() == offsets[-1] == 65
-    with pytest.raises(ShapeMismatchError):
-        model.set_parameters(model.parameters[:-1])
-    assert model.parameter_offsets() == offsets
-
-
 def test_parameters_are_views_over_one_lasting_vector():
     model = build_mlp([4, 8, 1], norm="group:2", seed=7)
     vector, views = model.parameter_vector, model.parameters
-    offsets = model.parameter_offsets()
+    offsets = slot_offsets(model)
+    assert offsets == (0, 32, 40, 48, 56, 64, 65)
     assert vector.shape == (offsets[-1],)
     assert isinstance(views, tuple)
     for s, p in enumerate(views):
         assert np.shares_memory(p, vector)
         np.testing.assert_array_equal(p.reshape(-1), vector[offsets[s]:offsets[s + 1]])
     kept = vector.copy()
-    model.set_parameters(views)  # the model's own views: nothing changes
-    assert vector.tobytes() == kept.tobytes()
     held = views[0]
-    model.set_parameters([p + 1.0 for p in views])
+    model.parameter_vector[:] = flat([p + 1.0 for p in views])
     assert model.parameter_vector is vector and model.parameters is views
     np.testing.assert_array_equal(vector, kept + 1.0)
     np.testing.assert_array_equal(held, kept[offsets[0]:offsets[1]].reshape(held.shape) + 1.0)
-    kept = vector.copy()
-    for bad in (
-        views[:-1],
-        [*views[:-1], np.zeros(2)],
-        [np.zeros(offsets[-1])],
-    ):
-        with pytest.raises(ShapeMismatchError):
-            model.set_parameters(bad)
-        assert model.parameter_vector is vector and model.parameters is views
-        assert vector.tobytes() == kept.tobytes()
 
 
 def test_recorded_tape_survives_an_update():
@@ -177,6 +156,20 @@ def test_invalid_widths():
         build_mlp([4, 8, 2], seed=0)
 
 
+@pytest.mark.parametrize("width", [4.5, np.float64(4.0), "4", True],
+                         ids=["4.5", "np.float64", "str", "True"])
+def test_widths_must_be_integers(width):
+    with pytest.raises(TypeError):
+        build_mlp([3, width, 1], seed=0)
+
+
+def test_numpy_integer_widths_build_the_same_model():
+    model, listed = build_mlp(np.array([3, 4, 1]), seed=0), build_mlp([3, 4, 1], seed=0)
+    assert model.parameter_vector.tobytes() == listed.parameter_vector.tobytes()
+    assert all(type(l.in_dim) is int and type(l.out_dim) is int
+               for l in model.layers if isinstance(l, DenseLayer))
+
+
 def test_num_groups_must_divide():
     with pytest.raises(ValueError):
         build_mlp([4, 6, 1], norm="group:4", seed=0)
@@ -184,10 +177,10 @@ def test_num_groups_must_divide():
 
 def test_zero_model_loss_is_ln2():
     model = build_mlp([4, 8, 1], seed=0)
-    model.set_parameters([np.zeros_like(p) for p in model.parameters])
+    model.parameter_vector[:] = flat([np.zeros_like(p) for p in model.parameters])
     loss, grad = per_sample_gradient(model, np.ones(4), 1)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-    assert shapes(grad) == model.parameter_shapes()
+    assert shapes(grad) == shapes(model.parameters)
 
 
 def test_per_sample_gradient_is_pure():
@@ -299,9 +292,9 @@ def test_the_layer_set_is_closed(tmp_path):
 def test_freeze_prefix_masks_block_params():
     model = build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=1)
     # First dense (W, b) and its norm (gamma, beta) frozen; rest trainable.
-    assert model.trainable == [False, False, False, False, True, True, True, True, True, True]
+    assert trainable_mask(model) == [False] * 4 + [True] * 6
     model = build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=0)
-    assert all(model.trainable)
+    assert all(trainable_mask(model))
     with pytest.raises(ValueError):
         build_mlp([4, 8, 8, 1], norm="group:2", seed=0, freeze_prefix=3)
 
@@ -311,10 +304,9 @@ def test_freeze_prefix_masks_block_params():
 def test_freeze_prefix_matches_the_block_rule(norm, depth):
     for k in range(depth):
         model = build_mlp([4] + [8] * (depth - 1) + [1], norm=norm, seed=0, freeze_prefix=k)
-        offsets = model.parameter_offsets()
+        offsets = slot_offsets(model)
         mask = block_freeze_mask(model, k)
-        assert model.trainable == mask
-        assert model.frozen_slots == mask.count(False)
+        assert trainable_mask(model) == mask
         start = model.trainable_start
         assert model.trainable_spans() == [
             (offsets[s] - start, offsets[s + 1] - start) for s, keep in enumerate(mask) if keep
@@ -331,20 +323,19 @@ def test_freeze_prefix_on_hand_built_models():
     ]
     params = [np.ones(4), np.zeros(4), np.ones((4, 8)), np.zeros(8), np.ones((8, 1)), np.zeros(1)]
     model = Model(layers, params, freeze_prefix=1)
-    assert model.trainable == [False] * 4 + [True] * 2
+    assert trainable_mask(model) == [False] * 4 + [True] * 2
     model = Model(layers, params, freeze_prefix=0)
-    assert model.trainable == [True] * 6
+    assert trainable_mask(model) == [True] * 6
     assert model.trainable_spans() == [(0, 4), (4, 8), (8, 40), (40, 48), (48, 56), (56, 57)]
 
 
-def test_trainable_is_read_only():
+def test_freeze_prefix_and_seed_are_read_only():
     model = build_mlp([4, 8, 1], seed=0)
-    with pytest.raises(AttributeError):
-        model.trainable = [False, False, True, True]
     with pytest.raises(AttributeError):  # the boundary is fixed when the model is built
         model.freeze_prefix = 1
-    model.trainable[0] = False  # a fresh list on each read
-    assert model.trainable == [True] * 4
+    with pytest.raises(AttributeError):  # a checkpoint writes the seed as a JSON integer
+        model.seed = np.int64(3)
+    assert model.freeze_prefix == 0 and model.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -495,7 +486,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.seed == model.seed
     assert loaded.freeze_prefix == 1
-    assert loaded.trainable == model.trainable
+    assert trainable_mask(loaded) == trainable_mask(model)
     assert len(loaded.layers) == len(model.layers)
     for a, b in zip(loaded.parameters, model.parameters):
         assert np.array_equal(a, b)
@@ -570,7 +561,8 @@ def test_version_1_checkpoint_loads_and_resaves_to_the_same_bytes(tmp_path):
     old.write_text(VERSION_1_CHECKPOINT, encoding="utf-8")
     model = load_checkpoint(old)
     assert [l.kind for l in model.layers] == ["dense", "group_norm", "activation", "dense"]
-    assert model.trainable == [False] * 4 + [True] * 2  # the group_norm follows the frozen dense
+    # The group_norm follows the frozen dense layer.
+    assert trainable_mask(model) == [False] * 4 + [True] * 2
     save_checkpoint(model, new)
     assert new.read_bytes() == VERSION_1_CHECKPOINT.encode("utf-8")
 
@@ -673,7 +665,7 @@ def tape_rows(model, xs, ys):
         losses.append(loss)
         rows.append(np.concatenate([
             a.reshape(-1) if keep else np.zeros(a.size)
-            for a, keep in zip(g, model.trainable)
+            for a, keep in zip(g, trainable_mask(model))
         ]))
     return np.array(losses), np.array(rows)
 
@@ -705,7 +697,7 @@ def test_batched_gradients_equal_tape_at_saturation_and_degenerate_groups():
     # Saturated sigmoids hit the loss clamp (zero gradient) and constant
     # inputs hit the group-norm variance floor; both branches must match.
     model = build_mlp([3, 4, 1], norm="group:2", seed=2)
-    model.set_parameters([p * 40.0 for p in model.parameters])
+    model.parameter_vector[:] = flat([p * 40.0 for p in model.parameters])
     xs = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 1.0], [2.0, 2.0, 2.0]])
     ys = np.array([1.0, 0.0, 0.0, 1.0])
     losses, grads = per_sample_gradients(model, xs, ys)
@@ -729,7 +721,7 @@ def test_weight_rows_are_broadcast_outer_products(seed):
     _, ref_rows = tape_rows(model, xs, ys)
     w0, b0 = model.parameters[:2]
     h1 = np.maximum(xs[:, None, :] @ w0 + b0, 0.0)[:, 0]  # the kernels' forward pass
-    o = model.parameter_offsets()
+    o = slot_offsets(model)
     negative_zeros = 0
     for h, w_slot in ((xs, 0), (h1, 2)):
         got = rows[:, o[w_slot]:o[w_slot + 1]]
@@ -796,7 +788,7 @@ def assert_batch_gradient_equals_tape(model, xs, ys):
     assert isinstance(vector, np.ndarray) and vector.dtype == np.float64
     start = model.trainable_start
     assert vector.shape == (model.num_parameters() - start,)
-    assert shapes(ref) == model.parameter_shapes()
+    assert shapes(ref) == shapes(model.parameters)
     np.testing.assert_array_equal(vector, flat(ref)[start:])
 
 
@@ -814,7 +806,7 @@ def test_batch_gradient_equals_tape(norm, freeze, batch):
 def test_batch_gradient_equals_tape_at_saturation_and_degenerate_groups():
     # The inputs of the per-sample test of the loss clamp and the variance floor.
     model = build_mlp([3, 4, 1], norm="group:2", seed=2)
-    model.set_parameters([p * 40.0 for p in model.parameters])
+    model.parameter_vector[:] = flat([p * 40.0 for p in model.parameters])
     xs = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0], [-5.0, 4.0, 1.0], [2.0, 2.0, 2.0]])
     ys = np.array([1.0, 0.0, 0.0, 1.0])
     assert_batch_gradient_equals_tape(model, xs, ys)
@@ -900,7 +892,7 @@ def test_layer_plan_reads_the_current_parameters(norm, freeze, tmp_path):
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(9, 3))
     ys = rng.integers(0, 2, size=9).astype(float)
-    model.set_parameters([rng.normal(size=p.shape) for p in model.parameters])
+    model.parameter_vector[:] = flat([rng.normal(size=p.shape) for p in model.parameters])
     assert_same_passes(model, xs, ys)
     state = DpAdamState.for_model(model, lr=0.1)
     adam_step(model, batch_gradient(model, xs, ys)[1], state)
@@ -909,5 +901,5 @@ def test_layer_plan_reads_the_current_parameters(norm, freeze, tmp_path):
     loaded = load_checkpoint(tmp_path / "model.json")
     assert loaded.parameter_vector.tobytes() == model.parameter_vector.tobytes()
     assert_same_passes(loaded, xs, ys)
-    loaded.set_parameters([p + 0.5 for p in loaded.parameters])
+    loaded.parameter_vector[:] = flat([p + 0.5 for p in loaded.parameters])
     assert_same_passes(loaded, xs, ys)

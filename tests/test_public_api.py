@@ -3,8 +3,9 @@
 Adding or removing a name from ``dptrain`` means editing ``PACKAGE_NAMES``
 here, adding or removing a module means editing ``MODULES``, importing a
 private name from a sibling module means editing ``SHARED_PRIVATE_NAMES``,
-and a new import between sibling modules means editing ``MODULE_IMPORTS``,
-so the change shows up for review.
+a new import between sibling modules means editing ``MODULE_IMPORTS``, and
+a new public member of ``Model`` means editing ``MODEL_NAMES``, so the
+change shows up for review.
 """
 
 import ast
@@ -68,6 +69,21 @@ PACKAGE_NAMES = {
     "TrainReport",
     "sweep",
     "train",
+}
+
+# A model's public members: its layers, its one flat parameter vector (with
+# the shaped views over it), the freeze boundary and the forward pass.
+MODEL_NAMES = {
+    "forward",
+    "freeze_prefix",
+    "input_dim",
+    "layers",
+    "num_parameters",
+    "parameter_vector",
+    "parameters",
+    "seed",
+    "trainable_spans",
+    "trainable_start",
 }
 
 # Private helpers one module imports from another: each rule has one
@@ -138,6 +154,13 @@ def test_package_names_are_pinned():
     }
     assert public == PACKAGE_NAMES, (
         f"added: {sorted(public - PACKAGE_NAMES)}, removed: {sorted(PACKAGE_NAMES - public)}"
+    )
+
+
+def test_model_names_are_pinned():
+    public = {name for name in dir(dptrain.Model) if not name.startswith("_")}
+    assert public == MODEL_NAMES, (
+        f"added: {sorted(public - MODEL_NAMES)}, removed: {sorted(MODEL_NAMES - public)}"
     )
 
 
