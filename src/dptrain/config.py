@@ -220,9 +220,9 @@ _PARSERS = {
 
 
 # What each numeric annotation's values (a tuple's entries) must be; a bool is neither.
-_NUMERIC = {int: (Integral, "an integer", False), tuple[int, ...]: (Integral, "integers", True),
+_NUMERIC = {int: (Integral, "an integer", False), tuple[int, ...]: (Integral, "a tuple of integers", True),
             float: (Real, "a number", False), float | None: (Real, "a number", False),
-            tuple[float, ...]: (Real, "numbers", True)}
+            tuple[float, ...]: (Real, "a tuple of numbers", True)}
 
 
 def _number_fields(cls) -> tuple:
@@ -240,7 +240,8 @@ def _check_numbers(config, numbers) -> None:
         value = getattr(config, name)
         if value is None:
             continue
-        if any(isinstance(v, bool) or not isinstance(v, kind) for v in (value if many else (value,))):
+        values = value if many else (value,)
+        if type(values) is not tuple or any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
         if kind is Real and not many and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")

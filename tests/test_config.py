@@ -2,7 +2,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -319,7 +319,7 @@ class TestSchema:
                              ids=["True", "False", "2.5", "2.0", "np.float64", "str"])
     def test_integer_fields_refuse_bools_and_non_integers(self, name, value):
         # Checked before any range check, so a string is a ConfigError, not a TypeError.
-        with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|integers), got "):
+        with pytest.raises(ConfigError, match=rf"^{name} must be (an integer|a tuple of integers), got "):
             RunConfig(**with_value(name, value))
 
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
@@ -342,6 +342,19 @@ class TestSchema:
     def test_sweep_grid_refuses_bools_and_values_of_the_wrong_kind(self, name, value):
         with pytest.raises(ConfigError, match=rf"^{name} must be "):
             SweepGrid(**{**GRID_VALUES, name: value})
+
+    @pytest.mark.parametrize("cls, values, name", [
+        pytest.param(cls, values, name, id=name)
+        for cls, values in ((RunConfig, RUN_VALUES), (SweepGrid, GRID_VALUES))
+        for name, hint in get_type_hints(cls).items() if get_origin(hint) is tuple
+    ])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["scalar", "list"])
+    def test_tuple_fields_refuse_scalars_and_lists(self, cls, values, name, as_list):
+        # A config file always parses a tuple; a scalar is not iterated, and a
+        # list would leave a mutable value in a frozen config.
+        value = list(values[name]) if as_list else values[name][0]
+        with pytest.raises(ConfigError, match=rf"^{name} must be a tuple of (integers|numbers), got "):
+            cls(**{**values, name: value})
 
     def test_field_without_a_parser_is_refused(self):
         @dataclass(frozen=True)

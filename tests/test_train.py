@@ -9,9 +9,13 @@ import pytest
 from dptrain.accountant import accountant_query
 from dptrain.config import _SEED_FIELDS, ConfigError, RunConfig, SweepGrid
 from dptrain.data import _split_sizes, load_csv_dataset, save_csv_dataset, synthetic_dataset
+from dptrain.model import accuracy
 from dptrain.train import (
     REPORT_COLUMNS,
     TrainReport,
+    _report,
+    _run_epochs,
+    _start,
     report_row,
     split_dataset,
     sweep,
@@ -366,6 +370,43 @@ class TestLoopHooks:
             "adam_step": report.steps_run,
             "accuracy": len(report.epochs) + 1,
         }
+
+
+RUN_CONFIGS = {
+    "target-epsilon": fast_config(privacy="target-epsilon", target_eps=5.0, sigma=None),
+    # Budget 5 stops in the second epoch.
+    "budget-stopped": fast_config(budget_eps=5.0, epochs=30),
+    "nonprivate": fast_config(privacy="off", sigma=None),
+}
+
+
+class TestRun:
+    """The run object: ``_start``, ``_run_epochs`` and ``_report`` are ``train`` in three parts."""
+
+    @pytest.mark.parametrize("config", RUN_CONFIGS.values(), ids=RUN_CONFIGS.keys())
+    def test_run_continued_after_epoch_one_equals_an_uninterrupted_run(self, config):
+        run = _start(config, None)
+        # Sigma is calibrated in _start and the budget's stop step is absolute,
+        # so a one-epoch config stops the run after epoch 1 without changing it.
+        run.config = replace(config, epochs=1)
+        _run_epochs(run)
+        assert len(run.epochs) == 1 and run.steps_run > 0
+        run.config = config
+        _run_epochs(run)
+        expected = train(config)
+        assert len(expected.epochs) > 1
+        report = _report(run, 0.0)
+        assert report.numerics() == expected.numerics()
+        test = run.split.test
+        assert accuracy(run.model, test.features, test.labels) == report.test_acc
+
+    def test_budget_stopped_run_takes_no_further_step(self):
+        run = _start(RUN_CONFIGS["budget-stopped"], None)
+        _run_epochs(run)
+        assert run.stop_reason == "budget-exceeded" and len(run.epochs) == 2
+        steps, epochs = run.steps_run, list(run.epochs)
+        _run_epochs(run)
+        assert run.steps_run == steps and run.epochs == epochs
 
 
 class TestNonPrivateBatches:
